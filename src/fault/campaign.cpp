@@ -82,15 +82,6 @@ Matrix<double> run_algorithm(hybrid::Device& dev, Algorithm alg, const Matrix<do
   return a;
 }
 
-index_t boundaries_of(Algorithm alg, index_t n, index_t nb) {
-  switch (alg) {
-    case Algorithm::Gehrd: return ft::ft_total_boundaries(n, nb);
-    case Algorithm::Sytrd: return ft::ft_sytrd_boundaries(n, nb);
-    case Algorithm::Gebrd: return ft::ft_gebrd_boundaries(n, nb);
-  }
-  return 1;
-}
-
 constexpr SoakClass kDefaultMix[] = {
     SoakClass::InFlightBitFlip, SoakClass::InFlightNaN,    SoakClass::InFlightInf,
     SoakClass::ChecksumStrike,  SoakClass::TransferStrike, SoakClass::CheckpointStrike,
@@ -263,7 +254,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
 
     // Faulty run.
     TrialOutcome out;
-    const index_t boundaries = boundaries_of(cfg.algorithm, cfg.n, cfg.nb);
+    const index_t boundaries = ft::ft_total_boundaries(cfg.n, cfg.nb);
     Rng frng(fseed);
     std::vector<FaultSpec> specs;
     FaultPlane plane(fseed ^ 0xF1DE0ULL);

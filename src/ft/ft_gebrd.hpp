@@ -45,7 +45,4 @@ void ft_gebrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
               const FtGebrdOptions& opt = {}, fault::Injector* injector = nullptr,
               FtReport* report = nullptr, hybrid::HybridGehrdStats* stats = nullptr);
 
-/// Number of panel iterations ft_gebrd executes for size n, block nb.
-index_t ft_gebrd_boundaries(index_t n, index_t nb);
-
 }  // namespace fth::ft

@@ -95,8 +95,8 @@ void ft_gehrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
               const FtOptions& opt = {}, fault::Injector* injector = nullptr,
               FtReport* report = nullptr, hybrid::HybridGehrdStats* stats = nullptr);
 
-/// Number of panel iterations ft_gehrd will execute for size n, block nb
-/// (needed to aim Moment-based fault specs).
+/// Number of panel iterations ft_gehrd, ft_sytrd and ft_gebrd execute for
+/// size n, block nb (needed to aim Moment-based fault specs).
 index_t ft_total_boundaries(index_t n, index_t nb);
 
 }  // namespace fth::ft

@@ -53,7 +53,4 @@ void ft_sytrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
               fault::Injector* injector = nullptr, FtReport* report = nullptr,
               hybrid::HybridGehrdStats* stats = nullptr);
 
-/// Number of panel iterations ft_sytrd executes for size n, block nb.
-index_t ft_sytrd_boundaries(index_t n, index_t nb);
-
 }  // namespace fth::ft

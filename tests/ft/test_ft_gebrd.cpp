@@ -215,7 +215,7 @@ TEST(FtGebrd, ReportPopulated) {
   EXPECT_GT(o.rep.encode_seconds, 0.0);
   EXPECT_GT(o.rep.detect_seconds, 0.0);
   EXPECT_GT(o.rep.threshold, 0.0);
-  EXPECT_EQ(o.st.panels, ft_gebrd_boundaries(n, nb));
+  EXPECT_EQ(o.st.panels, ft_total_boundaries(n, nb));
   EXPECT_GT(o.st.h2d_bytes, 0u);
 }
 

@@ -235,7 +235,7 @@ TEST(FtSytrd, ReportPopulated) {
   EXPECT_GT(o.rep.encode_seconds, 0.0);
   EXPECT_GT(o.rep.detect_seconds, 0.0);
   EXPECT_GT(o.rep.threshold, 0.0);
-  EXPECT_EQ(o.st.panels, ft_sytrd_boundaries(n, nb));
+  EXPECT_EQ(o.st.panels, ft_total_boundaries(n, nb));
 }
 
 TEST(FtSytrd, TinySizes) {

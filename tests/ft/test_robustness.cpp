@@ -5,6 +5,7 @@
 #include <new>
 
 #include "fault/injector.hpp"
+#include "ft/ft_gebrd.hpp"
 #include "ft/ft_gehrd.hpp"
 #include "ft/ft_sytrd.hpp"
 #include "la/generate.hpp"
@@ -105,6 +106,26 @@ TEST(Robustness, ExplicitThresholdHonored) {
   ft_gehrd(dev, a.view(), vec(tau), opt, &inj, &rep);
   EXPECT_EQ(rep.detections, 0);
   EXPECT_EQ(rep.threshold, 1e6);
+
+  // The per-line drivers scale only their DEFAULT threshold; an explicit
+  // one is honoured as given.
+  std::vector<double> d(static_cast<std::size_t>(n)), e(static_cast<std::size_t>(n - 1));
+  std::vector<double> tauq(static_cast<std::size_t>(n));
+  Matrix<double> s = random_symmetric_matrix(n, 6);
+  fault::Injector inj_s(spec);
+  FtReport rep_s;
+  ft_sytrd(dev, s.view(), vec(d), vec(e), vec(tau),
+           {.nb = 16, .threshold = 1e6, .final_sweep = false}, &inj_s, &rep_s);
+  EXPECT_EQ(rep_s.detections, 0);
+  EXPECT_EQ(rep_s.threshold, 1e6);
+
+  Matrix<double> g = random_matrix(n, n, 7);
+  fault::Injector inj_g(spec);
+  FtReport rep_g;
+  ft_gebrd(dev, g.view(), vec(d), vec(e), vec(tauq), vec(tau),
+           {.nb = 16, .threshold = 1e6, .final_sweep = false}, &inj_g, &rep_g);
+  EXPECT_EQ(rep_g.detections, 0);
+  EXPECT_EQ(rep_g.threshold, 1e6);
 }
 
 TEST(Robustness, SameDeviceReusedAcrossManyRuns) {

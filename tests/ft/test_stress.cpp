@@ -60,7 +60,7 @@ TEST(Stress, SytrdFaultAtEveryBoundary) {
   Matrix<double> clean(a0.cview());
   ft_sytrd(dev, clean.view(), vec(dc), vec(ec), vec(tc), {.nb = nb});
 
-  const index_t boundaries = ft_sytrd_boundaries(n, nb);
+  const index_t boundaries = ft_total_boundaries(n, nb);
   fault::Injector inj(one_fault_per_boundary(boundaries, fault::Area::LowerTrailing), 6);
   Matrix<double> a(a0.cview());
   std::vector<double> d(static_cast<std::size_t>(n)), e(static_cast<std::size_t>(n - 1)),
@@ -80,7 +80,7 @@ TEST(Stress, GebrdFaultAtEveryBoundary) {
   Matrix<double> clean(a0.cview());
   ft_gebrd(dev, clean.view(), vec(dc), vec(ec), vec(tqc), vec(tpc), {.nb = nb});
 
-  const index_t boundaries = ft_gebrd_boundaries(n, nb);
+  const index_t boundaries = ft_total_boundaries(n, nb);
   fault::Injector inj(one_fault_per_boundary(boundaries, fault::Area::LowerTrailing), 7);
   Matrix<double> a(a0.cview());
   std::vector<double> d(static_cast<std::size_t>(n)), e(static_cast<std::size_t>(n - 1)),
