@@ -13,8 +13,19 @@
 // Event::wait / Event::ready() / synchronize() report the happens-before
 // edges the host observes, which is what retires in-flight transfers in
 // the race detector.
+//
+// The device is separate silicon: on Linux, when the constructing thread
+// may run on at least 2 CPUs, the worker takes that CPU set minus the CPU
+// the constructor runs on. Handoffs between host and device spin, then
+// park (CUDA's cudaDeviceScheduleAuto): synchronize(), Event::wait() and
+// the idle worker poll a lock-free copy of their wait condition for up to
+// kSpinBudget before they block on a condition variable. A waiter parks at
+// once when the other side last ran on its own CPU, or when live stream
+// workers + 1 exceed the CPUs the stream may use: polling there only keeps
+// the thread it waits for off the core. Other platforms always park.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -23,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <source_location>
 #include <thread>
 
@@ -31,6 +43,12 @@
 namespace fth::hybrid {
 
 class Device;
+
+namespace detail {
+/// Where each side of a stream's handoff last ran; shared by the stream and
+/// every Event it records, so a late waiter never reads a dead stream.
+struct Handoff;
+}  // namespace detail
 
 /// A host-visible marker of a point in a stream's task sequence.
 class Event {
@@ -61,11 +79,17 @@ class Event {
   struct State {
     std::mutex m;
     std::condition_variable cv;
-    bool done = false;
+    std::atomic<bool> done{false};  ///< set under `m`; polled without it
+    std::shared_ptr<const detail::Handoff> handoff;  ///< recording stream's
     const void* stream = nullptr;     ///< recording stream (checker identity)
     std::uint64_t ticket = 0;         ///< ticket of the recording marker task
     std::uint64_t stream_obs_id = 0;  ///< recording stream's DAG identity
   };
+
+  /// wait() and wait_for(): spin, then park until ready() or `deadline`.
+  [[nodiscard]] bool block(std::optional<std::chrono::steady_clock::time_point> deadline,
+                           std::source_location loc) const;
+
   std::shared_ptr<State> state_;
 };
 
@@ -75,6 +99,14 @@ class Stream {
   /// `device` (may be null) is used for transfer statistics / cost model.
   explicit Stream(Device* device = nullptr);
   ~Stream();
+
+  /// How long a waiter polls before it parks. The longest wait that recurs
+  /// on every panel column is the n = 512 column round trip, ~75–100 µs on
+  /// a 4-vCPU Xeon VM; 1 ms covers it ten times over, so per-column
+  /// handoffs resolve while polling. A wait longer than the budget (a whole
+  /// trailing update) then pays one park/wake pair, whose 10–15 µs is about
+  /// 1% of it, so a longer budget would buy nothing but burnt cycles.
+  static constexpr std::chrono::microseconds kSpinBudget{1000};
 
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
@@ -170,17 +202,20 @@ class Stream {
 
   Device* device_;
   const std::uint64_t obs_id_;  // initialized before worker_ starts
+  std::shared_ptr<detail::Handoff> handoff_;
   mutable std::mutex m_;
   std::condition_variable cv_worker_;
   std::condition_variable cv_idle_;
   std::deque<Task> queue_;
   std::function<void(std::uint64_t)> task_hook_;
   std::exception_ptr pending_error_;
-  std::uint64_t next_ticket_ = 1;
-  std::uint64_t executed_ = 0;
+  // Written under m_; atomic so spinning waiters can poll them without it.
+  // Tickets retire in order, so executed_ is also the newest retired ticket.
+  std::atomic<std::uint64_t> posted_{0};    ///< newest enqueued ticket
+  std::atomic<std::uint64_t> executed_{0};  ///< tasks finished so far
+  std::atomic<bool> stop_{false};
   std::uint64_t peak_depth_ = 0;
   bool busy_ = false;
-  bool stop_ = false;
   bool dead_ = false;  ///< kill() ran; see doom semantics above
   std::thread worker_;
 };
