@@ -46,6 +46,14 @@ int current_cpu() noexcept {
 #endif
 }
 
+/// Record the CPU this side runs on. Written only when it moved: the two
+/// sides' entries share a cache line, and a store on every task would
+/// bounce it between their cores.
+void note_cpu(std::atomic<int>& where) noexcept {
+  const int cpu = current_cpu();
+  if (where.load(std::memory_order_relaxed) != cpu) where.store(cpu, std::memory_order_relaxed);
+}
+
 /// The worker's CPU set, taken on the constructing thread: every CPU that
 /// thread may use except the one it is on. `separate` is false (and the
 /// worker keeps the inherited set) below 2 CPUs or off Linux.
@@ -105,6 +113,19 @@ bool spin(const detail::Handoff& h, const std::atomic<int>& other_cpu,
     }
     if (Clock::now() >= deadline) return ready();
   }
+}
+
+/// The wake half of the park handshake. A sleeper announces itself in
+/// `sleepers` under `m` before its last check of the wait condition, and
+/// the waker stores the condition before it reads `sleepers` (all seq_cst),
+/// so at least one of the two sees the other. A waker that saw a sleeper
+/// re-checks under `m`: once `m` is held the sleeper is waiting on its
+/// condition variable or gone. The caller notifies after this unlocks, so
+/// the woken thread does not block on `m`.
+template <class T>
+bool still_asleep(std::mutex& m, const std::atomic<T>& sleepers) {
+  std::lock_guard lock(m);
+  return sleepers.load(std::memory_order_relaxed) != T{};
 }
 
 /// Always-on split of blocking host waits by the path that ended them.
@@ -170,14 +191,19 @@ bool Event::block(std::optional<Clock::time_point> deadline, std::source_locatio
       count_wait(done);
     }
     if (!done) {
+      // Announce the sleeper before the last check; the marker task reads
+      // the count after setting done (both seq_cst), so one of the two sees
+      // the other.
       std::unique_lock lock(st.m);
-      const auto marked = [&] { return st.done.load(std::memory_order_relaxed); };
+      st.sleepers.fetch_add(1, std::memory_order_seq_cst);
+      const auto marked = [&] { return st.done.load(std::memory_order_seq_cst); };
       if (deadline) {
         done = st.cv.wait_until(lock, *deadline, marked);
       } else {
         st.cv.wait(lock, marked);
         done = true;
       }
+      st.sleepers.fetch_sub(1, std::memory_order_relaxed);
     }
   }
   obs::dag::detail::on_wait_end();
@@ -188,12 +214,21 @@ bool Event::block(std::optional<Clock::time_point> deadline, std::source_locatio
   return done;
 }
 
+struct Stream::Block {
+  Slot slots[kBlockTasks];
+  /// The block after this one in ticket order (set by the producer before
+  /// it publishes that block's first ticket), or the next free block.
+  Block* next = nullptr;
+};
+
 Stream::Stream(Device* device)
     : device_(device),
       obs_id_(g_next_stream_obs_id.fetch_add(1, std::memory_order_relaxed)) {
   const Placement p = place_worker();
   handoff_ = std::make_shared<detail::Handoff>(p.cpus);
-  worker_ = std::thread([this] { worker_loop(); });
+  blocks_.push_back(std::make_unique<Block>());
+  tail_ = blocks_.back().get();
+  worker_ = std::thread([this, first = tail_] { worker_loop(first); });
 #ifdef __linux__
   // Set from here, not by the worker, so a worker queued behind the
   // constructing thread on its CPU is moved off before that thread polls.
@@ -217,45 +252,54 @@ Stream::~Stream() {
   check::on_stream_destroyed(this, posted_.load(std::memory_order_relaxed));
 }
 
-std::uint64_t Stream::enqueue(const char* label, std::function<void()> task) {
-  Task t;
-  t.fn = std::move(task);
-  t.label = label != nullptr ? label : "task";
-  return enqueue_task(std::move(t));
-}
-
-std::uint64_t Stream::enqueue(const char* label, check::TaskEffects effects,
-                              std::function<void()> task) {
-  Task t;
-  t.fn = std::move(task);
-  t.label = label != nullptr ? label : "task";
-#if FTH_CHECK_ENABLED
-  t.effects = effects;
-  t.has_effects = true;
-#else
-  (void)effects;  // declarations evaporate in Release (empty TaskEffects)
-#endif
-  return enqueue_task(std::move(t));
-}
-
-std::uint64_t Stream::enqueue_task(Task&& t) {
-  FTH_CHECK(t.fn != nullptr, "stream task must be callable");
-  handoff_->host_cpu.store(current_cpu(), std::memory_order_relaxed);
+std::uint64_t Stream::publish(const char* label, const check::TaskEffects* effects,
+                              void* task, void (*build)(Slot&, void*)) {
+  note_cpu(handoff_->host_cpu);
+  if (label == nullptr) label = "task";
   std::uint64_t ticket = 0;
   {
-    std::lock_guard lock(m_);
+    std::lock_guard lock(enq_m_);
+    if (tail_used_ == kBlockTasks) {
+      // Chain a block rather than wait for the worker: a stalled or killed
+      // worker must never turn enqueue into a wait.
+      if (spare_ == nullptr) spare_ = freed_.exchange(nullptr, std::memory_order_acquire);
+      Block* b = spare_;
+      if (b != nullptr) {
+        spare_ = b->next;
+        b->next = nullptr;
+      } else {
+        blocks_.push_back(std::make_unique<Block>());
+        b = blocks_.back().get();
+      }
+      tail_->next = b;
+      tail_ = b;
+      tail_used_ = 0;
+    }
+    Slot& slot = tail_->slots[tail_used_];
+    build(slot, task);
+    slot.label = label;
+#if FTH_CHECK_ENABLED
+    slot.has_effects = effects != nullptr;
+    if (effects != nullptr) slot.effects = *effects;
+#else
+    (void)effects;  // declarations evaporate in Release (empty TaskEffects)
+#endif
+    ++tail_used_;
     ticket = posted_.load(std::memory_order_relaxed) + 1;
-    t.ticket = ticket;
-    // Recorded while the task is still invisible: a polling worker starts
-    // it as soon as m_ drops, and the DAG needs enqueue ≤ task begin.
-    obs::dag::detail::on_enqueue(obs_id_, ticket, t.label);
-    queue_.push_back(std::move(t));
-    posted_.store(ticket, std::memory_order_release);
-    const std::uint64_t depth = queue_.size() + (busy_ ? 1 : 0);
-    if (depth > peak_depth_) peak_depth_ = depth;
-    obs::counter("stream.queue_depth", static_cast<double>(depth));
+    // Recorded while the task is still invisible: the worker may start it
+    // as soon as posted_ moves, and the DAG needs enqueue ≤ task begin.
+    obs::dag::detail::on_enqueue(obs_id_, ticket, label);
+    posted_.store(ticket, std::memory_order_seq_cst);
+    // Only traced runs read the worker's line here; the peak is the
+    // worker's to record (see worker_loop).
+    if (obs::trace_enabled())
+      obs::counter("stream.queue_depth",
+                   static_cast<double>(ticket - executed_.load(std::memory_order_relaxed)));
   }
-  cv_worker_.notify_one();
+  // The worker set worker_parked_ before its last look at posted_ (both
+  // seq_cst), so either it saw this ticket or this load sees it parked.
+  if (worker_parked_.load(std::memory_order_seq_cst) && still_asleep(m_, worker_parked_))
+    cv_worker_.notify_one();
   return ticket;
 }
 
@@ -264,28 +308,28 @@ void Stream::synchronize(std::source_location loc) {
                          ? obs::site_label("synchronize", loc.file_name(),
                                            static_cast<unsigned>(loc.line()))
                          : nullptr;
-  handoff_->host_cpu.store(current_cpu(), std::memory_order_relaxed);
-  std::uint64_t tail = 0;
-  {
-    std::unique_lock lock(m_);
-    // The wait's cause is the newest ticket at entry (same value on exit:
-    // the hybrid drivers are single-host-threaded). Recorded even when the
-    // queue is already drained — a zero-duration Wait node keeps the DAG's
-    // node counts deterministic.
-    tail = posted_.load(std::memory_order_relaxed);
-    obs::dag::detail::on_wait_begin("synchronize", site != nullptr ? site : "", obs_id_, tail);
-    if (!queue_.empty() || busy_) {
-      // Poll inside the span and the DAG wait (see Event::block), unlocked
-      // so the worker can retire tasks; then park on the full predicate.
-      obs::TraceSpan span("stream", site != nullptr ? site : "synchronize");
-      lock.unlock();
-      count_wait(spin(*handoff_, handoff_->worker_cpu, kSpinBudget,
-                      [&] { return executed_.load(std::memory_order_acquire) >= tail; }));
-      lock.lock();
-      cv_idle_.wait(lock, [&] { return queue_.empty() && !busy_; });
+  note_cpu(handoff_->host_cpu);
+  // The wait's cause is the newest ticket at entry. Recorded even when the
+  // queue is already drained — a zero-duration Wait node keeps the DAG's
+  // node counts deterministic.
+  const std::uint64_t tail = posted_.load(std::memory_order_acquire);
+  obs::dag::detail::on_wait_begin("synchronize", site != nullptr ? site : "", obs_id_, tail);
+  if (executed_.load(std::memory_order_acquire) < tail) {
+    // Poll inside the span and the DAG wait (see Event::block); then park
+    // with the same announce-then-check handshake as the Event.
+    obs::TraceSpan span("stream", site != nullptr ? site : "synchronize");
+    const bool spun = spin(*handoff_, handoff_->worker_cpu, kSpinBudget, [&] {
+      return executed_.load(std::memory_order_acquire) >= tail;
+    });
+    count_wait(spun);
+    if (!spun) {
+      std::unique_lock lock(m_);
+      idle_sleepers_.fetch_add(1, std::memory_order_seq_cst);
+      cv_idle_.wait(lock, [&] { return executed_.load(std::memory_order_seq_cst) >= tail; });
+      idle_sleepers_.fetch_sub(1, std::memory_order_relaxed);
     }
-    obs::dag::detail::on_wait_end();
   }
+  obs::dag::detail::on_wait_end();
   check::on_host_ordered(this, tail);
   std::lock_guard lock(m_);
   if (pending_error_) {
@@ -302,11 +346,10 @@ Event Stream::record() {
   state->handoff = handoff_;
   // Pure marker: touches no matrix memory, so it declares the empty set.
   const std::uint64_t ticket = enqueue("event_record", FTH_TASK_EFFECTS(), [state] {
-    {
-      std::lock_guard lock(state->m);
-      state->done.store(true, std::memory_order_release);
-    }
-    state->cv.notify_all();
+    state->done.store(true, std::memory_order_seq_cst);
+    if (state->sleepers.load(std::memory_order_seq_cst) != 0 &&
+        still_asleep(state->m, state->sleepers))
+      state->cv.notify_all();
   });
   // Nobody else can observe the Event before record() returns, so filling
   // in the checker identity after the enqueue is race-free (the marker
@@ -324,8 +367,8 @@ void Stream::wait_event(const Event& e) {
 }
 
 bool Stream::idle() const {
-  std::lock_guard lock(m_);
-  return queue_.empty() && !busy_;
+  const std::uint64_t posted = posted_.load(std::memory_order_acquire);
+  return executed_.load(std::memory_order_acquire) == posted;
 }
 
 std::uint64_t Stream::tail_ticket() const { return posted_.load(std::memory_order_acquire); }
@@ -335,115 +378,128 @@ std::uint64_t Stream::tasks_executed() const {
 }
 
 std::uint64_t Stream::peak_queue_depth() const {
-  std::lock_guard lock(m_);
-  return peak_depth_;
+  // The worker records the backlog before each retire; what is queued now
+  // has not met a retire yet.
+  const std::uint64_t executed = executed_.load(std::memory_order_acquire);
+  const std::uint64_t queued = posted_.load(std::memory_order_acquire) - executed;
+  return std::max(peak_depth_.load(std::memory_order_relaxed), queued);
 }
 
 void Stream::reset_peak_queue_depth() {
-  std::lock_guard lock(m_);
-  peak_depth_ = queue_.size() + (busy_ ? 1 : 0);
+  // Meant for an idle stream (the drivers reset before their first task):
+  // a retire under way could record its backlog after this store.
+  const std::uint64_t executed = executed_.load(std::memory_order_acquire);
+  peak_depth_.store(posted_.load(std::memory_order_acquire) - executed,
+                    std::memory_order_relaxed);
 }
 
 void Stream::set_task_hook(std::function<void(std::uint64_t)> hook) {
   std::lock_guard lock(m_);
   task_hook_ = std::move(hook);
+  has_hook_.store(static_cast<bool>(task_hook_), std::memory_order_release);
 }
 
-void Stream::kill() {
-  {
-    std::lock_guard lock(m_);
-    if (dead_) return;
-    dead_ = true;
-  }
-  cv_worker_.notify_all();
-}
+void Stream::kill() { dead_.store(true, std::memory_order_release); }
 
-bool Stream::killed() const {
+bool Stream::killed() const { return dead_.load(std::memory_order_acquire); }
+
+void Stream::note_error(std::exception_ptr e) {
   std::lock_guard lock(m_);
-  return dead_;
+  // Keep only the first error; later tasks still run (matching the
+  // "stream keeps executing" semantics of real runtimes).
+  if (!pending_error_) pending_error_ = std::move(e);
 }
 
-void Stream::worker_loop() {
+void Stream::run_task(Slot& slot, std::uint64_t ticket, bool dead, int dev_ordinal) {
+  // A killed stream discards work instead of running it, but still
+  // completes event_record markers so host waits observe doom instead of
+  // hanging (see kill()).
+  const bool run = !dead || std::strcmp(slot.label, "event_record") == 0;
+  obs::dag::detail::on_task_begin(obs_id_, ticket, slot.label);
+  if (run) {
+    try {
+      obs::TraceSpan span("stream", slot.label);
+#if FTH_CHECK_ENABLED
+      check::TaskScope scope(this, slot.label, ticket,
+                             slot.has_effects ? &slot.effects : nullptr, dev_ordinal);
+#else
+      check::TaskScope scope(this, slot.label, ticket, nullptr, dev_ordinal);
+#endif
+      slot.run(slot.captures);
+    } catch (...) {
+      note_error(std::current_exception());
+    }
+  }
+  obs::dag::detail::on_task_end(obs_id_, ticket);
+  if (slot.drop != nullptr) slot.drop(slot.captures);
+}
+
+void Stream::worker_loop(Block* block) {
   obs::set_thread_name("device-stream");
   const int dev_ordinal = device_ != nullptr ? device_->ordinal() : -1;
   obs::profile_detail::set_device_ordinal(dev_ordinal);
-  for (;;) {
-    handoff_->worker_cpu.store(current_cpu(), std::memory_order_relaxed);
-    // Idle: poll for work before parking. stop_ is part of the condition so
-    // the destructor never waits out a budget.
-    (void)spin(*handoff_, handoff_->host_cpu, kSpinBudget, [&] {
-      return stop_.load(std::memory_order_acquire) ||
-             posted_.load(std::memory_order_acquire) >
-                 executed_.load(std::memory_order_relaxed);
-    });
-    Task task;
-    bool dead = false;
-    {
-      std::unique_lock lock(m_);
-      cv_worker_.wait(lock, [&] {
-        return stop_.load(std::memory_order_relaxed) || !queue_.empty();
-      });
-      if (queue_.empty()) {
-        if (stop_.load(std::memory_order_relaxed)) return;
-        continue;
+  std::size_t used = 0;  // slots of `block` already run
+  for (std::uint64_t ticket = 1;; ++ticket) {
+    note_cpu(handoff_->worker_cpu);
+    const auto has_work = [&] { return posted_.load(std::memory_order_acquire) >= ticket; };
+    while (!has_work()) {
+      // Idle: poll for work, then park. stop_ is part of the condition so
+      // the destructor never waits out a budget; it is read before
+      // posted_, so a stopping stream still drains what was published.
+      const auto stop_or_work = [&] {
+        return stop_.load(std::memory_order_acquire) || has_work();
+      };
+      if (!spin(*handoff_, handoff_->host_cpu, kSpinBudget, stop_or_work)) {
+        std::unique_lock lock(m_);
+        worker_parked_.store(true, std::memory_order_seq_cst);
+        cv_worker_.wait(lock, [&] {
+          return stop_.load(std::memory_order_seq_cst) ||
+                 posted_.load(std::memory_order_seq_cst) >= ticket;
+        });
+        worker_parked_.store(false, std::memory_order_relaxed);
       }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      busy_ = true;
-      dead = dead_;
+      if (stop_.load(std::memory_order_acquire) && !has_work()) return;
     }
-    // A killed stream discards work instead of running it, but still
-    // completes event_record markers so host waits observe doom instead of
-    // hanging (see kill()).
-    const bool run_task = !dead || std::strcmp(task.label, "event_record") == 0;
-    obs::dag::detail::on_task_begin(obs_id_, task.ticket, task.label);
-    if (run_task) {
-      try {
-        obs::TraceSpan span("stream", task.label);
-#if FTH_CHECK_ENABLED
-        check::TaskScope scope(this, task.label, task.ticket,
-                               task.has_effects ? &task.effects : nullptr,
-                               dev_ordinal);
-#else
-        check::TaskScope scope(this, task.label, task.ticket, nullptr, dev_ordinal);
-#endif
-        task.fn();
-      } catch (...) {
+    if (used == kBlockTasks) {
+      // The producer linked the next block before publishing this ticket.
+      Block* spent = block;
+      block = block->next;
+      used = 0;
+      spent->next = freed_.load(std::memory_order_relaxed);
+      while (!freed_.compare_exchange_weak(spent->next, spent, std::memory_order_release,
+                                           std::memory_order_relaxed)) {
+      }
+    }
+    const bool dead = dead_.load(std::memory_order_acquire);
+    run_task(block->slots[used++], ticket, dead, dev_ordinal);
+    if (has_hook_.load(std::memory_order_acquire) && !dead) {
+      std::function<void(std::uint64_t)> hook;
+      {
         std::lock_guard lock(m_);
-        // Keep only the first error; later tasks still run (matching the
-        // "stream keeps executing" semantics of real runtimes).
-        if (!pending_error_) pending_error_ = std::current_exception();
+        hook = task_hook_;
       }
-    }
-    obs::dag::detail::on_task_end(obs_id_, task.ticket);
-    std::function<void(std::uint64_t)> hook;
-    std::uint64_t task_index;
-    {
-      std::lock_guard lock(m_);
-      hook = task_hook_;
-      task_index = executed_.load(std::memory_order_relaxed);
-    }
-    if (hook && !dead) {
       // Invoked between tasks, so the hook owns the device memory for the
       // duration of the call — same discipline as a task body.
-      try {
-        check::TaskScope scope(this, "task_hook", task.ticket, nullptr, dev_ordinal);
-        hook(task_index);
-      } catch (...) {
-        std::lock_guard lock(m_);
-        if (!pending_error_) pending_error_ = std::current_exception();
+      if (hook) {
+        try {
+          check::TaskScope scope(this, "task_hook", ticket, nullptr, dev_ordinal);
+          hook(ticket - 1);
+        } catch (...) {
+          note_error(std::current_exception());
+        }
       }
     }
-    bool drained = false;
-    {
-      std::lock_guard lock(m_);
-      busy_ = false;
-      executed_.fetch_add(1, std::memory_order_release);
-      obs::counter("stream.queue_depth", static_cast<double>(queue_.size()));
-      drained = queue_.empty();
-    }
-    // Notified after unlocking, so a woken host does not block on m_.
-    if (drained) cv_idle_.notify_all();
+    // The backlog only shrinks at a retire, so the deepest it has been
+    // since the last one is what is queued now, this task included.
+    const std::uint64_t depth = posted_.load(std::memory_order_relaxed) - (ticket - 1);
+    if (depth > peak_depth_.load(std::memory_order_relaxed))
+      peak_depth_.store(depth, std::memory_order_relaxed);
+    executed_.store(ticket, std::memory_order_seq_cst);
+    obs::counter("stream.queue_depth", static_cast<double>(depth - 1));
+    // A parked synchronize() announced itself before its last check (both
+    // seq_cst): either it saw this ticket or this load sees it.
+    if (idle_sleepers_.load(std::memory_order_seq_cst) != 0 && still_asleep(m_, idle_sleepers_))
+      cv_idle_.notify_all();
   }
 }
 

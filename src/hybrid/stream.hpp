@@ -23,22 +23,35 @@
 // once when the other side last ran on its own CPU, or when live stream
 // workers + 1 exceed the CPUs the stream may use: polling there only keeps
 // the thread it waits for off the core. Other platforms always park.
+//
+// The queue itself is lock-free for the worker and allocation-free for
+// the tasks (DESIGN.md §2): producers build each task's captures in place
+// in a cache-line-aligned slot of a chain of fixed-size blocks under a
+// producer-only mutex and publish it by storing `posted_`; the worker pops
+// without a lock and retires by storing `executed_`. A sleeper announces
+// itself in a flag or count before its last check under `m_`, and the
+// other side takes `m_` to notify only when it sees one.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <source_location>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "check/effects.hpp"
+#include "common/error.hpp"
 
 namespace fth::hybrid {
 
@@ -79,7 +92,8 @@ class Event {
   struct State {
     std::mutex m;
     std::condition_variable cv;
-    std::atomic<bool> done{false};  ///< set under `m`; polled without it
+    std::atomic<bool> done{false};  ///< set by the marker task; polled without `m`
+    std::atomic<int> sleepers{0};   ///< waiters parked (or parking) on `cv`
     std::shared_ptr<const detail::Handoff> handoff;  ///< recording stream's
     const void* stream = nullptr;     ///< recording stream (checker identity)
     std::uint64_t ticket = 0;         ///< ticket of the recording marker task
@@ -111,12 +125,30 @@ class Stream {
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
 
+  /// Bytes of captures a task keeps inside its queue slot; a larger
+  /// capture goes to the heap. The largest the drivers enqueue are
+  /// ft.y_chk (`this`, four 32-byte views, three index_t) and
+  /// ft.reverse_update (four views, four index_t) in ft_gehrd.cpp: 160 B.
+  /// With the slot's three pointers that fills three 64-byte cache lines.
+  static constexpr std::size_t kInlineBytes = 160;
+
+  /// Slots per queue block. Blocks chain, so enqueue never waits for the
+  /// worker. The deepest backlog a driver builds is 19 tasks (fthbench's
+  /// `hybrid.peak_queue_depth.ft` on sytrd-n384 and gebrd-n384); a 32-slot
+  /// block (6 KB in Release) holds it, so a reduction cycles through two
+  /// blocks and allocates none after the first.
+  static constexpr std::size_t kBlockTasks = 32;
+
   /// Enqueue a task; returns its ticket immediately. Tasks run strictly
   /// in order. `label` must be a static or interned string; it names the
   /// task in checker reports and traces.
-  std::uint64_t enqueue(const char* label, std::function<void()> task);
-  std::uint64_t enqueue(std::function<void()> task) {
-    return enqueue("task", std::move(task));
+  template <class F>
+  std::uint64_t enqueue(const char* label, F&& task) {
+    return post(label, nullptr, std::forward<F>(task));
+  }
+  template <class F>
+  std::uint64_t enqueue(F&& task) {
+    return post("task", nullptr, std::forward<F>(task));
   }
 
   /// Enqueue with a declared effect set (check/effects.hpp): the
@@ -124,13 +156,15 @@ class Stream {
   /// in its TaskScope, so FTH_CHECK_EFFECTS=1 runs validate every device
   /// unwrap against it. tools/fth_analyze requires this overload for every
   /// enqueue in src/hybrid/ and src/ft/ (rule `undeclared-task`).
-  std::uint64_t enqueue(const char* label, check::TaskEffects effects,
-                        std::function<void()> task);
+  template <class F>
+  std::uint64_t enqueue(const char* label, const check::TaskEffects& effects, F&& task) {
+    return post(label, &effects, std::forward<F>(task));
+  }
 
-  /// Block until every enqueued task has completed. Rethrows the first
-  /// exception thrown by any task since the last synchronize(). The
-  /// (defaulted) call site names the wait in traces/profiles and in the
-  /// DAG recorder's blocking-edge attribution.
+  /// Block until every task enqueued before the call has completed.
+  /// Rethrows the first exception thrown by any task since the last
+  /// synchronize(). The (defaulted) call site names the wait in
+  /// traces/profiles and in the DAG recorder's blocking-edge attribution.
   void synchronize(std::source_location loc = std::source_location::current());
 
   /// Record an event at the current tail of the queue.
@@ -187,36 +221,99 @@ class Stream {
   void set_task_hook(std::function<void(std::uint64_t)> hook);
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    const char* label = "task";
-    std::uint64_t ticket = 0;
+  static constexpr std::size_t kCacheLine = 64;
+
+  /// One queued task: its captures built in place (or a pointer to them on
+  /// the heap), how to run and destroy them, and its label. Written by one
+  /// producer before `posted_` publishes it, read by the worker after.
+  struct alignas(kCacheLine) Slot {
+    alignas(std::max_align_t) unsigned char captures[kInlineBytes];
+    void (*run)(void*);
+    void (*drop)(void*);  ///< null when the captures need no destructor
+    const char* label;
 #if FTH_CHECK_ENABLED
     check::TaskEffects effects;  ///< declared set; meaningful iff has_effects
-    bool has_effects = false;
+    bool has_effects;
 #endif
-  };
 
-  std::uint64_t enqueue_task(Task&& t);
-  void worker_loop();
+    template <class Fn, class F>
+    void emplace(F&& f) {
+      if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t)) {
+        ::new (static_cast<void*>(captures)) Fn(std::forward<F>(f));
+        run = [](void* p) { (*static_cast<Fn*>(p))(); };
+        drop = std::is_trivially_destructible_v<Fn>
+                   ? nullptr
+                   : +[](void* p) { static_cast<Fn*>(p)->~Fn(); };
+      } else {
+        ::new (static_cast<void*>(captures)) Fn*(new Fn(std::forward<F>(f)));
+        run = [](void* p) { (**static_cast<Fn**>(p))(); };
+        drop = [](void* p) { delete *static_cast<Fn**>(p); };
+      }
+    }
+  };
+  static_assert(FTH_CHECK_ENABLED || sizeof(Slot) == 3 * kCacheLine);
+  struct Block;
+
+  template <class F>
+  std::uint64_t post(const char* label, const check::TaskEffects* effects, F&& task) {
+    using Fn = std::decay_t<F>;
+    if constexpr (std::is_same_v<Fn, std::nullptr_t>) {
+      FTH_CHECK(false, "stream task must be callable");
+      return 0;
+    } else {
+      if constexpr (std::is_pointer_v<Fn> || std::is_same_v<Fn, std::function<void()>>)
+        FTH_CHECK(task != nullptr, "stream task must be callable");
+      static_assert(std::is_invocable_v<Fn&>, "a stream task is called with no arguments");
+      using Ref = std::remove_reference_t<F>;  // may be const; restored below
+      void* erased = const_cast<std::remove_const_t<Ref>*>(std::addressof(task));
+      return publish(label, effects, erased, [](Slot& slot, void* f) {
+        slot.emplace<Fn>(std::forward<F>(*static_cast<Ref*>(f)));
+      });
+    }
+  }
+  /// Reserve the next slot, let `build` construct the task in it, record the
+  /// DAG enqueue and publish. If `build` throws, nothing is published.
+  std::uint64_t publish(const char* label, const check::TaskEffects* effects, void* task,
+                        void (*build)(Slot&, void*));
+  void worker_loop(Block* first);
+  /// Run (or, on a dead stream, discard) the task in `slot` and destroy
+  /// its captures.
+  void run_task(Slot& slot, std::uint64_t ticket, bool dead, int dev_ordinal);
+  void note_error(std::exception_ptr e);
 
   Device* device_;
   const std::uint64_t obs_id_;  // initialized before worker_ starts
   std::shared_ptr<detail::Handoff> handoff_;
+
+  // Parking, the hook and the first error; the worker takes m_ only to park,
+  // to run an installed hook, or to record a throw.
   mutable std::mutex m_;
   std::condition_variable cv_worker_;
   std::condition_variable cv_idle_;
-  std::deque<Task> queue_;
   std::function<void(std::uint64_t)> task_hook_;
   std::exception_ptr pending_error_;
-  // Written under m_; atomic so spinning waiters can poll them without it.
-  // Tickets retire in order, so executed_ is also the newest retired ticket.
-  std::atomic<std::uint64_t> posted_{0};    ///< newest enqueued ticket
-  std::atomic<std::uint64_t> executed_{0};  ///< tasks finished so far
-  std::atomic<bool> stop_{false};
-  std::uint64_t peak_depth_ = 0;
-  bool busy_ = false;
-  bool dead_ = false;  ///< kill() ran; see doom semantics above
+
+  // Producer side, under enq_m_: the tail block and the block store.
+  alignas(kCacheLine) mutable std::mutex enq_m_;
+  Block* tail_ = nullptr;
+  std::size_t tail_used_ = 0;  ///< slots of tail_ filled
+  Block* spare_ = nullptr;     ///< recycled blocks the producers own
+  std::vector<std::unique_ptr<Block>> blocks_;  ///< every block ever made
+
+  alignas(kCacheLine) std::atomic<std::uint64_t> posted_{0};  ///< newest published ticket
+
+  // Worker side. Tickets retire in order, so executed_ is also the newest
+  // retired ticket.
+  alignas(kCacheLine) std::atomic<std::uint64_t> executed_{0};  ///< tasks finished so far
+  std::atomic<Block*> freed_{nullptr};  ///< blocks the worker has left
+  std::atomic<std::uint64_t> peak_depth_{0};  ///< deepest backlog before a retire
+
+  // Read on every task, written rarely.
+  alignas(kCacheLine) std::atomic<bool> stop_{false};
+  std::atomic<bool> dead_{false};        ///< kill() ran; see doom semantics above
+  std::atomic<bool> has_hook_{false};    ///< task_hook_ is set
+  std::atomic<bool> worker_parked_{false};
+  std::atomic<int> idle_sleepers_{0};    ///< synchronize() callers parked on cv_idle_
   std::thread worker_;
 };
 

@@ -3,8 +3,8 @@
 // gemm is the workhorse of both the baseline and the fault-tolerant
 // Hessenberg reduction; it is implemented with the classic Goto-style
 // three-level cache blocking (pack A panel, pack B panel, register-tiled
-// micro-kernel) and optional OpenMP over the M-panel loop. Everything else
-// is a straightforward reference kernel — they sit off the critical path.
+// micro-kernel) on the calling thread. Everything else is a
+// straightforward reference kernel — they sit off the critical path.
 #pragma once
 
 #include <memory>
@@ -13,10 +13,6 @@
 #include "common/error.hpp"
 #include "common/flops.hpp"
 #include "la/matrix.hpp"
-
-#if FTH_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace fth::blas {
 

@@ -1,15 +1,22 @@
 // Stream/event semantics: FIFO ordering, synchronization, exceptions,
-// cross-stream dependencies, and the host/device handoff: the worker's own
-// core, spin-then-park and its guards.
+// cross-stream dependencies, the lock-free queue (concurrent producers,
+// chained blocks, in-place captures), and the host/device handoff: the
+// worker's own core, spin-then-park, its guards and the park handshake.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifdef __linux__
@@ -36,16 +43,66 @@ constexpr double kBudgetS = std::chrono::duration<double>(Stream::kSpinBudget).c
 std::uint64_t spun_waits() { return obs::counter_metric("stream.wait.spun").value(); }
 std::uint64_t parked_waits() { return obs::counter_metric("stream.wait.parked").value(); }
 
-TEST(Stream, ExecutesTasksInOrder) {
-  Stream s;
-  std::vector<int> order;
-  for (int i = 0; i < 100; ++i) {
-    s.enqueue([&order, i] { order.push_back(i); });
+/// Aborts the process when its scope outlives `limit`: a lost wake-up hangs
+/// a wait that has no timeout, and the abort turns that into a failure.
+class Watchdog {
+ public:
+  Watchdog(std::chrono::seconds limit, const char* what)
+      : thread_([this, limit, what] {
+          std::unique_lock lock(m_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: %s did not finish in %lld s\n", what,
+                         static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard lock(m_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
   }
-  s.synchronize();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  EXPECT_EQ(s.tasks_executed(), 100u);
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+TEST(Stream, ExecutesTasksInOrder) {
+  // Also with the worker held inside a gate task while three blocks' worth
+  // of tasks queue up behind it: blocks chain, so enqueue never waits for
+  // the worker. A bounded ring would deadlock here.
+  constexpr int kTasks = 3 * static_cast<int>(Stream::kBlockTasks);
+  for (const bool gated : {false, true}) {
+    Stream s;
+    std::atomic<bool> open{!gated};
+    s.enqueue("gate", [&open] {
+      while (!open.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+    std::vector<int> order;
+    {
+      const Watchdog dog(std::chrono::seconds(60), "enqueue behind a held worker");
+      for (int i = 0; i < kTasks; ++i) {
+        s.enqueue([&order, i] { order.push_back(i); });
+      }
+    }
+    const auto backlog = static_cast<std::uint64_t>(kTasks) + 1;  // the gate too
+    if (gated) EXPECT_EQ(s.peak_queue_depth(), backlog);
+    open = true;
+    s.synchronize();
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks)) << "gated " << gated;
+    for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(s.tasks_executed(), backlog);
+    if (gated) EXPECT_EQ(s.peak_queue_depth(), backlog) << "the peak outlives the drain";
+    s.reset_peak_queue_depth();
+    EXPECT_EQ(s.peak_queue_depth(), 0u);
+  }
 }
 
 TEST(Stream, SynchronizeWaitsForCompletion) {
@@ -156,12 +213,82 @@ TEST(Stream, DestructorDrainsCleanly) {
 }
 
 TEST(Stream, ManySmallTasksStress) {
-  Stream s;
-  std::atomic<long> sum{0};
-  constexpr int kTasks = 5000;
-  for (int i = 0; i < kTasks; ++i) s.enqueue([&sum, i] { sum += i; });
-  s.synchronize();
-  EXPECT_EQ(sum.load(), static_cast<long>(kTasks) * (kTasks - 1) / 2);
+  // One host thread, then four sharing the stream. The worker runs every
+  // task exactly once and in ticket order, so each producer's tasks keep
+  // their order and the tickets are unique: 1..N, each once. The shared
+  // case repeats: without the producer lock, one round in three lost tasks.
+  constexpr int kTasks = 10000;  // per producer
+  for (const int producers : {1, 4, 4, 4, 4, 4}) {
+    Stream s;
+    std::vector<std::vector<std::uint64_t>> tickets(
+        static_cast<std::size_t>(producers), std::vector<std::uint64_t>(kTasks));
+    std::vector<std::pair<int, int>> ran;  // (producer, sequence), on the worker
+    ran.reserve(static_cast<std::size_t>(producers * kTasks));
+    std::atomic<bool> go{false};  // start the producers together
+    std::vector<std::thread> threads;
+    for (int p = 0; p < producers; ++p) {
+      threads.emplace_back([&s, &tickets, &ran, &go, p] {
+        while (!go.load()) std::this_thread::yield();
+        for (int k = 0; k < kTasks; ++k)
+          tickets[static_cast<std::size_t>(p)][static_cast<std::size_t>(k)] =
+              s.enqueue("push", [&ran, p, k] { ran.emplace_back(p, k); });
+      });
+    }
+    go = true;
+    for (std::thread& t : threads) t.join();
+    s.synchronize();
+    ASSERT_EQ(ran.size(), static_cast<std::size_t>(producers * kTasks));
+    std::vector<int> next(static_cast<std::size_t>(producers), 0);
+    std::uint64_t last = 0;
+    for (const auto& [p, k] : ran) {
+      ASSERT_EQ(k, next[static_cast<std::size_t>(p)]++) << "producer " << p;
+      const std::uint64_t t = tickets[static_cast<std::size_t>(p)][static_cast<std::size_t>(k)];
+      ASSERT_GT(t, last) << "tasks ran out of ticket order";
+      last = t;
+    }
+    EXPECT_EQ(last, static_cast<std::uint64_t>(producers * kTasks));
+    EXPECT_EQ(s.tasks_executed(), last);
+  }
+}
+
+TEST(Stream, TaskCapturesAreDestroyedExactlyOnce) {
+  // Captures up to kInlineBytes live in the task's slot, larger ones on the
+  // heap. Either way they are destroyed exactly once: after the task ran,
+  // or in its place when the stream was killed first.
+  struct Census {
+    std::atomic<int> made{0}, gone{0}, runs{0};
+  };
+  struct Counted {
+    explicit Counted(Census* c) : census(c) { ++census->made; }
+    Counted(const Counted& o) : census(o.census) { ++census->made; }
+    Counted& operator=(const Counted&) = delete;
+    ~Counted() { ++census->gone; }
+    Census* census;
+  };
+  for (const bool kill : {false, true}) {
+    Census small, large;
+    {
+      Stream s;
+      std::atomic<bool> open{false};
+      s.enqueue("gate", [&open] {
+        while (!open.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+      });
+      const Counted a(&small), b(&large);
+      const std::array<unsigned char, Stream::kInlineBytes> pad{};
+      static_assert(sizeof(pad) + sizeof(Counted) > Stream::kInlineBytes,
+                    "the large task must take the heap path");
+      s.enqueue("small", [a] { ++a.census->runs; });
+      s.enqueue("large", [b, pad] { b.census->runs += 1 + pad[0]; });
+      if (kill) s.kill();
+      open = true;
+      s.synchronize();
+      for (const Census* c : {&small, &large}) {
+        EXPECT_EQ(c->runs.load(), kill ? 0 : 1) << "kill " << kill;
+        EXPECT_EQ(c->made.load() - c->gone.load(), 1) << "only the test's own copy lives";
+      }
+    }
+    for (const Census* c : {&small, &large}) EXPECT_EQ(c->made.load(), c->gone.load());
+  }
 }
 
 // ---- handoff: the worker's own core, spin-then-park and its guards ---------
@@ -205,6 +332,31 @@ TEST(Stream, EventWaitForShorterThanTheBudgetReturnsOnTime) {
   std::sort(took.begin(), took.end());
   EXPECT_GE(took.front(), std::chrono::duration<double>(timeout).count());
   EXPECT_LT(took[2], kBudgetS / 2) << "a poll that ignores the timeout takes a whole budget";
+}
+
+TEST(Stream, ParkedRoundTripsNeverLoseAWakeUp) {
+  // Gaps and tasks both outlast the spin budget, so every round trip parks
+  // the idle worker (the enqueue must wake it) and then the host (the
+  // worker must wake it), alternating synchronize() and an Event wait.
+  Stream s;
+  const auto longer_than_budget = Stream::kSpinBudget + std::chrono::microseconds(200);
+  const std::uint64_t parked0 = parked_waits();
+  constexpr int kTrips = 2000;
+  {
+    const Watchdog dog(std::chrono::seconds(120), "2000 parked round trips");
+    for (int k = 0; k < kTrips; ++k) {
+      std::this_thread::sleep_for(longer_than_budget);
+      s.enqueue("sleep", [&] { std::this_thread::sleep_for(longer_than_budget); });
+      if (k % 2 == 0) {
+        s.synchronize();
+      } else {
+        s.record().wait();
+      }
+    }
+  }
+  EXPECT_EQ(s.tasks_executed(), static_cast<std::uint64_t>(kTrips + kTrips / 2));
+  EXPECT_GE(parked_waits() - parked0, static_cast<std::uint64_t>(kTrips * 9 / 10))
+      << "the waits must mostly park for this to test the handshake";
 }
 
 TEST(Stream, PollCountsAsHostWaitInTheProfile) {
