@@ -1,6 +1,8 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -192,6 +194,31 @@ Value parse_file(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return parse(os.str());
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\u%04x", c);
+      out += hex;
+    } else {
+      out.push_back(c);
+    }
+  }
+}
+
+void append_number(std::string& out, double v, int digits) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+  out += buf;
 }
 
 }  // namespace fth::json

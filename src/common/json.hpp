@@ -4,6 +4,8 @@
 // numbers are held as double (every number we emit fits), objects keep
 // insertion order so diffs stay stable. This is a *reader* for files this
 // library writes plus tooling inputs — not a general-purpose validator.
+// The two writer helpers at the end are what every emitter in the library
+// formats strings and numbers with.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +13,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -84,5 +87,13 @@ class Value {
 
 /// Parse the file at `path`; throws parse_error (also on unreadable file).
 [[nodiscard]] Value parse_file(const std::string& path);
+
+/// Append `s` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped.
+void append_escaped(std::string& out, std::string_view s);
+
+/// Append `v` with `digits` significant digits (%.*g). JSON has no NaN or
+/// infinity, so a non-finite value is written as null.
+void append_number(std::string& out, double v, int digits = 17);
 
 }  // namespace fth::json

@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -448,15 +448,6 @@ std::uint64_t FaultPlane::pool_task_count(int device) const {
 std::string strikes_json(const FaultPlane& plane) {
   // Injected values can be NaN/Inf by design — emit null for those so the
   // capsule stays valid JSON.
-  const auto append_val = [](std::string& out, double v) {
-    if (!std::isfinite(v)) {
-      out += "null";
-      return;
-    }
-    char num[40];
-    std::snprintf(num, sizeof num, "%.17g", v);
-    out += num;
-  };
   std::string out = "{\"faults\":[";
   const std::vector<FiredFault> faults = plane.fired();
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -466,9 +457,9 @@ std::string strikes_json(const FaultPlane& plane) {
            "\",\"kind\":\"" + to_string(f.kind) + "\"";
     out += ",\"row\":" + std::to_string(f.row) + ",\"col\":" + std::to_string(f.col);
     out += ",\"before\":";
-    append_val(out, f.before);
+    json::append_number(out, f.before);
     out += ",\"after\":";
-    append_val(out, f.after);
+    json::append_number(out, f.after);
     out += ",\"bit\":" + std::to_string(f.bit) +
            ",\"trigger_index\":" + std::to_string(f.trigger_index) + "}";
   }

@@ -12,7 +12,6 @@
 #include "check/access.hpp"
 #include "hybrid/device.hpp"
 #include "common/error.hpp"
-#include "obs/dag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -166,20 +165,12 @@ bool Event::wait_for(std::chrono::nanoseconds timeout, std::source_location loc)
 bool Event::block(std::optional<Clock::time_point> deadline, std::source_location loc) const {
   if (!state_) return true;
   State& st = *state_;
-  // Per-site span name ("event_wait@file:line") when any sink is live: the
-  // profiler splits its wait phases by site, and the DAG recorder needs the
-  // site for blocking-edge attribution.
-  const char* site = obs::trace_enabled()
-                         ? obs::site_label("event_wait", loc.file_name(),
-                                           static_cast<unsigned>(loc.line()))
-                         : nullptr;
-  obs::dag::detail::on_wait_begin("event_wait", site != nullptr ? site : "",
-                                  st.stream_obs_id, st.ticket);
   bool done = st.done.load(std::memory_order_acquire);
   {
-    // The poll sits inside the span and the DAG wait so the profiler and
-    // the recorder count it as blocked host time, not host work.
-    obs::TraceSpan span("stream", site != nullptr ? site : "event_wait");
+    // The poll sits inside the wait record, so the profiler and the DAG
+    // count it as blocked time, not work; the record's call site
+    // ("event_wait@file:line") attributes it.
+    obs::WaitRecord wait("event_wait", loc, st.stream_obs_id, st.ticket);
     if (!done) {
       std::chrono::nanoseconds budget = Stream::kSpinBudget;
       if (deadline) {
@@ -206,7 +197,6 @@ bool Event::block(std::optional<Clock::time_point> deadline, std::source_locatio
       st.sleepers.fetch_sub(1, std::memory_order_relaxed);
     }
   }
-  obs::dag::detail::on_wait_end();
   // A timed-out wait observed nothing: no happens-before edge, transfers
   // covered by this event stay in flight (the race detector stays sound
   // when the caller takes the loss-detection branch).
@@ -286,15 +276,15 @@ std::uint64_t Stream::publish(const char* label, const check::TaskEffects* effec
 #endif
     ++tail_used_;
     ticket = posted_.load(std::memory_order_relaxed) + 1;
-    // Recorded while the task is still invisible: the worker may start it
-    // as soon as posted_ moves, and the DAG needs enqueue ≤ task begin.
-    obs::dag::detail::on_enqueue(obs_id_, ticket, label);
-    posted_.store(ticket, std::memory_order_seq_cst);
-    // Only traced runs read the worker's line here; the peak is the
+    // Logged while the task is still invisible: the worker may start it as
+    // soon as posted_ moves, and the DAG needs enqueue ≤ task begin. Only
+    // traced runs read the worker's line for the depth; the peak is the
     // worker's to record (see worker_loop).
     if (obs::trace_enabled())
-      obs::counter("stream.queue_depth",
-                   static_cast<double>(ticket - executed_.load(std::memory_order_relaxed)));
+      obs::detail::log_enqueue(
+          obs_id_, ticket, label,
+          static_cast<double>(ticket - executed_.load(std::memory_order_relaxed)));
+    posted_.store(ticket, std::memory_order_seq_cst);
   }
   // The worker set worker_parked_ before its last look at posted_ (both
   // seq_cst), so either it saw this ticket or this load sees it parked.
@@ -304,20 +294,15 @@ std::uint64_t Stream::publish(const char* label, const check::TaskEffects* effec
 }
 
 void Stream::synchronize(std::source_location loc) {
-  const char* site = obs::trace_enabled()
-                         ? obs::site_label("synchronize", loc.file_name(),
-                                           static_cast<unsigned>(loc.line()))
-                         : nullptr;
   note_cpu(handoff_->host_cpu);
-  // The wait's cause is the newest ticket at entry. Recorded even when the
+  // The wait's cause is the newest ticket at entry. Logged even when the
   // queue is already drained — a zero-duration Wait node keeps the DAG's
   // node counts deterministic.
   const std::uint64_t tail = posted_.load(std::memory_order_acquire);
-  obs::dag::detail::on_wait_begin("synchronize", site != nullptr ? site : "", obs_id_, tail);
-  if (executed_.load(std::memory_order_acquire) < tail) {
-    // Poll inside the span and the DAG wait (see Event::block); then park
-    // with the same announce-then-check handshake as the Event.
-    obs::TraceSpan span("stream", site != nullptr ? site : "synchronize");
+  if (obs::WaitRecord wait("synchronize", loc, obs_id_, tail);
+      executed_.load(std::memory_order_acquire) < tail) {
+    // Poll inside the wait record (see Event::block); then park with the
+    // same announce-then-check handshake as the Event.
     const bool spun = spin(*handoff_, handoff_->worker_cpu, kSpinBudget, [&] {
       return executed_.load(std::memory_order_acquire) >= tail;
     });
@@ -329,7 +314,6 @@ void Stream::synchronize(std::source_location loc) {
       idle_sleepers_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
-  obs::dag::detail::on_wait_end();
   check::on_host_ordered(this, tail);
   std::lock_guard lock(m_);
   if (pending_error_) {
@@ -415,10 +399,9 @@ void Stream::run_task(Slot& slot, std::uint64_t ticket, bool dead, int dev_ordin
   // completes event_record markers so host waits observe doom instead of
   // hanging (see kill()).
   const bool run = !dead || std::strcmp(slot.label, "event_record") == 0;
-  obs::dag::detail::on_task_begin(obs_id_, ticket, slot.label);
   if (run) {
     try {
-      obs::TraceSpan span("stream", slot.label);
+      obs::TaskRecord record(obs_id_, ticket, slot.label);
 #if FTH_CHECK_ENABLED
       check::TaskScope scope(this, slot.label, ticket,
                              slot.has_effects ? &slot.effects : nullptr, dev_ordinal);
@@ -429,8 +412,9 @@ void Stream::run_task(Slot& slot, std::uint64_t ticket, bool dead, int dev_ordin
     } catch (...) {
       note_error(std::current_exception());
     }
+  } else if (obs::trace_enabled()) {
+    obs::detail::log_discard(obs_id_, ticket, slot.label);
   }
-  obs::dag::detail::on_task_end(obs_id_, ticket);
   if (slot.drop != nullptr) slot.drop(slot.captures);
 }
 

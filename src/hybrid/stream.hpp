@@ -271,8 +271,8 @@ class Stream {
       });
     }
   }
-  /// Reserve the next slot, let `build` construct the task in it, record the
-  /// DAG enqueue and publish. If `build` throws, nothing is published.
+  /// Reserve the next slot, let `build` construct the task in it, log the
+  /// enqueue and publish. If `build` throws, nothing is published.
   std::uint64_t publish(const char* label, const check::TaskEffects* effects, void* task,
                         void (*build)(Slot&, void*));
   void worker_loop(Block* first);

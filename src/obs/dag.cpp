@@ -3,163 +3,29 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "common/json.hpp"
-#include "obs/trace.hpp"
+#include "obs/log.hpp"
+#include "obs/profile.hpp"
 
 namespace fth::obs::dag {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Recording: per-thread event buffers behind uncontended mutexes — the same
-// shape as the trace recorder's ThreadBuffers. Every hook bails on one
-// relaxed atomic load while the recorder is idle, which is the whole
-// zero-overhead-when-off story fth_checkinfo asserts for Release benches.
-
-enum class Ev : std::uint8_t {
-  Enqueue,
-  TaskBegin,
-  TaskEnd,
-  Transfer,
-  WaitBegin,
-  WaitEnd,
-  SpanBegin,
-  SpanEnd,
-  Mark,
-};
-
-struct DagEvent {
-  double ts = 0.0;
-  double value = 0.0;        // transfer payload bytes
-  std::uint64_t stream = 0;
-  std::uint64_t ticket = 0;
-  const char* a = "";        // task label / span cat / wait kind / mark label
-  const char* b = "";        // span name / wait call site
-  Ev kind = Ev::Mark;
-  bool in_task = false;      // wait executed on a stream worker (dev.wait_event)
-};
-
-struct DagBuffer {
-  std::mutex m;
-  std::vector<DagEvent> events;
-  std::uint32_t tid = 0;     // trace-recorder tid, shared with trace files
-  bool is_worker = false;    // saw a TaskBegin (stream worker thread)
-};
-
-std::atomic<bool> g_on{false};
-thread_local bool t_in_task = false;
-thread_local int t_skipped_spans = 0;  // open stream-category spans (see on_span)
-
-class DagRecorder {
- public:
-  static DagRecorder& instance() {
-    static DagRecorder r;
-    return r;
-  }
-
-  void start() {
-    std::lock_guard lock(registry_m_);
-    for (auto& b : buffers_) {
-      std::lock_guard bl(b->m);
-      b->events.clear();
-      b->is_worker = false;
-    }
-    g_on.store(true, std::memory_order_relaxed);
-  }
-
-  /// Non-destructive copy of every thread's buffered events (tid-tagged);
-  /// the recorder stays armed. Feeds dag::tail_json for incident capsules.
-  [[nodiscard]] std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>> snapshot_events() {
-    std::lock_guard lock(registry_m_);
-    std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>> out;
-    out.reserve(buffers_.size());
-    for (auto& b : buffers_) {
-      std::lock_guard bl(b->m);
-      if (b->events.empty()) continue;
-      out.emplace_back(b->tid, b->events);
-    }
-    return out;
-  }
-
-  /// Disarm and move out every thread's events (tid-tagged).
-  std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>> drain() {
-    g_on.store(false, std::memory_order_relaxed);
-    std::lock_guard lock(registry_m_);
-    std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>> out;
-    out.reserve(buffers_.size());
-    for (auto& b : buffers_) {
-      std::lock_guard bl(b->m);
-      if (b->events.empty()) continue;
-      out.emplace_back(b->tid, std::move(b->events));
-      b->events.clear();
-    }
-    return out;
-  }
-
-  void record(const DagEvent& ev) noexcept {
-    DagBuffer& b = local_buffer();
-    std::lock_guard lock(b.m);
-    if (ev.kind == Ev::TaskBegin) b.is_worker = true;
-    b.events.push_back(ev);
-  }
-
- private:
-  DagRecorder() = default;
-
-  DagBuffer& local_buffer() {
-    thread_local std::shared_ptr<DagBuffer> buf = [this] {
-      auto b = std::make_shared<DagBuffer>();
-      b->tid = obs::detail::current_tid();
-      std::lock_guard lock(registry_m_);
-      buffers_.push_back(b);
-      return b;
-    }();
-    return *buf;
-  }
-
-  std::mutex registry_m_;
-  std::vector<std::shared_ptr<DagBuffer>> buffers_;
-};
-
-// ---------------------------------------------------------------------------
-// JSON helpers (same idiom as obs/profile.cpp).
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      out += hex;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_num(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
+using json::append_escaped;
+using json::append_number;
+using log::Kind;
+using log::Record;
+using profile_detail::Interval;
+using profile_detail::intersect_len;
+using profile_detail::merge_union;
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
@@ -172,42 +38,37 @@ void append_num(std::string& out, double v) {
   return starts_with(label, "dev.") && label != "dev.wait_event";
 }
 
-struct Interval {
-  double b, e;
-};
-
-double merge_union(std::vector<Interval>& v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end(), [](const Interval& a, const Interval& b) { return a.b < b.b; });
-  std::size_t out = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i].b <= v[out].e) {
-      v[out].e = std::max(v[out].e, v[i].e);
-    } else {
-      v[++out] = v[i];
+/// The DAG's window on the event log, keeping per thread only what assembly
+/// reads: no counters, instants or flows, and no spans inside a task (a
+/// worker's kernels are not host activity).
+std::vector<log::Track> recorded(bool close) {
+  std::vector<log::Track> tracks = log::dag_window(close);
+  for (log::Track& t : tracks) {
+    bool in_task = false;
+    std::size_t kept = 0;
+    for (const Record& r : t.records) {
+      bool keep = true;
+      switch (r.kind) {
+        case Kind::TaskBegin: in_task = true; break;
+        case Kind::TaskEnd: in_task = false; break;
+        case Kind::SpanBegin:
+        case Kind::SpanEnd: keep = !in_task; break;
+        case Kind::Counter:
+        case Kind::Instant:
+        case Kind::FlowBegin:
+        case Kind::FlowEnd: keep = false; break;
+        default: break;
+      }
+      if (keep) t.records[kept++] = r;
     }
+    t.records.resize(kept);
   }
-  v.resize(out + 1);
-  double len = 0.0;
-  for (const Interval& iv : v) len += iv.e - iv.b;
-  return len;
-}
-
-double intersect_len(const std::vector<Interval>& a, const std::vector<Interval>& b) {
-  double len = 0.0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].b, b[j].b);
-    const double hi = std::min(a[i].e, b[j].e);
-    if (hi > lo) len += hi - lo;
-    if (a[i].e < b[j].e) ++i;
-    else ++j;
-  }
-  return len;
+  std::erase_if(tracks, [](const log::Track& t) { return t.records.empty(); });
+  return tracks;
 }
 
 // ---------------------------------------------------------------------------
-// Assembly: turn the drained per-thread event streams into a Graph.
+// Assembly: turn the per-thread record streams into a Graph.
 
 using TaskKey = std::pair<std::uint64_t, std::uint64_t>;  // (stream, ticket)
 
@@ -220,18 +81,18 @@ struct Assembler {
     return it == task_of.end() ? -1 : it->second;
   }
 
-  void run(std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>>& bufs) {
+  void run(const std::vector<log::Track>& bufs) {
     if (bufs.empty()) return;
 
     bool any_ts = false;
     for (const auto& [tid, evs] : bufs) {
-      for (const DagEvent& ev : evs) {
+      for (const Record& ev : evs) {
         if (!any_ts) {
-          g.t0_us = g.t1_us = ev.ts;
+          g.t0_us = g.t1_us = ev.ts_us;
           any_ts = true;
         } else {
-          g.t0_us = std::min(g.t0_us, ev.ts);
-          g.t1_us = std::max(g.t1_us, ev.ts);
+          g.t0_us = std::min(g.t0_us, ev.ts_us);
+          g.t1_us = std::max(g.t1_us, ev.ts_us);
         }
       }
     }
@@ -245,9 +106,9 @@ struct Assembler {
     };
     std::vector<EnqRef> enqs;
     for (const auto& [tid, evs] : bufs)
-      for (const DagEvent& ev : evs)
-        if (ev.kind == Ev::Enqueue)
-          enqs.push_back(EnqRef{ev.stream, ev.ticket, ev.a, ev.ts});
+      for (const Record& ev : evs)
+        if (ev.kind == Kind::Enqueue)
+          enqs.push_back(EnqRef{ev.stream, ev.ticket, ev.name, ev.ts_us});
     std::sort(enqs.begin(), enqs.end(), [](const EnqRef& a, const EnqRef& b) {
       return std::tie(a.stream, a.ticket) < std::tie(b.stream, b.ticket);
     });
@@ -267,34 +128,45 @@ struct Assembler {
     //    cross-stream waits executed inside dev.wait_event tasks.
     for (const auto& [tid, evs] : bufs) {
       std::int64_t cur = -1;
+      bool in_task = false;
       double pending_wait_ts = -1.0;
       std::int64_t pending_cause = -1;
-      for (const DagEvent& ev : evs) {
+      for (const Record& ev : evs) {
         switch (ev.kind) {
-          case Ev::TaskBegin:
+          case Kind::TaskBegin:
             cur = lookup(ev.stream, ev.ticket);
+            in_task = true;
             if (cur >= 0) {
-              g.nodes[cur].t0_us = ev.ts;
+              g.nodes[cur].t0_us = ev.ts_us;
               g.nodes[cur].tid = tid;
             }
             break;
-          case Ev::TaskEnd:
-            if (cur >= 0) g.nodes[cur].t1_us = ev.ts;
+          case Kind::TaskEnd:
+            if (cur >= 0) g.nodes[cur].t1_us = ev.ts_us;
             cur = -1;
+            in_task = false;
             break;
-          case Ev::Transfer: {
+          case Kind::Discard: {
+            const std::int64_t t = lookup(ev.stream, ev.ticket);
+            if (t >= 0) {
+              g.nodes[t].t0_us = g.nodes[t].t1_us = ev.ts_us;
+              g.nodes[t].tid = tid;
+            }
+            break;
+          }
+          case Kind::Transfer: {
             const std::int64_t t = lookup(ev.stream, ev.ticket);
             if (t >= 0) g.nodes[t].bytes += ev.value;
             break;
           }
-          case Ev::WaitBegin:
-            if (ev.in_task) {
-              pending_wait_ts = ev.ts;
+          case Kind::WaitBegin:
+            if (in_task) {
+              pending_wait_ts = ev.ts_us;
               pending_cause = ev.ticket > 0 ? lookup(ev.stream, ev.ticket) : -1;
             }
             break;
-          case Ev::WaitEnd:
-            if (ev.in_task && pending_wait_ts >= 0.0) {
+          case Kind::WaitEnd:
+            if (in_task && pending_wait_ts >= 0.0) {
               if (pending_cause >= 0 && cur >= 0)
                 g.edges.push_back(Edge{pending_cause, cur, EdgeKind::Cause});
               pending_wait_ts = -1.0;
@@ -313,7 +185,7 @@ struct Assembler {
     //    Enq/Cause edges. A thread is "host" iff it never began a task.
     struct HostRef {
       std::uint32_t tid;
-      const std::vector<DagEvent>* evs;
+      const std::vector<Record>* evs;
       std::size_t enq_count;
       double first_ts;
     };
@@ -321,14 +193,15 @@ struct Assembler {
     for (const auto& [tid, evs] : bufs) {
       bool worker = false;
       std::size_t boundary = 0, enq_count = 0;
-      for (const DagEvent& ev : evs) {
-        if (ev.kind == Ev::TaskBegin) worker = true;
-        if (ev.kind == Ev::Enqueue) ++enq_count;
-        if (ev.kind == Ev::Enqueue || ev.kind == Ev::WaitBegin || ev.kind == Ev::Mark ||
-            ev.kind == Ev::SpanBegin)
+      for (const Record& ev : evs) {
+        if (ev.kind == Kind::TaskBegin || ev.kind == Kind::Discard) worker = true;
+        if (ev.kind == Kind::Enqueue) ++enq_count;
+        if (ev.kind == Kind::Enqueue || ev.kind == Kind::WaitBegin || ev.kind == Kind::Mark ||
+            ev.kind == Kind::SpanBegin)
           ++boundary;
       }
-      if (!worker && boundary > 0) hosts.push_back(HostRef{tid, &evs, enq_count, evs.front().ts});
+      if (!worker && boundary > 0)
+        hosts.push_back(HostRef{tid, &evs, enq_count, evs.front().ts_us});
     }
     std::sort(hosts.begin(), hosts.end(), [](const HostRef& a, const HostRef& b) {
       return std::tie(b.enq_count, a.first_ts, a.tid) < std::tie(a.enq_count, b.first_ts, b.tid);
@@ -361,14 +234,14 @@ struct Assembler {
   }
 
  private:
-  void build_host_chain(std::uint32_t tid, const std::vector<DagEvent>& evs, bool primary) {
+  void build_host_chain(std::uint32_t tid, const std::vector<Record>& evs, bool primary) {
     bool has_chain = false;
-    for (const DagEvent& ev : evs)
-      if (ev.kind == Ev::Enqueue || ev.kind == Ev::WaitBegin || ev.kind == Ev::Mark)
+    for (const Record& ev : evs)
+      if (ev.kind == Kind::Enqueue || ev.kind == Kind::WaitBegin || ev.kind == Kind::Mark)
         has_chain = true;
 
     std::int64_t prev = -1;
-    double seg_start = evs.front().ts;
+    double seg_start = evs.front().ts_us;
     std::int32_t iter = -1;
     std::int8_t phase = 0;
     double wait_t0 = -1.0;
@@ -398,20 +271,20 @@ struct Assembler {
       return add_chain(std::move(nd));
     };
 
-    for (const DagEvent& ev : evs) {
+    for (const Record& ev : evs) {
       switch (ev.kind) {
-        case Ev::SpanBegin: {
+        case Kind::SpanBegin: {
           Node nd;
           nd.kind = NodeKind::Span;
-          nd.label = std::string(ev.a) + "/" + ev.b;
-          nd.t0_us = ev.ts;
+          nd.label = std::string(ev.cat) + "/" + ev.name;
+          nd.t0_us = ev.ts_us;
           nd.t1_us = g.t1_us;  // refined when the matching end arrives
           nd.tid = tid;
-          if (std::strcmp(ev.a, "hybrid") == 0) {
-            if (std::strcmp(ev.b, "panel") == 0) {
+          if (std::strcmp(ev.cat, "hybrid") == 0) {
+            if (std::strcmp(ev.name, "panel") == 0) {
               ++iter;
               phase = 1;
-            } else if (std::strcmp(ev.b, "update") == 0) {
+            } else if (std::strcmp(ev.name, "update") == 0) {
               phase = 2;
             }
           }
@@ -421,16 +294,16 @@ struct Assembler {
           g.nodes.push_back(std::move(nd));
           break;
         }
-        case Ev::SpanEnd:
+        case Kind::SpanEnd:
           if (!span_stack.empty()) {
             Node& nd = g.nodes[span_stack.back()];
-            nd.t1_us = ev.ts;
+            nd.t1_us = ev.ts_us;
             if (nd.label == "hybrid/panel" || nd.label == "hybrid/update") phase = 0;
             span_stack.pop_back();
           }
           break;
-        case Ev::Enqueue: {
-          const std::int64_t work = close_work(ev.ts);
+        case Kind::Enqueue: {
+          const std::int64_t work = close_work(ev.ts_us);
           const std::int64_t task = lookup(ev.stream, ev.ticket);
           if (task >= 0) {
             g.nodes[task].iter = iter;
@@ -440,18 +313,16 @@ struct Assembler {
           }
           break;
         }
-        case Ev::WaitBegin:
-          if (!ev.in_task) {
-            close_work(ev.ts);
-            wait_t0 = ev.ts;
-            wait_kind = ev.a;
-            wait_site = ev.b;
-            wait_stream = ev.stream;
-            wait_ticket = ev.ticket;
-          }
+        case Kind::WaitBegin:
+          close_work(ev.ts_us);
+          wait_t0 = ev.ts_us;
+          wait_kind = ev.cat;
+          wait_site = ev.name;
+          wait_stream = ev.stream;
+          wait_ticket = ev.ticket;
           break;
-        case Ev::WaitEnd: {
-          if (ev.in_task || wait_t0 < 0.0) break;
+        case Kind::WaitEnd: {
+          if (wait_t0 < 0.0) break;
           Node nd;
           nd.kind = NodeKind::Wait;
           nd.label = wait_kind;
@@ -459,23 +330,23 @@ struct Assembler {
           nd.stream = wait_stream;
           nd.ticket = wait_ticket;
           nd.t0_us = wait_t0;
-          nd.t1_us = ev.ts;
+          nd.t1_us = ev.ts_us;
           nd.iter = iter;
           nd.phase = phase;
           nd.cause = wait_ticket > 0 ? lookup(wait_stream, wait_ticket) : -1;
           const std::int64_t cause = nd.cause;
           const std::int64_t idx = add_chain(std::move(nd));
           if (cause >= 0) g.edges.push_back(Edge{cause, idx, EdgeKind::Cause});
-          seg_start = ev.ts;
+          seg_start = ev.ts_us;
           wait_t0 = -1.0;
           break;
         }
-        case Ev::Mark: {
-          close_work(ev.ts);
+        case Kind::Mark: {
+          close_work(ev.ts_us);
           Node nd;
           nd.kind = NodeKind::Mark;
-          nd.label = ev.a;
-          nd.t0_us = nd.t1_us = ev.ts;
+          nd.label = ev.name;
+          nd.t0_us = nd.t1_us = ev.ts_us;
           nd.iter = iter;
           nd.phase = phase;
           add_chain(std::move(nd));
@@ -487,7 +358,7 @@ struct Assembler {
     }
     // Tail segment: host activity after the last boundary (result checks,
     // report writing) still belongs on the chain.
-    if (has_chain) close_work(evs.back().ts);
+    if (has_chain) close_work(evs.back().ts_us);
   }
 };
 
@@ -513,28 +384,27 @@ struct Assembler {
 // ---------------------------------------------------------------------------
 // Public recorder surface.
 
-bool enabled() noexcept { return g_on.load(std::memory_order_relaxed); }
+bool enabled() noexcept { return (log_sinks() & log::kDag) != 0; }
 
-void start() { DagRecorder::instance().start(); }
+void start() { log::arm(log::kDag); }
 
 Graph stop() {
-  if (!enabled()) {
-    g_on.store(false, std::memory_order_relaxed);
-    return Graph{};
-  }
-  auto bufs = DagRecorder::instance().drain();
+  if (!enabled()) return Graph{};
+  std::vector<log::Track> tracks = recorded(/*close=*/true);
   Assembler as;
-  as.run(bufs);
+  as.run(tracks);
   // Render the cause edges as Perfetto flow arrows when a trace file is
-  // being recorded alongside: finished task → the host wait it released.
-  if (obs::detail::trace_file_active()) {
+  // being recorded alongside: finished task → the wait it released.
+  if ((log_sinks() & log::kTraceFile) != 0) {
     double id = 1.0;
     for (const Edge& e : as.g.edges) {
       if (e.kind != EdgeKind::Cause) continue;
       const Node& src = as.g.nodes[e.src];
       const Node& dst = as.g.nodes[e.dst];
-      obs::detail::raw_event('s', "dag", "dep", src.t1_us, src.tid, id);
-      obs::detail::raw_event('f', "dag", "dep", dst.t1_us, dst.tid, id);
+      log::append_flow(
+          Record{.ts_us = src.t1_us, .value = id, .tid = src.tid, .kind = Kind::FlowBegin});
+      log::append_flow(
+          Record{.ts_us = dst.t1_us, .value = id, .tid = dst.tid, .kind = Kind::FlowEnd});
       id += 1.0;
     }
   }
@@ -543,9 +413,9 @@ Graph stop() {
 
 std::string tail_json(std::size_t max_nodes) {
   if (!enabled()) return "[]";
-  auto bufs = DagRecorder::instance().snapshot_events();
+  std::vector<log::Track> tracks = recorded(/*close=*/false);
   Assembler as;
-  as.run(bufs);
+  as.run(tracks);
   const std::vector<Node>& nodes = as.g.nodes;
   // Newest slice of the timeline: sort node indices by end time, keep the
   // trailing max_nodes, then render them back in chronological order.
@@ -569,9 +439,9 @@ std::string tail_json(std::size_t max_nodes) {
     out += ",\"tid\":" + std::to_string(nd.tid);
     out += ",\"stream\":" + std::to_string(nd.stream);
     out += ",\"t0_us\":";
-    append_num(out, nd.t0_us);
+    append_number(out, nd.t0_us);
     out += ",\"t1_us\":";
-    append_num(out, nd.t1_us);
+    append_number(out, nd.t1_us);
     if (!nd.site.empty()) {
       out += ",\"site\":\"";
       append_escaped(out, nd.site);
@@ -584,12 +454,7 @@ std::string tail_json(std::size_t max_nodes) {
 }
 
 void mark(const char* label) noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::Mark;
-  ev.a = label;
-  DagRecorder::instance().record(ev);
+  if (enabled()) log::append(Record{.name = label, .kind = Kind::Mark});
 }
 
 void init_from_env() {
@@ -610,102 +475,6 @@ void init_from_env() {
   });
 }
 
-namespace detail {
-
-bool active() noexcept { return enabled(); }
-
-bool thread_in_task() noexcept { return t_in_task; }
-
-void on_enqueue(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::Enqueue;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  ev.a = label;
-  DagRecorder::instance().record(ev);
-}
-
-void on_task_begin(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept {
-  t_in_task = true;
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::TaskBegin;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  ev.a = label;
-  DagRecorder::instance().record(ev);
-}
-
-void on_task_end(std::uint64_t stream, std::uint64_t ticket) noexcept {
-  t_in_task = false;
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::TaskEnd;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  DagRecorder::instance().record(ev);
-}
-
-void on_transfer(std::uint64_t stream, std::uint64_t ticket, double bytes) noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::Transfer;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  ev.value = bytes;
-  DagRecorder::instance().record(ev);
-}
-
-void on_wait_begin(const char* kind, const char* site, std::uint64_t stream,
-                   std::uint64_t ticket) noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::WaitBegin;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  ev.a = kind;
-  ev.b = site != nullptr ? site : "";
-  ev.in_task = t_in_task;
-  DagRecorder::instance().record(ev);
-}
-
-void on_wait_end() noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::WaitEnd;
-  ev.in_task = t_in_task;
-  DagRecorder::instance().record(ev);
-}
-
-void on_span(char ph, const char* cat, const char* name, double ts_us) noexcept {
-  if (!enabled() || t_in_task) return;
-  // Stream spans (tasks, synchronize, event_wait) arrive through the
-  // dedicated hooks; recording them again would double-count. 'E' events
-  // carry no category, so balance the skipped 'B' with a per-thread depth.
-  if (ph == 'B' && std::strcmp(cat, "stream") == 0) {
-    ++t_skipped_spans;
-    return;
-  }
-  if (ph == 'E' && t_skipped_spans > 0) {
-    --t_skipped_spans;
-    return;
-  }
-  DagEvent ev;
-  ev.ts = ts_us;
-  ev.kind = ph == 'B' ? Ev::SpanBegin : Ev::SpanEnd;
-  ev.a = cat;
-  ev.b = name;
-  DagRecorder::instance().record(ev);
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Graph serialization.
@@ -728,9 +497,9 @@ std::string Graph::to_json() const {
   std::string out;
   out.reserve(64 + nodes.size() * 96 + edges.size() * 16);
   out += "{\"version\":1,\"t0_us\":";
-  append_num(out, t0_us);
+  append_number(out, t0_us);
   out += ",\"t1_us\":";
-  append_num(out, t1_us);
+  append_number(out, t1_us);
   out += ",\"host_order\":[";
   for (std::size_t i = 0; i < host_order.size(); ++i) {
     if (i > 0) out += ',';
@@ -753,13 +522,13 @@ std::string Graph::to_json() const {
     out += ',';
     out += std::to_string(nd.ticket);
     out += ',';
-    append_num(out, nd.t0_us);
+    append_number(out, nd.t0_us);
     out += ',';
-    append_num(out, nd.t1_us);
+    append_number(out, nd.t1_us);
     out += ',';
-    append_num(out, nd.enq_us);
+    append_number(out, nd.enq_us);
     out += ',';
-    append_num(out, nd.bytes);
+    append_number(out, nd.bytes);
     out += ',';
     out += std::to_string(nd.cause);
     out += ',';
@@ -1120,17 +889,17 @@ std::string section_json(const Graph& g, const Analysis& a,
   out += ",\"spans\":" + std::to_string(g.count(NodeKind::Span));
   out += ",\"marks\":" + std::to_string(g.count(NodeKind::Mark));
   out += ",\"wall_s\":";
-  append_num(out, a.wall_s);
+  append_number(out, a.wall_s);
   out += ",\"critical_path_s\":";
-  append_num(out, a.critical_path_s);
+  append_number(out, a.critical_path_s);
   out += ",\"critical_path_data_s\":";
-  append_num(out, a.critical_path_data_s);
+  append_number(out, a.critical_path_data_s);
   out += ",\"host_blocked_s\":";
-  append_num(out, a.host_blocked_s);
+  append_number(out, a.host_blocked_s);
   out += ",\"attributed_s\":";
-  append_num(out, a.attributed_s);
+  append_number(out, a.attributed_s);
   out += ",\"attributed_frac\":";
-  append_num(out, a.attributed_frac);
+  append_number(out, a.attributed_frac);
   out += ",\"critical_path\":[";
   const std::size_t path_n = std::min<std::size_t>(a.path.size(), 10);
   for (std::size_t i = 0; i < path_n; ++i) {
@@ -1139,7 +908,7 @@ std::string section_json(const Graph& g, const Analysis& a,
     append_escaped(out, a.path[i].label);
     out += "\",\"count\":" + std::to_string(a.path[i].count);
     out += ",\"seconds\":";
-    append_num(out, a.path[i].seconds);
+    append_number(out, a.path[i].seconds);
     out += "}";
   }
   out += "],\"blocking_edges\":[";
@@ -1155,7 +924,7 @@ std::string section_json(const Graph& g, const Analysis& a,
     append_escaped(out, cg.waiting_on);
     out += "\",\"count\":" + std::to_string(cg.count);
     out += ",\"seconds\":";
-    append_num(out, cg.seconds);
+    append_number(out, cg.seconds);
     out += "}";
   }
   out += "],\"what_if\":[";
@@ -1167,17 +936,17 @@ std::string section_json(const Graph& g, const Analysis& a,
     out += "\",\"lookahead\":" + std::to_string(p.scenario.lookahead);
     out += ",\"streams\":" + std::to_string(p.scenario.streams);
     out += ",\"dev_scale\":";
-    append_num(out, p.scenario.dev_scale);
+    append_number(out, p.scenario.dev_scale);
     out += ",\"wall_s\":";
-    append_num(out, p.wall_s);
+    append_number(out, p.wall_s);
     out += ",\"device_busy_s\":";
-    append_num(out, p.device_busy_s);
+    append_number(out, p.device_busy_s);
     out += ",\"host_blocked_s\":";
-    append_num(out, p.host_blocked_s);
+    append_number(out, p.host_blocked_s);
     out += ",\"overlap_fraction\":";
-    append_num(out, p.overlap_fraction);
+    append_number(out, p.overlap_fraction);
     out += ",\"speedup_vs_recorded\":";
-    append_num(out, p.speedup);
+    append_number(out, p.speedup);
     out += "}";
   }
   out += "]}";

@@ -1,14 +1,13 @@
 // fth::obs::dag — execution-DAG recorder with critical-path attribution and
 // what-if overlap analysis (DESIGN.md §12).
 //
-// While recording (FTH_DAG=1 or a bench's --dag flag), every stream task,
-// h2d/d2h transfer, Event record, host wait (synchronize / event_wait,
-// tagged with its interned call site), and host span is captured as a
-// timestamped event in per-thread buffers — the same uncontended-mutex
-// discipline as the trace recorder, and the same zero-cost-when-off shape:
-// each hook is one relaxed atomic load when the recorder is idle.
+// A reader of the event log (obs/trace.hpp). While armed (FTH_DAG=1 or a
+// bench's --dag flag) its unbounded window of the log holds every stream
+// enqueue, task, h2d/d2h payload, wait (synchronize / event_wait, tagged
+// with its interned call site), host span and mark; disarmed, the records
+// only it reads are not logged at all.
 //
-// stop() assembles the events into a Graph whose happens-before edges come
+// stop() assembles the records into a Graph whose happens-before edges come
 // from the very machinery fth::check already trusts:
 //   Seq   host program order (Work/Wait/Mark chain per host thread),
 //   Fifo  ticket order within one stream (the in-order worker),
@@ -43,12 +42,12 @@ namespace fth::obs::dag {
 /// True while the recorder is armed. Relaxed load, any thread.
 [[nodiscard]] bool enabled() noexcept;
 
-/// Arm the recorder (clears any previously buffered events).
+/// Arm the recorder; its window on the log starts empty.
 void start();
 
 struct Graph;
 
-/// Disarm and assemble the buffered events into a Graph. Returns an empty
+/// Disarm and assemble the window's records into a Graph. Returns an empty
 /// graph when the recorder was not armed.
 [[nodiscard]] Graph stop();
 
@@ -61,8 +60,8 @@ void init_from_env();
 /// driver marks rollback / re-execution episode boundaries with these).
 void mark(const char* label) noexcept;
 
-/// Trailing fragment of the in-flight recording: non-destructively snapshot
-/// the buffered events (the recorder stays armed), assemble them, and render
+/// Trailing fragment of the in-flight recording: non-destructively copy the
+/// window (the recorder stays armed), assemble it, and render
 /// the newest `max_nodes` nodes by end time as a JSON array of objects —
 /// the embeddable form incident capsules (obs/incident.hpp) carry, as
 /// opposed to stop()'s full Graph. "[]" when the recorder is off.
@@ -197,30 +196,5 @@ struct Prediction {
 /// Human-readable summary: totals, top blocking edges, what-if table.
 void print_analysis(const Graph& g, const Analysis& a,
                     const std::vector<Prediction>& what_if, std::FILE* out);
-
-// --- Hot-path hooks (hybrid layer + trace recorder) -------------------------
-
-namespace detail {
-/// Same contract as profile_detail::active(): one relaxed load.
-[[nodiscard]] bool active() noexcept;
-
-/// True on a stream worker thread between task begin/end (so spans and
-/// waits executed inside tasks are not double-counted as host activity).
-[[nodiscard]] bool thread_in_task() noexcept;
-
-void on_enqueue(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept;
-void on_task_begin(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept;
-void on_task_end(std::uint64_t stream, std::uint64_t ticket) noexcept;
-void on_transfer(std::uint64_t stream, std::uint64_t ticket, double bytes) noexcept;
-/// `kind` is "synchronize" or "event_wait"; `site` an interned call-site
-/// label; `ticket` the newest ticket the wait can observe (0 = none).
-void on_wait_begin(const char* kind, const char* site, std::uint64_t stream,
-                   std::uint64_t ticket) noexcept;
-void on_wait_end() noexcept;
-/// Live feed from the trace recorder (already timestamped). Stream-category
-/// spans and spans on in-task threads are ignored here — tasks and waits
-/// arrive through the dedicated hooks above.
-void on_span(char ph, const char* cat, const char* name, double ts_us) noexcept;
-}  // namespace detail
 
 }  // namespace fth::obs::dag

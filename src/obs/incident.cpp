@@ -23,32 +23,11 @@ std::mutex g_dir_m;
 std::string g_dir;                       // guarded by g_dir_m
 std::atomic<std::uint64_t> g_seq{0};     // capsule sequence (process-wide)
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      out += hex;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
 void append_str_field(std::string& out, const char* key, std::string_view v) {
   out += ",\"";
   out += key;
   out += "\":\"";
-  append_escaped(out, v);
+  json::append_escaped(out, v);
   out += "\"";
 }
 
@@ -62,19 +41,19 @@ std::string health_entry_json(const DeviceHealthSnapshot& s) {
   out += ",\"timeouts\":" + std::to_string(s.timeouts);
   out += ",\"near_misses\":" + std::to_string(s.near_misses);
   out += ",\"latency_ewma_ms\":";
-  append_num(out, s.latency_ewma_ms);
+  json::append_number(out, s.latency_ewma_ms, 9);
   out += ",\"occupancy_ewma\":";
-  append_num(out, s.occupancy_ewma);
+  json::append_number(out, s.occupancy_ewma, 9);
   out += ",\"window_max_ms\":";
-  append_num(out, s.window_max_ms);
+  json::append_number(out, s.window_max_ms, 9);
   out += ",\"last_wait_ms\":";
-  append_num(out, s.last_wait_ms);
+  json::append_number(out, s.last_wait_ms, 9);
   out += ",\"worst_frac\":";
-  append_num(out, s.worst_frac);
+  json::append_number(out, s.worst_frac, 9);
   out += ",\"allowed_ms\":";
-  append_num(out, s.allowed_ms);
+  json::append_number(out, s.allowed_ms, 9);
   out += ",\"heartbeat_age_ms\":";
-  append_num(out, s.heartbeat_age_ms);
+  json::append_number(out, s.heartbeat_age_ms, 9);
   out += "}";
   return out;
 }
@@ -139,9 +118,9 @@ std::string render_incident_json(const IncidentReport& rep) {
   out += ",\"device\":" + std::to_string(rep.device);
   out += ",\"boundary\":" + std::to_string(rep.boundary);
   out += ",\"t_us\":";
-  append_num(out, detail::now_us());
+  json::append_number(out, detail::now_us(), 9);
   out += ",\"outcome\":{\"status\":\"";
-  append_escaped(out, rep.outcome.status);
+  json::append_escaped(out, rep.outcome.status);
   out += "\"";
   append_str_field(out, "reason", rep.outcome.reason);
   append_str_field(out, "detail", rep.outcome.detail);
@@ -151,7 +130,7 @@ std::string render_incident_json(const IncidentReport& rep) {
   for (std::size_t i = 0; i < rep.metrics_delta.size(); ++i) {
     if (i > 0) out += ',';
     out += "\"";
-    append_escaped(out, rep.metrics_delta[i].first);
+    json::append_escaped(out, rep.metrics_delta[i].first);
     out += "\":" + std::to_string(rep.metrics_delta[i].second);
   }
   out += "}";

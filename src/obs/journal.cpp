@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/json.hpp"
 #include "obs/trace.hpp"
 
 namespace fth::obs {
@@ -72,28 +73,6 @@ class JournalRing {
   std::size_t next_ = 0;
   bool wrapped_ = false;
 };
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      out += hex;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
 
 // Honour FTH_JOURNAL for any binary linking the library (same pattern as
 // the trace recorder's env hook).
@@ -166,21 +145,21 @@ std::string journal_event_json(const JournalEvent& e) {
   std::string out;
   out.reserve(160 + e.detail.size());
   out += "{\"t_us\":";
-  append_num(out, e.t_us);
+  json::append_number(out, e.t_us, 9);
   out += ",\"severity\":\"";
   out += to_string(e.severity);
   out += "\",\"run\":" + std::to_string(e.run_id);
   out += ",\"component\":\"";
-  append_escaped(out, e.component);
+  json::append_escaped(out, e.component);
   out += "\",\"event\":\"";
-  append_escaped(out, e.event);
+  json::append_escaped(out, e.event);
   out += "\",\"device\":" + std::to_string(e.device);
   out += ",\"boundary\":" + std::to_string(e.boundary);
   out += ",\"value\":";
-  append_num(out, e.value);
+  json::append_number(out, e.value, 9);
   if (!e.detail.empty()) {
     out += ",\"detail\":\"";
-    append_escaped(out, e.detail.c_str());
+    json::append_escaped(out, e.detail);
     out += "\"";
   }
   out += "}";

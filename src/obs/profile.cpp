@@ -1,7 +1,7 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -10,12 +10,12 @@
 #include <unordered_map>
 
 #include "common/flops.hpp"
-#include "obs/trace.hpp"
+#include "common/json.hpp"
+#include "obs/log.hpp"
 
 namespace fth::obs {
 
 namespace profile_detail {
-std::atomic<bool> g_active{false};
 
 namespace {
 /// Pool ordinal the calling thread claims (device workers only; -1 host).
@@ -26,6 +26,10 @@ void set_device_ordinal(int ordinal) noexcept { t_device_ordinal = ordinal; }
 }  // namespace profile_detail
 
 namespace {
+
+using profile_detail::Interval;
+using profile_detail::intersect_len;
+using profile_detail::merge_union;
 
 // ---------------------------------------------------------------------------
 // Aggregation core, shared by the live profiler (one Agg per thread) and the
@@ -73,15 +77,11 @@ struct Frame {
   bool is_task = false, is_wait = false, is_panel = false, is_update = false;
 };
 
-struct Interval {
-  double b, e;
-};
-
 struct Agg {
   std::vector<Frame> stack;
   std::unordered_map<PhaseKey, PhaseAccum, PhaseKeyHash> phases;
   std::vector<Interval> device_busy;  // stream/task spans (device worker)
-  std::vector<Interval> host_wait;    // stream/synchronize + stream/event_wait
+  std::vector<Interval> host_wait;    // synchronize + event_wait spans outside tasks
   bool is_device = false;
   int device_ordinal = -1;  // pool ordinal self-reported by the worker (live)
   double pending_panel_t0 = -1.0;  // panel begin awaiting its update end
@@ -114,14 +114,18 @@ struct Agg {
     f.mark_flops = fl;
     f.arg = arg;
     const bool stream_cat = std::strcmp(cat, "stream") == 0;
-    // Prefix match: waits carry per-site names ("synchronize@file:line")
-    // when any sink is live, so fth_prof can show which of the hundreds of
-    // synchronize sites dominates instead of one aggregate row.
-    f.is_wait = stream_cat && (std::strncmp(name, "synchronize", 11) == 0 ||
-                               std::strncmp(name, "event_wait", 10) == 0);
+    // Prefix match: waits carry per-site names ("synchronize@file:line"),
+    // so fth_prof can show which of the hundreds of synchronize sites
+    // dominates instead of one aggregate row.
+    const bool wait = stream_cat && (std::strncmp(name, "synchronize", 11) == 0 ||
+                                     std::strncmp(name, "event_wait", 10) == 0);
     // Any other stream-category span is a worker task (they carry per-task
     // labels — "dev.gemm", "h2d", "ft.detect", plain "task", ...).
-    f.is_task = stream_cat && !f.is_wait;
+    f.is_task = stream_cat && !wait;
+    // A wait inside a task (a worker's dev.wait_event) is device time: the
+    // task's interval already counts it, and host_wait is host tracks only.
+    f.is_wait = wait && std::none_of(stack.begin(), stack.end(),
+                                     [](const Frame& p) { return p.is_task; });
     const bool hybrid_cat = std::strcmp(cat, "hybrid") == 0;
     f.is_panel = hybrid_cat && std::strcmp(name, "panel") == 0;
     f.is_update = hybrid_cat && std::strcmp(name, "update") == 0;
@@ -168,8 +172,10 @@ struct Agg {
   }
 };
 
+}  // namespace
+
 /// Sort + merge in place; returns total covered length (µs).
-double merge_union(std::vector<Interval>& v) {
+double profile_detail::merge_union(std::vector<Interval>& v) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end(), [](const Interval& a, const Interval& b) { return a.b < b.b; });
   std::size_t out = 0;
@@ -187,7 +193,8 @@ double merge_union(std::vector<Interval>& v) {
 }
 
 /// Overlap length of two already-merged interval lists (µs).
-double intersect_len(const std::vector<Interval>& a, const std::vector<Interval>& b) {
+double profile_detail::intersect_len(const std::vector<Interval>& a,
+                                     const std::vector<Interval>& b) {
   double len = 0.0;
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -199,6 +206,8 @@ double intersect_len(const std::vector<Interval>& a, const std::vector<Interval>
   }
   return len;
 }
+
+namespace {
 
 ProfileReport build_report(const std::vector<Agg*>& aggs, double roofline, double wall_hint_s,
                            std::uint64_t total_flops) {
@@ -296,143 +305,91 @@ ProfileReport build_report(const std::vector<Agg*>& aggs, double roofline, doubl
 }
 
 // ---------------------------------------------------------------------------
-// Live profiler: per-thread Agg behind an uncontended mutex (the owning
-// thread locks on every span boundary, the stopping thread at window close)
-// — the same discipline as the trace recorder's ThreadBuffers.
+// Live profiler: one Agg per thread, kept beside the thread's event log and
+// fed under its lock (obs/log.hpp). The window state below only brackets it.
 
-struct LiveState {
+struct LiveWindow {
   std::mutex m;
-  Agg agg;
+  std::atomic<double> roofline{0.0};
+  double start_ts = 0.0;
+  std::uint64_t flops0 = 0;
+  bool prev_flops_enabled = false;
+  bool running = false;
 };
 
-class LiveProfiler {
- public:
-  static LiveProfiler& instance() {
-    static LiveProfiler p;
-    return p;
-  }
-
-  void start() {
-    std::lock_guard lock(registry_m_);
-    profile_detail::g_active.store(false, std::memory_order_relaxed);
-    for (auto& s : states_) {
-      std::lock_guard sl(s->m);
-      s->agg = Agg{};
-    }
-    if (const char* env = std::getenv("FTH_ROOFLINE_GFLOPS");
-        env != nullptr && env[0] != '\0') {
-      const double v = std::strtod(env, nullptr);
-      if (v > 0.0) roofline_.store(v, std::memory_order_relaxed);
-    }
-    prev_flops_enabled_ = flops::enabled();
-    flops::enable(true);
-    flops0_ = flops::count();
-    start_ts_ = detail::now_us();
-    running_ = true;
-    profile_detail::g_active.store(true, std::memory_order_relaxed);
-  }
-
-  ProfileReport stop() {
-    std::lock_guard lock(registry_m_);
-    if (!running_) return ProfileReport{};
-    profile_detail::g_active.store(false, std::memory_order_relaxed);
-    running_ = false;
-    const double stop_ts = detail::now_us();
-    const std::uint64_t total = flops::count() - flops0_;
-    flops::enable(prev_flops_enabled_);
-    std::vector<std::unique_lock<std::mutex>> locks;
-    std::vector<Agg*> aggs;
-    locks.reserve(states_.size());
-    for (auto& s : states_) {
-      locks.emplace_back(s->m);
-      s->agg.close_open(stop_ts);
-      aggs.push_back(&s->agg);
-    }
-    return build_report(aggs, roofline_.load(std::memory_order_relaxed),
-                        (stop_ts - start_ts_) / 1e6, total);
-  }
-
-  void on_event(char ph, const char* cat, const char* name, double ts, double arg) noexcept {
-    LiveState& s = local();
-    std::lock_guard lock(s.m);
-    // Restamp on every event: start() resets the Agg, so a sticky stamp
-    // taken once at thread start would not survive a new window.
-    s.agg.device_ordinal = profile_detail::t_device_ordinal;
-    const std::uint64_t fl = flops::thread_count();
-    if (ph == 'B') s.agg.begin(cat, name, ts, arg, fl);
-    else if (ph == 'E') s.agg.end(ts, fl);
-  }
-
-  void set_roofline(double v) noexcept { roofline_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double roofline() const noexcept {
-    return roofline_.load(std::memory_order_relaxed);
-  }
-
- private:
-  LiveState& local() {
-    thread_local std::shared_ptr<LiveState> st = [this] {
-      auto s = std::make_shared<LiveState>();
-      std::lock_guard lock(registry_m_);
-      states_.push_back(s);
-      return s;
-    }();
-    return *st;
-  }
-
-  std::mutex registry_m_;
-  std::vector<std::shared_ptr<LiveState>> states_;
-  std::atomic<double> roofline_{0.0};
-  double start_ts_ = 0.0;
-  std::uint64_t flops0_ = 0;
-  bool prev_flops_enabled_ = false;
-  bool running_ = false;
-};
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      out += hex;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_num(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
+LiveWindow& live() {
+  static LiveWindow w;
+  return w;
 }
 
 }  // namespace
 
-bool profile_enabled() noexcept { return profile_detail::active(); }
+struct log::ProfileAgg {
+  Agg agg;
+};
 
-void profile_start() { LiveProfiler::instance().start(); }
+void log::ProfileAggDelete::operator()(ProfileAgg* a) const noexcept { delete a; }
 
-ProfileReport profile_stop() { return LiveProfiler::instance().stop(); }
+void log::profile_feed(ProfileSlot& slot, const Record& r) noexcept {
+  if (!slot) slot.reset(new ProfileAgg);
+  Agg& a = slot->agg;
+  // Restamp on every record: a new window starts from a fresh Agg.
+  a.device_ordinal = profile_detail::t_device_ordinal;
+  const std::uint64_t fl = flops::thread_count();
+  switch (r.kind) {
+    case Kind::SpanBegin: a.begin(r.cat, r.name, r.ts_us, r.value, fl); break;
+    case Kind::TaskBegin:
+    case Kind::WaitBegin: a.begin("stream", r.name, r.ts_us, 0.0, fl); break;
+    case Kind::SpanEnd:
+    case Kind::TaskEnd:
+    case Kind::WaitEnd: a.end(r.ts_us, fl); break;
+    default: break;
+  }
+}
+
+bool profile_enabled() noexcept { return (log_sinks() & log::kProfile) != 0; }
+
+void profile_start() {
+  LiveWindow& w = live();
+  std::lock_guard lock(w.m);
+  log::disarm(log::kProfile);
+  (void)log::take_profiles();  // a new window starts from fresh aggregates
+  if (const char* env = std::getenv("FTH_ROOFLINE_GFLOPS"); env != nullptr && env[0] != '\0') {
+    const double v = std::strtod(env, nullptr);
+    if (v > 0.0) w.roofline.store(v, std::memory_order_relaxed);
+  }
+  w.prev_flops_enabled = flops::enabled();
+  flops::enable(true);
+  w.flops0 = flops::count();
+  w.start_ts = detail::now_us();
+  w.running = true;
+  log::arm(log::kProfile);
+}
+
+ProfileReport profile_stop() {
+  LiveWindow& w = live();
+  std::lock_guard lock(w.m);
+  if (!w.running) return ProfileReport{};
+  log::disarm(log::kProfile);
+  w.running = false;
+  const double stop_ts = detail::now_us();
+  const std::uint64_t total = flops::count() - w.flops0;
+  flops::enable(w.prev_flops_enabled);
+  const std::vector<log::ProfileSlot> slots = log::take_profiles();
+  std::vector<Agg*> aggs;
+  for (const log::ProfileSlot& s : slots) {
+    s->agg.close_open(stop_ts);
+    aggs.push_back(&s->agg);
+  }
+  return build_report(aggs, w.roofline.load(std::memory_order_relaxed),
+                      (stop_ts - w.start_ts) / 1e6, total);
+}
 
 void set_profile_roofline(double gflops) noexcept {
-  LiveProfiler::instance().set_roofline(gflops);
+  live().roofline.store(gflops, std::memory_order_relaxed);
 }
 
-double profile_roofline() noexcept { return LiveProfiler::instance().roofline(); }
-
-namespace profile_detail {
-void on_event(char ph, const char* cat, const char* name, double ts_us,
-              double arg_value) noexcept {
-  LiveProfiler::instance().on_event(ph, cat, name, ts_us, arg_value);
-}
-}  // namespace profile_detail
+double profile_roofline() noexcept { return live().roofline.load(std::memory_order_relaxed); }
 
 // --- ProfileBuilder (offline replay) ----------------------------------------
 
@@ -469,31 +426,31 @@ std::string ProfileReport::to_json() const {
   std::string out;
   out.reserve(512 + phases.size() * 160);
   out += "{\"wall_s\":";
-  append_num(out, wall_s);
+  json::append_number(out, wall_s, 9);
   out += ",\"roofline_gflops\":";
-  append_num(out, roofline_gflops);
+  json::append_number(out, roofline_gflops, 9);
   out += ",\"total_flops\":" + std::to_string(total_flops);
   out += ",\"overlap\":{\"device_busy_s\":";
-  append_num(out, device_busy_s);
+  json::append_number(out, device_busy_s, 9);
   out += ",\"host_wait_s\":";
-  append_num(out, host_wait_s);
+  json::append_number(out, host_wait_s, 9);
   out += ",\"overlapped_s\":";
-  append_num(out, overlapped_s);
+  json::append_number(out, overlapped_s, 9);
   out += ",\"overlap_fraction\":";
-  append_num(out, overlap_fraction);
+  json::append_number(out, overlap_fraction, 9);
   // Per-device array (one entry per device track); a window with no device
   // work emits the aggregate as a single entry so the path always exists.
   // Legacy baselines hold the pre-pool scalar spelling; bench_compare maps
   // scalar <-> entry 0 so a D=1 report gates cleanly against either.
   out += ",\"stream_occupancy\":[";
   if (per_device_occupancy.empty()) {
-    append_num(out, stream_occupancy);
+    json::append_number(out, stream_occupancy, 9);
   } else {
     bool first_occ = true;
     for (const double occ : per_device_occupancy) {
       if (!first_occ) out += ',';
       first_occ = false;
-      append_num(out, occ);
+      json::append_number(out, occ, 9);
     }
   }
   out += "]";
@@ -507,46 +464,46 @@ std::string ProfileReport::to_json() const {
       if (!first_ord) out += ',';
       first_ord = false;
       out += "\"" + std::to_string(o) + "\":";
-      append_num(out, occ);
+      json::append_number(out, occ, 9);
     }
     out += "}";
   }
   out += "},\"iterations\":{\"count\":" + std::to_string(iterations);
   out += ",\"avg_panel_s\":";
-  append_num(out, iter_avg_panel_s);
+  json::append_number(out, iter_avg_panel_s, 9);
   out += ",\"avg_update_s\":";
-  append_num(out, iter_avg_update_s);
+  json::append_number(out, iter_avg_update_s, 9);
   out += ",\"avg_s\":";
-  append_num(out, iter_avg_s);
+  json::append_number(out, iter_avg_s, 9);
   out += ",\"max_s\":";
-  append_num(out, iter_max_s);
+  json::append_number(out, iter_max_s, 9);
   out += "},\"phases\":[";
   bool first = true;
   for (const ProfilePhase& p : phases) {
     if (!first) out += ',';
     first = false;
     out += "{\"track\":\"";
-    append_escaped(out, p.track);
+    json::append_escaped(out, p.track);
     out += "\",\"cat\":\"";
-    append_escaped(out, p.cat);
+    json::append_escaped(out, p.cat);
     out += "\",\"name\":\"";
-    append_escaped(out, p.name);
+    json::append_escaped(out, p.name);
     out += "\",\"calls\":" + std::to_string(p.calls);
     out += ",\"wall_s\":";
-    append_num(out, p.wall_s);
+    json::append_number(out, p.wall_s, 9);
     out += ",\"self_s\":";
-    append_num(out, p.self_s);
+    json::append_number(out, p.self_s, 9);
     out += ",\"flops\":" + std::to_string(p.flops);
     out += ",\"gflops\":";
-    append_num(out, p.gflops);
+    json::append_number(out, p.gflops, 9);
     // Omitted (not 0) when no roofline was configured: a meaningless zero
     // would read as a catastrophic regression to bench_compare.
     if (roofline_gflops > 0.0) {
       out += ",\"roofline_frac\":";
-      append_num(out, p.roofline_frac);
+      json::append_number(out, p.roofline_frac, 9);
     }
     out += ",\"arg_sum\":";
-    append_num(out, p.arg_sum);
+    json::append_number(out, p.arg_sum, 9);
     out += "}";
   }
   out += "]}";

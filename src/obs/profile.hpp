@@ -1,9 +1,9 @@
-// fth::obs profiling — in-process performance attribution built on the
-// trace hooks.
+// fth::obs profiling — in-process performance attribution, one reader of
+// the event log (obs/trace.hpp).
 //
-// While a profile window is open, every span the tracing layer sees (the
-// same TraceSpan call sites that feed the Chrome trace) is aggregated live
-// into per-phase totals instead of (or in addition to) being buffered:
+// While a profile window is open, every span, stream task and wait the log
+// records (the same records the Chrome trace shows) is aggregated live into
+// per-phase totals, and nothing is buffered:
 // per (cat, name, track) wall/self time and call counts, FLOPs attributed
 // to the phase that executed them, host-panel vs device-stream overlap,
 // stream occupancy, and the per-iteration critical path. The result is a
@@ -16,7 +16,6 @@
 // can replay an already-written trace file into an identical report.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -132,18 +131,20 @@ class ProfileBuilder {
 };
 
 namespace profile_detail {
-/// Hot-path gate read by the trace recorder on every event.
-extern std::atomic<bool> g_active;
-[[nodiscard]] inline bool active() noexcept {
-  return g_active.load(std::memory_order_relaxed);
-}
-/// Live feed from obs/trace.cpp (already timestamped, calling thread's event).
-void on_event(char ph, const char* cat, const char* name, double ts_us,
-              double arg_value) noexcept;
 /// Device workers self-report their pool ordinal (thread-local; the stream
 /// worker loop calls this once at thread start) so live reports can key
 /// occupancy by ordinal instead of only by anonymous track.
 void set_device_ordinal(int ordinal) noexcept;
+
+/// Half-open time interval (µs). The DAG's what-if replay measures overlap
+/// with the same two helpers, so both views share one definition.
+struct Interval {
+  double b, e;
+};
+/// Sort and merge `v` in place; returns the covered length.
+double merge_union(std::vector<Interval>& v);
+/// Overlap length of two already-merged interval lists.
+double intersect_len(const std::vector<Interval>& a, const std::vector<Interval>& b);
 }  // namespace profile_detail
 
 }  // namespace fth::obs

@@ -13,38 +13,113 @@
 #include <mutex>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/dag.hpp"
-#include "obs/profile.hpp"
+#include "obs/log.hpp"
 
 namespace fth::obs {
 
+namespace detail {
+std::atomic<unsigned> g_sinks{0};
+}  // namespace detail
+
 namespace {
 
-struct TraceEvent {
-  double ts_us = 0.0;
-  double value = 0.0;        // counter value or span argument
-  const char* cat = "";      // string literal or interned (see trace.hpp contract)
-  const char* name = "";     // string literal or interned
-  const char* arg_key = "";  // optional span argument name (string literal)
-  std::uint32_t tid = 0;
-  char ph = '?';
+using log::Kind;
+using log::Record;
+
+/// The sinks that read each record kind; a record is logged for these only.
+[[nodiscard]] unsigned readers(Kind k) noexcept {
+  switch (k) {
+    case Kind::Instant:
+    case Kind::Counter: return log::kTraceFile | log::kFlight;
+    case Kind::Enqueue: return log::kTraceFile | log::kFlight | log::kDag;
+    case Kind::Transfer:
+    case Kind::Discard:
+    case Kind::Mark: return log::kDag;
+    case Kind::FlowBegin:
+    case Kind::FlowEnd: return log::kTraceFile;
+    default: return log::kTraceFile | log::kFlight | log::kProfile | log::kDag;
+  }
+}
+
+/// How the trace views (file, flight dump, capsule tail) show a record:
+/// a trace_event phase, category and name; ph '\0' for the DAG-only kinds.
+struct Shown {
+  char ph;
+  const char* cat;
+  const char* name;
 };
 
-/// Per-thread buffers. Each thread locks only its own (uncontended) mutex on
-/// the enabled path; the writer locks all of them at flush time. The trace
-/// file uses the unbounded `events` vector; the flight recorder a bounded
-/// ring that keeps only the newest `ring.size()` events.
+[[nodiscard]] Shown shown(const Record& r) noexcept {
+  switch (r.kind) {
+    case Kind::SpanBegin: return {'B', r.cat, r.name};
+    case Kind::TaskBegin:
+    case Kind::WaitBegin: return {'B', "stream", r.name};
+    case Kind::SpanEnd:
+    case Kind::TaskEnd:
+    case Kind::WaitEnd: return {'E', "", ""};
+    case Kind::Instant: return {'i', r.cat, r.name};
+    case Kind::Counter: return {'C', "counter", r.name};
+    case Kind::Enqueue: return {'C', "counter", "stream.queue_depth"};
+    case Kind::FlowBegin: return {'s', "dag", "dep"};
+    case Kind::FlowEnd: return {'f', "dag", "dep"};
+    default: return {'\0', "", ""};
+  }
+}
+
+/// The argument name a shown event carries `value` under ("" for none).
+[[nodiscard]] const char* value_key(const Record& r) noexcept {
+  switch (r.kind) {
+    case Kind::Counter:
+    case Kind::Enqueue: return "value";
+    case Kind::SpanBegin: return r.arg_key;
+    default: return "";
+  }
+}
+
+[[nodiscard]] bool is_flow(const Record& r) noexcept {
+  return r.kind == Kind::FlowBegin || r.kind == Kind::FlowEnd;
+}
+
+/// Time order across threads. A flow shares its timestamp with the task end
+/// or wait end it hangs off, and sorts after it.
+void sort_by_time(std::vector<Record>& v) {
+  std::stable_sort(v.begin(), v.end(), [](const Record& a, const Record& b) {
+    return a.ts_us < b.ts_us || (a.ts_us == b.ts_us && !is_flow(a) && is_flow(b));
+  });
+}
+
+/// One thread's log. The owning thread locks its (uncontended) mutex on
+/// every record; readers lock it to copy or drain. The unbounded `log`
+/// holds the trace file's and the DAG's windows, each from its own cursor;
+/// `ring` is the flight recorder's; `profile` the live profile aggregate.
 struct ThreadBuffer {
   std::mutex m;
-  std::vector<TraceEvent> events;
-  std::vector<TraceEvent> ring;
+  std::vector<Record> log;
+  std::size_t trace_from = 0;
+  std::size_t dag_from = 0;
+  std::vector<Record> ring;
   std::size_t ring_next = 0;
   bool ring_wrapped = false;
+  log::ProfileSlot profile;
   std::string thread_name;
   std::uint32_t tid = 0;
+
+  std::size_t& cursor(unsigned sink) { return sink == log::kDag ? dag_from : trace_from; }
+
+  /// Ring contents, oldest first: [next, end) then [0, next) once wrapped.
+  void copy_ring(std::vector<Record>& out) const {
+    if (ring_wrapped)
+      out.insert(out.end(), ring.begin() + static_cast<std::ptrdiff_t>(ring_next), ring.end());
+    out.insert(out.end(), ring.begin(), ring.begin() + static_cast<std::ptrdiff_t>(ring_next));
+  }
 };
+
+using ThreadNames = std::vector<std::pair<std::uint32_t, std::string>>;
 
 class Recorder {
  public:
@@ -53,41 +128,111 @@ class Recorder {
     return r;
   }
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return trace_on_.load(std::memory_order_relaxed) ||
-           flight_on_.load(std::memory_order_relaxed) || profile_detail::active() ||
-           dag::detail::active();
+  void append(Record r) noexcept {
+    const unsigned to = log_sinks() & readers(r.kind);
+    if (to == 0) return;
+    ThreadBuffer& b = local_buffer();
+    r.ts_us = now_us();
+    r.tid = b.tid;
+    std::lock_guard lock(b.m);
+    if ((to & log::kProfile) != 0) log::profile_feed(b.profile, r);
+    if ((to & (log::kTraceFile | log::kDag)) != 0) b.log.push_back(r);
+    if ((to & log::kFlight) != 0) {
+      const std::size_t cap = flight_capacity_.load(std::memory_order_relaxed);
+      if (b.ring.size() != cap) reset_ring(b, cap);  // thread registered before flight_start
+      b.ring[b.ring_next] = r;
+      if (++b.ring_next == b.ring.size()) {
+        b.ring_next = 0;
+        b.ring_wrapped = true;
+      }
+    }
   }
 
-  [[nodiscard]] bool trace_file_active() const noexcept {
-    return trace_on_.load(std::memory_order_relaxed);
+  /// Pre-stamped append to the trace file's window of the calling thread —
+  /// the DAG recorder injects its cause arrows this way at assembly time,
+  /// on the tracks the arrows refer to.
+  void append_flow(const Record& r) noexcept {
+    if ((log_sinks() & log::kTraceFile) == 0) return;
+    ThreadBuffer& b = local_buffer();
+    std::lock_guard lock(b.m);
+    b.log.push_back(r);
   }
 
   void start(const std::string& path) {
-    std::lock_guard lock(registry_m_);
-    path_ = path;
-    for (auto& b : buffers_) {
-      std::lock_guard bl(b->m);
-      b->events.clear();
+    {
+      std::lock_guard lock(registry_m_);
+      path_ = path;
+      register_atexit();
     }
-    register_atexit();
-    trace_on_.store(true, std::memory_order_relaxed);
+    open_window(log::kTraceFile);
   }
 
   std::size_t stop() {
-    if (!trace_on_.load(std::memory_order_relaxed)) return 0;
-    trace_on_.store(false, std::memory_order_relaxed);
+    if ((detail::g_sinks.fetch_and(~log::kTraceFile) & log::kTraceFile) == 0) return 0;
+    std::vector<Record> all;
+    for (const log::Track& t : window(log::kTraceFile, /*close=*/true))
+      for (const Record& r : t.records)
+        if (shown(r).ph != '\0') all.push_back(r);
+    sort_by_time(all);
+    std::string path;
+    ThreadNames names;
+    {
+      std::lock_guard lock(registry_m_);
+      path = path_;
+      for (auto& b : buffers_) {
+        std::lock_guard bl(b->m);
+        names.emplace_back(b->tid, b->thread_name);
+      }
+    }
+    write_file(path, all, names);
+    return all.size();
+  }
+
+  /// Open `sink`'s window (kTraceFile or kDag) at the end of every thread's
+  /// log. With no other window open the log restarts empty.
+  void open_window(unsigned sink) {
     std::lock_guard lock(registry_m_);
-    std::vector<TraceEvent> all;
+    const bool shared = (log_sinks() & other_window(sink)) != 0;
     for (auto& b : buffers_) {
       std::lock_guard bl(b->m);
-      all.insert(all.end(), b->events.begin(), b->events.end());
-      b->events.clear();
+      if (!shared) {
+        b->log.clear();
+        b->trace_from = b->dag_from = 0;
+      }
+      b->cursor(sink) = b->log.size();
     }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
-    write_file(path_, all);
-    return all.size();
+    detail::g_sinks.fetch_or(sink, std::memory_order_relaxed);
+  }
+
+  /// `sink`'s window, one Track per thread that logged any. `close`
+  /// disarms `sink` and drops what the other window does not still hold.
+  std::vector<log::Track> window(unsigned sink, bool close) {
+    std::lock_guard lock(registry_m_);
+    if (close) detail::g_sinks.fetch_and(~sink, std::memory_order_relaxed);
+    const unsigned other = other_window(sink);
+    const bool shared = (log_sinks() & other) != 0;
+    std::vector<log::Track> out;
+    for (auto& b : buffers_) {
+      std::lock_guard bl(b->m);
+      const auto from = static_cast<std::ptrdiff_t>(std::min(b->cursor(sink), b->log.size()));
+      if (b->log.begin() + from != b->log.end())
+        out.push_back({b->tid, std::vector<Record>(b->log.begin() + from, b->log.end())});
+      if (!close) continue;
+      const std::size_t n = shared ? std::min(b->cursor(other), b->log.size()) : b->log.size();
+      b->log.erase(b->log.begin(), b->log.begin() + static_cast<std::ptrdiff_t>(n));
+      b->trace_from = b->dag_from = 0;
+    }
+    return out;
+  }
+
+  std::vector<log::ProfileSlot> take_profiles() {
+    std::lock_guard lock(registry_m_);
+    std::vector<log::ProfileSlot> out;
+    for (auto& b : buffers_) {
+      std::lock_guard bl(b->m);
+      if (b->profile) out.push_back(std::move(b->profile));
+    }
+    return out;
   }
 
   void flight_start(std::size_t capacity) {
@@ -99,11 +244,11 @@ class Recorder {
       reset_ring(*b, capacity);
     }
     install_signal_handlers();
-    flight_on_.store(true, std::memory_order_relaxed);
+    detail::g_sinks.fetch_or(log::kFlight, std::memory_order_relaxed);
   }
 
   void flight_stop() {
-    flight_on_.store(false, std::memory_order_relaxed);
+    detail::g_sinks.fetch_and(~log::kFlight, std::memory_order_relaxed);
     std::lock_guard lock(registry_m_);
     for (auto& b : buffers_) {
       std::lock_guard bl(b->m);
@@ -112,10 +257,6 @@ class Recorder {
       b->ring_next = 0;
       b->ring_wrapped = false;
     }
-  }
-
-  [[nodiscard]] bool flight_active() const noexcept {
-    return flight_on_.load(std::memory_order_relaxed);
   }
 
   /// Best-effort when called from a signal handler: try-lock everything and
@@ -129,7 +270,8 @@ class Recorder {
     } else {
       lock.lock();
     }
-    std::vector<TraceEvent> all;
+    std::vector<Record> all;
+    ThreadNames names;
     for (auto& b : buffers_) {
       std::unique_lock<std::mutex> bl(b->m, std::defer_lock);
       if (best_effort) {
@@ -137,29 +279,19 @@ class Recorder {
       } else {
         bl.lock();
       }
-      // Oldest-first ring order: [next, end) then [0, next) once wrapped.
-      if (b->ring_wrapped)
-        all.insert(all.end(), b->ring.begin() + static_cast<std::ptrdiff_t>(b->ring_next),
-                   b->ring.end());
-      all.insert(all.end(), b->ring.begin(),
-                 b->ring.begin() + static_cast<std::ptrdiff_t>(b->ring_next));
+      b->copy_ring(all);
+      names.emplace_back(b->tid, b->thread_name);
     }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
+    sort_by_time(all);
     // Stamp why the dump happened as a final instant on the dumping track.
-    TraceEvent why;
-    why.ts_us = now_us();
-    why.cat = "flight";
-    why.name = reason;
-    why.ph = 'i';
-    all.push_back(why);
+    all.push_back(Record{.ts_us = now_us(), .cat = "flight", .name = reason});
     std::string path;
     if (const char* env = std::getenv("FTH_FLIGHT_PATH"); env != nullptr && env[0] != '\0') {
       path = env;
     } else {
       path = "fth_flight_" + std::to_string(static_cast<long>(::getpid())) + ".json";
     }
-    if (!write_file(path, all)) return "";
+    if (!write_file(path, all, names)) return "";
     return path;
   }
 
@@ -168,86 +300,45 @@ class Recorder {
   /// newest `max_events` after the cross-thread merge.
   [[nodiscard]] std::string flight_tail_json(std::size_t max_events) {
     if (!flight_active()) return "[]";
-    std::vector<TraceEvent> all;
+    std::vector<Record> all;
     {
       std::lock_guard lock(registry_m_);
       for (auto& b : buffers_) {
         std::lock_guard bl(b->m);
-        if (b->ring_wrapped)
-          all.insert(all.end(), b->ring.begin() + static_cast<std::ptrdiff_t>(b->ring_next),
-                     b->ring.end());
-        all.insert(all.end(), b->ring.begin(),
-                   b->ring.begin() + static_cast<std::ptrdiff_t>(b->ring_next));
+        b->copy_ring(all);
       }
     }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
+    sort_by_time(all);
     if (all.size() > max_events)
       all.erase(all.begin(), all.end() - static_cast<std::ptrdiff_t>(max_events));
     std::string out = "[";
     char num[64];
     for (std::size_t i = 0; i < all.size(); ++i) {
-      const TraceEvent& ev = all[i];
+      const Record& r = all[i];
+      const Shown s = shown(r);
       if (i > 0) out += ',';
-      std::snprintf(num, sizeof num, "%.3f", ev.ts_us);
+      std::snprintf(num, sizeof num, "%.3f", r.ts_us);
       out += "{\"ts_us\":";
       out += num;
       out += ",\"ph\":\"";
-      out.push_back(ev.ph);
-      out += "\",\"tid\":" + std::to_string(ev.tid);
-      if (ev.ph != 'E') {
+      out.push_back(s.ph);
+      out += "\",\"tid\":" + std::to_string(r.tid);
+      if (s.ph != 'E') {
         out += ",\"cat\":\"";
-        append_escaped(out, ev.cat);
+        json::append_escaped(out, s.cat);
         out += "\",\"name\":\"";
-        append_escaped(out, ev.name);
+        json::append_escaped(out, s.name);
         out += "\"";
       }
-      if (ev.ph == 'C' || (ev.ph == 'B' && ev.arg_key[0] != '\0')) {
-        std::snprintf(num, sizeof num, "%.17g", ev.value);
+      if (value_key(r)[0] != '\0') {
         out += ",\"value\":";
-        out += num;
+        json::append_number(out, r.value);
       }
       out += "}";
     }
     out += "]";
     return out;
   }
-
-  void record(TraceEvent ev) noexcept {
-    ThreadBuffer& b = local_buffer();
-    ev.ts_us = now_us();
-    ev.tid = b.tid;
-    if (profile_detail::active() && (ev.ph == 'B' || ev.ph == 'E'))
-      profile_detail::on_event(ev.ph, ev.cat, ev.name, ev.ts_us, ev.value);
-    if (dag::detail::active() && (ev.ph == 'B' || ev.ph == 'E'))
-      dag::detail::on_span(ev.ph, ev.cat, ev.name, ev.ts_us);
-    const bool to_trace = trace_on_.load(std::memory_order_relaxed);
-    const bool to_flight = flight_on_.load(std::memory_order_relaxed);
-    if (!to_trace && !to_flight) return;
-    std::lock_guard lock(b.m);
-    if (to_trace) b.events.push_back(ev);
-    if (to_flight) {
-      const std::size_t cap = flight_capacity_.load(std::memory_order_relaxed);
-      if (b.ring.size() != cap) reset_ring(b, cap);  // thread registered before flight_start
-      b.ring[b.ring_next] = ev;
-      if (++b.ring_next == b.ring.size()) {
-        b.ring_next = 0;
-        b.ring_wrapped = true;
-      }
-    }
-  }
-
-  /// Pre-stamped append to the trace-file buffer of the calling thread —
-  /// the DAG recorder uses it to inject flow events at assembly time, after
-  /// the fact, on the tracks the flows refer to.
-  void record_raw(const TraceEvent& ev) noexcept {
-    if (!trace_on_.load(std::memory_order_relaxed)) return;
-    ThreadBuffer& b = local_buffer();
-    std::lock_guard lock(b.m);
-    b.events.push_back(ev);
-  }
-
-  [[nodiscard]] std::uint32_t current_tid() noexcept { return local_buffer().tid; }
 
   void name_thread(const char* name) {
     ThreadBuffer& b = local_buffer();
@@ -263,8 +354,13 @@ class Recorder {
  private:
   Recorder() : t0_(std::chrono::steady_clock::now()) {}
 
+  /// The trace file and the DAG share the unbounded log.
+  static unsigned other_window(unsigned sink) noexcept {
+    return sink == log::kDag ? log::kTraceFile : log::kDag;
+  }
+
   static void reset_ring(ThreadBuffer& b, std::size_t capacity) {
-    b.ring.assign(capacity, TraceEvent{});
+    b.ring.assign(capacity, Record{});
     b.ring_next = 0;
     b.ring_wrapped = false;
   }
@@ -303,29 +399,14 @@ class Recorder {
     return *buf;
   }
 
-  static void append_escaped(std::string& out, const char* s) {
-    for (; *s != '\0'; ++s) {
-      const char c = *s;
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char hex[8];
-        std::snprintf(hex, sizeof hex, "\\u%04x", c);
-        out += hex;
-      } else {
-        out.push_back(c);
-      }
-    }
-  }
-
-  bool write_file(const std::string& path, const std::vector<TraceEvent>& events) const {
+  static bool write_file(const std::string& path, const std::vector<Record>& events,
+                         const ThreadNames& names) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "fth::obs: cannot open trace output '%s'\n", path.c_str());
       return false;
     }
-    const long pid = 1;  // single-process library; a stable dummy keeps tools happy
+    // pid: single-process library; a stable dummy keeps tools happy.
     std::string line;
     std::fprintf(f, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     bool first = true;
@@ -334,50 +415,43 @@ class Recorder {
       first = false;
     };
     // Track-name metadata first (tools accept it anywhere; first is tidy).
-    for (const auto& b : buffers_) {
-      if (b->thread_name.empty()) continue;
-      line.clear();
-      line += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" + std::to_string(pid) +
-              ",\"tid\":" + std::to_string(b->tid) + ",\"args\":{\"name\":\"";
-      append_escaped(line, b->thread_name.c_str());
+    for (const auto& [tid, name] : names) {
+      if (name.empty()) continue;
+      line = "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" + std::to_string(tid) +
+             ",\"args\":{\"name\":\"";
+      json::append_escaped(line, name);
       line += "\"}}";
       emit(line);
     }
     char num[64];
-    for (const auto& ev : events) {
-      line.clear();
-      line += "{\"ph\":\"";
-      line.push_back(ev.ph);
-      line += "\",\"pid\":" + std::to_string(pid) + ",\"tid\":" + std::to_string(ev.tid);
-      std::snprintf(num, sizeof num, "%.3f", ev.ts_us);
+    for (const Record& r : events) {
+      const Shown s = shown(r);
+      line = "{\"ph\":\"";
+      line.push_back(s.ph);
+      line += "\",\"pid\":1,\"tid\":" + std::to_string(r.tid);
+      std::snprintf(num, sizeof num, "%.3f", r.ts_us);
       line += ",\"ts\":";
       line += num;
-      if (ev.ph != 'E') {
+      if (s.ph != 'E') {
         line += ",\"cat\":\"";
-        append_escaped(line, ev.cat);
+        json::append_escaped(line, s.cat);
         line += "\",\"name\":\"";
-        append_escaped(line, ev.name);
+        json::append_escaped(line, s.name);
         line += "\"";
       }
-      if (ev.ph == 'i') line += ",\"s\":\"t\"";
-      if (ev.ph == 's' || ev.ph == 'f') {
+      if (s.ph == 'i') line += ",\"s\":\"t\"";
+      if (is_flow(r)) {
         // Flow events (the DAG's cause edges): shared "id" binds the pair;
         // "bp":"e" makes the arrow terminate at the enclosing slice's end,
         // which is where the wait actually released.
-        line += ",\"id\":" + std::to_string(static_cast<long long>(ev.value));
-        if (ev.ph == 'f') line += ",\"bp\":\"e\"";
+        line += ",\"id\":" + std::to_string(static_cast<long long>(r.value));
+        if (s.ph == 'f') line += ",\"bp\":\"e\"";
       }
-      if (ev.ph == 'C') {
-        std::snprintf(num, sizeof num, "%.17g", ev.value);
-        line += ",\"args\":{\"value\":";
-        line += num;
-        line += "}";
-      } else if (ev.ph == 'B' && ev.arg_key[0] != '\0') {
-        std::snprintf(num, sizeof num, "%.17g", ev.value);
+      if (const char* key = value_key(r); key[0] != '\0') {
         line += ",\"args\":{\"";
-        append_escaped(line, ev.arg_key);
+        json::append_escaped(line, key);
         line += "\":";
-        line += num;
+        json::append_number(line, r.value);
         line += "}";
       }
       line += "}";
@@ -388,8 +462,6 @@ class Recorder {
     return true;
   }
 
-  std::atomic<bool> trace_on_{false};
-  std::atomic<bool> flight_on_{false};
   std::atomic<std::size_t> flight_capacity_{0};
   std::mutex registry_m_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
@@ -410,15 +482,13 @@ class Recorder {
 
 }  // namespace
 
-bool trace_enabled() noexcept { return Recorder::instance().enabled(); }
-
 void trace_start(const std::string& path) { Recorder::instance().start(path); }
 
 std::size_t trace_stop() { return Recorder::instance().stop(); }
 
 void trace_init_from_env() {
   const char* path = std::getenv("FTH_TRACE");
-  if (path != nullptr && path[0] != '\0' && !Recorder::instance().trace_file_active())
+  if (path != nullptr && path[0] != '\0' && (log_sinks() & detail::kTraceFile) == 0)
     trace_start(path);
   const char* flight = std::getenv("FTH_FLIGHT");
   if (flight != nullptr && flight[0] != '\0' && !flight_active()) {
@@ -480,8 +550,6 @@ const char* site_label(const char* kind, const char* file, unsigned line) {
 
 void flight_start(std::size_t capacity) { Recorder::instance().flight_start(capacity); }
 
-bool flight_active() noexcept { return Recorder::instance().flight_active(); }
-
 std::string flight_dump(const char* reason) noexcept {
   return Recorder::instance().flight_dump(reason, /*best_effort=*/false);
 }
@@ -494,40 +562,87 @@ std::string flight_tail_json(std::size_t max_events) {
 
 namespace detail {
 
+namespace {
+void stream_record(Kind kind, std::uint64_t stream, std::uint64_t ticket, const char* label,
+                   double value = 0.0) noexcept {
+  log::append(Record{
+      .value = value, .stream = stream, .ticket = ticket, .name = label, .kind = kind});
+}
+}  // namespace
+
 double now_us() noexcept { return Recorder::instance().now_us(); }
 
 void begin_span(const char* cat, const char* name) noexcept {
-  Recorder::instance().record(TraceEvent{.cat = cat, .name = name, .ph = 'B'});
+  log::append(Record{.cat = cat, .name = name, .kind = Kind::SpanBegin});
 }
 
 void begin_span(const char* cat, const char* name, const char* arg_key,
                 double arg_value) noexcept {
-  Recorder::instance().record(
-      TraceEvent{.value = arg_value, .cat = cat, .name = name, .arg_key = arg_key, .ph = 'B'});
+  log::append(Record{.value = arg_value,
+                     .cat = cat,
+                     .name = name,
+                     .arg_key = arg_key,
+                     .kind = Kind::SpanBegin});
 }
 
-void end_span() noexcept { Recorder::instance().record(TraceEvent{.ph = 'E'}); }
+void end_span() noexcept { log::append(Record{.kind = Kind::SpanEnd}); }
 
-std::uint32_t current_tid() noexcept { return Recorder::instance().current_tid(); }
-
-bool trace_file_active() noexcept { return Recorder::instance().trace_file_active(); }
-
-void raw_event(char ph, const char* cat, const char* name, double ts_us, std::uint32_t tid,
-               double value) noexcept {
-  Recorder::instance().record_raw(
-      TraceEvent{.ts_us = ts_us, .value = value, .cat = cat, .name = name, .tid = tid, .ph = ph});
+void record_instant(const char* cat, const char* name) noexcept {
+  log::append(Record{.cat = cat, .name = name, .kind = Kind::Instant});
 }
+
+void record_counter(const char* name, double value) noexcept {
+  log::append(Record{.value = value, .name = name, .kind = Kind::Counter});
+}
+
+void log_enqueue(std::uint64_t stream, std::uint64_t ticket, const char* label,
+                 double depth) noexcept {
+  stream_record(Kind::Enqueue, stream, ticket, label, depth);
+}
+
+void log_transfer(std::uint64_t stream, std::uint64_t ticket, double bytes) noexcept {
+  stream_record(Kind::Transfer, stream, ticket, "", bytes);
+}
+
+void log_discard(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept {
+  stream_record(Kind::Discard, stream, ticket, label);
+}
+
+void task_begin(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept {
+  stream_record(Kind::TaskBegin, stream, ticket, label);
+}
+
+void task_end() noexcept { log::append(Record{.kind = Kind::TaskEnd}); }
+
+void wait_begin(const char* kind, const std::source_location& loc, std::uint64_t stream,
+                std::uint64_t cause) noexcept {
+  if (!trace_enabled()) return;  // site_label allocates
+  const char* site = site_label(kind, loc.file_name(), static_cast<unsigned>(loc.line()));
+  log::append(Record{
+      .stream = stream, .ticket = cause, .cat = kind, .name = site, .kind = Kind::WaitBegin});
+}
+
+void wait_end() noexcept { log::append(Record{.kind = Kind::WaitEnd}); }
 
 }  // namespace detail
 
-void instant(const char* cat, const char* name) noexcept {
-  if (!trace_enabled()) return;
-  Recorder::instance().record(TraceEvent{.cat = cat, .name = name, .ph = 'i'});
+namespace log {
+
+void append(Record r) noexcept { Recorder::instance().append(r); }
+
+void append_flow(const Record& r) noexcept { Recorder::instance().append_flow(r); }
+
+void arm(unsigned sink) {
+  if (sink == kDag) Recorder::instance().open_window(kDag);
+  else detail::g_sinks.fetch_or(sink, std::memory_order_relaxed);
 }
 
-void counter(const char* name, double value) noexcept {
-  if (!trace_enabled()) return;
-  Recorder::instance().record(TraceEvent{.value = value, .cat = "counter", .name = name, .ph = 'C'});
-}
+void disarm(unsigned sink) { detail::g_sinks.fetch_and(~sink, std::memory_order_relaxed); }
+
+std::vector<Track> dag_window(bool close) { return Recorder::instance().window(kDag, close); }
+
+std::vector<ProfileSlot> take_profiles() { return Recorder::instance().take_profiles(); }
+
+}  // namespace log
 
 }  // namespace fth::obs

@@ -1,43 +1,59 @@
-// fth::obs tracing — Chrome/Perfetto `trace_event` JSON recorder, with a
-// bounded flight-recorder mode and a live feed into the profiler.
+// fth::obs tracing — the per-thread event log every obs view reads, and its
+// Chrome/Perfetto `trace_event` JSON writer.
 //
-// Scoped spans (B/E pairs), instant events, and counter tracks, recorded
-// into per-thread buffers and written as a single JSON file the Perfetto UI
-// (https://ui.perfetto.dev) or chrome://tracing opens directly. Designed so
-// the disabled path costs one relaxed atomic load per call site: spans and
-// events check `trace_enabled()` and bail before touching any state.
-//
-// Three sinks share the same instrumentation points; any combination can be
-// active, and `trace_enabled()` is true while at least one is:
-//  * trace file — unbounded buffers, written at trace_stop() / process exit
-//    (`FTH_TRACE=<path>` or trace_start());
-//  * flight recorder — a bounded per-thread ring that keeps only the last
-//    `capacity` events, cheap enough to leave on for whole fault campaigns
+// Each thread appends typed records to its own buffer (obs/trace.cpp):
+// spans (B/E pairs), instants and counters from the instrumentation below,
+// and the software device's stream records — enqueue, task begin/end,
+// wait begin/end, transfer payloads — from src/hybrid. Four sinks read the
+// log and differ only in capacity; any combination can be armed:
+//  * trace file — an unbounded window, written as one JSON file at
+//    trace_stop() / process exit (`FTH_TRACE=<path>` or trace_start()).
+//    Open it at https://ui.perfetto.dev or chrome://tracing;
+//  * flight recorder — a bounded per-thread ring of the newest records,
+//    cheap enough to leave on for whole fault campaigns
 //    (`FTH_FLIGHT=<n_events>` or flight_start()). It is auto-dumped to a
 //    trace file when recovery escalates to abort (recovery_error) or on a
 //    fatal signal, so post-mortems carry the last milliseconds of timeline;
-//  * profiler — per-phase aggregation, see obs/profile.hpp.
+//  * profiler — aggregates live and buffers nothing, see obs/profile.hpp;
+//  * DAG recorder — an unbounded window, assembled into a graph at
+//    dag::stop(), see obs/dag.hpp.
+// A record is logged only for the sinks that read its kind, so the trace
+// file and the flight ring carry no DAG-only records. Disarmed, every call
+// site costs one relaxed load of the sink mask (trace_enabled()).
 //
 // Event names and categories must be string literals or pointers obtained
-// from intern_name() — the recorder stores the pointers, never copies,
-// which is what keeps the enabled path allocation-free. DESIGN.md §8
-// documents the event taxonomy and track layout used across the library.
+// from intern_name() — the log stores the pointers, never copies, which is
+// what keeps the enabled path allocation-free. DESIGN.md §8 documents the
+// event taxonomy and track layout used across the library.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <source_location>
 #include <string>
 #include <string_view>
 
 namespace fth::obs {
 
-/// True while any sink (trace file, flight recorder, profiler) is active.
-/// Relaxed load — safe to call from any thread at any frequency.
-[[nodiscard]] bool trace_enabled() noexcept;
+namespace detail {
+/// The sinks reading the event log; `g_sinks` holds the armed ones.
+enum Sink : unsigned { kTraceFile = 1u, kFlight = 2u, kProfile = 4u, kDag = 8u };
+extern std::atomic<unsigned> g_sinks;
+}  // namespace detail
+
+/// The armed sinks (detail::Sink bits). Relaxed load, any thread.
+[[nodiscard]] inline unsigned log_sinks() noexcept {
+  return detail::g_sinks.load(std::memory_order_relaxed);
+}
+
+/// True while any sink (trace file, flight recorder, profiler, DAG) is
+/// armed. One relaxed load — safe to call from any thread at any frequency.
+[[nodiscard]] inline bool trace_enabled() noexcept { return log_sinks() != 0; }
 
 /// Start recording; events accumulate in memory until trace_stop(), which
-/// writes `path`. Calling trace_start() while active just replaces the
-/// output path. Registers an atexit hook so a crash-free process always
-/// flushes.
+/// writes `path`. Calling trace_start() while active replaces the output
+/// path and drops the events buffered so far. Registers an atexit hook so a
+/// crash-free process always flushes.
 void trace_start(const std::string& path);
 
 /// Stop file tracing and write the accumulated trace (no-op when no file
@@ -62,10 +78,10 @@ void set_thread_name(const char* name);
 /// process exit; intern each distinct label once and reuse the pointer.
 [[nodiscard]] const char* intern_name(std::string_view name);
 
-/// Interned `"<kind>@<basename(file)>:<line>"` call-site label — the per-site
-/// span names Stream::synchronize / Event::wait record so the profiler and
-/// the DAG recorder can attribute waits to source locations. Cached per
-/// (kind, file, line), so repeat calls from the same site are a map hit.
+/// Interned `"<kind>@<basename(file)>:<line>"` call-site label — the name
+/// a wait record carries, so the profiler and the DAG recorder can
+/// attribute waits to source locations. Cached per (kind, file, line), so
+/// repeat calls from the same site are a map hit.
 [[nodiscard]] const char* site_label(const char* kind, const char* file, unsigned line);
 
 // --- Flight recorder --------------------------------------------------------
@@ -78,7 +94,9 @@ void set_thread_name(const char* name);
 void flight_start(std::size_t capacity);
 
 /// True between flight_start() and flight_stop().
-[[nodiscard]] bool flight_active() noexcept;
+[[nodiscard]] inline bool flight_active() noexcept {
+  return (log_sinks() & detail::kFlight) != 0;
+}
 
 /// Write the current ring contents as a Chrome trace file and return its
 /// path ("" when the recorder is inactive or the file cannot be written).
@@ -102,28 +120,31 @@ void flight_stop();
 [[nodiscard]] std::string flight_tail_json(std::size_t max_events);
 
 namespace detail {
-/// Microseconds on the recorder's clock (steady, zero at process start) —
-/// the timebase of every recorded event. The profiler uses it so window
-/// boundaries and span timestamps are directly comparable.
+/// Microseconds on the log's clock (steady, zero at process start) — the
+/// timebase of every record, so all views agree on the same timestamps.
 [[nodiscard]] double now_us() noexcept;
 void begin_span(const char* cat, const char* name) noexcept;
 void begin_span(const char* cat, const char* name, const char* arg_key,
                 double arg_value) noexcept;
 void end_span() noexcept;
-/// The calling thread's trace track id (registers the thread's buffer on
-/// first use). The DAG recorder tags its buffers with this so its nodes —
-/// and the flow events it emits — land on the same Perfetto tracks as the
-/// spans.
-[[nodiscard]] std::uint32_t current_tid() noexcept;
-/// True while a trace file is being recorded (the flight recorder and the
-/// profiler do not count). Used by dag::stop() to decide whether emitting
-/// flow events has anywhere to go.
-[[nodiscard]] bool trace_file_active() noexcept;
-/// Append a pre-stamped event (no re-timestamping) to the trace file
-/// buffers; no-op unless a trace file is active. `ph` 's'/'f' are
-/// Chrome-trace flow events: `value` carries the flow id.
-void raw_event(char ph, const char* cat, const char* name, double ts_us, std::uint32_t tid,
-               double value) noexcept;
+void record_instant(const char* cat, const char* name) noexcept;
+void record_counter(const char* name, double value) noexcept;
+
+// Stream records. src/hybrid calls each behind one trace_enabled() check.
+/// Stream::publish: task `ticket` of `stream` is about to become visible to
+/// the worker with `depth` tasks queued (the trace views show the depth as
+/// the `stream.queue_depth` counter).
+void log_enqueue(std::uint64_t stream, std::uint64_t ticket, const char* label,
+                 double depth) noexcept;
+/// copy_*_async: the payload of transfer task `ticket` (DAG only).
+void log_transfer(std::uint64_t stream, std::uint64_t ticket, double bytes) noexcept;
+/// A dead stream dropped task `ticket` without running it (DAG only).
+void log_discard(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept;
+void task_begin(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept;
+void task_end() noexcept;
+void wait_begin(const char* kind, const std::source_location& loc, std::uint64_t stream,
+                std::uint64_t cause) noexcept;
+void wait_end() noexcept;
 }  // namespace detail
 
 /// RAII scoped span: emits a `ph:"B"` event at construction and the
@@ -149,10 +170,55 @@ class TraceSpan {
   bool armed_;
 };
 
+/// RAII record of one stream task on its worker thread (task begin/end with
+/// stream and ticket). The trace views show it as a `stream/<label>` span.
+class TaskRecord {
+ public:
+  TaskRecord(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept
+      : armed_(trace_enabled()) {
+    if (armed_) detail::task_begin(stream, ticket, label);
+  }
+  ~TaskRecord() {
+    if (armed_) detail::task_end();
+  }
+  TaskRecord(const TaskRecord&) = delete;
+  TaskRecord& operator=(const TaskRecord&) = delete;
+
+ private:
+  bool armed_;
+};
+
+/// RAII record of one blocking wait: `kind` is "synchronize" or
+/// "event_wait", `cause` the newest ticket of `stream` the wait can observe
+/// (0 = none). The trace views show it as a `stream/<kind>@<file>:<line>`
+/// span named after the call site.
+class WaitRecord {
+ public:
+  WaitRecord(const char* kind, const std::source_location& loc, std::uint64_t stream,
+             std::uint64_t cause) noexcept
+      : armed_(trace_enabled()) {
+    if (armed_) detail::wait_begin(kind, loc, stream, cause);
+  }
+  ~WaitRecord() {
+    if (armed_) detail::wait_end();
+  }
+  WaitRecord(const WaitRecord&) = delete;
+  WaitRecord& operator=(const WaitRecord&) = delete;
+
+ private:
+  bool armed_;
+};
+
 /// Thread-scoped instant event (`ph:"i"`, scope "t").
-void instant(const char* cat, const char* name) noexcept;
+inline void instant(const char* cat, const char* name) noexcept {
+  if ((log_sinks() & (detail::kTraceFile | detail::kFlight)) != 0)
+    detail::record_instant(cat, name);
+}
 
 /// Sample on a counter track (`ph:"C"`): one named series per `name`.
-void counter(const char* name, double value) noexcept;
+inline void counter(const char* name, double value) noexcept {
+  if ((log_sinks() & (detail::kTraceFile | detail::kFlight)) != 0)
+    detail::record_counter(name, value);
+}
 
 }  // namespace fth::obs

@@ -310,30 +310,6 @@ TEST(Stream, DestroyingIdleStreamsNeverWaitsOutABudget) {
   EXPECT_LT(destroy[50], kBudgetS / 4) << "median destroy, s";
 }
 
-TEST(Stream, EventWaitForShorterThanTheBudgetReturnsOnTime) {
-  // pool_gehrd's device-loss detection is a wait_for that times out.
-  Stream s;
-  s.enqueue("warm", [] {});
-  s.synchronize();  // the worker has run, so the wait may poll
-  std::atomic<bool> release{false};
-  s.enqueue("gate", [&] {
-    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  const Event e = s.record();
-  const auto timeout = Stream::kSpinBudget / 10;
-  std::vector<double> took;
-  for (int k = 0; k < 5; ++k) {
-    const Clock::time_point t0 = Clock::now();
-    EXPECT_FALSE(e.wait_for(timeout));
-    took.push_back(seconds_since(t0));
-  }
-  release = true;
-  EXPECT_TRUE(e.wait_for(std::chrono::seconds(30)));
-  std::sort(took.begin(), took.end());
-  EXPECT_GE(took.front(), std::chrono::duration<double>(timeout).count());
-  EXPECT_LT(took[2], kBudgetS / 2) << "a poll that ignores the timeout takes a whole budget";
-}
-
 TEST(Stream, ParkedRoundTripsNeverLoseAWakeUp) {
   // Gaps and tasks both outlast the spin budget, so every round trip parks
   // the idle worker (the enqueue must wake it) and then the host (the
@@ -423,6 +399,36 @@ double thread_cpu_seconds() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+TEST(Stream, EventWaitForShorterThanTheBudgetReturnsOnTime) {
+  // pool_gehrd's device-loss detection is a wait_for that times out. Its
+  // poll must stop at the deadline, so each call burns at most its timeout
+  // of CPU. The bound is on the calling thread's CPU time, which a
+  // descheduled host does not inflate; wall time bounds only from below.
+  Stream s;
+  s.enqueue("warm", [] {});
+  s.synchronize();  // the worker has run, so the wait may poll
+  std::atomic<bool> release{false};
+  s.enqueue("gate", [&] {
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  const Event e = s.record();
+  const auto timeout = Stream::kSpinBudget / 10;
+  constexpr int kCalls = 5;
+  double shortest = 1e9;
+  const double cpu0 = thread_cpu_seconds();
+  for (int k = 0; k < kCalls; ++k) {
+    const Clock::time_point t0 = Clock::now();
+    EXPECT_FALSE(e.wait_for(timeout));
+    shortest = std::min(shortest, seconds_since(t0));
+  }
+  const double cpu_per_call = (thread_cpu_seconds() - cpu0) / kCalls;
+  release = true;
+  EXPECT_TRUE(e.wait_for(std::chrono::seconds(30)));
+  EXPECT_GE(shortest, std::chrono::duration<double>(timeout).count());
+  EXPECT_LT(cpu_per_call, kBudgetS / 2)
+      << "CPU s per call; a poll that ignores the timeout spins a whole budget";
 }
 
 TEST(Stream, WorkerRunsOffTheConstructingThreadsCpu) {

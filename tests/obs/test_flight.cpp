@@ -130,8 +130,12 @@ TEST(Flight, CapacityIsClampedToMinimum) {
 }
 
 TEST(Flight, DumpWithoutArmedRingIsEmpty) {
+  // CI arms the flight recorder for the whole suite (FTH_FLIGHT); pause it.
+  const bool flight = obs::flight_active();
+  obs::flight_stop();
   ASSERT_FALSE(obs::flight_active());
   EXPECT_EQ(obs::flight_dump("nothing-armed"), "");
+  if (flight) obs::trace_init_from_env();  // re-arms FTH_FLIGHT
 }
 
 // The acceptance scenario: a recovery that escalates to a structured abort

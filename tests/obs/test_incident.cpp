@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "common/json.hpp"
@@ -47,6 +48,7 @@ IncidentReport sample_report() {
   detect.component = "pool";
   detect.event = "loss_detected";
   detect.severity = JournalSeverity::Warn;
+  detect.value = std::numeric_limits<double>::quiet_NaN();  // a poisoned detection's gap
   JournalEvent repair = strike;
   repair.t_us = 3200.0;
   repair.component = "pool";
@@ -73,6 +75,8 @@ TEST(Incident, RenderedCapsuleParsesAndValidates) {
   EXPECT_EQ(capsule.at("outcome").at("status").as_string(), "recovered");
   EXPECT_EQ(capsule.at("metrics_delta").at("fault.device_loss.detected").as_number(), 1.0);
   EXPECT_EQ(capsule.at("journal").as_array().size(), 3u);
+  EXPECT_TRUE(capsule.at("journal").as_array()[1].at("value").is_null())
+      << "a NaN journal value is written as null";
   EXPECT_EQ(capsule.at("health").as_array().size(), 1u);
   EXPECT_EQ(capsule.at("health").as_array()[0].at("state").as_string(), "lost");
   EXPECT_EQ(capsule.at("strikes").at("losses").as_array().size(), 1u);

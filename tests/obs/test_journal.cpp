@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "common/json.hpp"
@@ -95,6 +96,15 @@ TEST(Journal, JsonRendersEveryFieldAndParses) {
   EXPECT_EQ(v.at("detail").as_string(), "host read of \"u2\" before event");
   EXPECT_GT(v.at("t_us").as_number(), 0.0);
   EXPECT_GT(v.at("run").as_number(), 0.0);
+
+  // FT runs journal NaN gaps (a poisoned detection); JSON has no NaN, so
+  // the value is written as null and the line still parses.
+  journal_log(JournalSeverity::Warn, "ft", "detect", 0,
+              std::numeric_limits<double>::quiet_NaN(), 4);
+  const std::string jsonl = journal_to_jsonl(journal_snapshot());
+  const json::Value nan_rec = json::parse(jsonl.substr(jsonl.rfind('\n') + 1));
+  EXPECT_TRUE(nan_rec.at("value").is_null());
+  EXPECT_EQ(nan_rec.at("boundary").as_number(), 4.0);
 }
 
 TEST(Journal, JsonlDumpWritesOneLinePerRecord) {

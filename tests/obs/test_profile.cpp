@@ -4,7 +4,9 @@
 // JSON emission round-tripped through the in-repo json reader.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -13,6 +15,7 @@
 #include "ft/pool_gehrd.hpp"
 #include "hybrid/hybrid_gehrd.hpp"
 #include "hybrid/pool.hpp"
+#include "hybrid/stream.hpp"
 #include "la/generate.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -315,6 +318,35 @@ TEST(ProfileLive, WaitPhasesSplitByCallSite) {
       << "no aggregated site-less synchronize phase should remain";
   EXPECT_GT(rep.host_wait_s, 0.0)
       << "per-site wait names must still classify as waits";
+}
+
+TEST(ProfileLive, AWorkersCrossStreamWaitIsDeviceTimeNotHostWait) {
+  // Stream B's worker waits on stream A (Stream::wait_event) while the host
+  // computes without waiting. B's wait runs inside a task, so it is device
+  // time: host_wait stays near zero and the device work overlaps the host.
+  using namespace std::chrono_literals;
+  hybrid::Stream a, b;
+  obs::profile_start();
+  a.enqueue("dev.sleep", [] { std::this_thread::sleep_for(40ms); });
+  const hybrid::Event on_a = a.record();
+  b.wait_event(on_a);
+  const hybrid::Event on_b = b.record();
+  // Host work: poll (never block) until both streams are done and 60 ms
+  // have passed, so the closing synchronize() calls find drained queues.
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!on_a.ready() || !on_b.ready() || std::chrono::steady_clock::now() - t0 < 60ms) {
+  }
+  a.synchronize();
+  b.synchronize();
+  const obs::ProfileReport rep = obs::profile_stop();
+
+  bool worker_wait = false;
+  for (const auto& p : rep.phases)
+    if (p.track == "device" && p.name.rfind("event_wait@", 0) == 0) worker_wait = true;
+  EXPECT_TRUE(worker_wait) << "B's wait is still a phase of its device track";
+  EXPECT_GT(rep.device_busy_s, 0.03);
+  EXPECT_LT(rep.host_wait_s, 0.005) << "a worker's wait is not host wait";
+  EXPECT_GT(rep.overlap_fraction, 0.9);
 }
 
 TEST(ProfileJson, RooflineFracOmittedWhenNoRooflineConfigured) {

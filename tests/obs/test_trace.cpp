@@ -19,6 +19,7 @@
 #include "fault/injector.hpp"
 #include "ft/ft_gehrd.hpp"
 #include "la/generate.hpp"
+#include "obs/dag.hpp"
 #include "obs/trace.hpp"
 
 namespace fth {
@@ -294,7 +295,12 @@ TEST(Trace, DisabledPathIsInert) {
   if (std::getenv("FTH_TRACE") != nullptr) {
     GTEST_SKIP() << "FTH_TRACE set: process-wide tracing active";
   }
+  // CI arms the flight recorder for the whole suite (FTH_FLIGHT); pause it
+  // so this test sees every sink disarmed.
+  const bool flight = obs::flight_active();
+  obs::flight_stop();
   EXPECT_FALSE(obs::trace_enabled());
+  EXPECT_EQ(obs::log_sinks(), 0u);
   // All recording entry points must be no-ops when disabled.
   {
     obs::TraceSpan span("test", "noop");
@@ -302,6 +308,7 @@ TEST(Trace, DisabledPathIsInert) {
     obs::counter("test.noop", 1.0);
   }
   EXPECT_EQ(obs::trace_stop(), 0u);
+  if (flight) obs::trace_init_from_env();  // re-arms FTH_FLIGHT
 }
 
 TEST(Trace, EventFormatAndNesting) {
@@ -345,6 +352,37 @@ TEST(Trace, EventFormatAndNesting) {
     }
   }
   EXPECT_TRUE(saw_arg);
+}
+
+TEST(Trace, FileAndDagWindowsShareOneLog) {
+  // The trace file and the DAG read windows of one per-thread log, each
+  // from its own start, so arming or closing one mid-way must neither drop
+  // nor duplicate what the other sees. DAG-only records (marks) never
+  // reach the trace file.
+  const std::string path = temp_path("fth_trace_windows.json");
+  obs::dag::start();
+  { obs::TraceSpan span("test", "dag-only"); }
+  obs::trace_start(path);
+  {
+    obs::TraceSpan span("test", "both");
+    obs::dag::mark("mark");
+  }
+  const obs::dag::Graph g = obs::dag::stop();
+  { obs::TraceSpan span("test", "trace-only"); }
+  EXPECT_EQ(obs::trace_stop(), 4u) << "two spans, no mark";
+
+  std::multiset<std::string> dag_labels;
+  for (const obs::dag::Node& nd : g.nodes) dag_labels.insert(nd.label);
+  EXPECT_EQ(dag_labels.count("test/dag-only"), 1u);
+  EXPECT_EQ(dag_labels.count("test/both"), 1u);
+  EXPECT_EQ(dag_labels.count("test/trace-only"), 0u);
+  EXPECT_EQ(dag_labels.count("mark"), 1u);
+
+  TraceSummary sum;
+  Json root;
+  ASSERT_NO_THROW(root = parse_file(path));
+  validate_trace(root, sum);
+  EXPECT_EQ(sum.names, (std::set<std::string>{"both", "trace-only"}));
 }
 
 TEST(Trace, FtRunCoversAllThreeLayers) {

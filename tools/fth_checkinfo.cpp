@@ -1,38 +1,42 @@
 // fth_checkinfo — reports whether the fth::check access/race checker (and
-// its declared-effect conformance layer) is compiled into this build.
-// run_benches.sh uses it to assert both are compiled OUT of the Release
-// tree the benches run in (the zero-overhead guarantee of check/hooks.hpp
-// and check/effects.hpp); CI uses it to assert they are compiled IN for
-// the Debug + FTH_CHECK=1 job.
+// its declared-effect conformance layer) is compiled into this build, and
+// which obs sinks the environment arms. run_benches.sh uses it to assert
+// both layers are compiled OUT of the Release tree the benches run in (the
+// zero-overhead guarantee of check/hooks.hpp and check/effects.hpp) and
+// every obs sink is disarmed; CI uses it to assert the layers are compiled
+// IN for the Debug + FTH_CHECK=1 job.
 //
 //   fth_checkinfo             prints key=value lines, exits 0
 //   fth_checkinfo --expect-off  exits 1 if the checker or the effects
-//                               layer is compiled in
+//                               layer is compiled in, or if an event-log
+//                               sink, the journal or incidents are armed
 //   fth_checkinfo --expect-on   exits 1 if either is compiled out
 #include <cstdio>
 #include <cstring>
 
 #include "check/access.hpp"
 #include "check/effects.hpp"
-#include "obs/dag.hpp"
 #include "obs/incident.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
 
 int main(int argc, char** argv) {
-  fth::obs::trace_init_from_env();  // arm FTH_DAG exactly as a bench would
+  // FTH_TRACE, FTH_FLIGHT and FTH_DAG, armed exactly as a bench would.
+  fth::obs::trace_init_from_env();
   fth::obs::journal_init_from_env();    // FTH_JOURNAL
   fth::obs::incident_init_from_env();   // FTH_INCIDENT (also arms the journal)
   const bool in = fth::check::compiled_in();
   const bool eff_in = fth::check::effects_compiled_in();
-  const bool dag_on = fth::obs::dag::enabled();
+  // One mask covers every reader of the event log: trace file, flight
+  // ring, profiler and DAG (obs/trace.hpp).
+  const unsigned sinks = fth::obs::log_sinks();
   const bool journal_on = fth::obs::journal_enabled();
   const bool incident_on = fth::obs::incident_enabled();
   std::printf("checker_compiled_in=%d\n", in ? 1 : 0);
   std::printf("checker_active=%d\n", fth::check::active() ? 1 : 0);
   std::printf("effects_compiled_in=%d\n", eff_in ? 1 : 0);
   std::printf("effects_active=%d\n", fth::check::effects_active() ? 1 : 0);
-  std::printf("dag_enabled=%d\n", dag_on ? 1 : 0);
+  std::printf("log_sinks=%u\n", sinks);
   std::printf("journal_enabled=%d\n", journal_on ? 1 : 0);
   std::printf("incident_enabled=%d\n", incident_on ? 1 : 0);
 #ifdef NDEBUG
@@ -50,12 +54,14 @@ int main(int argc, char** argv) {
                    incident_on ? "FTH_INCIDENT" : "FTH_JOURNAL");
       return 1;
     }
-    if (std::strcmp(argv[i], "--expect-off") == 0 && (in || eff_in || dag_on)) {
-      if (dag_on) {
+    if (std::strcmp(argv[i], "--expect-off") == 0 && (in || eff_in || sinks != 0)) {
+      if (sinks != 0) {
         std::fprintf(stderr,
-                     "fth_checkinfo: FTH_DAG is armed in this environment but "
-                     "--expect-off was given (the DAG recorder must be the "
-                     "zero-overhead stub for Release bench numbers)\n");
+                     "fth_checkinfo: the event log has armed sinks (log_sinks=%u: "
+                     "1 FTH_TRACE, 2 FTH_FLIGHT, 4 profile, 8 FTH_DAG) but "
+                     "--expect-off was given (Release bench numbers must run with "
+                     "the log on its one-relaxed-load off path)\n",
+                     sinks);
         return 1;
       }
       std::fprintf(stderr,
