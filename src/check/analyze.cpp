@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -28,6 +29,15 @@ bool contains(const std::string& s, const char* needle) {
   return s.find(needle) != std::string::npos;
 }
 
+/// A token position in an expanded unit: the file-table index (0 = the
+/// TU, then each fragment in inclusion order) above the 1-based line, so
+/// the engine keys and compares plain ints and only its outputs resolve
+/// a position back to file:line.
+constexpr int kLineBits = 20;
+int make_pos(int file, int line) { return (file << kLineBits) | line; }
+int pos_file(int pos) { return pos >> kLineBits; }
+int pos_line(int pos) { return pos & ((1 << kLineBits) - 1); }
+
 /// Words that cannot be the host-buffer root of a transfer argument:
 /// type spellings, namespaces, and qualifiers that precede the actual
 /// variable in expressions like `a.view(...)` or `host.cview()`.
@@ -45,8 +55,8 @@ bool is_type_word(const std::string& id) {
 }
 
 /// FT-protected checksum storage, by the repo's naming convention: a
-/// device-resident buffer whose name carries `chk` (d_chke_, d_chkw_,
-/// d_chkc_, d_chkr_, ...). The stale-checksum-write rule guards tasks
+/// device-resident buffer whose name carries `chk` (the two-code drivers'
+/// d_chk1_/d_chk2_, ...). The stale-checksum-write rule guards tasks
 /// that declare writes over these roots (DESIGN.md §11.4).
 bool is_protected_chk_root(const std::string& root) {
   return starts_with(root, "d_") && contains(root, "chk");
@@ -129,8 +139,8 @@ struct FuncDef {
 };
 
 struct Engine {
-  std::string file;
-  std::vector<Token> t;
+  std::vector<std::string> files;  ///< file table: [0] the TU, then its fragments
+  std::vector<Token> t;            ///< expanded unit; Token::line is a position
   std::vector<Finding> findings;
   Stats stats;
   bool effects_scoped = false;  ///< undeclared-task rule applies to this file
@@ -395,7 +405,16 @@ struct Engine {
     key += ':';
     key += rule;
     if (!dedupe.insert(std::move(key)).second) return;
-    findings.push_back({file, line, rule, std::move(message), std::move(edge)});
+    findings.push_back({files[static_cast<std::size_t>(pos_file(line))], pos_line(line), rule,
+                        std::move(message), std::move(edge)});
+  }
+
+  /// How a message names a position: "line N" inside the TU itself, the
+  /// fragment's "path:N" inside a fragment.
+  std::string line_ref(int pos) const {
+    const int f = pos_file(pos);
+    return (f == 0 ? std::string("line ") : files[static_cast<std::size_t>(f)] + ":") +
+           std::to_string(pos_line(pos));
   }
 
   // ---- symbolic stream operations ----
@@ -499,11 +518,11 @@ struct Engine {
       flavor = 'n';
       msg = "synchronize() waits for the whole stream (tail ticket " + std::to_string(ticket) +
             ") when the newest host-visible obligation is the " +
-            (tail_dir == 'h' ? "h2d" : "d2h") + " of '" + tail_root + "' enqueued at line " +
-            std::to_string(tail_line) + " (ticket " + std::to_string(tail_ticket) +
+            (tail_dir == 'h' ? "h2d" : "d2h") + " of '" + tail_root + "' enqueued at " +
+            line_ref(tail_line) + " (ticket " + std::to_string(tail_ticket) +
             "): every device op after that transfer is serialized against the host for "
             "nothing";
-      fix = "record an Event right after the transfer at line " + std::to_string(tail_line) +
+      fix = "record an Event right after the transfer at " + line_ref(tail_line) +
             " and wait on that Event here, letting the remaining enqueued work overlap host "
             "code";
     } else if (tail_dir == 'h' && all_h2d) {
@@ -568,8 +587,8 @@ struct Engine {
                 it->second.sig == op.sig) {
               perf_fire(it->second.line, "dead-transfer", op.a,
                         "d2h into host buffer '" + op.a +
-                            "' is overwritten by the identical d2h at line " +
-                            std::to_string(op.line) + " with no host read of '" + op.a +
+                            "' is overwritten by the identical d2h at " +
+                            line_ref(op.line) + " with no host read of '" + op.a +
                             "' in between: the first copy's payload is never consumed",
                         "drop the first d2h (or read its payload before re-fetching)");
             }
@@ -584,8 +603,8 @@ struct Engine {
                 it->second.sig == op.sig) {
               perf_fire(it->second.line, "dead-transfer", op.dest,
                         "h2d into device buffer '" + op.dest +
-                            "' is overwritten by the identical h2d at line " +
-                            std::to_string(op.line) +
+                            "' is overwritten by the identical h2d at " +
+                            line_ref(op.line) +
                             " before any device op could read it: the first copy is dead",
                         "drop the first h2d (or move the device op that consumes it in "
                         "between)");
@@ -612,9 +631,8 @@ struct Engine {
             prev_enq_.stream == op.b && prev_enq_.label != op.a &&
             !footprints_conflict(prev_enq_.effects, op.effects)) {
           perf_fire(op.line, "false-serialization", prev_enq_.label + "/" + op.a,
-                    "tasks \"" + prev_enq_.label + "\" (line " +
-                        std::to_string(prev_enq_.line) + ") and \"" + op.a +
-                        "\" run back-to-back on stream '" + op.b +
+                    "tasks \"" + prev_enq_.label + "\" (" + line_ref(prev_enq_.line) +
+                        ") and \"" + op.a + "\" run back-to-back on stream '" + op.b +
                         "' with disjoint declared footprints: FIFO order serializes work "
                         "that could overlap",
                     "enqueue one of the pair on a second stream (or pool member) and order "
@@ -822,7 +840,7 @@ struct Engine {
       report(anchor(op.line), rule,
              "task \"" + op.a + "\" on stream '" + consumer + "' declares '" + eff.root +
                  "' while the " + (hit->dir == 'h' ? "h2d" : "d2h") +
-                 " transfer enqueued at line " + std::to_string(hit->line) + carried_note +
+                 " transfer enqueued at " + line_ref(hit->line) + carried_note +
                  " (ticket " + nticket + ") is still in flight on stream '" + hit->stream +
                  "': no wait_event edge orders the transfer first" + via(),
              consumer + ".wait_event(<Event recorded on '" + hit->stream +
@@ -889,7 +907,7 @@ struct Engine {
     report(anchor(op.line), race_rule(*hit),
            "host " + std::string(hit->dir == 'h' ? "write to '" : "access to '") + op.a +
                "' races the in-flight " + (hit->dir == 'h' ? "h2d" : "d2h") +
-               " transfer enqueued at line " + std::to_string(hit->line) + carried_note +
+               " transfer enqueued at " + line_ref(hit->line) + carried_note +
                " (ticket " + nticket + "): no happens-before edge orders the transfer first" +
                via(),
            "wait on an Event recorded at/after ticket " + nticket +
@@ -1116,8 +1134,8 @@ struct Engine {
     if (perf && !summarizing && fx != 0 && is_punct(fx + 1, "(")) {
       const std::size_t decl_close = close_paren(fx + 1);
       // Local aliases bound earlier in the enclosing function: after
-      // `auto ce = d_chke_.view();` a capture of `ce` in the lambda IS
-      // a use of root d_chke_.
+      // `auto ce = d_chk1_.view();` a capture of `ce` in the lambda IS
+      // a use of root d_chk1_.
       std::map<std::string, std::set<std::string>> alias;
       for (const FuncDef& def : defs) {
         if (!(def.body_begin <= i && i < def.body_end)) continue;
@@ -1490,6 +1508,13 @@ struct Engine {
       }
     }
 
+    // Every TU-local name is callable before pass 1 starts: a call is
+    // recorded only when its callee is known, so registering names in
+    // definition order would turn a call to a helper defined further down
+    // into plain host code and drop its stream work from every splice.
+    for (const FuncDef& def : defs)
+      if (!def.name.empty()) summaries[def.name];
+
     // Pass 1: one linear walk per function, emitting its op summary.
     summarizing = true;
     for (const FuncDef& def : defs) {
@@ -1532,8 +1557,8 @@ struct Engine {
       });
       for (const PerfCand* c : out) {
         Finding f;
-        f.file = file;
-        f.line = c->line;
+        f.file = files[static_cast<std::size_t>(pos_file(c->line))];
+        f.line = pos_line(c->line);
         f.rule = c->rule;
         f.message = c->message;
         f.missing_edge = c->fixit;
@@ -1589,14 +1614,74 @@ std::map<int, std::set<std::string>> expect_markers(const std::string& content) 
   return markers;
 }
 
+/// One TU with its quoted `.inc` includes expanded in place, recursively,
+/// as the preprocessor does: the token stream the engine walks, each
+/// token's line a position (make_pos) naming its file of origin.
+struct Unit {
+  std::vector<std::string> files;  ///< [0] the TU, then each fragment as included
+  std::vector<std::string> texts;  ///< raw text per file, for the expect markers
+  std::vector<Token> tokens;
+  std::vector<Finding> errors;     ///< missing-fragment findings
+};
+
+/// Splice file `file` of `u` (its text already in u.texts) into
+/// u.tokens. `chain` holds the files currently being expanded, so a
+/// fragment that includes itself is an error instead of a loop.
+void expand(Unit& u, int file, const FragmentLoader& load, std::vector<std::string>& chain) {
+  const std::string from = u.files[static_cast<std::size_t>(file)];
+  const std::string dir = from.substr(0, from.rfind('/') + 1);
+  for (Token& tk : lex(u.texts[static_cast<std::size_t>(file)])) {
+    const int line = tk.line;
+    tk.line = make_pos(file, line);
+    if (tk.kind != Tok::Include) {
+      u.tokens.push_back(std::move(tk));
+      continue;
+    }
+    // The quoted-include search: beside the including file, then the
+    // include root src/.
+    std::string rel, text;
+    for (const std::string& cand : {dir + tk.text, "src/" + tk.text}) {
+      if (load && load(cand, text)) {
+        rel = cand;
+        break;
+      }
+    }
+    if (rel.empty() || std::find(chain.begin(), chain.end(), rel) != chain.end()) {
+      Finding f;
+      f.file = from;
+      f.line = line;
+      f.rule = "missing-fragment";
+      f.message = rel.empty() ? "cannot read the fragment \"" + tk.text + "\" (looked in " +
+                                    dir + " and src/); fragments are analyzed only inside the "
+                                    "TUs that include them, so its code would drop out of the "
+                                    "proof"
+                              : "fragment '" + rel + "' includes itself";
+      f.missing_edge = "point the include at a readable fragment that does not include itself";
+      u.errors.push_back(std::move(f));
+      continue;
+    }
+    u.files.push_back(rel);
+    u.texts.push_back(std::move(text));
+    chain.push_back(rel);
+    expand(u, static_cast<int>(u.files.size()) - 1, load, chain);
+    chain.pop_back();
+  }
+}
+
 }  // namespace
 
 std::vector<Finding> analyze_source(const std::string& rel_path, const std::string& content,
-                                    Stats* stats, const Options& opts) {
+                                    Stats* stats, const Options& opts,
+                                    const FragmentLoader& fragments) {
   if (!in_scope(rel_path)) return {};
+  Unit unit;
+  unit.files.push_back(rel_path);
+  unit.texts.push_back(content);
+  std::vector<std::string> chain{rel_path};
+  expand(unit, 0, fragments, chain);
   Engine engine;
-  engine.file = rel_path;
-  engine.t = lex(content);
+  engine.files = unit.files;
+  engine.t = std::move(unit.tokens);
   // stream.hpp's label-only forwarder is the sanctioned hatch for
   // generic tasks (tests, tools); everything in the drivers declares.
   engine.effects_scoped =
@@ -1613,18 +1698,23 @@ std::vector<Finding> analyze_source(const std::string& rel_path, const std::stri
   engine.run();
   if (stats != nullptr) stats->accumulate(engine.stats);
   if (engine.perf) {
-    const auto markers = expect_markers(content);
-    if (!markers.empty()) {
-      for (Finding& f : engine.findings) {
-        if (!f.perf) continue;
-        for (int off = 0; off <= 3 && !f.expected; ++off) {
-          const auto it = markers.find(f.line - off);
-          f.expected = it != markers.end() && it->second.count(f.rule) > 0;
-        }
+    // A marker covers findings in its own file: one inside a fragment
+    // holds from every TU that includes it.
+    std::map<std::string, std::map<int, std::set<std::string>>> markers;
+    for (std::size_t k = 0; k < unit.files.size(); ++k)
+      markers.emplace(unit.files[k], expect_markers(unit.texts[k]));
+    for (Finding& f : engine.findings) {
+      if (!f.perf) continue;
+      const auto& in_file = markers[f.file];
+      for (int off = 0; off <= 3 && !f.expected; ++off) {
+        const auto it = in_file.find(f.line - off);
+        f.expected = it != in_file.end() && it->second.count(f.rule) > 0;
       }
     }
   }
-  return std::move(engine.findings);
+  unit.errors.insert(unit.errors.end(), std::make_move_iterator(engine.findings.begin()),
+                     std::make_move_iterator(engine.findings.end()));
+  return std::move(unit.errors);
 }
 
 std::string stats_lines(const Stats& stats, std::size_t files) {
@@ -1719,6 +1809,9 @@ const RuleDoc kRules[] = {
     {"stale-checksum-write",
      "a task's FTH_WRITES covers FT-protected checksum storage with no dominating re-encode "
      "since the last checksum comparison"},
+    {"missing-fragment",
+     "a quoted #include of a .inc fragment the analyzer cannot read: its code would drop out "
+     "of the proof"},
     // ---- §11.5 performance plane (advisory) ----
     {"redundant-wait",
      "an Event wait/wait_event whose marker is already host-ordered (or whose edge already "

@@ -70,6 +70,18 @@
 //                    verify compares: the gehrd chkrow-reencode
 //                    discipline, generalized to the sytrd/gebrd/pool
 //                    drivers' checksum storage.
+//   missing-fragment a quoted `#include "<path>.inc"` whose text the
+//                    fragment loader cannot supply (or that includes
+//                    itself). Fragments are analyzed only as part of the
+//                    TUs that include them, so an unreadable one would
+//                    silently drop its code out of the proof.
+//
+// Quoted `.inc` includes are expanded in place, exactly as the
+// preprocessor does (headers are not): shared FT driver code lives in
+// such fragments, and the compiler and the analyzer read the same text.
+// Every token keeps its file of origin, so a finding, a "line N"
+// reference and an expect marker inside a fragment name the fragment
+// (`src/ft/<x>.inc:<line>`) from every TU that includes it.
 //
 // Event::wait_for counts as wait(): the timeout path has no edge, but
 // every driver throws on it, so the straight-line continuation is
@@ -121,6 +133,7 @@
 // compiled into every build type.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -167,6 +180,10 @@ struct Stats {
 /// hybrid runtime, the FT drivers, and the user-facing surfaces.
 bool in_scope(const std::string& rel_path);
 
+/// Supplies the text of a quoted `.inc` include by repo-relative path.
+/// Returns false when no such fragment exists.
+using FragmentLoader = std::function<bool(const std::string& rel_path, std::string& text)>;
+
 /// Per-run switches. The default-constructed value reproduces the v2
 /// correctness gate exactly (the perf plane is never even computed), so
 /// `--perf` cannot perturb the analyze.repo output.
@@ -174,13 +191,18 @@ struct Options {
   bool perf = false;  ///< also compute the §11.5 performance plane
 };
 
-/// Analyze one translation unit's text. `rel_path` selects per-layer
-/// rule scoping (and is stamped into findings); out-of-scope paths
-/// yield no findings. Pure function of its arguments — the seeded
-/// regression tests run it on mutated in-memory copies of the real
-/// drivers.
+/// Analyze one translation unit's text with its `.inc` fragments
+/// expanded. `fragments` reads them, tried first beside the including
+/// file, then under the include root `src/` — the preprocessor's
+/// quoted-include search; an empty loader reads none, so every fragment
+/// is missing. `rel_path` selects per-layer rule scoping (and is stamped
+/// into findings outside fragments); out-of-scope paths yield no
+/// findings. Pure function of its arguments — the seeded regression
+/// tests run it on mutated in-memory copies of the real drivers and
+/// fragments.
 std::vector<Finding> analyze_source(const std::string& rel_path, const std::string& content,
-                                    Stats* stats = nullptr, const Options& opts = {});
+                                    Stats* stats = nullptr, const Options& opts = {},
+                                    const FragmentLoader& fragments = {});
 
 /// The canonical key=value serialization of the whole-tree stats, the
 /// format `fth_analyze --stats-out` writes and the golden test

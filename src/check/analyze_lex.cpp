@@ -25,6 +25,27 @@ const char* const kPunct2[] = {"::", "->", "++", "--", "+=", "-=", "*=", "/=",
                                "%=", "&=", "|=", "^=", "==", "!=", "<=", ">=",
                                "&&", "||", "<<", ">>"};
 
+/// The path of a `#include "<path>.inc"` directive (the whole logical
+/// line, `#` included), or empty for any other directive. Headers and
+/// angle-bracket includes are not fragments: the analyzer never expands
+/// them.
+std::string fragment_path(const std::string& directive) {
+  std::size_t k = 1;
+  const auto skip_blanks = [&] {
+    while (k < directive.size() && (directive[k] == ' ' || directive[k] == '\t')) ++k;
+  };
+  skip_blanks();
+  if (directive.compare(k, 7, "include") != 0) return {};
+  k += 7;
+  skip_blanks();
+  if (k >= directive.size() || directive[k] != '"') return {};
+  const std::size_t close = directive.find('"', k + 1);
+  if (close == std::string::npos) return {};
+  std::string path = directive.substr(k + 1, close - k - 1);
+  const std::size_t n = path.size();
+  return n > 4 && path.compare(n - 4, 4, ".inc") == 0 ? path : std::string{};
+}
+
 }  // namespace
 
 bool is_loop_keyword(const std::string& ident) {
@@ -50,8 +71,11 @@ std::vector<Token> lex(const std::string& src) {
       ++i;
       continue;
     }
-    // Preprocessor directive: drop the logical line (honoring \-continuations).
+    // Preprocessor directive: drop the logical line (honoring \-continuations),
+    // keeping only a fragment include as one token.
     if (line_start && c == '#') {
+      const std::size_t b = i;
+      const int start_line = line;
       while (i < n) {
         if (src[i] == '\\' && i + 1 < n && src[i + 1] == '\n') {
           ++line;
@@ -61,6 +85,8 @@ std::vector<Token> lex(const std::string& src) {
         if (src[i] == '\n') break;  // newline handled by the main loop
         ++i;
       }
+      std::string path = fragment_path(src.substr(b, i - b));
+      if (!path.empty()) out.push_back({Tok::Include, std::move(path), start_line});
       continue;
     }
     line_start = false;

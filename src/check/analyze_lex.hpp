@@ -5,8 +5,10 @@
 // string/char literals (including raw strings and encoding prefixes),
 // and punctuation with the multi-character operators the analyzer must
 // tell apart (`=` vs `==`, `.` vs `...`). Comments and preprocessor
-// lines are dropped entirely; every token carries the 1-based source
-// line it started on so findings point at real locations.
+// lines are dropped, except a quoted `#include` of a `.inc` fragment,
+// which becomes one Include token the analyzer expands in place; every
+// token carries the 1-based source line it started on so findings point
+// at real locations.
 //
 // This is not a conforming C++ lexer — it only has to be faithful on
 // the repo's own sources, which the analyze.repo ctest gate keeps
@@ -23,12 +25,13 @@ enum class Tok {
   String,  ///< string literal; text = contents without quotes/delimiters
   Char,    ///< character literal; text = contents
   Punct,   ///< operator / punctuator, longest-match
+  Include, ///< `#include "<path>.inc"`; text = the spelled path
 };
 
 struct Token {
   Tok kind;
   std::string text;
-  int line = 0;  ///< 1-based line the token starts on
+  int line = 0;  ///< 1-based line the token starts on (a unit position once expanded)
 };
 
 /// Lex `content` into tokens. Never fails: unrecognized bytes become

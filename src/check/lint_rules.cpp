@@ -180,7 +180,8 @@ bool int_index_scoped(const std::string& p) {
 }  // namespace
 
 bool in_scope(const std::string& rel_path) {
-  if (!(ends_with(rel_path, ".hpp") || ends_with(rel_path, ".cpp"))) return false;
+  if (!(ends_with(rel_path, ".hpp") || ends_with(rel_path, ".cpp") || ends_with(rel_path, ".inc")))
+    return false;
   return starts_with(rel_path, "src/") || starts_with(rel_path, "tests/") ||
          starts_with(rel_path, "tools/") || starts_with(rel_path, "examples/") ||
          starts_with(rel_path, "bench/");

@@ -43,7 +43,7 @@ struct Issue {
 };
 
 /// True when `rel_path` is a C++ source the lint scans at all
-/// (.hpp/.cpp under src/, tests/, tools/, examples/, bench/).
+/// (.hpp/.cpp/.inc under src/, tests/, tools/, examples/, bench/).
 bool in_scope(const std::string& rel_path);
 
 /// Apply every rule to one file's content. `rel_path` must be

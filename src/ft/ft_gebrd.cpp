@@ -34,7 +34,7 @@ constexpr Wording kWording{"ft_gebrd", "gap", /*counts_nonfinite=*/false};
 double gebrd_threshold(MatrixView<const double> a, const FtGebrdOptions& opt) {
   const index_t n = a.rows();
   return opt.threshold > 0 ? opt.threshold
-                           : 50.0 * default_threshold(norm_fro(a), n, opt.threshold_factor) /
+                           : 50.0 * default_threshold(norm_fro(a), n) /
                                  static_cast<double>(std::max<index_t>(n, 1));
 }
 
@@ -60,8 +60,8 @@ class FtGebrdDriver {
         d_y2_(dev, n_, std::max<index_t>(opt.nb, 1), "gebrd.ft.d_y2"),
         d_x2_(dev, n_, std::max<index_t>(opt.nb, 1), "gebrd.ft.d_x2"),
         d_u2_(dev, std::max<index_t>(opt.nb, 1), n_, "gebrd.ft.d_u2"),
-        d_chkc_(dev, n_, 1, "gebrd.ft.d_chkc"),
-        d_chkr_(dev, n_, 1, "gebrd.ft.d_chkr"),
+        d_chk1_(dev, n_, 1, "gebrd.ft.d_chkc"),
+        d_chk2_(dev, n_, 1, "gebrd.ft.d_chkr"),
         d_ones_(dev, n_, 1, "gebrd.ft.d_ones"),
         d_vec_(dev, n_, 1, "gebrd.ft.d_vec"),
         d_res_(dev, n_, 1, "gebrd.ft.d_res"),
@@ -72,8 +72,8 @@ class FtGebrdDriver {
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_cols_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_rows_(std::max<index_t>(opt.nb, 1), n_),
-        ckpt_chkc_(n_, 1),
-        ckpt_chkr_(n_, 1),
+        ckpt_chk1_(n_, 1),
+        ckpt_chk2_(n_, 1),
         seg_(std::max<index_t>(opt.nb, 1), 2),
         at_mirror_(n_, n_),
         qp_v_(n_, /*row_offset=*/1),
@@ -86,54 +86,29 @@ class FtGebrdDriver {
     if (plane_ != nullptr) plane_->bind(dev);
   }
 
-  ~FtGebrdDriver() {
-    if (plane_ != nullptr) {
-      // Drain the stream so no hook invocation is in flight when the hooks
-      // come down (the plane may be destroyed right after the driver).
-      try {
-        s_.synchronize();
-      } catch (...) {  // NOLINT(bugprone-empty-catch): unwinding already
-      }
-      plane_->unbind();
-    }
-  }
-
-  void run() {
-    encode();
-    index_t i = 0;
-    index_t boundary = 0;
-    while (i < n_ - 1) {
-      const index_t ib = std::min(opt_.nb, n_ - 1 - i);
-      const bool completed = run_iteration(i, ib);
-      ++boundary;
-      // Inject before check, as in ft_sytrd: a boundary fault is repaired
-      // before the next factorization step consumes it.
-      if (inj_ != nullptr) inject_at_boundary(boundary, i + ib);
-      const bool check_now = opt_.detect_every <= 1 ||
-                             boundary % opt_.detect_every == 0 || i + ib >= n_ - 1;
-      // A poisoned panel forces a check regardless of the amortization
-      // knob: the next iteration would otherwise consume the damage.
-      if (check_now || !completed) ensure_clean(boundary, i, ib, completed);
-      if (opt_.protect_qp) {
-        qp_v_.commit(pending_v_);
-        qp_u_.commit(pending_u_);
-      }
-      ++st_.panels;
-      i += ib;
-    }
-    final_phase();
-    ladder_.finish();
-  }
+  ~FtGebrdDriver() { release_plane(); }
 
  private:
+#include "ft/recovery_loop.inc"
+#include "ft/two_code.inc"
+
+  // A general matrix: the whole trailing block is live.
+  static constexpr fault::SurfaceShape kTrailingShape = fault::SurfaceShape::Full;
+
+  void commit_q() {
+    qp_v_.commit(pending_v_);
+    qp_u_.commit(pending_u_);
+  }
+  DMatrixView<double> device_matrix() { return d_a_.view(); }
+
   void encode() {
     WallTimer t;
     obs::TraceSpan span("ft", "encode", "n", static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
     auto ones = d_ones_.view().col(0);
-    hybrid::gemv_async(s_, Trans::No, 1.0, d_a_.view(), ones, 0.0, d_chkc_.view().col(0));
-    hybrid::gemv_async(s_, Trans::Yes, 1.0, d_a_.view(), ones, 0.0, d_chkr_.view().col(0));
+    hybrid::gemv_async(s_, Trans::No, 1.0, d_a_.view(), ones, 0.0, d_chk1_.view().col(0));
+    hybrid::gemv_async(s_, Trans::Yes, 1.0, d_a_.view(), ones, 0.0, d_chk2_.view().col(0));
     // Intentional full barrier, once per run: mark_encoded() below opens
     // the fault gate, and both codes must exist on the device before any
     // strike is allowed. fth-perf: expect coarse-synchronize
@@ -148,32 +123,7 @@ class FtGebrdDriver {
   // update touched the trailing matrix (caller rolls back and redoes).
   bool run_iteration(index_t i, index_t ib) {
     const index_t tn = n_ - i - ib;
-
-    // Re-aim the fault plane at this iteration's live regions. The device
-    // panel column/row blocks are excluded: their truth lives on the host
-    // during the iteration and the finished segments are re-encoded from
-    // host data, so a strike there is consistent-wrong dead storage the
-    // accounting cannot see. The checkpoint surface is registered only
-    // after its integrity sums are taken.
-    if (plane_ != nullptr) {
-      plane_->register_surface(fault::Surface::TrailingMatrix,
-                               d_a_.block(i + ib, i + ib, tn, tn));
-      // Trailing segments only: the panel segments [i, i+ib) are re-encoded
-      // from host data at the end of the iteration, so a strike there before
-      // the re-encode is dead storage the comparison can never see.
-      plane_->register_surface(fault::Surface::ChecksumCol,
-                               d_chkc_.block(i + ib, 0, tn, 1));
-      plane_->register_surface(fault::Surface::ChecksumRow,
-                               d_chkr_.block(i + ib, 0, tn, 1));
-      plane_->clear_surface(fault::Surface::Checkpoint);
-      plane_->clear_transfer_targets();
-      // Fault-eligible transfer destinations inside the protected domain:
-      // the checkpointed checksum-vector pre-images (d2h, checkpoint save).
-      // The panel d2h lands in host a_, the reliable domain by the paper's
-      // model — corrupting it would be a silently wrong result everywhere.
-      plane_->add_transfer_target(fault::Surface::Checkpoint, ckpt_chkc_.view());
-      plane_->add_transfer_target(fault::Surface::Checkpoint, ckpt_chkr_.view());
-    }
+    aim_plane(i, ib);
 
     // Column panel, row panel, and both checksum vectors to the host;
     // checkpoint all four (diskless checkpointing).
@@ -185,8 +135,8 @@ class FtGebrdDriver {
       // stale by design.
       copy_d2h_async(s_, d_a_.block(i, i, n_ - i, ib), a_.block(i, i, n_ - i, ib));
       copy_d2h_async(s_, d_a_.block(i, i + ib, ib, tn), a_.block(i, i + ib, ib, tn));
-      copy_d2h_async(s_, d_chkc_.view(), ckpt_chkc_.view());
-      copy_d2h(s_, d_chkr_.view(), ckpt_chkr_.view());
+      copy_d2h_async(s_, d_chk1_.view(), ckpt_chk1_.view());
+      copy_d2h(s_, d_chk2_.view(), ckpt_chk2_.view());
       fth::copy(MatrixView<const double>(a_.block(i, i, n_ - i, ib)),
                 ckpt_cols_.block(0, 0, n_ - i, ib));
       fth::copy(MatrixView<const double>(a_.block(i, i + ib, ib, tn)),
@@ -294,8 +244,8 @@ class FtGebrdDriver {
       auto su2 = d_sums_.view().col(1).sub(0, ib);
       auto sv2 = d_sums_.view().col(2).sub(0, ib);
       auto sx2 = d_sums_.view().col(3).sub(0, ib);
-      auto chkc_tail = d_chkc_.view().col(0).sub(i + ib, tn);
-      auto chkr_tail = d_chkr_.view().col(0).sub(i + ib, tn);
+      auto chkc_tail = d_chk1_.view().col(0).sub(i + ib, tn);
+      auto chkr_tail = d_chk2_.view().col(0).sub(i + ib, tn);
       hybrid::axpy_async(s_, -1.0, d_pc_.view().col(0).sub(0, tn), chkc_tail);
       hybrid::gemv_async(s_, Trans::No, -1.0, v2, sy2, 1.0, chkc_tail);
       hybrid::gemv_async(s_, Trans::No, -1.0, x2, su2, 1.0, chkc_tail);
@@ -319,7 +269,7 @@ class FtGebrdDriver {
         a_(i + j, i + j) = d_[i + j];
         a_(i + j, i + j + 1) = e_[i + j];
       }
-      if (opt_.protect_qp) {
+      {
         const TimedSpan q_span = ladder_.q_phase("q_checksum");
         pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, ib);
         for (index_t j = 0; j < ib; ++j) {
@@ -337,11 +287,11 @@ class FtGebrdDriver {
         seg_(j, 0) = a_(r, r) + a_(r, r + 1);                      // row sum of B row r
         seg_(j, 1) = a_(r, r) + (r > 0 ? a_(r - 1, r) : 0.0);      // col sum of B col r
       }
-      copy_h2d_async(s_, seg_.block(0, 0, ib, 1), d_chkc_.block(i, 0, ib, 1));
-      copy_h2d_async(s_, seg_.block(0, 1, ib, 1), d_chkr_.block(i, 0, ib, 1));
+      copy_h2d_async(s_, seg_.block(0, 0, ib, 1), d_chk1_.block(i, 0, ib, 1));
+      copy_h2d_async(s_, seg_.block(0, 1, ib, 1), d_chk2_.block(i, 0, ib, 1));
       const double e_last = e_[i + ib - 1];
-      auto cr = d_chkr_.view();
-      s_.enqueue("ft.couple", FTH_TASK_EFFECTS(FTH_WRITES(d_chkr_.view())),
+      auto cr = d_chk2_.view();
+      s_.enqueue("ft.couple", FTH_TASK_EFFECTS(FTH_WRITES(d_chk2_.view())),
                  [cr, i, ib, e_last] { cr.in_task()(i + ib, 0) += e_last; });
       // No loop-bottom synchronize: the seg_ uploads and the couple task
       // stay in flight and are retired by detect()'s synchronous fetch
@@ -352,46 +302,23 @@ class FtGebrdDriver {
     return true;
   }
 
-  /// Fresh logical row sums (col == false) or column sums (col == true) of
-  /// the current state with finished region [0, i2).
-  std::vector<double> fresh_sums(index_t i2, bool col) {
-    std::vector<double> fresh(static_cast<std::size_t>(n_), 0.0);
-    // Finished rows/columns: bidiagonal entries from the host matrix.
-    for (index_t r = 0; r < i2 && r < n_; ++r) {
-      fresh[static_cast<std::size_t>(r)] =
-          col ? a_(r, r) + (r > 0 ? a_(r - 1, r) : 0.0)
-              : a_(r, r) + (r + 1 < n_ ? a_(r, r + 1) : 0.0);
-    }
-    if (i2 >= n_) return fresh;
-    const index_t tn = n_ - i2;
+  // -- fresh_sums() hooks: row sums (col == false) or column sums. ---------
+  /// Finished row/column r: bidiagonal entries from the host matrix.
+  double finished_sum(index_t r, bool col) const {
+    return col ? a_(r, r) + (r > 0 ? a_(r - 1, r) : 0.0)
+               : a_(r, r) + (r + 1 < n_ ? a_(r, r + 1) : 0.0);
+  }
+
+  void fresh_product(index_t i2, index_t tn, bool col) {
     hybrid::gemv_async(s_, col ? Trans::Yes : Trans::No, 1.0, d_a_.block(i2, i2, tn, tn),
                        d_ones_.view().col(0).sub(0, tn), 0.0,
                        d_fresh_.view().col(0).sub(0, tn));
-    std::vector<double> trail(static_cast<std::size_t>(tn));
-    s_.enqueue("ft.fresh_readback", FTH_TASK_EFFECTS(FTH_READS(d_fresh_.view())),
-                [this, tn, &trail] {
-      auto f = d_fresh_.view().col(0).in_task();
-      for (index_t r = 0; r < tn; ++r) trail[static_cast<std::size_t>(r)] = f[r];
-    });
-    s_.synchronize();
-    for (index_t r = 0; r < tn; ++r)
-      fresh[static_cast<std::size_t>(i2 + r)] = trail[static_cast<std::size_t>(r)];
-    // Coupling: the superdiagonal entry B(i2−1, i2) belongs to trailing
-    // column i2 but lives in a finished row.
-    if (col && i2 > 0) fresh[static_cast<std::size_t>(i2)] += a_(i2 - 1, i2);
-    return fresh;
   }
 
-  std::vector<double> fetch_chk(bool col) {
-    std::vector<double> out(static_cast<std::size_t>(n_));
-    s_.enqueue("ft.chk_readback",
-                FTH_TASK_EFFECTS(FTH_READS(d_chkc_.view(), d_chkr_.view())),
-                [this, &out, col] {
-      auto c = (col ? d_chkr_.view() : d_chkc_.view()).col(0).in_task();
-      for (index_t r = 0; r < n_; ++r) out[static_cast<std::size_t>(r)] = c[r];
-    });
-    s_.synchronize();
-    return out;
+  /// The superdiagonal entry B(i2−1, i2) belongs to trailing column i2 but
+  /// lives in a finished row.
+  void add_coupling(double& sum, index_t i2, bool col) const {
+    if (col) sum += a_(i2 - 1, i2);
   }
 
   /// One full fresh-vs-maintained comparison at finished boundary `i2`.
@@ -434,29 +361,12 @@ class FtGebrdDriver {
     return d;
   }
 
-  void ensure_clean(index_t boundary, index_t i, index_t ib, bool completed) {
-    for (int attempt = 1;; ++attempt) {
-      // Detection is the full two-vector comparison itself.
-      Detection det = Detection::poisoned();
-      if (completed) {
-        const TimedSpan timed("detect", rep_.detect_seconds);
-        det.clean = compare(i + ib, nullptr, &det).clean();
-      }
-      if (ladder_.clean(det)) return;
-      Episode ep = ladder_.detected(det, boundary, attempt, !completed);
-      {
-        const Phase phase = ep.rollback_phase(i);
-        rollback(i, ib, completed);
-      }
-      try {
-        locate_and_correct(i, ep.event());
-      } catch (const recovery_error& e) {
-        ep.abandon(det.nonfinite > 0, e.what());
-      }
-      ep.corrected();
-      const Redo redo = ep.reexecute(i);
-      completed = run_iteration(i, ib);
-    }
+  /// Detection is the full two-vector comparison itself.
+  Detection detect(index_t i2) {
+    const TimedSpan timed("detect", rep_.detect_seconds);
+    Detection det;
+    det.clean = compare(i2, nullptr, &det).clean();
+    return det;
   }
 
   // Pass 1 may reconstruct non-finite elements from the orthogonal code; a
@@ -495,53 +405,15 @@ class FtGebrdDriver {
               a_.block(i, i, n_ - i, ib));
     fth::copy(MatrixView<const double>(ckpt_rows_.block(0, 0, ib, tn)),
               a_.block(i, i + ib, ib, tn));
-    // The vector checkpoints are verified after the data rollback so that a
-    // corrupt one can be re-derived from the restored state; only then are
-    // they pushed back to the device.
-    verify_or_rederive_chk_checkpoints(i);
-    copy_h2d_async(s_, ckpt_chkc_.cview(), d_chkc_.view());
-    copy_h2d(s_, ckpt_chkr_.cview(), d_chkr_.view());
+    restore_chk_checkpoints(i);
   }
 
-  // -- Checkpoint integrity (the checkpoint itself is a fault target). ------
-  // Dual sums compared bitwise at restore time (DualSum). Panels and
-  // checksum vectors carry separate seals because their re-derivation
-  // sources differ.
   DualSum panel_sums(index_t i, index_t ib) const {
     DualSum s;
     s.add_block(ckpt_cols_.block(0, 0, n_ - i, ib), 1.0, static_cast<double>(n_));
     s.add_block(ckpt_rows_.block(0, 0, ib, n_ - i - ib), static_cast<double>(n_ + 7),
                 static_cast<double>(n_ + 7));
     return s;
-  }
-
-  DualSum chk_sums() const {
-    DualSum s;
-    s.add_block(ckpt_chkc_.cview(), 1.0, 0.0);
-    s.add_block(ckpt_chkr_.cview(), static_cast<double>(n_ + 1), 0.0);
-    return s;
-  }
-
-  /// Bitwise cross-check of the freshly saved vector checkpoints against
-  /// the device's maintained vectors (raw task readback, not a transfer —
-  /// so a transfer fault cannot strike both sides).
-  void verify_chk_checkpoint_save() {
-    Matrix<double> ref(n_, 2);
-    auto rv = ref.view();
-    auto cc = d_chkc_.view();
-    auto cr = d_chkr_.view();
-    s_.enqueue("ft.ckpt_readback", FTH_TASK_EFFECTS(FTH_READS(cc, cr) FTH_WRITES(rv)),
-                [rv, cc, cr, n = n_]() mutable {
-      auto cch = cc.in_task();
-      auto crh = cr.in_task();
-      for (index_t r = 0; r < n; ++r) {
-        rv(r, 0) = cch(r, 0);
-        rv(r, 1) = crh(r, 0);
-      }
-    });
-    s_.synchronize();
-    ladder_.repair_from(ckpt_chkc_.view(), ref.cview().block(0, 0, n_, 1));
-    ladder_.repair_from(ckpt_chkr_.view(), ref.cview().block(0, 1, n_, 1));
   }
 
   void verify_or_rederive_panel_checkpoints(index_t i, index_t ib) {
@@ -553,23 +425,6 @@ class FtGebrdDriver {
     copy_d2h_async(s_, d_a_.block(i, i, n_ - i, ib), ckpt_cols_.block(0, 0, n_ - i, ib));
     copy_d2h(s_, d_a_.block(i, i + ib, ib, tn), ckpt_rows_.block(0, 0, ib, tn));
     panel_seal_ = panel_sums(i, ib);
-    ladder_.rederived();
-  }
-
-  void verify_or_rederive_chk_checkpoints(index_t i) {
-    if (chk_sums().same_bits(chk_seal_)) return;
-    // Struck after save: re-derive both codes from the rolled-back data
-    // (the caller restored the trailing matrix and the panels first). An
-    // undetected fault older than the last check would be encoded
-    // consistently here — the residual double-fault window DESIGN.md §9
-    // documents.
-    const std::vector<double> fc = fresh_sums(i, /*col=*/false);
-    const std::vector<double> fr = fresh_sums(i, /*col=*/true);
-    for (index_t r = 0; r < n_; ++r) {
-      ckpt_chkc_(r, 0) = fc[static_cast<std::size_t>(r)];
-      ckpt_chkr_(r, 0) = fr[static_cast<std::size_t>(r)];
-    }
-    chk_seal_ = chk_sums();
     ladder_.rederived();
   }
 
@@ -614,8 +469,8 @@ class FtGebrdDriver {
     // re-encoded from the now-finite data.
     const std::vector<double> fixed_row = fresh_sums(i, false);
     const std::vector<double> fixed_col = fresh_sums(i, true);
-    auto cc = d_chkc_.view();
-    auto cr = d_chkr_.view();
+    auto cc = d_chk1_.view();
+    auto cr = d_chk2_.view();
     bool synced = false;
     for (index_t r = 0; r < n_; ++r) {
       if (!std::isfinite(chkc[static_cast<std::size_t>(r)])) {
@@ -653,13 +508,13 @@ class FtGebrdDriver {
       ev.errors.push_back(err);
       ++ev.data_corrections;
     }
-    auto cc = d_chkc_.view();
+    auto cc = d_chk1_.view();
     for (const auto& c : res.chk_col_errors) {
       s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cc)),
                  [cc, c] { cc.in_task()(c.index, 0) = c.fresh; });
       ++ev.checksum_corrections;
     }
-    auto cr = d_chkr_.view();
+    auto cr = d_chk2_.view();
     for (const auto& c : res.chk_row_errors) {
       s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cr)),
                  [cr, c] { cr.in_task()(c.index, 0) = c.fresh; });
@@ -669,28 +524,10 @@ class FtGebrdDriver {
     if (!res.reconstructions.empty()) reconstruct(res.reconstructions, i, ev);
   }
 
-  void inject_at_boundary(index_t boundary, index_t i_next) {
-    const auto due = inj_->due(boundary, ladder_.total_boundaries(), i_next, n_, scale_max_);
-    bool device_faults = false;
-    for (const auto& f : due) {
-      if (f.row >= i_next && f.col >= i_next) {
-        auto da = d_a_.view();
-        const auto ff = f;
-        s_.enqueue("fault.inject", FTH_TASK_EFFECTS(FTH_WRITES(da)), [da, ff] {
-          auto dah = da.in_task();
-          dah(ff.row, ff.col) = ff.apply(dah(ff.row, ff.col));
-        });
-        device_faults = true;
-      } else {
-        // Finished rows hold P's Householder storage; finished columns
-        // hold Q's; the bidiagonal band itself is host data too.
-        a_(f.row, f.col) = f.apply(a_(f.row, f.col));
-      }
-      inj_->record(boundary, f);
-    }
-    // One drain for the whole batch: a per-fault synchronize would
-    // serialize multi-fault injection for no benefit.
-    if (device_faults) s_.synchronize();
+  // Finished rows hold P's Householder storage; finished columns hold Q's;
+  // the bidiagonal band itself is host data too.
+  static bool place_fault(index_t row, index_t col, index_t i_next) {
+    return row >= i_next && col >= i_next;
   }
 
   void final_phase() {
@@ -712,7 +549,7 @@ class FtGebrdDriver {
       }
     }
 
-    if (opt_.protect_qp) {
+    {
       const TimedSpan q_span = ladder_.q_phase("q_verify");
       const double q_tol = RecoveryLadder::q_tolerance(n_, scale_max_);
       const auto vres = qp_v_.verify_and_correct(a_, n_ - 1, q_tol);
@@ -754,8 +591,8 @@ class FtGebrdDriver {
   hybrid::DeviceMatrix<double> d_y2_;
   hybrid::DeviceMatrix<double> d_x2_;
   hybrid::DeviceMatrix<double> d_u2_;
-  hybrid::DeviceMatrix<double> d_chkc_;
-  hybrid::DeviceMatrix<double> d_chkr_;
+  hybrid::DeviceMatrix<double> d_chk1_;  ///< checksum column (row sums)
+  hybrid::DeviceMatrix<double> d_chk2_;  ///< checksum row (column sums)
   hybrid::DeviceMatrix<double> d_ones_;
   hybrid::DeviceMatrix<double> d_vec_;
   hybrid::DeviceMatrix<double> d_res_;
@@ -767,8 +604,8 @@ class FtGebrdDriver {
   Matrix<double> y_host_;
   Matrix<double> ckpt_cols_;
   Matrix<double> ckpt_rows_;
-  Matrix<double> ckpt_chkc_;
-  Matrix<double> ckpt_chkr_;
+  Matrix<double> ckpt_chk1_;
+  Matrix<double> ckpt_chk2_;
   // Re-encode staging segment, hoisted out of the update loop: the async
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.

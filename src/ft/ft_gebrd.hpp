@@ -29,8 +29,6 @@ namespace fth::ft {
 struct FtGebrdOptions {
   index_t nb = 32;
   double threshold = 0.0;  ///< per-line detection tolerance; 0 → scaled default
-  double threshold_factor = 500.0;
-  bool protect_qp = true;   ///< protect both Householder families
   bool final_sweep = true;
   int max_retries = 3;
   index_t detect_every = 1;  ///< same amortization knob as ft_sytrd

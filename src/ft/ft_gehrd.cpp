@@ -74,17 +74,7 @@ class FtDriver {
     if (plane_ != nullptr) plane_->bind(dev);
   }
 
-  ~FtDriver() {
-    if (plane_ != nullptr) {
-      // Drain the stream so no hook invocation is in flight when the hooks
-      // come down (the plane may be destroyed right after the driver).
-      try {
-        s_.synchronize();
-      } catch (...) {  // NOLINT(bugprone-empty-catch): unwinding already
-      }
-      plane_->unbind();
-    }
-  }
+  ~FtDriver() { release_plane(); }
 
   void run() {
     encode();
@@ -108,6 +98,12 @@ class FtDriver {
   }
 
  private:
+#include "ft/recovery_loop.inc"
+
+  // Finished columns are host data; the trailing ones live on the device.
+  static bool place_fault(index_t /*row*/, index_t col, index_t i_next) { return col >= i_next; }
+  DMatrixView<double> device_matrix() { return d_e_.view(); }
+
   // -- Algorithm 3 line 2: encode the matrix on the device. ----------------
   void encode() {
     WallTimer t;
@@ -345,31 +341,6 @@ class FtDriver {
     }
     st_.update_seconds += update_timer.seconds();
     return true;
-  }
-
-  // -- Lines 12–16: detect, and if needed roll back / locate / correct / redo.
-  // The escalation ladder on a dirty boundary: bounded retries of
-  // (rollback → checkpoint verify/re-derive → locate → correct → redo);
-  // every exit that cannot restore a consistent state aborts through the
-  // ladder, which fills rep_.outcome before throwing.
-  void ensure_clean(index_t boundary, index_t i, index_t ib, bool completed) {
-    for (int attempt = 1;; ++attempt) {
-      const Detection det = completed ? detect(i + ib) : Detection::poisoned();
-      if (ladder_.clean(det)) return;
-      Episode ep = ladder_.detected(det, boundary, attempt, !completed);
-      {
-        const Phase phase = ep.rollback_phase(i);
-        rollback(i, ib, completed);
-      }
-      try {
-        locate_and_correct(i, ep.event());
-      } catch (const recovery_error& e) {
-        ep.abandon(det.nonfinite > 0, e.what());
-      }
-      ep.corrected();
-      const Redo redo = ep.reexecute(i);
-      completed = run_iteration(i, ib);  // redo from the restored checkpoint
-    }
   }
 
   // Detection: grand-total gap plus a non-finite scan over the live region
@@ -638,27 +609,6 @@ class FtDriver {
       ++chk_repairs;
     }
     return chk_repairs;
-  }
-
-  void inject_at_boundary(index_t boundary, index_t i_next) {
-    const auto due = inj_->due(boundary, ladder_.total_boundaries(), i_next, n_, scale_max_);
-    auto e = d_e_.view();
-    bool device_faults = false;
-    for (const auto& f : due) {
-      if (f.col >= i_next) {
-        s_.enqueue("fault.inject", FTH_TASK_EFFECTS(FTH_WRITES(e)), [e, f] {
-          auto eh = e.in_task();
-          eh(f.row, f.col) = f.apply(eh(f.row, f.col));
-        });
-        device_faults = true;
-      } else {
-        a_(f.row, f.col) = f.apply(a_(f.row, f.col));
-      }
-      inj_->record(boundary, f);
-    }
-    // One drain for the whole batch: the per-fault synchronize of the first
-    // implementation serialized multi-fault injection for no benefit.
-    if (device_faults) s_.synchronize();
   }
 
   void final_phase() {

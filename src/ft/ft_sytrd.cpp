@@ -35,7 +35,7 @@ constexpr Wording kWording{"ft_sytrd", "per-row gap", /*counts_nonfinite=*/false
 double sytrd_threshold(MatrixView<const double> a, const FtSytrdOptions& opt) {
   if (opt.threshold > 0) return opt.threshold;
   const index_t n = a.rows();
-  return default_threshold(norm_fro(a), n, opt.threshold_factor) /
+  return default_threshold(norm_fro(a), n) /
          static_cast<double>(std::max<index_t>(n, 1)) * 50.0;
 }
 
@@ -57,8 +57,8 @@ class FtSytrdDriver {
         d_a_(dev, n_, n_, "sytrd.ft.d_a"),
         d_v_(dev, n_, std::max<index_t>(opt.nb, 1), "sytrd.ft.d_v"),
         d_w_(dev, n_, std::max<index_t>(opt.nb, 1), "sytrd.ft.d_w"),
-        d_chke_(dev, n_, 1, "sytrd.ft.d_chke"),
-        d_chkw_(dev, n_, 1, "sytrd.ft.d_chkw"),
+        d_chk1_(dev, n_, 1, "sytrd.ft.d_chke"),
+        d_chk2_(dev, n_, 1, "sytrd.ft.d_chkw"),
         d_ones_(dev, n_, 1, "sytrd.ft.d_ones"),
         d_wvec_(dev, n_, 1, "sytrd.ft.d_wvec"),
         d_sums_(dev, std::max<index_t>(opt.nb, 1), 4, "sytrd.ft.d_sums"),
@@ -67,8 +67,8 @@ class FtSytrdDriver {
         w_host_(n_, std::max<index_t>(opt.nb, 1)),
         v_host_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_(n_, std::max<index_t>(opt.nb, 1)),
-        ckpt_chke_(n_, 1),
-        ckpt_chkw_(n_, 1),
+        ckpt_chk1_(n_, 1),
+        ckpt_chk2_(n_, 1),
         seg_(std::max<index_t>(opt.nb, 1), 2),
         qp_(n_),
         threshold_(sytrd_threshold(MatrixView<const double>(a_), opt)),
@@ -79,46 +79,19 @@ class FtSytrdDriver {
     if (plane_ != nullptr) plane_->bind(dev);
   }
 
-  ~FtSytrdDriver() {
-    if (plane_ != nullptr) {
-      // Drain the stream so no hook invocation is in flight when the hooks
-      // come down (the plane may be destroyed right after the driver).
-      try {
-        s_.synchronize();
-      } catch (...) {  // NOLINT(bugprone-empty-catch): unwinding already
-      }
-      plane_->unbind();
-    }
-  }
-
-  void run() {
-    encode();
-    index_t i = 0;
-    index_t boundary = 0;
-    while (i < n_ - 1) {
-      const index_t ib = std::min(opt_.nb, n_ - 1 - i);
-      const bool completed = run_iteration(i, ib);
-      ++boundary;
-      // Inject before check: faults strike at the boundary, i.e. before the
-      // end-of-iteration check — so a hit anywhere (including the next
-      // panel's interior) is detected and repaired before the next
-      // factorization step consumes it, exactly the "correct before it
-      // propagates" discipline of the paper.
-      if (inj_ != nullptr) inject_at_boundary(boundary, i + ib);
-      const bool check_now = opt_.detect_every <= 1 ||
-                             boundary % opt_.detect_every == 0 || i + ib >= n_ - 1;
-      // A poisoned panel forces a check regardless of the amortization
-      // knob: the next iteration would otherwise consume the damage.
-      if (check_now || !completed) ensure_clean(boundary, i, ib, completed);
-      if (opt_.protect_q) qp_.commit(pending_q_);
-      ++st_.panels;
-      i += ib;
-    }
-    final_phase();
-    ladder_.finish();
-  }
+  ~FtSytrdDriver() { release_plane(); }
 
  private:
+#include "ft/recovery_loop.inc"
+#include "ft/two_code.inc"
+
+  // The strictly upper triangle of d_a_ is never read: a strike there is
+  // dead storage.
+  static constexpr fault::SurfaceShape kTrailingShape = fault::SurfaceShape::LowerTriangle;
+
+  void commit_q() { qp_.commit(pending_q_); }
+  DMatrixView<double> device_matrix() { return d_a_.view(); }
+
   void encode() {
     WallTimer t;
     obs::TraceSpan span("ft", "encode", "n", static_cast<double>(n_));
@@ -131,9 +104,9 @@ class FtSytrdDriver {
     });
     // chk_e = A_sym·e, chk_w = A_sym·ω (device SYMVs over the lower triangle).
     hybrid::symv_async(s_, Uplo::Lower, 1.0, d_a_.view(), d_ones_.view().col(0), 0.0,
-                       d_chke_.view().col(0));
+                       d_chk1_.view().col(0));
     hybrid::symv_async(s_, Uplo::Lower, 1.0, d_a_.view(), d_wvec_.view().col(0), 0.0,
-                       d_chkw_.view().col(0));
+                       d_chk2_.view().col(0));
     // Intentional full barrier, once per run: mark_encoded() below opens
     // the fault gate, and both codes must exist on the device before any
     // strike is allowed. fth-perf: expect coarse-synchronize
@@ -149,36 +122,7 @@ class FtSytrdDriver {
   bool run_iteration(index_t i, index_t ib) {
     const index_t vrows = n_ - i - 1;
     const index_t tn = n_ - i - ib;
-
-    // Re-aim the fault plane at this iteration's live regions. The device
-    // panel columns are excluded: the panel is factored from host data and
-    // the finished rows are re-encoded from host values, so a strike there
-    // becomes consistent-wrong dead storage the accounting cannot see. The
-    // strictly upper triangle of d_a_ is likewise never read (LowerTriangle
-    // shape). The checkpoint surface is registered only after its integrity
-    // sums are taken, so a strike cannot pre-date the reference.
-    if (plane_ != nullptr) {
-      plane_->register_surface(fault::Surface::TrailingMatrix,
-                               d_a_.block(i + ib, i + ib, tn, tn),
-                               fault::SurfaceShape::LowerTriangle);
-      // Trailing segments only: the panel segments [i, i+ib) are re-encoded
-      // from the finished host rows at the end of the iteration, so a strike
-      // there before the re-encode is dead storage the comparison never sees.
-      plane_->register_surface(fault::Surface::ChecksumCol,
-                               d_chke_.block(i + ib, 0, tn, 1));
-      // The weighted code rides under the ChecksumRow label — sytrd has no
-      // checksum row; its second line of defense is the ω-weighted column.
-      plane_->register_surface(fault::Surface::ChecksumRow,
-                               d_chkw_.block(i + ib, 0, tn, 1));
-      plane_->clear_surface(fault::Surface::Checkpoint);
-      plane_->clear_transfer_targets();
-      // Fault-eligible transfer destinations inside the protected domain:
-      // the checkpointed checksum-vector pre-images (d2h, checkpoint save).
-      // The panel d2h lands in host a_, the reliable domain by the paper's
-      // model — corrupting it would be a silently wrong result everywhere.
-      plane_->add_transfer_target(fault::Surface::Checkpoint, ckpt_chke_.view());
-      plane_->add_transfer_target(fault::Surface::Checkpoint, ckpt_chkw_.view());
-    }
+    aim_plane(i, ib);
 
     // Panel to host + diskless checkpoints (panel pre-image and both
     // checksum vectors — the vectors are O(n), so checkpointing beats
@@ -187,8 +131,8 @@ class FtSytrdDriver {
     {
       obs::TraceSpan ckpt_span("ft", "checkpoint_save", "col", static_cast<double>(i));
       copy_d2h_async(s_, d_a_.block(0, i, n_, ib), a_.block(0, i, n_, ib));
-      copy_d2h_async(s_, d_chke_.view(), ckpt_chke_.view());
-      copy_d2h(s_, d_chkw_.view(), ckpt_chkw_.view());
+      copy_d2h_async(s_, d_chk1_.view(), ckpt_chk1_.view());
+      copy_d2h(s_, d_chk2_.view(), ckpt_chk2_.view());
       fth::copy(MatrixView<const double>(a_.block(0, i, n_, ib)), ckpt_.block(0, 0, n_, ib));
       // The d2h that filled the vector checkpoints is itself fault-eligible
       // and the dual-sum verify can only vouch for what was stored, not for
@@ -280,8 +224,8 @@ class FtSytrdDriver {
       auto se_w2 = d_sums_.view().col(1).sub(0, ib);
       auto sw_v2 = d_sums_.view().col(2).sub(0, ib);
       auto sw_w2 = d_sums_.view().col(3).sub(0, ib);
-      auto chke_tail = d_chke_.view().col(0).sub(i + ib, tn);
-      auto chkw_tail = d_chkw_.view().col(0).sub(i + ib, tn);
+      auto chke_tail = d_chk1_.view().col(0).sub(i + ib, tn);
+      auto chkw_tail = d_chk2_.view().col(0).sub(i + ib, tn);
       hybrid::axpy_async(s_, -1.0, d_pc_.view().col(0).sub(0, tn), chke_tail);
       hybrid::gemv_async(s_, Trans::No, -1.0, v2, se_w2, 1.0, chke_tail);
       hybrid::gemv_async(s_, Trans::No, -1.0, w2, se_v2, 1.0, chke_tail);
@@ -298,7 +242,7 @@ class FtSytrdDriver {
                           d_a_.block(i + ib, i + ib, tn, tn));
 
       // Host work overlapped with the device update.
-      if (opt_.protect_q) {
+      {
         const TimedSpan q_span = ladder_.q_phase("q_checksum");
         pending_q_ = qp_.compute_panel(MatrixView<const double>(a_), i, ib);
       }
@@ -317,12 +261,12 @@ class FtSytrdDriver {
         seg_(j, 1) = dl * static_cast<double>(r) + dd * static_cast<double>(r + 1) +
                      du * static_cast<double>(r + 2);
       }
-      copy_h2d_async(s_, seg_.block(0, 0, ib, 1), d_chke_.block(i, 0, ib, 1));
-      copy_h2d_async(s_, seg_.block(0, 1, ib, 1), d_chkw_.block(i, 0, ib, 1));
+      copy_h2d_async(s_, seg_.block(0, 0, ib, 1), d_chk1_.block(i, 0, ib, 1));
+      copy_h2d_async(s_, seg_.block(0, 1, ib, 1), d_chk2_.block(i, 0, ib, 1));
       const double e_last = e_[i + ib - 1];
-      auto ce = d_chke_.view();
-      auto cw = d_chkw_.view();
-      s_.enqueue("ft.couple", FTH_TASK_EFFECTS(FTH_WRITES(d_chke_.view(), d_chkw_.view())),
+      auto ce = d_chk1_.view();
+      auto cw = d_chk2_.view();
+      s_.enqueue("ft.couple", FTH_TASK_EFFECTS(FTH_WRITES(d_chk1_.view(), d_chk2_.view())),
                  [ce, cw, i, ib, e_last] {
         ce.in_task()(i + ib, 0) += e_last;
         cw.in_task()(i + ib, 0) += e_last * static_cast<double>(i + ib);  // weight of col i+ib−1
@@ -336,51 +280,30 @@ class FtSytrdDriver {
     return true;
   }
 
-  /// Fresh logical row sums of the current state: finished rows from the
-  /// host tridiagonal entries, trailing rows from a device SYMV; `i2` is
-  /// the first trailing index.
-  std::vector<double> fresh_sums(index_t i2, bool weighted) {
-    std::vector<double> fresh(static_cast<std::size_t>(n_), 0.0);
-    auto weight = [&](index_t c) { return weighted ? static_cast<double>(c + 1) : 1.0; };
-    // Finished rows: tridiagonal entries read from the host matrix.
-    for (index_t r = 0; r < i2 && r < n_; ++r) {
-      double s = a_(r, r) * weight(r);
-      if (r > 0) s += a_(r, r - 1) * weight(r - 1);
-      if (r + 1 < n_) s += a_(r + 1, r) * weight(r + 1);  // superdiag by symmetry
-      fresh[static_cast<std::size_t>(r)] = s;
-    }
-    if (i2 >= n_) return fresh;
-    // Trailing rows: SYMV over the live lower triangle on the device.
-    const index_t tn = n_ - i2;
+  // -- fresh_sums() hooks: row sums, plain (e) or weighted (ω). -------------
+  static double weight(index_t c, bool weighted) {
+    return weighted ? static_cast<double>(c + 1) : 1.0;
+  }
+
+  /// Finished row r: tridiagonal entries read from the host matrix.
+  double finished_sum(index_t r, bool weighted) const {
+    double s = a_(r, r) * weight(r, weighted);
+    if (r > 0) s += a_(r, r - 1) * weight(r - 1, weighted);
+    if (r + 1 < n_) s += a_(r + 1, r) * weight(r + 1, weighted);  // superdiag by symmetry
+    return s;
+  }
+
+  /// Trailing rows: SYMV over the live lower triangle on the device.
+  void fresh_product(index_t i2, index_t tn, bool weighted) {
     auto vec = weighted ? d_wvec_.view().col(0).sub(i2, tn)
                         : d_ones_.view().col(0).sub(0, tn);
     hybrid::symv_async(s_, Uplo::Lower, 1.0, d_a_.block(i2, i2, tn, tn), vec, 0.0,
                        d_fresh_.view().col(0).sub(0, tn));
-    std::vector<double> trail(static_cast<std::size_t>(tn));
-    s_.enqueue("ft.fresh_readback", FTH_TASK_EFFECTS(FTH_READS(d_fresh_.view())),
-                [this, tn, &trail] {
-      auto f = d_fresh_.view().col(0).in_task();
-      for (index_t r = 0; r < tn; ++r) trail[static_cast<std::size_t>(r)] = f[r];
-    });
-    s_.synchronize();
-    for (index_t r = 0; r < tn; ++r)
-      fresh[static_cast<std::size_t>(i2 + r)] = trail[static_cast<std::size_t>(r)];
-    // The coupling entry e[i2−1] contributes to trailing row i2 (column
-    // i2−1) and was counted in neither part above.
-    if (i2 > 0) fresh[static_cast<std::size_t>(i2)] += a_(i2, i2 - 1) * weight(i2 - 1);
-    return fresh;
   }
 
-  std::vector<double> fetch_chk(bool weighted) {
-    std::vector<double> out(static_cast<std::size_t>(n_));
-    s_.enqueue("ft.chk_readback",
-                FTH_TASK_EFFECTS(FTH_READS(d_chke_.view(), d_chkw_.view())),
-                [this, &out, weighted] {
-      auto c = (weighted ? d_chkw_.view() : d_chke_.view()).col(0).in_task();
-      for (index_t r = 0; r < n_; ++r) out[static_cast<std::size_t>(r)] = c[r];
-    });
-    s_.synchronize();
-    return out;
+  /// The coupling entry e[i2−1] contributes to trailing row i2 (column i2−1).
+  void add_coupling(double& sum, index_t i2, bool weighted) const {
+    sum += a_(i2, i2 - 1) * weight(i2 - 1, weighted);
   }
 
   /// Fresh-vs-maintained plain-code comparison at finished boundary `i2`.
@@ -412,26 +335,6 @@ class FtSytrdDriver {
             nonfinite ? 1 : 0};
   }
 
-  void ensure_clean(index_t boundary, index_t i, index_t ib, bool completed) {
-    for (int attempt = 1;; ++attempt) {
-      const Detection det = completed ? detect(i + ib) : Detection::poisoned();
-      if (ladder_.clean(det)) return;
-      Episode ep = ladder_.detected(det, boundary, attempt, !completed);
-      {
-        const Phase phase = ep.rollback_phase(i);
-        rollback(i, ib, completed);
-      }
-      try {
-        locate_and_correct(i, ep.event());
-      } catch (const recovery_error& e) {
-        ep.abandon(det.nonfinite > 0, e.what());
-      }
-      ep.corrected();
-      const Redo redo = ep.reexecute(i);
-      completed = run_iteration(i, ib);
-    }
-  }
-
   void rollback(index_t i, index_t ib, bool completed) {
     const index_t tn = n_ - i - ib;
     if (completed) {
@@ -448,51 +351,13 @@ class FtSytrdDriver {
     obs::TraceSpan restore_span("ft", "checkpoint_restore", "col", static_cast<double>(i));
     verify_or_rederive_panel_checkpoint(i, ib);
     fth::copy(MatrixView<const double>(ckpt_.block(0, 0, n_, ib)), a_.block(0, i, n_, ib));
-    // The vector checkpoints are verified after the data rollback so that a
-    // corrupt one can be re-derived from the restored state; only then are
-    // they pushed back to the device.
-    verify_or_rederive_chk_checkpoints(i);
-    copy_h2d_async(s_, ckpt_chke_.cview(), d_chke_.view());
-    copy_h2d(s_, ckpt_chkw_.cview(), d_chkw_.view());
+    restore_chk_checkpoints(i);
   }
 
-  // -- Checkpoint integrity (the checkpoint itself is a fault target). ------
-  // Dual sums compared bitwise at restore time (DualSum). The panel and the
-  // checksum vectors carry separate seals because their re-derivation
-  // sources differ.
   DualSum panel_sums(index_t ib) const {
     DualSum s;
     s.add_block(ckpt_.block(0, 0, n_, ib), 1.0, static_cast<double>(n_));
     return s;
-  }
-
-  DualSum chk_sums() const {
-    DualSum s;
-    s.add_block(ckpt_chke_.cview(), 1.0, 0.0);
-    s.add_block(ckpt_chkw_.cview(), static_cast<double>(n_ + 1), 0.0);
-    return s;
-  }
-
-  /// Bitwise cross-check of the freshly saved vector checkpoints against
-  /// the device's maintained vectors (raw task readback, not a transfer —
-  /// so a transfer fault cannot strike both sides).
-  void verify_chk_checkpoint_save() {
-    Matrix<double> ref(n_, 2);
-    auto rv = ref.view();
-    auto ce = d_chke_.view();
-    auto cw = d_chkw_.view();
-    s_.enqueue("ft.ckpt_readback", FTH_TASK_EFFECTS(FTH_READS(ce, cw) FTH_WRITES(rv)),
-                [rv, ce, cw, n = n_]() mutable {
-      auto ceh = ce.in_task();
-      auto cwh = cw.in_task();
-      for (index_t r = 0; r < n; ++r) {
-        rv(r, 0) = ceh(r, 0);
-        rv(r, 1) = cwh(r, 0);
-      }
-    });
-    s_.synchronize();
-    ladder_.repair_from(ckpt_chke_.view(), ref.cview().block(0, 0, n_, 1));
-    ladder_.repair_from(ckpt_chkw_.view(), ref.cview().block(0, 1, n_, 1));
   }
 
   void verify_or_rederive_panel_checkpoint(index_t i, index_t ib) {
@@ -503,23 +368,6 @@ class FtSytrdDriver {
     // still hold the exact pre-iteration image.
     copy_d2h(s_, d_a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib));
     panel_seal_ = panel_sums(ib);
-    ladder_.rederived();
-  }
-
-  void verify_or_rederive_chk_checkpoints(index_t i) {
-    if (chk_sums().same_bits(chk_seal_)) return;
-    // Struck after save: re-derive both codes from the rolled-back data
-    // (the caller restored the trailing matrix and the panel first). An
-    // undetected fault older than the last check would be encoded
-    // consistently here — the residual double-fault window DESIGN.md §9
-    // documents.
-    const std::vector<double> fe = fresh_sums(i, /*weighted=*/false);
-    const std::vector<double> fw = fresh_sums(i, /*weighted=*/true);
-    for (index_t r = 0; r < n_; ++r) {
-      ckpt_chke_(r, 0) = fe[static_cast<std::size_t>(r)];
-      ckpt_chkw_(r, 0) = fw[static_cast<std::size_t>(r)];
-    }
-    chk_seal_ = chk_sums();
     ladder_.rederived();
   }
 
@@ -584,8 +432,8 @@ class FtSytrdDriver {
       fresh_e = fresh_sums(i, false);
     }
     {
-      auto ce = d_chke_.view();
-      auto cw = d_chkw_.view();
+      auto ce = d_chk1_.view();
+      auto cw = d_chk2_.view();
       std::vector<double> fresh_w_nf;  // computed lazily, only if chkw is damaged
       const std::vector<double> chkw_now = fetch_chk(true);
       bool synced = false;
@@ -643,7 +491,7 @@ class FtSytrdDriver {
       if (std::abs(f.de) <= threshold_) {
         // Weighted-only discrepancy: the chk_w element itself is corrupt.
         // Repair by re-encoding from the fresh value.
-        auto cw = d_chkw_.view();
+        auto cw = d_chk2_.view();
         const double fw = fresh_w[static_cast<std::size_t>(f.row)];
         s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cw)),
                    [cw, f, fw] { cw.in_task()(f.row, 0) = fw; });
@@ -660,7 +508,7 @@ class FtSytrdDriver {
         // (Δw ≈ 0 handled above; an incoherent ratio with Δw ≈ 0 relative
         // to Δe·n also lands here).
         if (std::abs(f.dw) <= threshold_ * static_cast<double>(n_)) {
-          auto ce = d_chke_.view();
+          auto ce = d_chk1_.view();
           const double fe = fresh_e[static_cast<std::size_t>(f.row)];
           s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(ce)),
                      [ce, f, fe] { ce.in_task()(f.row, 0) = fe; });
@@ -698,28 +546,12 @@ class FtSytrdDriver {
     }
   }
 
-  void inject_at_boundary(index_t boundary, index_t i_next) {
-    const auto due = inj_->due(boundary, ladder_.total_boundaries(), i_next, n_, scale_max_);
-    bool device_faults = false;
-    for (auto f : due) {
-      // Symmetric lower storage: fold the coordinates into the triangle.
-      const index_t p = std::max(f.row, f.col);
-      const index_t q = std::min(f.row, f.col);
-      if (q >= i_next) {
-        auto da = d_a_.view();
-        s_.enqueue("fault.inject", FTH_TASK_EFFECTS(FTH_WRITES(da)), [da, p, q, f] {
-          auto dah = da.in_task();
-          dah(p, q) = f.apply(dah(p, q));
-        });
-        device_faults = true;
-      } else {
-        a_(p, q) = f.apply(a_(p, q));
-      }
-      inj_->record(boundary, f);
-    }
-    // One drain for the whole batch: a per-fault synchronize would
-    // serialize multi-fault injection for no benefit.
-    if (device_faults) s_.synchronize();
+  // Symmetric lower storage: fold the coordinates into the triangle.
+  static bool place_fault(index_t& p, index_t& q, index_t i_next) {
+    const index_t row = p;
+    p = std::max(row, q);
+    q = std::min(row, q);
+    return q >= i_next;
   }
 
   void final_phase() {
@@ -757,7 +589,7 @@ class FtSytrdDriver {
       }
     }
 
-    if (opt_.protect_q) {
+    {
       const TimedSpan q_span = ladder_.q_phase("q_verify");
       const auto qres = qp_.verify_and_correct(a_, n_ - 1,
                                                RecoveryLadder::q_tolerance(n_, scale_max_));
@@ -785,8 +617,8 @@ class FtSytrdDriver {
   hybrid::DeviceMatrix<double> d_a_;
   hybrid::DeviceMatrix<double> d_v_;
   hybrid::DeviceMatrix<double> d_w_;
-  hybrid::DeviceMatrix<double> d_chke_;
-  hybrid::DeviceMatrix<double> d_chkw_;
+  hybrid::DeviceMatrix<double> d_chk1_;  ///< plain code A·e
+  hybrid::DeviceMatrix<double> d_chk2_;  ///< weighted code A·ω
   hybrid::DeviceMatrix<double> d_ones_;
   hybrid::DeviceMatrix<double> d_wvec_;
   hybrid::DeviceMatrix<double> d_sums_;
@@ -796,8 +628,8 @@ class FtSytrdDriver {
   Matrix<double> w_host_;
   Matrix<double> v_host_;
   Matrix<double> ckpt_;
-  Matrix<double> ckpt_chke_;
-  Matrix<double> ckpt_chkw_;
+  Matrix<double> ckpt_chk1_;
+  Matrix<double> ckpt_chk2_;
   // Re-encode staging segment, hoisted out of the update loop: the async
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.

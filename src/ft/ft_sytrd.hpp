@@ -33,8 +33,6 @@ namespace fth::ft {
 struct FtSytrdOptions {
   index_t nb = 32;
   double threshold = 0.0;        ///< per-row detection tolerance; 0 → scaled default
-  double threshold_factor = 500.0;
-  bool protect_q = true;
   bool final_sweep = true;
   int max_retries = 3;
   /// Run the (SYMV-priced) detection every k iterations. k > 1 lowers the

@@ -10,10 +10,13 @@
 // Q-verify bookkeeping, the Clean/Recovered classification and the ft_*
 // entry frame.
 //
-// Each driver keeps its policy and its short run()/ensure_clean() loop in
-// its own TU: fth_analyze splices only unqualified TU-local calls into a
-// caller's timeline, so a loop or any enqueue/copy/synchronize moved behind
-// this header would drop out of the static race proof (DESIGN.md §15).
+// The stream side of the protocol — the ensure_clean() loop, run() and the
+// two-code helpers — is shared through the .inc fragments included inside
+// the driver classes (recovery_loop.inc, two_code.inc), which fth_analyze
+// expands like the preprocessor. Never move a loop or any
+// enqueue/copy/synchronize behind this header: the analyzer splices only
+// TU-local calls, so it would drop out of the static race proof
+// (DESIGN.md §15).
 #pragma once
 
 #include <limits>

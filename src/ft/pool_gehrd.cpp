@@ -90,8 +90,7 @@ class PoolDriver {
 
     threshold_ = opt.threshold > 0.0
                      ? opt.threshold
-                     : default_threshold(norm_fro(MatrixView<const double>(a_)), n_,
-                                         opt.threshold_factor);
+                     : default_threshold(norm_fro(MatrixView<const double>(a_)), n_);
     rep_.devices = D_;
     rep_.data_shards = Ddata_;
     parity_dev_ = D_ >= 2 ? D_ - 1 : -1;
@@ -107,7 +106,6 @@ class PoolDriver {
     } else {
       obs::HealthConfig hc;
       hc.base_timeout_ms = obs::HealthMonitor::env_base_timeout_ms(opt.timeout_ms);
-      hc.adaptive = opt.adaptive_timeout;
       health_owned_ = std::make_unique<obs::HealthMonitor>(D_, hc);
       health_ = health_owned_.get();
     }
@@ -274,11 +272,7 @@ class PoolDriver {
     }
     for (int sl = 0; sl < Ddata_; ++sl) {
       const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event pf = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = pf.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
+      if (!member_done(dev)) throw device_lost{dev};
     }
 
     // Host panel factorization; the big GEMV is one partial product per
@@ -306,11 +300,7 @@ class PoolDriver {
           }
           for (int sl = 0; sl < Ddata_; ++sl) {
             const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-            hybrid::Stream& sd = pool_.stream(dev);
-            const hybrid::Event pg = sd.record();
-            const double w0 = health_->wait_begin();
-            const bool ok = pg.wait_for(health_->allowed(dev));
-            if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
+            if (!member_done(dev)) throw device_lost{dev};
           }
           // A non-finite partial names its culprit before it can spread.
           for (int sl = 0; sl < Ddata_; ++sl) {
@@ -367,12 +357,9 @@ class PoolDriver {
     const hybrid::Event reduced = sc.record();
     for (int sl = 0; sl < Ddata_; ++sl) {
       const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event yb = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = yb.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
+      if (!member_done(dev)) throw device_lost{dev};
     }
+    // Not member_done(): the collector's Event was recorded before the loop.
     const double wc0 = health_->wait_begin();
     const bool cok = reduced.wait_for(health_->allowed(cdev));
     if (!health_->wait_end(cdev, wc0, cok) || pool_.lost(cdev)) throw device_lost{cdev};
@@ -383,7 +370,7 @@ class PoolDriver {
     // Panel-phase integrity gate: a poison strike during the panel fed
     // garbage into y_col/Y-top — catch it before any update commits, so
     // the checkpoint retry still applies.
-    verify_members(i);
+    verify_members();
   }
 
   void update(index_t i, index_t ib) {
@@ -447,7 +434,7 @@ class PoolDriver {
                  a_.block(0, i + 1 + j, i + 1, 1).col(0));
     }
 
-    verify_members(i);
+    verify_members();
   }
 
   /// Boundary health check: every active member recomputes its code-row
@@ -455,8 +442,7 @@ class PoolDriver {
   /// loss kinds: timeout (stall), killed stream or NaN sentinel (hard
   /// death — the marker completes but the verify task was discarded), and
   /// gap over threshold (poison).
-  void verify_members(index_t boundary) {
-    (void)boundary;
+  void verify_members() {
     for (int m = 0; m < active_count(); ++m) {
       const int dev = active_device(m);
       gaps_[static_cast<std::size_t>(dev)] = std::numeric_limits<double>::quiet_NaN();
@@ -472,11 +458,7 @@ class PoolDriver {
     }
     for (int m = 0; m < active_count(); ++m) {
       const int dev = active_device(m);
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event ve = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = ve.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
+      if (!member_done(dev)) throw device_lost{dev};
     }
     for (int m = 0; m < active_count(); ++m) {
       const int dev = active_device(m);
@@ -495,11 +477,7 @@ class PoolDriver {
     }
     for (int sl = 0; sl < Ddata_; ++sl) {
       const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event gf = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = gf.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
+      if (!member_done(dev)) throw device_lost{dev};
     }
     for (int sl = 0; sl < Ddata_; ++sl) {
       const double g = code_row_gap(host_sh_[static_cast<std::size_t>(sl)].cview());
@@ -584,16 +562,10 @@ class PoolDriver {
     obs::journal_log(obs::JournalSeverity::Info, "pool", "reconstructed", dev,
                      static_cast<double>(slot), boundary);
     const int target = parity_dev_;
-    {
-      hybrid::Stream& sd = pool_.stream(target);
-      hybrid::copy_h2d_async(sd, host_sh_[static_cast<std::size_t>(slot)].cview(),
-                             d_e_[static_cast<std::size_t>(target)].view());
-      const hybrid::Event rm = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = rm.wait_for(health_->allowed(target));
-      if (!health_->wait_end(target, w0, ok) || pool_.lost(target))
-        escalate(target, boundary);
-    }
+    hybrid::Stream& sd = pool_.stream(target);
+    hybrid::copy_h2d_async(sd, host_sh_[static_cast<std::size_t>(slot)].cview(),
+                           d_e_[static_cast<std::size_t>(target)].view());
+    if (!member_done(target)) escalate(target, boundary);
     slot_dev_[static_cast<std::size_t>(slot)] = target;
     parity_dev_ = -1;
     ++rep_.remaps;
@@ -643,7 +615,9 @@ class PoolDriver {
 
   /// Synchronize every stream, with a timeout per member so a second
   /// stalled device cannot hang the repair: stragglers are killed (which
-  /// releases them — Stream::kill doom semantics) and reported back.
+  /// releases them — Stream::kill doom semantics) and reported back. The
+  /// member quarantined first is already lost, so this wait cannot use
+  /// member_done(): it must not count that member as a straggler.
   int drain_all() {
     int straggler = -1;
     for (int d = 0; d < D_; ++d) {
@@ -679,20 +653,9 @@ class PoolDriver {
     for (int sl = 0; sl < Ddata_; ++sl) {
       if (sl == lost_slot) continue;
       const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event fg = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = fg.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) escalate(dev, boundary);
+      if (!member_done(dev)) escalate(dev, boundary);
     }
-    {
-      hybrid::Stream& sd = pool_.stream(parity_dev_);
-      const hybrid::Event fp = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = fp.wait_for(health_->allowed(parity_dev_));
-      if (!health_->wait_end(parity_dev_, w0, ok) || pool_.lost(parity_dev_))
-        escalate(parity_dev_, boundary);
-    }
+    if (!member_done(parity_dev_)) escalate(parity_dev_, boundary);
   }
 
   [[noreturn]] void escalate(int dev, index_t boundary) {
@@ -829,6 +792,18 @@ class PoolDriver {
     for (int sl = 0; sl < Ddata_; ++sl)
       if (slot_dev_[static_cast<std::size_t>(sl)] == dev) return sl;
     return -1;
+  }
+
+  /// The bounded health wait on member `dev`: an Event on everything
+  /// enqueued there so far, waited for at most the monitor's allowance.
+  /// False on a timeout or once the member is lost; the caller throws
+  /// device_lost or escalates.
+  [[nodiscard]] bool member_done(int dev) {
+    hybrid::Stream& sd = pool_.stream(dev);
+    const hybrid::Event done = sd.record();
+    const double w0 = health_->wait_begin();
+    const bool ok = done.wait_for(health_->allowed(dev));
+    return health_->wait_end(dev, w0, ok) && !pool_.lost(dev);
   }
 
   void finish_outcome() {

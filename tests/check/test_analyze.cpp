@@ -15,8 +15,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/analyze.hpp"
@@ -24,9 +26,35 @@
 namespace fth::check::analyze {
 namespace {
 
+namespace fs = std::filesystem;
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Fragments as the tool reads them, from the repo tree, except that an
+/// in-memory override wins: a seeded test mutates a shared fragment
+/// without touching disk.
+FragmentLoader repo_fragments(std::map<std::string, std::string> overrides = {}) {
+  return [overrides = std::move(overrides)](const std::string& rel, std::string& text) {
+    const auto it = overrides.find(rel);
+    if (it != overrides.end()) {
+      text = it->second;
+      return true;
+    }
+    const fs::path p = fs::path(FTH_REPO_ROOT) / rel;
+    if (!fs::is_regular_file(p)) return false;
+    text = slurp(p);
+    return true;
+  };
+}
+
 std::vector<Finding> run(const std::string& path, const std::string& content,
                          Stats* stats = nullptr) {
-  return analyze_source(path, content, stats);
+  return analyze_source(path, content, stats, {}, repo_fragments());
 }
 
 // ---- scope ------------------------------------------------------------------
@@ -39,6 +67,8 @@ TEST(AnalyzeScope, HybridFtAndUserFacingSurfacesOnly) {
   EXPECT_FALSE(in_scope("src/lapack/gehrd.cpp"));
   EXPECT_FALSE(in_scope("tests/hybrid/test_stream.cpp"));
   EXPECT_FALSE(in_scope("src/hybrid/README.md"));
+  EXPECT_FALSE(in_scope("src/ft/two_code.inc"))
+      << "a fragment is analyzed only inside the TUs that include it";
   EXPECT_TRUE(run("src/lapack/x.cpp", "void f(Stream& s) { dv.in_task(); }").empty())
       << "out-of-scope paths produce no findings at all";
 }
@@ -295,6 +325,33 @@ TEST(AnalyzeSummaries, ConditionallyEnqueuingHelperSummarizesAsTheMayUnion) {
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "transfer-race");
   EXPECT_EQ(f[0].line, 6);
+}
+
+TEST(AnalyzeSummaries, ACalleeDefinedBelowItsCallerIsStillSpliced) {
+  // Summaries must not depend on definition order: outer() reaches
+  // start_fetch()'s d2h through caller(), wherever start_fetch is defined.
+  const std::string start_fetch =
+      "void start_fetch(Stream& s) {\n"
+      "  copy_d2h_async(s, d_buf_.cview(), host_buf_.view());\n"
+      "}\n";
+  const std::string caller_and_outer =
+      "void caller(Stream& s) {\n"
+      "  start_fetch(s);\n"
+      "}\n"
+      "void outer(Stream& s) {\n"
+      "  caller(s);\n"
+      "  host_buf_(0, 0) = 1.0;\n"
+      "}\n";
+  const auto above = run("src/ft/x.cpp", start_fetch + caller_and_outer);
+  ASSERT_EQ(above.size(), 1u);
+  EXPECT_EQ(above[0].rule, "transfer-race");
+  EXPECT_EQ(above[0].line, 9);
+  const auto below = run("src/ft/x.cpp", caller_and_outer + start_fetch);
+  ASSERT_EQ(below.size(), 1u) << "a helper defined further down must not vanish";
+  EXPECT_EQ(below[0].rule, "transfer-race");
+  EXPECT_EQ(below[0].line, 6);
+  EXPECT_NE(below[0].message.find("line 9"), std::string::npos)
+      << "the racing transfer is start_fetch's, two calls down";
 }
 
 TEST(AnalyzeSummaries, SplicedCallSitesAccumulateCalleeStats) {
@@ -640,16 +697,110 @@ TEST(AnalyzeFormat, CarriesFileLineRuleAndRequiredEdge) {
   EXPECT_NE(s.find("required: wait on an Event"), std::string::npos);
 }
 
-// ---- seeded regressions on the real drivers ---------------------------------
+// ---- .inc fragments ---------------------------------------------------------
+//
+// Quoted `.inc` includes are expanded in place; every token keeps its
+// file of origin. These tests feed in-memory fragments.
 
-namespace fs = std::filesystem;
-
-std::string slurp(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+std::vector<Finding> run_with(const std::string& path, const std::string& content,
+                              std::map<std::string, std::string> fragments, bool perf = false) {
+  return analyze_source(path, content, nullptr, Options{.perf = perf},
+                        repo_fragments(std::move(fragments)));
 }
+
+TEST(AnalyzeFragments, ARaceInsideAFragmentIsReportedAtTheFragmentLine) {
+  const auto f = run_with("src/ft/x.cpp",
+                          "class Driver {\n"
+                          " public:\n"
+                          "#include \"ft/shared.inc\"\n"
+                          "};\n",
+                          {{"src/ft/shared.inc",
+                            "  void fetch_and_touch(Stream& s) {\n"
+                            "    copy_d2h_async(s, d_y_.cview(), y_.view());\n"
+                            "    y_(0, 0) = 1.0;\n"
+                            "  }\n"}});
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "transfer-race");
+  EXPECT_EQ(f[0].file, "src/ft/shared.inc");
+  EXPECT_EQ(f[0].line, 3);
+  EXPECT_NE(f[0].message.find("enqueued at src/ft/shared.inc:2"), std::string::npos)
+      << f[0].message;
+  const std::string sarif = to_sarif(f);
+  EXPECT_NE(sarif.find("\"uri\": \"src/ft/shared.inc\"}, \"region\": {\"startLine\": 3}"),
+            std::string::npos)
+      << "SARIF locates the finding in the fragment too";
+}
+
+TEST(AnalyzeFragments, AFragmentHelperCalledFromTheTuIsSplicedWithItsOrigin) {
+  // The fragment sits below its caller, as the FT drivers' shared code
+  // sits above the hooks it calls.
+  const auto f = run_with("src/ft/x.cpp",
+                          "void outer(Stream& s) {\n"
+                          "  start(s);\n"
+                          "  y_(0, 0) = 1.0;\n"
+                          "}\n"
+                          "#include \"ft/shared.inc\"\n",
+                          {{"src/ft/shared.inc",
+                            "void start(Stream& s) {\n"
+                            "  copy_d2h_async(s, d_y_.cview(), y_.view());\n"
+                            "}\n"}});
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].file, "src/ft/x.cpp");
+  EXPECT_EQ(f[0].line, 3);
+  EXPECT_NE(f[0].message.find("enqueued at src/ft/shared.inc:2"), std::string::npos)
+      << f[0].message;
+}
+
+TEST(AnalyzeFragments, AnExpectMarkerInsideAFragmentIsHonouredThere) {
+  const std::string body =
+      "void f(Stream& s) {\n"
+      "  copy_h2d_async(s, y.cview(), d_y.view());\n"
+      "  gemm_async(s, 1.0, d_a.cview(), d_b.cview(), 0.0, d_c.view());\n"
+      "  // fth-perf: expect coarse-synchronize\n"
+      "  s.synchronize();\n"
+      "}\n";
+  const auto marked =
+      run_with("src/ft/x.cpp", "#include \"ft/shared.inc\"\n", {{"src/ft/shared.inc", body}},
+               /*perf=*/true);
+  ASSERT_EQ(marked.size(), 1u);
+  EXPECT_EQ(marked[0].rule, "coarse-synchronize");
+  EXPECT_EQ(marked[0].file, "src/ft/shared.inc");
+  EXPECT_EQ(marked[0].line, 5);
+  EXPECT_TRUE(marked[0].expected);
+
+  // A marker on the same line number of the including TU is another file.
+  std::string unmarked = body;
+  unmarked.replace(unmarked.find("fth-perf: expect"), 16, "no marker here..");
+  const auto f = run_with("src/ft/x.cpp",
+                          "#include \"ft/shared.inc\"\n\n\n"
+                          "// fth-perf: expect coarse-synchronize\n\n",
+                          {{"src/ft/shared.inc", unmarked}}, /*perf=*/true);
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_FALSE(f[0].expected);
+}
+
+TEST(AnalyzeFragments, AMissingOrSelfIncludingFragmentIsAnError) {
+  const auto missing = run_with("src/ft/x.cpp",
+                                "#include \"ft/ladder.hpp\"\n"
+                                "#include \"ft/absent.inc\"\n",
+                                {});
+  ASSERT_EQ(missing.size(), 1u) << "headers are not expanded; fragments must be";
+  EXPECT_EQ(missing[0].rule, "missing-fragment");
+  EXPECT_EQ(missing[0].file, "src/ft/x.cpp");
+  EXPECT_EQ(missing[0].line, 2);
+  EXPECT_NE(missing[0].message.find("ft/absent.inc"), std::string::npos);
+  EXPECT_FALSE(missing[0].perf);
+
+  const auto loop = run_with("src/ft/x.cpp", "#include \"ft/loop.inc\"\n",
+                             {{"src/ft/loop.inc", "\n#include \"loop.inc\"\n"}});
+  ASSERT_EQ(loop.size(), 1u);
+  EXPECT_EQ(loop[0].rule, "missing-fragment");
+  EXPECT_EQ(loop[0].file, "src/ft/loop.inc");
+  EXPECT_EQ(loop[0].line, 2);
+  EXPECT_NE(loop[0].message.find("includes itself"), std::string::npos);
+}
+
+// ---- seeded regressions on the real drivers ---------------------------------
 
 std::string repo_file(const std::string& rel) {
   const std::string content = slurp(fs::path(FTH_REPO_ROOT) / rel);
@@ -663,6 +814,15 @@ std::string without(std::string content, const std::string& needle) {
   const std::size_t pos = content.find(needle);
   EXPECT_NE(pos, std::string::npos) << "seed not found: " << needle;
   if (pos != std::string::npos) content.erase(pos, needle.size());
+  return content;
+}
+
+/// Replace the first occurrence of `from` with `to` (both single-line,
+/// so every line number is preserved).
+std::string replaced(std::string content, const std::string& from, const std::string& to) {
+  const std::size_t pos = content.find(from);
+  EXPECT_NE(pos, std::string::npos) << "seed not found: " << from;
+  if (pos != std::string::npos) content.replace(pos, from.size(), to);
   return content;
 }
 
@@ -686,15 +846,16 @@ const SeededEdge kSeeds[] = {
     // The only synchronize() left in the de-over-synchronized driver is
     // the hook-branch drain; deleting it breaks the host_view unwrap.
     {"src/hybrid/hybrid_sytrd.cpp", "s.synchronize();", "stream-not-idle", 118, "host_view", 1},
-    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 319, "'y_host_'", 1},
+    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 315, "'y_host_'", 1},
     // ft_gebrd: the wait also covers the fault-injection helper's host
     // write of a_, so its deletion surfaces that second race (at the
-    // inject_at_boundary splice) alongside the pivot-restore one.
-    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 319, "'a_'", 2},
+    // inject_at_boundary splice in the shared run(), two_code.inc)
+    // alongside the pivot-restore one.
+    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 269, "'a_'", 2},
     // The one inter-device edge of the pool driver's Y-top reduction:
     // without it the collector task reads stage_g_ while the producers'
     // d2h copies are still in flight (ISSUE 7 / DESIGN.md §13).
-    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 354,
+    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 344,
      "'stage_g_'", 1},
 };
 
@@ -704,7 +865,7 @@ TEST(AnalyzeSeeded, DeletingEachOrderingEdgeIsCaughtAtTheAccessSite) {
     ASSERT_EQ(f.size(), seed.findings) << seed.file << " minus `" << seed.deleted << "`";
     const Finding* hit = nullptr;
     for (const auto& x : f)
-      if (x.line == seed.line) hit = &x;
+      if (x.file == seed.file && x.line == seed.line) hit = &x;
     ASSERT_NE(hit, nullptr) << seed.file << ": nothing anchored at line " << seed.line;
     EXPECT_EQ(hit->rule, seed.rule) << seed.file;
     EXPECT_EQ(hit->file, seed.file);
@@ -713,6 +874,26 @@ TEST(AnalyzeSeeded, DeletingEachOrderingEdgeIsCaughtAtTheAccessSite) {
     EXPECT_FALSE(hit->missing_edge.empty())
         << "every discipline finding names the edge that would fix it";
   }
+}
+
+TEST(AnalyzeSeeded, AHostWriteInTheSharedFreshSumsIsCaughtFromEveryIncludingTu) {
+  // Seeded inside the two-code fragment: the host write races the seg_
+  // re-encode h2d a re-executed iteration leaves in flight when the
+  // recovery loop comes round to detect() again. Each TU that includes
+  // the fragment reports it once, at the fragment line.
+  const char* const frag = "src/ft/two_code.inc";
+  const std::string head = "std::vector<double> fresh_sums(index_t i2, bool second) {";
+  const FragmentLoader seeded =
+      repo_fragments({{frag, replaced(repo_file(frag), head, head + " seg_(0, 0) = 0.0;")}});
+  for (const char* tu : {"src/ft/ft_sytrd.cpp", "src/ft/ft_gebrd.cpp"}) {
+    const auto f = analyze_source(tu, repo_file(tu), nullptr, {}, seeded);
+    ASSERT_EQ(f.size(), 1u) << tu;
+    EXPECT_EQ(f[0].rule, "loop-carried-race") << tu;
+    EXPECT_EQ(f[0].file, "src/ft/recovery_loop.inc") << "the redo loop's detect() call";
+    EXPECT_NE(f[0].message.find("'seg_'"), std::string::npos) << f[0].message;
+  }
+  EXPECT_TRUE(run("src/ft/ft_gehrd.cpp", repo_file("src/ft/ft_gehrd.cpp")).empty())
+      << "gehrd includes the recovery loop, not the two-code fragment";
 }
 
 TEST(AnalyzeSeeded, RetargetingTheChecksumRowReencodeIsCaught) {
@@ -748,15 +929,6 @@ TEST(AnalyzeSeeded, StrippingATaskEffectDeclarationIsCaught) {
 // the expected rule at the exact line.
 
 const char* const kFixture = "examples/lookahead_pipeline.cpp";
-
-/// Replace the first occurrence of `from` with `to` (both single-line,
-/// so every line number is preserved).
-std::string replaced(std::string content, const std::string& from, const std::string& to) {
-  const std::size_t pos = content.find(from);
-  EXPECT_NE(pos, std::string::npos) << "seed not found: " << from;
-  if (pos != std::string::npos) content.replace(pos, from.size(), to);
-  return content;
-}
 
 bool has_finding(const std::vector<Finding>& f, const char* rule, int line) {
   for (const auto& x : f)
@@ -878,7 +1050,7 @@ TEST(AnalyzeSarif, AnEmptyRunIsAWellFormedLog) {
 // re-introducing the over-synchronization this PR removed.
 
 std::vector<Finding> run_perf(const std::string& path, const std::string& content) {
-  return analyze_source(path, content, nullptr, Options{.perf = true});
+  return analyze_source(path, content, nullptr, Options{.perf = true}, repo_fragments());
 }
 
 bool has_perf(const std::vector<Finding>& f, const char* rule, int line) {
@@ -1214,7 +1386,8 @@ TEST(AnalyzeGolden, CleanTreeHasZeroFindingsAndFullCoverage) {
           entry.path().lexically_relative(fs::path(FTH_REPO_ROOT)).generic_string();
       if (!in_scope(rel)) continue;
       ++files;
-      auto found = analyze_source(rel, slurp(entry.path()), &stats, Options{.perf = true});
+      auto found = analyze_source(rel, slurp(entry.path()), &stats, Options{.perf = true},
+                                  repo_fragments());
       findings.insert(findings.end(), found.begin(), found.end());
     }
   }

@@ -37,6 +37,17 @@ TEST(LintScope, OnlyCppSourcesUnderKnownRoots) {
       << "out-of-scope paths produce no issues at all";
 }
 
+TEST(LintScope, SharedDriverFragmentsAreLinted) {
+  // Code moved into a .inc fragment must not leave the lint's reach.
+  EXPECT_TRUE(in_scope("src/ft/two_code.inc"));
+  const auto issues = run("src/ft/x.inc", "void f(int n, double* a);\n"
+                                          "auto h = dv.unchecked_host_view();\n");
+  ASSERT_EQ(issues.size(), 2u);
+  EXPECT_EQ(issues[0].file, "src/ft/x.inc");
+  EXPECT_TRUE(has_rule(issues, "int-index"));
+  EXPECT_TRUE(has_rule(issues, "device-unwrap"));
+}
+
 // ---- device-unwrap ----------------------------------------------------------
 
 TEST(LintDeviceUnwrap, FlagsEscapeHatchesOutsideAllowlist) {

@@ -6,7 +6,8 @@
 //
 // Walks src/hybrid/, src/ft/, examples/, bench/ under the given root
 // (default: the current directory), runs the fth::analyze symbolic
-// dataflow pass over every .hpp/.cpp, prints each finding as
+// dataflow pass over every .hpp/.cpp (their quoted `.inc` fragments
+// expanded in place, read from the tree), prints each finding as
 // file:line: [rule] message (+ the happens-before edge that would fix
 // it), and exits non-zero when anything fired. Registered as the
 // `analyze.repo` ctest: deleting an Event wait, a synchronize(), or a
@@ -113,6 +114,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const auto fragments = [&root](const std::string& rel, std::string& text) {
+    const fs::path p = root / rel;
+    if (!fs::is_regular_file(p)) return false;
+    text = slurp(p);
+    return true;
+  };
+
   std::vector<fth::check::analyze::Finding> findings;
   fth::check::analyze::Stats stats;
   std::size_t files = 0;
@@ -124,7 +132,8 @@ int main(int argc, char** argv) {
       const std::string rel = rel_slash(entry.path(), root);
       if (!fth::check::analyze::in_scope(rel)) continue;
       ++files;
-      auto found = fth::check::analyze::analyze_source(rel, slurp(entry.path()), &stats, opts);
+      auto found =
+          fth::check::analyze::analyze_source(rel, slurp(entry.path()), &stats, opts, fragments);
       findings.insert(findings.end(), found.begin(), found.end());
     }
   }

@@ -4,7 +4,7 @@
 //
 // Walks src/, tests/, tools/, examples/, bench/ under the given root
 // (default: the current directory), applies the fth::check::lint rules to
-// every .hpp/.cpp, prints each finding as file:line: [rule] message, and
+// every .hpp/.cpp/.inc, prints each finding as file:line: [rule] message, and
 // exits non-zero when anything fired. Registered as the `lint.repo` ctest,
 // so a discipline regression fails the suite, not just a review.
 #include <cstdio>
