@@ -14,6 +14,12 @@ using namespace fth;
 
 namespace {
 
+/// Rate counter for `flops` floating-point operations per iteration.
+benchmark::Counter gflops(const benchmark::State& state, double flops) {
+  return benchmark::Counter(flops * static_cast<double>(state.iterations()) / 1e9,
+                            benchmark::Counter::kIsRate);
+}
+
 void BM_gemm(benchmark::State& state) {
   const index_t n = state.range(0);
   Matrix<double> a = random_matrix(n, n, 1);
@@ -24,11 +30,59 @@ void BM_gemm(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   const double dn = static_cast<double>(n);
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * dn * dn * dn * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
+  state.counters["GFLOP/s"] = gflops(state, 2.0 * dn * dn * dn);
 }
 BENCHMARK(BM_gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// The reductions' own products, where per-call cost shows: the trailing
+// update C(n+1 × n−32) −= Y·Vᵀ with k = nb = 32, and the Y-top product
+// Y(n/2 × 32) = A·V with k = n/2, at the two Hessenberg benchmark sizes.
+void BM_gemm_update(benchmark::State& state) {
+  const index_t n = state.range(0);
+  constexpr index_t nb = 32;
+  Matrix<double> y = random_matrix(n + 1, nb, 11);
+  Matrix<double> v = random_matrix(n - nb, nb, 12);
+  Matrix<double> c = random_matrix(n + 1, n - nb, 13);
+  for (auto _ : state) {
+    blas::gemm(Trans::No, Trans::Yes, -1.0, y.cview(), v.cview(), 1.0, c.view());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = gflops(state, 2.0 * static_cast<double>((n + 1) * (n - nb) * nb));
+}
+BENCHMARK(BM_gemm_update)->Arg(128)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+void BM_gemm_ytop(benchmark::State& state) {
+  const index_t h = state.range(0) / 2;
+  constexpr index_t nb = 32;
+  Matrix<double> a = random_matrix(h, h, 14);
+  Matrix<double> v = random_matrix(h, nb, 15);
+  Matrix<double> y(h, nb);
+  for (auto _ : state) {
+    blas::gemm(Trans::No, Trans::No, 1.0, a.cview(), v.cview(), 0.0, y.view());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = gflops(state, 2.0 * static_cast<double>(h * h * nb));
+}
+BENCHMARK(BM_gemm_ytop)->Arg(128)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// The tridiagonal reduction's trailing update, A −= V·Wᵀ + W·Vᵀ, at the
+// first panel of sytrd-n384 (352 = 384 − 32 trailing rows, k = 32).
+void BM_syr2k(benchmark::State& state) {
+  const index_t n = state.range(0);
+  constexpr index_t nb = 32;
+  Matrix<double> v = random_matrix(n, nb, 16);
+  Matrix<double> w = random_matrix(n, nb, 17);
+  Matrix<double> c = random_symmetric_matrix(n, 18);
+  for (auto _ : state) {
+    blas::syr2k(Uplo::Lower, Trans::No, -1.0, v.cview(), w.cview(), 1.0, c.view());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = gflops(state, 2.0 * static_cast<double>(n * n * nb));
+}
+BENCHMARK(BM_syr2k)->Arg(352)->Unit(benchmark::kMicrosecond);
 
 void BM_gemv(benchmark::State& state) {
   const index_t n = state.range(0);
@@ -41,9 +95,7 @@ void BM_gemv(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
   const double dn = static_cast<double>(n);
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * dn * dn * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
+  state.counters["GFLOP/s"] = gflops(state, 2.0 * dn * dn);
 }
 BENCHMARK(BM_gemv)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
@@ -97,9 +149,7 @@ void BM_gehrd(benchmark::State& state) {
     benchmark::DoNotOptimize(a.data());
   }
   const double dn = static_cast<double>(n);
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      10.0 / 3.0 * dn * dn * dn * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
+  state.counters["GFLOP/s"] = gflops(state, 10.0 / 3.0 * dn * dn * dn);
 }
 BENCHMARK(BM_gehrd)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,9 @@
 #include "ft/checksum.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -102,6 +104,18 @@ double detection_gap(MatrixView<const double> ext) {
   double sce = 0.0;
   for (index_t c = 0; c < n; ++c) sce += ext(n, c);
   return std::abs(sre - sce);
+}
+
+index_t count_nonfinite(MatrixView<const double> x) {
+  index_t count = 0;
+  for (index_t j = 0; j < x.cols(); ++j) {
+    const double* col = x.data() + j * x.ld();
+    std::uint64_t in_col = 0;
+    for (index_t i = 0; i < x.rows(); ++i)
+      in_col += (std::bit_cast<std::uint64_t>(col[i]) >> 52 & 0x7ff) == 0x7ff;
+    count += static_cast<index_t>(in_col);
+  }
+  return count;
 }
 
 double default_threshold(double fro_norm, index_t n, double factor) {

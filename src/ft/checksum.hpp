@@ -46,6 +46,10 @@ Discrepancy compare_checksums(const FreshSums& fresh, MatrixView<const double> e
 /// |Sre − Sce|: the per-iteration detection statistic (Algorithm 3 line 13).
 double detection_gap(MatrixView<const double> ext);
 
+/// Number of NaN and ±Inf entries of `x`. Branch-free (an all-ones
+/// exponent field marks both), column by column, so the loop vectorizes.
+index_t count_nonfinite(MatrixView<const double> x);
+
 /// Default detection threshold: factor · eps · n · ‖A‖_F. The paper asks
 /// for a value 2–3 orders of magnitude above machine epsilon relative to
 /// the data scale; the n factor absorbs the growth of the grand sums.

@@ -31,10 +31,9 @@ constexpr Wording kWording{"ft_gebrd", "gap", /*counts_nonfinite=*/false};
 
 /// Per-line detection tolerance: the caller's as given, or 50× the gehrd
 /// default with its n factor divided back out.
-double gebrd_threshold(MatrixView<const double> a, const FtGebrdOptions& opt) {
-  const index_t n = a.rows();
+double gebrd_threshold(double fro_norm, index_t n, const FtGebrdOptions& opt) {
   return opt.threshold > 0 ? opt.threshold
-                           : 50.0 * default_threshold(norm_fro(a), n) /
+                           : 50.0 * default_threshold(fro_norm, n) /
                                  static_cast<double>(std::max<index_t>(n, 1));
 }
 
@@ -43,7 +42,7 @@ class FtGebrdDriver {
   FtGebrdDriver(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
                 VectorView<double> e, VectorView<double> tauq, VectorView<double> taup,
                 const FtGebrdOptions& opt, fault::Injector* inj, FtReport& rep,
-                hybrid::HybridGehrdStats& st)
+                hybrid::HybridGehrdStats& st, FroMax<double> norms)
       : s_(dev.stream()),
         a_(a),
         d_(d),
@@ -78,8 +77,8 @@ class FtGebrdDriver {
         at_mirror_(n_, n_),
         qp_v_(n_, /*row_offset=*/1),
         qp_u_(n_, /*row_offset=*/2),
-        threshold_(gebrd_threshold(MatrixView<const double>(a_), opt)),
-        scale_max_(norm_max(MatrixView<const double>(a_))),
+        threshold_(gebrd_threshold(norms.fro, n_, opt)),
+        scale_max_(norms.max),
         ladder_(kWording, rep, opt.fault_plane, opt.max_retries, threshold_,
                 ft_total_boundaries(n_, opt.nb)),
         plane_(opt.fault_plane) {
@@ -640,7 +639,8 @@ void ft_gebrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
 
   DriverFrame frame(dev, "gebrd", n, report, stats);
   if (n > 2) {
-    FtGebrdDriver driver(dev, a, d, e, tauq, taup, opt, injector, frame.rep(), frame.st());
+    FtGebrdDriver driver(dev, a, d, e, tauq, taup, opt, injector, frame.rep(), frame.st(),
+                         norm_fro_max(MatrixView<const double>(a)));
     driver.run();
   } else if (n > 0) {
     // Trivial sizes: the unblocked code is exact and cheap.

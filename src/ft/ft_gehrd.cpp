@@ -33,9 +33,9 @@ constexpr Wording kWording{"ft_gehrd", "gap", /*counts_nonfinite=*/true};
 
 /// Detection threshold for |Sre − Sce|: the caller's, or
 /// threshold_factor·eps·n·‖A‖_F.
-double gehrd_threshold(MatrixView<const double> a, const FtOptions& opt) {
+double gehrd_threshold(double fro_norm, index_t n, const FtOptions& opt) {
   return opt.threshold > 0 ? opt.threshold
-                           : default_threshold(norm_fro(a), a.rows(), opt.threshold_factor);
+                           : default_threshold(fro_norm, n, opt.threshold_factor);
 }
 
 /// All state of one fault-tolerant reduction (Algorithm 3).
@@ -43,7 +43,7 @@ class FtDriver {
  public:
   FtDriver(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
            const FtOptions& opt, fault::Injector* inj, FtReport& rep,
-           hybrid::HybridGehrdStats& st)
+           hybrid::HybridGehrdStats& st, FroMax<double> norms)
       : s_(dev.stream()),
         a_(a),
         tau_(tau),
@@ -60,15 +60,15 @@ class FtDriver {
         d_ones_(dev, n_ + 1, 1, "ft.d_ones"),
         t_host_(std::max<index_t>(opt.nb, 1), std::max<index_t>(opt.nb, 1)),
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
+        v_host_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_chkrow_(1, std::max<index_t>(opt.nb, 1)),
         new_chkrow_(1, std::max<index_t>(opt.nb, 1)),
         ext_scratch_(n_ + 1, n_ + 1),
         qp_(n_),
-        scale_max_(norm_max(MatrixView<const double>(a_))),
+        scale_max_(norms.max),
         ladder_(kWording, rep, opt.fault_plane, opt.max_retries,
-                gehrd_threshold(MatrixView<const double>(a_), opt),
-                ft_total_boundaries(n_, opt.nb)),
+                gehrd_threshold(norms.fro, n_, opt), ft_total_boundaries(n_, opt.nb)),
         loc_tol_(opt.locate_tol > 0 ? opt.locate_tol : ladder_.threshold()),
         plane_(opt.fault_plane) {
     if (plane_ != nullptr) plane_->bind(dev);
@@ -230,9 +230,12 @@ class FtDriver {
     WallTimer update_timer;
     {
       obs::TraceSpan update_span("hybrid", "update", "col", static_cast<double>(i));
-      // Ship clean V / T / corrected lower Y.
-      Matrix<double> v = lapack::materialize_v(MatrixView<const double>(a_), i, ib);
-      copy_h2d_async(s_, v.cview(), d_vce_.block(0, 0, vrows, ib));
+      // Ship clean V / T / corrected lower Y. V is staged in the
+      // driver-owned v_host_, which outlives every upload that reads it.
+      lapack::materialize_v_into(MatrixView<const double>(a_), i, ib,
+                                 v_host_.block(0, 0, vrows, ib));
+      copy_h2d_async(s_, MatrixView<const double>(v_host_.block(0, 0, vrows, ib)),
+                     d_vce_.block(0, 0, vrows, ib));
       copy_h2d_async(s_, t_host_.block(0, 0, ib, ib), d_t_.block(0, 0, ib, ib));
       copy_h2d_async(s_, y_host_.block(i + 1, 0, vrows, ib), d_yce_.block(i + 1, 0, vrows, ib));
 
@@ -306,9 +309,9 @@ class FtDriver {
         const TimedSpan q_span = ladder_.q_phase("q_checksum");
         pending_q_ = qp_.compute_panel(MatrixView<const double>(a_), i, ib);
       }
-      // The wait also retires the V/T/Y uploads, so the stack-local V
-      // staging buffer may die at the end of this scope with no transfer
-      // still reading it.
+      // The wait also retires the V/T/Y uploads, so the next iteration (or
+      // a redo of this one) may restage v_host_ with no transfer still
+      // reading it.
       y_upper_ready.wait();
       blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
                  MatrixView<const double>(a_.block(i + 1, i, ib - 1, ib - 1)),
@@ -359,13 +362,8 @@ class FtDriver {
       const double sre = blas::sum(VectorView<const double>(eh.col(n).sub(0, n)));
       const double sce = blas::sum(VectorView<const double>(eh.row(n).sub(0, n)));
       det.gap = std::abs(sre - sce);
-      index_t nf = 0;
-      for (index_t c = first_col; c <= n; ++c)
-        for (index_t r = 0; r <= n; ++r)
-          if (!std::isfinite(eh(r, c))) ++nf;
-      for (index_t c = 0; c < first_col; ++c)
-        if (!std::isfinite(eh(n, c))) ++nf;
-      det.nonfinite = nf;
+      det.nonfinite = count_nonfinite(eh.block(0, first_col, n + 1, n + 1 - first_col)) +
+                      count_nonfinite(eh.block(n, 0, 1, first_col));
     });
     s_.synchronize();
     det.clean = det.gap <= ladder_.threshold() && det.nonfinite == 0;  // NaN gap fails
@@ -658,6 +656,7 @@ class FtDriver {
 
   Matrix<double> t_host_;
   Matrix<double> y_host_;
+  Matrix<double> v_host_;       ///< V staging for the h2d upload
   Matrix<double> ckpt_;
   Matrix<double> ckpt_chkrow_;  ///< pre-iteration checksum-row segment over the panel
   Matrix<double> new_chkrow_;   ///< re-encoded segment for the finished panel
@@ -685,7 +684,8 @@ void ft_gehrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
 
   DriverFrame frame(dev, "gehrd", n, report, stats);
   if (n > 2) {
-    FtDriver driver(dev, a, tau, opt, injector, frame.rep(), frame.st());
+    FtDriver driver(dev, a, tau, opt, injector, frame.rep(), frame.st(),
+                    norm_fro_max(MatrixView<const double>(a)));
     driver.run();
   } else {
     for (index_t i = 0; i + 1 < n; ++i) tau[i] = 0.0;

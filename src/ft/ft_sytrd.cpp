@@ -32,18 +32,17 @@ constexpr Wording kWording{"ft_sytrd", "per-row gap", /*counts_nonfinite=*/false
 /// Per-row detection tolerance: the caller's as given, or the gehrd
 /// default — which bounds a grand total over n rows — with the n factor
 /// divided back out and a comfortable ×50 margin.
-double sytrd_threshold(MatrixView<const double> a, const FtSytrdOptions& opt) {
+double sytrd_threshold(double fro_norm, index_t n, const FtSytrdOptions& opt) {
   if (opt.threshold > 0) return opt.threshold;
-  const index_t n = a.rows();
-  return default_threshold(norm_fro(a), n) /
-         static_cast<double>(std::max<index_t>(n, 1)) * 50.0;
+  return default_threshold(fro_norm, n) / static_cast<double>(std::max<index_t>(n, 1)) * 50.0;
 }
 
 class FtSytrdDriver {
  public:
   FtSytrdDriver(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
                 VectorView<double> e, VectorView<double> tau, const FtSytrdOptions& opt,
-                fault::Injector* inj, FtReport& rep, hybrid::HybridGehrdStats& st)
+                fault::Injector* inj, FtReport& rep, hybrid::HybridGehrdStats& st,
+                FroMax<double> norms)
       : s_(dev.stream()),
         a_(a),
         d_(d),
@@ -71,8 +70,8 @@ class FtSytrdDriver {
         ckpt_chk2_(n_, 1),
         seg_(std::max<index_t>(opt.nb, 1), 2),
         qp_(n_),
-        threshold_(sytrd_threshold(MatrixView<const double>(a_), opt)),
-        scale_max_(norm_max(MatrixView<const double>(a_))),
+        threshold_(sytrd_threshold(norms.fro, n_, opt)),
+        scale_max_(norms.max),
         ladder_(kWording, rep, opt.fault_plane, opt.max_retries, threshold_,
                 ft_total_boundaries(n_, opt.nb)),
         plane_(opt.fault_plane) {
@@ -661,7 +660,8 @@ void ft_sytrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
 
   DriverFrame frame(dev, "sytrd", n, report, stats);
   if (n > 2) {
-    FtSytrdDriver driver(dev, a, d, e, tau, opt, injector, frame.rep(), frame.st());
+    FtSytrdDriver driver(dev, a, d, e, tau, opt, injector, frame.rep(), frame.st(),
+                         norm_fro_max(MatrixView<const double>(a)));
     driver.run();
   } else {
     for (index_t r = 0; r < n; ++r) d[r] = a(r, r);

@@ -42,6 +42,7 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
     // Host-side workspaces.
     Matrix<double> t_host(nb, nb);
     Matrix<double> y_host(n, nb);
+    Matrix<double> v_host(n, nb);  // V staging: outlives every upload that reads it
     // Device workspaces.
     DeviceMatrix<double> d_v(dev, n, nb, "gehrd.d_v");
     DeviceMatrix<double> d_t(dev, nb, nb, "gehrd.d_t");
@@ -87,8 +88,10 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
         obs::TraceSpan update_span("hybrid", "update", "col", static_cast<double>(i));
         // Ship the clean V (explicit unit diagonal), T, and the corrected
         // lower part of Y to the device.
-        Matrix<double> v = lapack::materialize_v(MatrixView<const double>(a), i, ib);
-        copy_h2d_async(s, v.cview(), d_v.block(0, 0, vrows, ib));
+        lapack::materialize_v_into(MatrixView<const double>(a), i, ib,
+                                   v_host.block(0, 0, vrows, ib));
+        copy_h2d_async(s, MatrixView<const double>(v_host.block(0, 0, vrows, ib)),
+                       d_v.block(0, 0, vrows, ib));
         copy_h2d_async(s, t_host.block(0, 0, ib, ib), d_t.block(0, 0, ib, ib));
         copy_h2d_async(s, y_host.block(0, 0, n, ib), d_y.block(0, 0, n, ib));
 
@@ -122,8 +125,8 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
 
         // Host (overlapped with the device GEMM + larfb): finish the upper
         // rows of the panel columns, A(0:i+1, i+1:i+ib) −= Y·V1ᵀ. The wait
-        // also retires the V/T/Y uploads, so the stack-local V staging
-        // buffer may die at the end of this scope with no transfer live.
+        // also retires the V/T/Y uploads, so the next iteration may
+        // restage v_host with no transfer still reading it.
         y_upper_ready.wait();
         blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
                    MatrixView<const double>(a.block(i + 1, i, ib - 1, ib - 1)),

@@ -7,8 +7,9 @@
 // straightforward reference kernel — they sit off the critical path.
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <memory>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/flops.hpp"
@@ -29,6 +30,15 @@ inline constexpr index_t kNR = 8;
 template <class T>
 inline T op_at(const MatrixView<const T>& x, Trans t, index_t i, index_t j) {
   return t == Trans::No ? x(i, j) : x(j, i);
+}
+
+/// Checker builds fill a packing buffer with quiet NaN before it is packed;
+/// elsewhere this is a no-op.
+template <class T>
+inline void poison([[maybe_unused]] T* buf, [[maybe_unused]] std::size_t size) {
+#if FTH_CHECK_ENABLED
+  std::fill_n(buf, size, std::numeric_limits<T>::quiet_NaN());
+#endif
 }
 
 /// Pack op(A)(i0:i0+mb, k0:k0+kb) into row-panels of height kMR.
@@ -136,23 +146,34 @@ void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<const T
     return;
   }
 
-  std::vector<T> apack(static_cast<std::size_t>(kMC + kMR) * kKC);
-  std::vector<T> bpack(static_cast<std::size_t>(kKC) * (kNC + kNR));
+  // Packing workspace sized to this call: the largest A block and B panel
+  // it packs, each rounded up to whole micro-tiles. Never initialised:
+  // pack_a/pack_b write every slot the micro-kernel reads, the zero padding
+  // of partial tiles included. Checker builds poison each buffer before it
+  // is packed, so a slot of the product that packing skipped surfaces as
+  // NaN in C.
+  const index_t kcap = std::min(kKC, k);
+  const auto asize = static_cast<std::size_t>((std::min(kMC, m) + kMR - 1) / kMR * kMR * kcap);
+  const auto bsize = static_cast<std::size_t>((std::min(kNC, n) + kNR - 1) / kNR * kNR * kcap);
+  const auto apack = std::make_unique_for_overwrite<T[]>(asize);
+  const auto bpack = std::make_unique_for_overwrite<T[]>(bsize);
 
   for (index_t jc = 0; jc < n; jc += kNC) {
     const index_t nb = std::min(kNC, n - jc);
     for (index_t kc = 0; kc < k; kc += kKC) {
       const index_t kb = std::min(kKC, k - kc);
-      pack_b(b, tb, kc, jc, kb, nb, bpack.data());
+      poison(bpack.get(), bsize);
+      pack_b(b, tb, kc, jc, kb, nb, bpack.get());
       for (index_t ic = 0; ic < m; ic += kMC) {
         const index_t mb = std::min(kMC, m - ic);
-        pack_a(a, ta, ic, kc, mb, kb, apack.data());
+        poison(apack.get(), asize);
+        pack_a(a, ta, ic, kc, mb, kb, apack.get());
         for (index_t jr = 0; jr < nb; jr += kNR) {
           const index_t nr = std::min(kNR, nb - jr);
-          const T* bp = bpack.data() + (jr / kNR) * kb * kNR;
+          const T* bp = bpack.get() + (jr / kNR) * kb * kNR;
           for (index_t ir = 0; ir < mb; ir += kMR) {
             const index_t mr = std::min(kMR, mb - ir);
-            const T* ap = apack.data() + (ir / kMR) * kb * kMR;
+            const T* ap = apack.get() + (ir / kMR) * kb * kMR;
             micro_kernel(kb, alpha, ap, bp, c, ic + ir, jc + jr, mr, nr);
           }
         }

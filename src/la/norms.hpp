@@ -32,9 +32,36 @@ T norm_inf(MatrixView<const T> a) {
   return best;
 }
 
-/// Frobenius norm with overflow-safe scaling.
+/// Max-abs norm: max |a_ij|.
 template <class T>
-T norm_fro(MatrixView<const T> a) {
+T norm_max(MatrixView<const T> a) {
+  T best{};
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i) best = std::max(best, std::abs(a(i, j)));
+  return best;
+}
+
+/// Both results of norm_fro_max.
+template <class T>
+struct FroMax {
+  T fro;  ///< norm_fro(a)
+  T max;  ///< norm_max(a)
+};
+
+/// Frobenius and max-abs norms from one pass over `a`.
+///
+/// `fro` is the overflow-safe scaled sum of squares. `max` is that
+/// recurrence's final `scale`, which equals norm_max(a) bit for bit:
+///  * both start at +0, and zeros of either sign change neither: the
+///    recurrence skips them, and std::max(best, +0) keeps `best`;
+///  * a finite nonzero |x| replaces `scale` exactly when `scale < |x|`,
+///    the test std::max(best, |x|) makes, so both keep the same maximum;
+///  * a NaN never wins `scale < |x|` (it takes the else branch, which
+///    poisons `ssq` but not `scale`), and std::max(best, NaN) keeps `best`;
+///  * an Inf wins `scale < |x|` over every finite `scale` and nothing
+///    replaces it afterwards, just as std::max keeps it in `best`.
+template <class T>
+FroMax<T> norm_fro_max(MatrixView<const T> a) {
   T scale{0};
   T ssq{1};
   for (index_t j = 0; j < a.cols(); ++j) {
@@ -52,16 +79,13 @@ T norm_fro(MatrixView<const T> a) {
       }
     }
   }
-  return scale * std::sqrt(ssq);
+  return {scale * std::sqrt(ssq), scale};
 }
 
-/// Max-abs norm: max |a_ij|.
+/// Frobenius norm with overflow-safe scaling.
 template <class T>
-T norm_max(MatrixView<const T> a) {
-  T best{};
-  for (index_t j = 0; j < a.cols(); ++j)
-    for (index_t i = 0; i < a.rows(); ++i) best = std::max(best, std::abs(a(i, j)));
-  return best;
+T norm_fro(MatrixView<const T> a) {
+  return norm_fro_max(a).fro;
 }
 
 /// Max-abs of the element-wise difference A − B.

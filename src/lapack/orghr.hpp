@@ -19,9 +19,9 @@ Matrix<double> materialize_v(MatrixView<const double> a_factored, index_t k, ind
 
 /// materialize_v into a caller-owned (n−k−1)×nb view — every entry is
 /// written (explicit zeros above the unit diagonal), so a loop-hoisted
-/// buffer can be refilled in place. The hybrid drivers use this to keep
-/// the V staging buffer alive across an async h2d that is only retired
-/// by the next iteration's synchronous panel fetch.
+/// buffer can be refilled in place. The gehrd and sytrd drivers (hybrid
+/// and FT) stage V this way, so the buffer outlives the async h2d that
+/// reads it.
 void materialize_v_into(MatrixView<const double> a_factored, index_t k, index_t nb,
                         MatrixView<double> v);
 

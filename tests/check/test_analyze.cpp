@@ -840,18 +840,18 @@ struct SeededEdge {
 // driver is edited these update with it (the clean-tree golden below
 // catches drift the other way).
 const SeededEdge kSeeds[] = {
-    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 130, "'y_host'",
+    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 133, "'y_host'",
      1},
     {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 131, "'a'", 1},
     // The only synchronize() left in the de-over-synchronized driver is
     // the hook-branch drain; deleting it breaks the host_view unwrap.
     {"src/hybrid/hybrid_sytrd.cpp", "s.synchronize();", "stream-not-idle", 118, "host_view", 1},
-    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 315, "'y_host_'", 1},
+    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 318, "'y_host_'", 1},
     // ft_gebrd: the wait also covers the fault-injection helper's host
     // write of a_, so its deletion surfaces that second race (at the
     // inject_at_boundary splice in the shared run(), two_code.inc)
     // alongside the pivot-restore one.
-    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 269, "'a_'", 2},
+    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 268, "'a_'", 2},
     // The one inter-device edge of the pool driver's Y-top reduction:
     // without it the collector task reads stage_g_ while the producers'
     // d2h copies are still in flight (ISSUE 7 / DESIGN.md §13).
@@ -1322,7 +1322,7 @@ TEST(AnalyzePerfSeeded, ReAddingTheGehrdLoopBottomBarrierIsCoarse) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), "++st.panels;",
                                    "++st.panels;\n        s.synchronize();"));
-  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 138))
+  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 141))
       << "the pre-PR loop-bottom drain is re-flagged where it was removed";
 }
 
@@ -1341,7 +1341,7 @@ TEST(AnalyzePerfSeeded, DuplicatingTheGehrdTUploadIsADeadTransfer) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), t_h2d,
                                    t_h2d + "\n        " + t_h2d));
-  EXPECT_TRUE(has_perf(f, "dead-transfer", 92))
+  EXPECT_TRUE(has_perf(f, "dead-transfer", 95))
       << "the first T upload is overwritten before any device op reads it";
 }
 

@@ -2,7 +2,10 @@
 // property: the extended right/left block updates preserve both checksums.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "ft/checksum.hpp"
 #include "la/blas3.hpp"
@@ -196,6 +199,63 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Theorem1,
                                            std::make_tuple<index_t, index_t, index_t>(33, 8, 8),
                                            std::make_tuple<index_t, index_t, index_t>(16, 10, 1),
                                            std::make_tuple<index_t, index_t, index_t>(40, 16, 8)));
+
+TEST(Nonfinite, CountsNaNAndInfOnly) {
+  using lim = std::numeric_limits<double>;
+  const double counted[] = {lim::quiet_NaN(), lim::signaling_NaN(), -lim::quiet_NaN(),
+                            std::bit_cast<double>(0x7ff0000000000001ULL),  // NaN, low payload
+                            lim::infinity(), -lim::infinity()};
+  const double not_counted[] = {lim::max(), -lim::max(), 0.0, -0.0, lim::denorm_min(),
+                                -lim::denorm_min(), lim::min() - lim::denorm_min(), 1.0};
+  Matrix<double> x(4, 4);
+  for (index_t k = 0; k < 6; ++k) x(k % 4, k / 4) = counted[k];
+  for (index_t k = 0; k < 8; ++k) x(k % 4, k / 4 + 2) = not_counted[k];
+  EXPECT_EQ(count_nonfinite(x.cview()), 6);
+  for (const double v : not_counted) {
+    Matrix<double> one(1, 1);
+    one(0, 0) = v;
+    EXPECT_EQ(count_nonfinite(one.cview()), 0) << v;
+  }
+  EXPECT_EQ(count_nonfinite(MatrixView<const double>(x.block(0, 0, 4, 0))), 0);
+}
+
+TEST(Nonfinite, MatchesIsfiniteLoopOnStridedViews) {
+  const auto reference = [](MatrixView<const double> v) {
+    index_t nf = 0;
+    for (index_t c = 0; c < v.cols(); ++c)
+      for (index_t r = 0; r < v.rows(); ++r)
+        if (!std::isfinite(v(r, c))) ++nf;
+    return nf;
+  };
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::max(), -0.0,
+                             std::numeric_limits<double>::denorm_min()};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const index_t n = 20 + static_cast<index_t>(rng.below(40));
+    Matrix<double> ext = random_matrix(n + 1, n + 1, seed);
+    for (int k = 0; k < 25; ++k) {
+      ext(static_cast<index_t>(rng.below(static_cast<std::uint64_t>(n + 1))),
+          static_cast<index_t>(rng.below(static_cast<std::uint64_t>(n + 1)))) =
+          specials[rng.below(6)];
+    }
+    const index_t r0 = static_cast<index_t>(rng.below(static_cast<std::uint64_t>(n)));
+    const index_t c0 = static_cast<index_t>(rng.below(static_cast<std::uint64_t>(n)));
+    const auto view = MatrixView<const double>(ext.block(r0, c0, n + 1 - r0, n + 1 - c0));
+    EXPECT_EQ(count_nonfinite(view), reference(view)) << "seed " << seed;
+    // ft_gehrd's live region: trailing columns over every row, then the
+    // checksum-row entries left of them.
+    const index_t first_col = c0;
+    const auto e = ext.cview();
+    EXPECT_EQ(count_nonfinite(e.block(0, first_col, n + 1, n + 1 - first_col)) +
+                  count_nonfinite(e.block(n, 0, 1, first_col)),
+              reference(e.block(0, first_col, n + 1, n + 1 - first_col)) +
+                  reference(e.block(n, 0, 1, first_col)))
+        << "seed " << seed;
+  }
+}
 
 TEST(Threshold, ScalesWithSizeAndNorm) {
   EXPECT_GT(default_threshold(10.0, 100), default_threshold(10.0, 10));

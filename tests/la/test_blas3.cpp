@@ -47,6 +47,40 @@ TEST(Gemm, LargeCrossesAllBlockingBoundaries) {
   test::expect_matrix_near(c.cview(), expected.cview(), 1e-11, "big gemm");
 }
 
+// gemm packs into buffers sized to the call. These shapes cross kNC
+// (n = 1029: a partial last B panel and a partial kNR tile) and are
+// ft_gehrd's real products at n = 128 and n = 512 (checksum row and column
+// included): the first trailing update, (n+1) × (n−31) × 32, and a Y-top
+// product, (i+1) × 32 × (n−i−1), each in all four transpose pairs with
+// beta ∈ {0, 1}. m = 37 and 33 leave the A block, n = 97 and 481 the B
+// panel, short of a whole micro-tile, so ASan builds catch a buffer sized
+// without the round-up; checker builds, which poison the buffers before
+// packing, turn a slot of the product that packing skipped into NaN.
+using Shape = std::tuple<index_t, index_t, index_t>;
+class GemmCallSized : public ::testing::TestWithParam<std::tuple<Shape, int, int, int>> {};
+
+TEST_P(GemmCallSized, MatchesReference) {
+  const auto [shape, tac, tbc, beta_one] = GetParam();
+  const auto [m, n, k] = shape;
+  const Trans ta = tac == 0 ? Trans::No : Trans::Yes;
+  const Trans tb = tbc == 0 ? Trans::No : Trans::Yes;
+  const double beta = beta_one != 0 ? 1.0 : 0.0;
+  Matrix<double> a = ta == Trans::No ? random_matrix(m, k, 21) : random_matrix(k, m, 21);
+  Matrix<double> b = tb == Trans::No ? random_matrix(k, n, 22) : random_matrix(n, k, 22);
+  Matrix<double> c = random_matrix(m, n, 23);
+  Matrix<double> expected = test::ref_gemm(ta, tb, -1.0, a.cview(), b.cview(), beta, c.cview());
+  blas::gemm(ta, tb, -1.0, a.cview(), b.cview(), beta, c.view());
+  test::expect_matrix_near(c.cview(), expected.cview(), 1e-12 * static_cast<double>(k + 1),
+                           "call-sized gemm");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmCallSized,
+    ::testing::Combine(::testing::Values(Shape{37, 1029, 33}, Shape{129, 97, 32},
+                                         Shape{513, 481, 32}, Shape{33, 32, 95},
+                                         Shape{257, 32, 255}),
+                       ::testing::Values(0, 1), ::testing::Values(0, 1), ::testing::Values(0, 1)));
+
 TEST(Gemm, SubmatrixViewsWithLd) {
   Matrix<double> big_a = random_matrix(40, 40, 6);
   Matrix<double> big_b = random_matrix(40, 40, 7);

@@ -1,7 +1,11 @@
 // Norms and matrix comparison helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <tuple>
 
 #include "la/generate.hpp"
 #include "la/norms.hpp"
@@ -41,6 +45,57 @@ TEST(Norms, OneInfDualUnderTranspose) {
     for (index_t i = 0; i < 13; ++i) at(j, i) = a(i, j);
   EXPECT_NEAR(norm_one(a.cview()), norm_inf(at.cview()), 1e-14);
   EXPECT_NEAR(norm_inf(a.cview()), norm_one(at.cview()), 1e-14);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// norm_fro_max(a) must return norm_fro(a) and norm_max(a) bit for bit.
+void expect_fro_max(MatrixView<const double> a, const char* what) {
+  const FroMax<double> both = norm_fro_max(a);
+  EXPECT_EQ(bits(both.fro), bits(norm_fro(a))) << what;
+  EXPECT_EQ(bits(both.max), bits(norm_max(a))) << what;
+}
+
+TEST(Norms, FroMaxMatchesBothNormsBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_fro_max(random_matrix(17, 9, seed).cview(), "random");
+    expect_fro_max(random_normal_matrix(33, 33, seed).cview(), "random normal");
+    expect_fro_max(random_graded_matrix(40, seed, 300.0).cview(), "graded 1e±150");
+  }
+
+  Matrix<double> z(6, 5);
+  expect_fro_max(z.cview(), "all zero");
+  EXPECT_EQ(bits(norm_fro_max(z.cview()).max), bits(0.0));
+  for (index_t j = 0; j < 5; ++j)
+    for (index_t i = 0; i < 6; ++i) z(i, j) = (i + j) % 2 == 0 ? -0.0 : 0.0;
+  expect_fro_max(z.cview(), "±0.0");
+  EXPECT_EQ(bits(norm_fro_max(z.cview()).max), bits(0.0)) << "the max of ±0 is +0";
+
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  Matrix<double> sub(4, 4);
+  for (index_t j = 0; j < 4; ++j)
+    for (index_t i = 0; i < 4; ++i)
+      sub(i, j) = (static_cast<double>((i + 3 * j) % 5) - 2.5) * 1000.0 * tiny;
+  expect_fro_max(sub.cview(), "subnormal only");
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::tuple<index_t, index_t, double> plants[] = {
+      {0, 0, nan}, {0, 0, inf}, {3, 2, -inf}, {7, 4, -nan}};
+  for (const auto& [i, j, x] : plants) {
+    Matrix<double> a = random_matrix(8, 5, 9);
+    a(i, j) = x;
+    expect_fro_max(a.cview(), "one non-finite");
+    a(2, 1) = std::isnan(x) ? inf : nan;  // both kinds, in either order
+    expect_fro_max(a.cview(), "NaN and Inf");
+  }
+  Matrix<double> all_nan(3, 3);
+  all_nan.fill(nan);
+  expect_fro_max(all_nan.cview(), "all NaN");
+
+  Matrix<double> big = random_graded_matrix(30, 5, 40.0);
+  expect_fro_max(MatrixView<const double>(big.block(3, 4, 17, 11)), "strided view");
+  expect_fro_max(MatrixView<const double>(big.block(29, 0, 1, 30)), "row view");
 }
 
 TEST(Diff, MaxAbsDiffAndCount) {
