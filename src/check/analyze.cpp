@@ -134,6 +134,7 @@ struct Summary {
 struct FuncDef {
   std::string name;  ///< unqualified; empty for operators/lambdas
   std::vector<std::string> params;
+  std::size_t head = 0;        ///< the parameter list's `(`
   std::size_t body_begin = 0;  ///< first token inside the `{`
   std::size_t body_end = 0;    ///< the matching `}` token
 };
@@ -761,6 +762,7 @@ struct Engine {
   }
 
   std::vector<std::string> cur_params_;  ///< pass-1: parameters of the function being summarized
+  std::size_t cur_head_ = 0;  ///< the walked function's parameter-list `(` (view declarations)
 
   // ---- op application (shared by direct walking and summary replay) ------
 
@@ -1234,11 +1236,92 @@ struct Engine {
     h2d_dest_unread_.clear();
   }
 
+  // ---- lambda captures ----------------------------------------------------
+
+  /// The `[` at `i` opens a lambda's capture list, not a subscript, an
+  /// attribute or a structured binding: it does not follow an operand
+  /// (`return [..]` does), and its `]` is followed by the parameter list,
+  /// the body or a specifier.
+  bool is_lambda_introducer(std::size_t i) const {
+    if (i > 0) {
+      const Token& p = t[i - 1];
+      if (p.kind == Tok::Ident && p.text != "return") return false;
+      if (p.kind == Tok::Punct && (p.text == ")" || p.text == "]")) return false;
+      if (p.kind != Tok::Ident && p.kind != Tok::Punct) return false;
+    }
+    if (is_punct(i + 1, "[")) return false;  // [[attribute]]
+    const std::size_t close = close_square(i);
+    return is_punct(close + 1, "(") || is_punct(close + 1, "{") ||
+           (is_ident(close + 1) &&
+            (t[close + 1].text == "mutable" || t[close + 1].text == "constexpr" ||
+             t[close + 1].text == "noexcept"));
+  }
+
+  /// Is `name` declared with a view type (`...View<...> name`, optionally
+  /// `const`/`&`) between the walked function's parameter list and `before`?
+  /// Copying a view copies a pointer and a shape; no buffer byte is read.
+  bool declared_as_view(const std::string& name, std::size_t before) const {
+    for (std::size_t d = before; d-- > cur_head_;) {
+      if (!is_ident(d) || t[d].text != name || d == 0) continue;
+      std::size_t j = d - 1;
+      while (j > 0 && (is_punct(j, "&") || (is_ident(j) && t[j].text == "const"))) --j;
+      if (is_punct(j, ">")) {
+        int depth = 0;
+        for (; j > 0; --j) {
+          if (is_punct(j, ">")) ++depth;
+          if (is_punct(j, "<") && --depth == 0) break;
+        }
+        if (j == 0) continue;
+        --j;
+      }
+      if (is_ident(j) && ends_with(t[j].text, "View")) return true;
+    }
+    return false;
+  }
+
+  /// Walks the capture list whose `[` is at `open` and returns its `]`.
+  /// Creating the closure touches only what it copies: a by-reference
+  /// capture, `this` and a by-copy view touch no buffer, any other
+  /// by-copy capture reads its root, and an init-capture's initializer
+  /// is host code evaluated here. The parameter list and the body are
+  /// walked inline after the `]`, as before.
+  std::size_t walk_captures(std::size_t open) {
+    const std::size_t close = close_square(open);
+    std::size_t b = open + 1;
+    for (std::size_t j = open + 1; j <= close; ++j) {
+      if (j < close && !is_punct(j, ",")) {
+        if (is_punct(j, "(")) j = close_paren(j);
+        else if (is_punct(j, "{")) j = close_brace(j);
+        else if (is_punct(j, "[")) j = close_square(j);
+        continue;
+      }
+      // One capture in [b, j).
+      std::size_t eq = b;
+      while (eq < j && !is_punct(eq, "=")) ++eq;
+      if (eq < j && eq > b) {
+        walk_range(eq + 1, j);  // init-capture: the initializer runs here
+      } else if (j == b + 1 && is_ident(b) && t[b].text != "this" &&
+                 !declared_as_view(t[b].text, open)) {
+        Op op;
+        op.kind = Op::kHostTouch;
+        op.line = t[b].line;
+        op.a = t[b].text;
+        step(std::move(op));
+      }
+      b = j + 1;
+    }
+    return close;
+  }
+
   // ---- the walker ---------------------------------------------------------
 
   void walk_range(std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e && i < t.size(); ++i) {
       const Token& tk = t[i];
+      if (is_punct(i, "[") && is_lambda_introducer(i)) {
+        i = walk_captures(i);
+        continue;
+      }
       if (tk.kind != Tok::Ident) continue;
       const std::string& id = tk.text;
       const bool dotted = i > 0 && (is_punct(i - 1, ".") || is_punct(i - 1, "->"));
@@ -1467,6 +1550,7 @@ struct Engine {
       FuncDef def;
       if (open > 0 && is_ident(open - 1)) def.name = t[open - 1].text;
       def.params = param_names(open, close);
+      def.head = open;
       def.body_begin = i + 1;
       def.body_end = close_brace(i);
       defs.push_back(std::move(def));
@@ -1524,6 +1608,7 @@ struct Engine {
       sum.params = def.params;
       reset_function_state();
       cur_params_ = def.params;
+      cur_head_ = def.head;
       sink = &sum.raw;
       walk_range(def.body_begin, def.body_end);
       sink = nullptr;
@@ -1539,6 +1624,7 @@ struct Engine {
     for (const FuncDef& def : defs) {
       reset_function_state();
       cur_params_ = def.params;
+      cur_head_ = def.head;
       ++stats.functions;
       walk_range(def.body_begin, def.body_end);
       // A synchronize() still open at function end retired more than

@@ -69,6 +69,7 @@ class FtGebrdDriver {
         d_fresh_(dev, n_, 2, "gebrd.ft.d_fresh"),
         x_host_(n_, std::max<index_t>(opt.nb, 1)),
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
+        u_host_(n_, 1),
         ckpt_cols_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_rows_(std::max<index_t>(opt.nb, 1), n_),
         ckpt_chk1_(n_, 1),
@@ -169,26 +170,34 @@ class FtGebrdDriver {
               hybrid::gemv_async(s_, Trans::Yes, 1.0, d_a_.block(cj, cj + 1, mlen, nlen),
                                  d_vec_.view().col(0).sub(0, mlen), 0.0,
                                  d_res_.view().col(0).sub(0, nlen));
-              copy_d2h(s_, d_res_.block(0, 0, nlen, 1),
-                       MatrixView<double>(ycol.data(), nlen, 1, nlen));
-              // Tripwire: a non-finite product means a NaN/Inf strike
-              // reached the trailing matrix mid-panel.
-              for (index_t r = 0; r < nlen; ++r)
-                if (!std::isfinite(ycol[r])) throw PanelPoisoned{};
+              copy_d2h_async(s_, d_res_.block(0, 0, nlen, 1),
+                             MatrixView<double>(ycol.data(), nlen, 1, nlen));
+              return [this, ycol, nlen] {
+                s_.synchronize();
+                // Tripwire: a non-finite product means a NaN/Inf strike
+                // reached the trailing matrix mid-panel.
+                for (index_t r = 0; r < nlen; ++r)
+                  if (!std::isfinite(ycol[r])) throw PanelPoisoned{};
+              };
             },
             [&](index_t j, VectorView<const double> u, VectorView<double> xcol) {
               const index_t cj = i + j;
               const index_t nlen = n_ - cj - 1;
-              Matrix<double> dense(nlen, 1);
-              for (index_t r = 0; r < nlen; ++r) dense(r, 0) = u[r];
-              copy_h2d_async(s_, dense.cview(), d_vec_.block(0, 0, nlen, 1));
+              // u is a strided row view; stage it densely in u_host_, which
+              // outlives the upload (only the waiter retires it).
+              for (index_t r = 0; r < nlen; ++r) u_host_(r, 0) = u[r];
+              copy_h2d_async(s_, MatrixView<const double>(u_host_.block(0, 0, nlen, 1)),
+                             d_vec_.block(0, 0, nlen, 1));
               hybrid::gemv_async(s_, Trans::No, 1.0, d_a_.block(cj + 1, cj + 1, nlen, nlen),
                                  d_vec_.view().col(0).sub(0, nlen), 0.0,
                                  d_res_.view().col(0).sub(0, nlen));
-              copy_d2h(s_, d_res_.block(0, 0, nlen, 1),
-                       MatrixView<double>(xcol.data(), nlen, 1, nlen));
-              for (index_t r = 0; r < nlen; ++r)
-                if (!std::isfinite(xcol[r])) throw PanelPoisoned{};
+              copy_d2h_async(s_, d_res_.block(0, 0, nlen, 1),
+                             MatrixView<double>(xcol.data(), nlen, 1, nlen));
+              return [this, xcol, nlen] {
+                s_.synchronize();
+                for (index_t r = 0; r < nlen; ++r)
+                  if (!std::isfinite(xcol[r])) throw PanelPoisoned{};
+              };
             });
       } catch (const PanelPoisoned&) {
         poisoned = true;
@@ -601,6 +610,9 @@ class FtGebrdDriver {
 
   Matrix<double> x_host_;
   Matrix<double> y_host_;
+  // Dense staging of the panel's strided row u: its upload is retired only
+  // by the column's waiter, after the provider returned (DESIGN.md §7).
+  Matrix<double> u_host_;
   Matrix<double> ckpt_cols_;
   Matrix<double> ckpt_rows_;
   Matrix<double> ckpt_chk1_;

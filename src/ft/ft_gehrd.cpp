@@ -207,14 +207,18 @@ class FtDriver {
                                  d_e_.block(i + 1, cj + 1, vrows, n_ - cj - 1),
                                  d_vcol.col(0), 0.0,
                                  d_yce_.block(i + 1, j, vrows, 1).col(0));
-              copy_d2h(s_, d_yce_.block(i + 1, j, vrows, 1),
-                       MatrixView<double>(y_col.data(), vrows, 1, vrows));
-              // Tripwire: a non-finite y means a NaN/Inf strike reached the
-              // trailing matrix mid-panel. Applying the reflector chain
-              // would smear it everywhere; abandon the panel instead, while
-              // no update has touched the extended matrix yet.
-              for (index_t r = 0; r < vrows; ++r)
-                if (!std::isfinite(y_col[r])) throw PanelPoisoned{};
+              copy_d2h_async(s_, d_yce_.block(i + 1, j, vrows, 1),
+                             MatrixView<double>(y_col.data(), vrows, 1, vrows));
+              return [this, y_col, vrows] {
+                s_.synchronize();
+                // Tripwire: a non-finite y means a NaN/Inf strike reached
+                // the trailing matrix mid-panel. Applying the reflector
+                // chain would smear it everywhere; abandon the panel
+                // instead, while no update has touched the extended matrix
+                // yet.
+                for (index_t r = 0; r < vrows; ++r)
+                  if (!std::isfinite(y_col[r])) throw PanelPoisoned{};
+              };
             });
       } catch (const PanelPoisoned&) {
         poisoned = true;

@@ -160,13 +160,16 @@ class FtSytrdDriver {
               hybrid::symv_async(s_, Uplo::Lower, 1.0,
                                  d_a_.block(cj + 1, cj + 1, vlen, vlen), d_vcol.col(0), 0.0,
                                  d_w_.block(j, j, vlen, 1).col(0));
-              copy_d2h(s_, d_w_.block(j, j, vlen, 1),
-                       MatrixView<double>(w_col.data(), vlen, 1, vlen));
-              // Tripwire: a non-finite w means a NaN/Inf strike reached the
-              // trailing matrix mid-panel. Abandon the panel before any
-              // update smears it.
-              for (index_t r = 0; r < vlen; ++r)
-                if (!std::isfinite(w_col[r])) throw PanelPoisoned{};
+              copy_d2h_async(s_, d_w_.block(j, j, vlen, 1),
+                             MatrixView<double>(w_col.data(), vlen, 1, vlen));
+              return [this, w_col, vlen] {
+                s_.synchronize();
+                // Tripwire: a non-finite w means a NaN/Inf strike reached
+                // the trailing matrix mid-panel. Abandon the panel before
+                // any update smears it.
+                for (index_t r = 0; r < vlen; ++r)
+                  if (!std::isfinite(w_col[r])) throw PanelPoisoned{};
+              };
             });
       } catch (const PanelPoisoned&) {
         poisoned = true;

@@ -276,7 +276,9 @@ class PoolDriver {
     }
 
     // Host panel factorization; the big GEMV is one partial product per
-    // data member against its own shard, summed on the host.
+    // data member against its own shard, summed on the host. The member
+    // waits (bounded, health-checked) and the sum stay inside the launch,
+    // so the waiter it returns is already ready.
     lapack::detail::lahr2_panel(
         a_, i, ib, t_host_.view(), y_host_.view(), tau_.sub(i, ib),
         [&](index_t j, VectorView<const double> vj, VectorView<double> y_col) {
@@ -314,6 +316,7 @@ class PoolDriver {
             for (int sl = 0; sl < Ddata_; ++sl) acc += stage_y_(r, sl);
             y_col[r] = acc;
           }
+          return [] {};
         });
 
     // Y top rows, Y(0:i+1,:) = A(0:i+1, i+1:n)·V·T: one partial GEMM per

@@ -41,6 +41,9 @@ void hybrid_gebrd(Device& dev, MatrixView<double> a, VectorView<double> d,
 
     Matrix<double> x_host(n, nb);
     Matrix<double> y_host(n, nb);
+    // Dense staging of the strided row u, loop-hoisted: its upload is only
+    // retired by the column's waiter, after the provider has returned.
+    Matrix<double> u_host(n, 1);
     DeviceMatrix<double> d_vec(dev, n, 1, "gebrd.d_vec");  // staging for v/u vectors
     DeviceMatrix<double> d_res(dev, n, 1, "gebrd.d_res");  // staging for the big products
     DeviceMatrix<double> d_v2(dev, n, nb, "gebrd.d_v2");
@@ -76,22 +79,24 @@ void hybrid_gebrd(Device& dev, MatrixView<double> a, VectorView<double> d,
                          d_a.block(cj, cj + 1, mlen, nlen),
                          d_vec.view().col(0).sub(0, mlen), 0.0,
                          d_res.view().col(0).sub(0, nlen));
-              copy_d2h(s, d_res.block(0, 0, nlen, 1),
-                       MatrixView<double>(ycol.data(), nlen, 1, nlen));
+              copy_d2h_async(s, d_res.block(0, 0, nlen, 1),
+                             MatrixView<double>(ycol.data(), nlen, 1, nlen));
+              return [&s] { s.synchronize(); };  // joins the fetch
             },
             [&](index_t j, VectorView<const double> u, VectorView<double> xcol) {
               const index_t cj = i + j;
               const index_t nlen = n - cj - 1;
               // u is a strided row view; stage it densely for the transfer.
-              Matrix<double> dense(nlen, 1);
-              for (index_t r = 0; r < nlen; ++r) dense(r, 0) = u[r];
-              copy_h2d_async(s, dense.cview(), d_vec.block(0, 0, nlen, 1));
+              for (index_t r = 0; r < nlen; ++r) u_host(r, 0) = u[r];
+              copy_h2d_async(s, MatrixView<const double>(u_host.block(0, 0, nlen, 1)),
+                             d_vec.block(0, 0, nlen, 1));
               gemv_async(s, Trans::No, 1.0,
                          d_a.block(cj + 1, cj + 1, nlen, nlen),
                          d_vec.view().col(0).sub(0, nlen), 0.0,
                          d_res.view().col(0).sub(0, nlen));
-              copy_d2h(s, d_res.block(0, 0, nlen, 1),
-                       MatrixView<double>(xcol.data(), nlen, 1, nlen));
+              copy_d2h_async(s, d_res.block(0, 0, nlen, 1),
+                             MatrixView<double>(xcol.data(), nlen, 1, nlen));
+              return [&s] { s.synchronize(); };  // joins the fetch
             });
       }
       st.panel_seconds += panel_timer.seconds();
@@ -132,9 +137,9 @@ void hybrid_gebrd(Device& dev, MatrixView<double> a, VectorView<double> d,
           a(i + j, i + j + 1) = e[i + j];
         }
         // No loop-bottom synchronize: operands_shipped already retired the
-        // four uploads, and the next iteration's synchronous per-column
-        // panel fetches join the trailing GEMMs (fth_analyze --perf
-        // flagged the old barrier as coarse-synchronize).
+        // four uploads, and the next iteration's synchronous panel fetch
+        // joins the trailing GEMMs (fth_analyze --perf flagged the old
+        // barrier as coarse-synchronize).
       }
       st.update_seconds += update_timer.seconds();
 

@@ -68,8 +68,9 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
             a, i, ib, t_host.view(), y_host.view(), tau.sub(i, ib),
             [&](index_t j, VectorView<const double> vj, VectorView<double> y_col) {
               const index_t cj = i + j;
-              // Ship the reflector vector, launch the device GEMV, fetch the
-              // raw product back (the host applies the corrections).
+              // Ship the reflector vector, launch the device GEMV and start
+              // fetching the raw product back; the waiter joins the fetch
+              // (the host applies the corrections after it).
               auto d_vcol = d_v.block(j, j, vj.size(), 1);
               copy_h2d_async(s, MatrixView<const double>(vj.data(), vj.size(), 1, vj.size()),
                              d_vcol);
@@ -77,8 +78,9 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
                          d_a.block(i + 1, cj + 1, vrows, n - cj - 1),
                          d_vcol.col(0), 0.0,
                          d_y.block(i + 1, j, vrows, 1).col(0));
-              copy_d2h(s, d_y.block(i + 1, j, vrows, 1),
-                       MatrixView<double>(y_col.data(), vrows, 1, vrows));
+              copy_d2h_async(s, d_y.block(i + 1, j, vrows, 1),
+                             MatrixView<double>(y_col.data(), vrows, 1, vrows));
+              return [&s] { s.synchronize(); };
             });
       }
       st.panel_seconds += panel_timer.seconds();

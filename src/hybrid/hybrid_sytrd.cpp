@@ -71,8 +71,9 @@ void hybrid_sytrd(Device& dev, MatrixView<double> a, VectorView<double> d,
                        d_a.block(cj + 1, cj + 1, vlen, vlen),
                        d_vcol.col(0), 0.0,
                        d_w.block(cj + 1 - i, j, vlen, 1).col(0));
-            copy_d2h(s, d_w.block(cj + 1 - i, j, vlen, 1),
-                     MatrixView<double>(w_col.data(), vlen, 1, vlen));
+            copy_d2h_async(s, d_w.block(cj + 1 - i, j, vlen, 1),
+                           MatrixView<double>(w_col.data(), vlen, 1, vlen));
+            return [&s] { s.synchronize(); };  // joins the fetch
           });
       }
       st.panel_seconds += panel_timer.seconds();

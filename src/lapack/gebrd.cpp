@@ -57,6 +57,7 @@ void labrd(MatrixView<double> a, index_t k, index_t nb, VectorView<double> d,
            VectorView<double> e, VectorView<double> tauq, VectorView<double> taup,
            MatrixView<double> x, MatrixView<double> y) {
   const index_t n = a.rows();
+  // Host products: done in the launch, so both waiters are ready.
   detail::labrd_panel(
       a, k, nb, d, e, tauq, taup, x, y,
       [&](index_t j, VectorView<const double> v, VectorView<double> ycol) {
@@ -64,12 +65,14 @@ void labrd(MatrixView<double> a, index_t k, index_t nb, VectorView<double> d,
         blas::gemv(Trans::Yes, 1.0,
                    MatrixView<const double>(a.block(cj, cj + 1, n - cj, n - cj - 1)), v, 0.0,
                    ycol);
+        return [] {};
       },
       [&](index_t j, VectorView<const double> u, VectorView<double> xcol) {
         const index_t cj = k + j;
         blas::gemv(Trans::No, 1.0,
                    MatrixView<const double>(a.block(cj + 1, cj + 1, n - cj - 1, n - cj - 1)),
                    u, 0.0, xcol);
+        return [] {};
       });
 }
 

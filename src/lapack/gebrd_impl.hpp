@@ -4,7 +4,9 @@
 // identical on the host and hybrid paths except for the two operations
 // that read the trailing matrix — the column product
 // y_raw = A(cj:n, cj+1:n)ᵀ·v and the row product x_raw = A(cj+1:n, cj+1:n)·u.
-// The provider functors abstract exactly those.
+// The provider functors abstract exactly those, each split into a launch
+// that returns a waiter (see lahr2_impl.hpp): the two small products of
+// each half that do not read the raw product run between the two.
 #pragma once
 
 #include <vector>
@@ -22,9 +24,10 @@ namespace fth::lapack::detail {
 /// blocked caller). Produces d/e/tauq/taup for the panel and the X and Y
 /// update matrices (global rows used).
 ///
-/// `big_gemv_y(j, v, y_col)` must compute y_col = A(cj:n, cj+1:n)ᵀ·v and
-/// `big_gemv_x(j, u, x_col)` must compute x_col = A(cj+1:n, cj+1:n)·u,
-/// both against the start-of-panel trailing matrix.
+/// `big_gemv_y(j, v, y_col)` must launch y_col = A(cj:n, cj+1:n)ᵀ·v and
+/// `big_gemv_x(j, u, x_col)` must launch x_col = A(cj+1:n, cj+1:n)·u,
+/// both against the start-of-panel trailing matrix, and each return a
+/// waiter, called exactly once per column before its result is read.
 ///
 /// On exit the pivot positions A(cj,cj) and A(cj,cj+1) hold 1 (LAPACK
 /// leaves the units in place); the caller restores d/e after the trailing
@@ -42,7 +45,10 @@ void labrd_panel(MatrixView<double> a, index_t k, index_t nb, VectorView<double>
   FTH_CHECK(d.size() >= nb && e.size() >= nb && tauq.size() >= nb && taup.size() >= nb,
             "labrd: outputs too short");
 
+  // Two temporaries: both small products of each half are taken before
+  // that half's wait.
   std::vector<double> tmp_buf(static_cast<std::size_t>(nb) + 1);
+  std::vector<double> tmp2_buf(static_cast<std::size_t>(nb));
 
   for (index_t j = 0; j < nb; ++j) {
     const index_t cj = k + j;
@@ -70,17 +76,21 @@ void labrd_panel(MatrixView<double> a, index_t k, index_t nb, VectorView<double>
     auto v = a.block(cj, cj, mlen, 1).col(0);
     VectorView<const double> vc(v.data(), mlen, 1);
     auto ycol = y.block(cj + 1, j, nlen, 1).col(0);
-    big_gemv_y(j, vc, ycol);
     {
-      VectorView<double> tmp(tmp_buf.data(), j);
+      auto wait_y = big_gemv_y(j, vc, ycol);
+      // Overlapping the provider's product: ta := A(cj:n, k:cj)ᵀ·v and
+      // tx := X(cj:n, 0:j)ᵀ·v read neither ycol nor what the launch writes.
+      VectorView<double> ta(tmp_buf.data(), j);
+      VectorView<double> tx(tmp2_buf.data(), j);
       blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(a.block(cj, k, mlen, j)), vc, 0.0,
-                 tmp);
-      blas::gemv(Trans::No, -1.0, MatrixView<const double>(y.block(cj + 1, 0, nlen, j)),
-                 VectorView<const double>(tmp), 1.0, ycol);
+                 ta);
       blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(x.block(cj, 0, mlen, j)), vc, 0.0,
-                 tmp);
+                 tx);
+      wait_y();
+      blas::gemv(Trans::No, -1.0, MatrixView<const double>(y.block(cj + 1, 0, nlen, j)),
+                 VectorView<const double>(ta), 1.0, ycol);
       blas::gemv(Trans::Yes, -1.0, MatrixView<const double>(a.block(k, cj + 1, j, nlen)),
-                 VectorView<const double>(tmp), 1.0, ycol);
+                 VectorView<const double>(tx), 1.0, ycol);
       blas::scal(tauq[j], ycol);
     }
 
@@ -105,18 +115,22 @@ void labrd_panel(MatrixView<double> a, index_t k, index_t nb, VectorView<double>
     auto u = a.row(cj).sub(cj + 1, nlen);
     VectorView<const double> uc(u.data(), nlen, u.inc());
     auto xcol = x.block(cj + 1, j, nlen, 1).col(0);
-    big_gemv_x(j, uc, xcol);
     {
-      VectorView<double> tmp(tmp_buf.data(), j + 1);
+      auto wait_x = big_gemv_x(j, uc, xcol);
+      // Overlapping the provider's product: ty := Y(cj+1:n, 0:j+1)ᵀ·u and
+      // tu := A(k:k+j, cj+1:n)·u read neither xcol nor what the launch
+      // writes.
+      VectorView<double> ty(tmp_buf.data(), j + 1);
+      VectorView<double> tu(tmp2_buf.data(), j);
       blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(y.block(cj + 1, 0, nlen, j + 1)),
-                 uc, 0.0, tmp);
-      blas::gemv(Trans::No, -1.0, MatrixView<const double>(a.block(cj + 1, k, nlen, j + 1)),
-                 VectorView<const double>(tmp), 1.0, xcol);
-      VectorView<double> tmp2(tmp_buf.data(), j);
+                 uc, 0.0, ty);
       blas::gemv(Trans::No, 1.0, MatrixView<const double>(a.block(k, cj + 1, j, nlen)), uc,
-                 0.0, tmp2);
+                 0.0, tu);
+      wait_x();
+      blas::gemv(Trans::No, -1.0, MatrixView<const double>(a.block(cj + 1, k, nlen, j + 1)),
+                 VectorView<const double>(ty), 1.0, xcol);
       blas::gemv(Trans::No, -1.0, MatrixView<const double>(x.block(cj + 1, 0, nlen, j)),
-                 VectorView<const double>(tmp2), 1.0, xcol);
+                 VectorView<const double>(tu), 1.0, xcol);
       blas::scal(taup[j], xcol);
     }
   }

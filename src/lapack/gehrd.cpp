@@ -52,7 +52,8 @@ void lahr2(MatrixView<double> a, index_t k, index_t nb, MatrixView<double> t,
            MatrixView<double> y, VectorView<double> tau) {
   const index_t n = a.rows();
   // The big per-column product reads the trailing matrix directly from the
-  // host matrix on this path.
+  // host matrix on this path; it is done when the launch returns, so the
+  // waiter is ready.
   detail::lahr2_panel(a, k, nb, t, y, tau,
                       [&](index_t j, VectorView<const double> vj, VectorView<double> y_col) {
                         const index_t cj = k + j;
@@ -60,6 +61,7 @@ void lahr2(MatrixView<double> a, index_t k, index_t nb, MatrixView<double> t,
                                    MatrixView<const double>(
                                        a.block(k + 1, cj + 1, n - k - 1, n - cj - 1)),
                                    vj, 0.0, y_col);
+                        return [] {};
                       });
 
   // -- Top block of Y: Y(0:k+1, :) = A(0:k+1, k+1:n)·V·T. -----------------

@@ -7,6 +7,13 @@
 // memory and the product runs as a device kernel. The provider functor
 // abstracts exactly that one step, so the delicate column-update logic
 // exists once.
+//
+// The provider is split in two (DESIGN.md §7, "Panel providers"): the call
+// *launches* the product and returns a *waiter*, a callable that blocks
+// until the product has landed. Between the two the loop runs the small
+// host products that neither read the result nor write what the launch
+// reads, so on the hybrid path they overlap the device's product. A host
+// provider computes in the launch and returns a ready waiter.
 #pragma once
 
 #include <vector>
@@ -21,9 +28,11 @@ namespace fth::lapack::detail {
 
 /// Runs the lahr2 column loop on panel columns [k, k+nb) of `a`.
 ///
-/// `big_gemv(j, vj, y_col)` must compute y_col = A(k+1:n, k+j+1:n)·vj
+/// `big_gemv(j, vj, y_col)` must launch y_col = A(k+1:n, k+j+1:n)·vj
 /// against the start-of-iteration trailing matrix, where vj is the
-/// reflector vector (unit element included) and y_col has length n−k−1.
+/// reflector vector (unit element included) and y_col has length n−k−1,
+/// and return a waiter; y_col holds the product once the waiter returned.
+/// The waiter is called exactly once per column, before y_col is read.
 /// Only panel columns of `a` are read or written here, so `a`'s trailing
 /// columns may be stale on the hybrid path.
 template <class BigGemv>
@@ -78,15 +87,20 @@ void lahr2_panel(MatrixView<double> a, index_t k, index_t nb, MatrixView<double>
     const index_t vlen = n - k - j - 1;
     auto vj = a.block(k + j + 1, cj, vlen, 1).col(0);
     VectorView<const double> vjc(vj.data(), vlen, 1);
-    big_gemv(j, vjc, y.block(k + 1, j, rows, 1).col(0));
+    auto y_col = y.block(k + 1, j, rows, 1).col(0);
+    auto wait_y = big_gemv(j, vjc, y_col);
+    // T(0:j, j) := V2ᵀ·v reads neither y_col nor anything the launch
+    // writes: it overlaps the provider's product.
     if (j > 0) {
       blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(a.block(k + j + 1, k, vlen, j)),
                  vjc, 0.0, t.block(0, j, j, 1).col(0));
-      blas::gemv(Trans::No, -1.0, MatrixView<const double>(y.block(k + 1, 0, rows, j)),
-                 VectorView<const double>(t.block(0, j, j, 1).col(0)), 1.0,
-                 y.block(k + 1, j, rows, 1).col(0));
     }
-    blas::scal(tau[j], y.block(k + 1, j, rows, 1).col(0));
+    wait_y();
+    if (j > 0) {
+      blas::gemv(Trans::No, -1.0, MatrixView<const double>(y.block(k + 1, 0, rows, j)),
+                 VectorView<const double>(t.block(0, j, j, 1).col(0)), 1.0, y_col);
+    }
+    blas::scal(tau[j], y_col);
 
     // T(0:j, j) := −tau·T(0:j,0:j)·(V2ᵀ·v);  T(j,j) := tau.
     if (j > 0) {

@@ -54,6 +54,7 @@ void sytd2(MatrixView<double> a, VectorView<double> d, VectorView<double> e,
 void latrd(MatrixView<double> a, index_t k, index_t nb, VectorView<double> e,
            VectorView<double> tau, MatrixView<double> w) {
   const index_t n = a.rows();
+  // Host product: done in the launch, so the waiter is ready.
   detail::latrd_panel(a, k, nb, e, tau, w,
                       [&](index_t j, VectorView<const double> vj, VectorView<double> w_col) {
                         const index_t cj = k + j;
@@ -61,6 +62,7 @@ void latrd(MatrixView<double> a, index_t k, index_t nb, VectorView<double> e,
                                    MatrixView<const double>(
                                        a.block(cj + 1, cj + 1, n - cj - 1, n - cj - 1)),
                                    vj, 0.0, w_col);
+                        return [] {};
                       });
 }
 

@@ -3,7 +3,9 @@
 // Mirrors lahr2_impl.hpp: the tridiagonal panel reduction is identical on
 // the host and hybrid paths except for the one operation that reads the
 // trailing matrix — the symmetric matrix-vector product
-// w_raw = A(k+j+1:n, k+j+1:n)·v. The provider functor abstracts it.
+// w_raw = A(k+j+1:n, k+j+1:n)·v. The provider functor abstracts it, split
+// into a launch that returns a waiter (see lahr2_impl.hpp): the two small
+// products that do not read w_raw run between the two.
 #pragma once
 
 #include <vector>
@@ -21,10 +23,11 @@ namespace fth::lapack::detail {
 /// reflector scalars `tau`, the off-diagonal entries `e`, and the update
 /// matrix W (global rows k..n−1 used, columns 0..nb−1).
 ///
-/// `big_symv(j, vj, w_col)` must compute w_col = A_sym(k+j+1:n, ..)·vj
+/// `big_symv(j, vj, w_col)` must launch w_col = A_sym(k+j+1:n, ..)·vj
 /// against the start-of-panel trailing matrix (exactly what dlatrd's
 /// DSYMV does — the trailing block is untouched during the panel; the
-/// deferred rank-2 updates are folded in by the W recurrences below).
+/// deferred rank-2 updates are folded in by the W recurrences below) and
+/// return a waiter, called exactly once per column before w_col is read.
 ///
 /// On exit the subdiagonal "unit" elements A(k+j+1, k+j) hold 1 (as in
 /// LAPACK); the caller restores e[j] after the trailing update.
@@ -37,7 +40,9 @@ void latrd_panel(MatrixView<double> a, index_t k, index_t nb, VectorView<double>
   FTH_CHECK(w.rows() >= n && w.cols() >= nb, "latrd: W too small");
   FTH_CHECK(e.size() >= nb && tau.size() >= nb, "latrd: e/tau too short");
 
-  std::vector<double> tmp_buf(static_cast<std::size_t>(nb));
+  // Two temporaries: both products are taken before the wait.
+  std::vector<double> tw_buf(static_cast<std::size_t>(nb));
+  std::vector<double> ta_buf(static_cast<std::size_t>(nb));
 
   for (index_t j = 0; j < nb; ++j) {
     const index_t cj = k + j;        // global column being reduced
@@ -67,20 +72,26 @@ void latrd_panel(MatrixView<double> a, index_t k, index_t nb, VectorView<double>
     VectorView<const double> vjc(vj.data(), vlen, 1);
     auto wcol = w.block(cj + 1, j, vlen, 1).col(0);
 
-    big_symv(j, vjc, wcol);  // w := A_sym(cj+1:n, cj+1:n)·v
+    auto wait_w = big_symv(j, vjc, wcol);  // w := A_sym(cj+1:n, cj+1:n)·v
 
+    VectorView<double> tw(tw_buf.data(), j);
+    VectorView<double> ta(ta_buf.data(), j);
     if (j > 0) {
-      VectorView<double> tmp(tmp_buf.data(), j);
-      // tmp := W(cj+1:n, 0:j)ᵀ·v;  w −= A(cj+1:n, k:cj)·tmp
+      // Overlapping the provider's product: tw := W(cj+1:n, 0:j)ᵀ·v and
+      // ta := A(cj+1:n, k:cj)ᵀ·v read neither w nor anything the launch
+      // writes.
       blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(w.block(cj + 1, 0, vlen, j)), vjc,
-                 0.0, tmp);
-      blas::gemv(Trans::No, -1.0, MatrixView<const double>(a.block(cj + 1, k, vlen, j)),
-                 VectorView<const double>(tmp), 1.0, wcol);
-      // tmp := A(cj+1:n, k:cj)ᵀ·v;  w −= W(cj+1:n, 0:j)·tmp
+                 0.0, tw);
       blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(a.block(cj + 1, k, vlen, j)), vjc,
-                 0.0, tmp);
+                 0.0, ta);
+    }
+    wait_w();
+    if (j > 0) {
+      // w −= A(cj+1:n, k:cj)·tw;  w −= W(cj+1:n, 0:j)·ta
+      blas::gemv(Trans::No, -1.0, MatrixView<const double>(a.block(cj + 1, k, vlen, j)),
+                 VectorView<const double>(tw), 1.0, wcol);
       blas::gemv(Trans::No, -1.0, MatrixView<const double>(w.block(cj + 1, 0, vlen, j)),
-                 VectorView<const double>(tmp), 1.0, wcol);
+                 VectorView<const double>(ta), 1.0, wcol);
     }
     blas::scal(tau[j], wcol);
     const double half_corr =

@@ -840,22 +840,24 @@ struct SeededEdge {
 // driver is edited these update with it (the clean-tree golden below
 // catches drift the other way).
 const SeededEdge kSeeds[] = {
-    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 133, "'y_host'",
+    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 135, "'y_host'",
      1},
-    {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 131, "'a'", 1},
-    // The only synchronize() left in the de-over-synchronized driver is
-    // the hook-branch drain; deleting it breaks the host_view unwrap.
-    {"src/hybrid/hybrid_sytrd.cpp", "s.synchronize();", "stream-not-idle", 118, "host_view", 1},
-    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 318, "'y_host_'", 1},
+    {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 136, "'a'", 1},
+    // Besides the panel waiter's join, the only synchronize() left in the
+    // de-over-synchronized driver is the hook-branch drain; deleting it
+    // breaks the host_view unwrap.
+    {"src/hybrid/hybrid_sytrd.cpp", "s.synchronize();  // host_view below", "stream-not-idle", 119,
+     "host_view", 1},
+    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 322, "'y_host_'", 1},
     // ft_gebrd: the wait also covers the fault-injection helper's host
     // write of a_, so its deletion surfaces that second race (at the
     // inject_at_boundary splice in the shared run(), two_code.inc)
     // alongside the pivot-restore one.
-    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 268, "'a_'", 2},
+    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 277, "'a_'", 2},
     // The one inter-device edge of the pool driver's Y-top reduction:
     // without it the collector task reads stage_g_ while the producers'
     // d2h copies are still in flight (ISSUE 7 / DESIGN.md §13).
-    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 344,
+    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 347,
      "'stage_g_'", 1},
 };
 
@@ -1311,6 +1313,71 @@ TEST(AnalyzePerfDeadTransfer, AReFetchedUnreadD2hFires) {
       << "a host read between the fetches consumes the first payload";
 }
 
+// ---- lambda captures (the panel waiter idiom) --------------------------------
+//
+// A panel provider launches a d2h into the column view it was handed and
+// returns a waiter that synchronizes and may then read that view. Creating
+// the waiter copies the view (a pointer and a shape), which touches no
+// buffer byte; only the waiter's body, walked inline, reads it.
+
+const char* const kWaiter =
+    "void f(Stream& s) {\n"
+    "  panel(a, [&](index_t j, VectorView<double> y_col) {\n"
+    "    copy_d2h_async(s, d_y.cview(), MatrixView<double>(y_col.data(), 4, 1, 4));\n"
+    "    return [&s, y_col] {\n"
+    "      s.synchronize();\n"
+    "      if (y_col[0] != y_col[0]) throw 1;\n"
+    "    };\n"
+    "  });\n"
+    "}\n";
+
+TEST(AnalyzeCapture, CopyingAViewIntoTheWaiterTouchesNoBuffer) {
+  EXPECT_TRUE(run("src/ft/x.cpp", kWaiter).empty());
+  EXPECT_TRUE(run_perf("src/ft/x.cpp", kWaiter).empty())
+      << "the read after the waiter's synchronize() is a fetch-join, not a coarse barrier";
+}
+
+TEST(AnalyzeCapture, AWaiterThatSkipsTheWaitStillRacesAtTheRead) {
+  const auto f = run("src/ft/x.cpp", without(kWaiter, "s.synchronize();"));
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "transfer-race");
+  EXPECT_EQ(f[0].line, 6) << "the body's read, not the capture, is the access";
+}
+
+TEST(AnalyzeCapture, CopyingAnOwningBufferReadsIt) {
+  // Matrix<double> is not a view: a by-copy capture copies its elements,
+  // a read of the live d2h destination at closure creation.
+  const auto f = run("src/ft/x.cpp",
+                     "void f(Stream& s) {\n"
+                     "  Matrix<double> y(4, 1);\n"
+                     "  copy_d2h_async(s, d_y.cview(), y.view());\n"
+                     "  auto w = [&s, y] { s.synchronize(); };\n"
+                     "}\n");
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "transfer-race");
+  EXPECT_EQ(f[0].line, 4);
+}
+
+TEST(AnalyzeCapture, AnInitCaptureInitializerIsHostCode) {
+  const auto f = run("src/ft/x.cpp",
+                     "void f(Stream& s, VectorView<double> y) {\n"
+                     "  copy_d2h_async(s, d_y.cview(), MatrixView<double>(y.data(), 4, 1, 4));\n"
+                     "  auto w = [&s, first = y[0]] { s.synchronize(); };\n"
+                     "}\n");
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "transfer-race");
+  EXPECT_EQ(f[0].line, 3);
+  EXPECT_TRUE(run("src/ft/x.cpp",
+                  "void f(Stream& s, VectorView<double> y) {\n"
+                  "  copy_d2h_async(s, d_y.cview(), MatrixView<double>(y.data(), 4, 1, 4));\n"
+                  "  auto w = [&s, &y, this] { s.synchronize(); };\n"
+                  "  int v[2] = {0, 1};\n"
+                  "  v[1] = v[0];\n"
+                  "}\n")
+                  .empty())
+      << "by-reference and this captures touch nothing; subscripts are not captures";
+}
+
 // ---- perf plane, seeded on the real sources ---------------------------------
 //
 // Re-introduce the exact over-synchronization this PR removed from the
@@ -1322,7 +1389,7 @@ TEST(AnalyzePerfSeeded, ReAddingTheGehrdLoopBottomBarrierIsCoarse) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), "++st.panels;",
                                    "++st.panels;\n        s.synchronize();"));
-  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 141))
+  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 143))
       << "the pre-PR loop-bottom drain is re-flagged where it was removed";
 }
 
@@ -1331,7 +1398,7 @@ TEST(AnalyzePerfSeeded, DoublingTheGebrdOperandsWaitIsRedundant) {
       run_perf("src/hybrid/hybrid_gebrd.cpp",
                replaced(repo_file("src/hybrid/hybrid_gebrd.cpp"), "operands_shipped.wait();",
                         "operands_shipped.wait();\n        operands_shipped.wait();"));
-  EXPECT_TRUE(has_perf(f, "redundant-wait", 130))
+  EXPECT_TRUE(has_perf(f, "redundant-wait", 135))
       << "the second wait's marker is already host-ordered by the first";
 }
 
@@ -1341,7 +1408,7 @@ TEST(AnalyzePerfSeeded, DuplicatingTheGehrdTUploadIsADeadTransfer) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), t_h2d,
                                    t_h2d + "\n        " + t_h2d));
-  EXPECT_TRUE(has_perf(f, "dead-transfer", 95))
+  EXPECT_TRUE(has_perf(f, "dead-transfer", 97))
       << "the first T upload is overwritten before any device op reads it";
 }
 

@@ -25,8 +25,10 @@
 #include "fault/injector.hpp"
 #include "ft/ft_gehrd.hpp"
 #include "ft/ft_sytrd.hpp"
+#include "hybrid/dev_blas.hpp"
 #include "hybrid/device.hpp"
 #include "la/generate.hpp"
+#include "lapack/lahr2_impl.hpp"
 
 #define SKIP_UNLESS_CHECKED()                                   \
   do {                                                          \
@@ -337,6 +339,44 @@ TEST(CheckerRace, DetectionIsDeterministicAcrossTrials) {
     EXPECT_EQ(ex.taken().empty(), false) << "trial " << t << " missed the race";
     s.synchronize();
   }
+}
+
+TEST(CheckerRace, APanelWaiterThatSkipsTheWaitIsFlagged) {
+  SKIP_UNLESS_CHECKED();
+  // A device panel provider (DESIGN.md §7) whose waiter returns without
+  // the synchronize(): the panel loop's first read of the column's product
+  // races the d2h that fills it, whatever the worker has done by then.
+  const index_t n = 24, nb = 4;
+  Matrix<double> a = random_matrix(n, n, 31);
+  hybrid::Device dev;
+  hybrid::Stream& s = dev.stream();
+  hybrid::DeviceMatrix<double> d_a(dev, n, n, "checker_test.d_panel_a");
+  hybrid::DeviceMatrix<double> d_v(dev, n, 1, "checker_test.d_panel_v");
+  hybrid::DeviceMatrix<double> d_y(dev, n, 1, "checker_test.d_panel_y");
+  hybrid::copy_h2d(s, a.cview(), d_a.view());
+  Matrix<double> t(nb, nb), y(n, nb);
+  std::vector<double> tau(static_cast<std::size_t>(nb));
+
+  ExpectViolations ex;
+  lapack::detail::lahr2_panel(
+      a.view(), 0, nb, t.view(), y.view(), VectorView<double>(tau.data(), nb),
+      [&](index_t j, VectorView<const double> vj, VectorView<double> y_col) {
+        const index_t rows = n - 1;
+        hybrid::copy_h2d_async(s, MatrixView<const double>(vj.data(), vj.size(), 1, vj.size()),
+                               d_v.block(0, 0, vj.size(), 1));
+        hybrid::gemv_async(s, Trans::No, 1.0, d_a.block(1, j + 1, rows, n - j - 1),
+                           d_v.view().col(0).sub(0, vj.size()), 0.0,
+                           d_y.view().col(0).sub(0, rows));
+        hybrid::copy_d2h_async(s, d_y.block(0, 0, rows, 1),
+                               MatrixView<double>(y_col.data(), rows, 1, rows));
+        return [] {};  // the seeded bug: no s.synchronize()
+      });
+  const auto vs = ex.taken();
+  s.synchronize();
+  const auto* v = find_kind(vs, ViolationKind::TransferRace);
+  ASSERT_NE(v, nullptr) << "a waiter that skips the wait must not go unnoticed";
+  EXPECT_STREQ(v->task_label, "d2h");
+  EXPECT_STREQ(v->alloc_site, "checker_test.d_panel_y");
 }
 
 // ---- clean runs under the checker -------------------------------------------
