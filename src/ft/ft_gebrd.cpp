@@ -538,35 +538,51 @@ class FtGebrdDriver {
     return row >= i_next && col >= i_next;
   }
 
-  void final_phase() {
-    copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
-
+  // The blocked loop stopped at the crossover `i`: the trailing block
+  // A(i:n, i:n) is still on the device. It comes down first (a sweep that
+  // repairs the device copy fetches it again) and is reduced on the host,
+  // as hybrid_gebrd does: no device update is left to protect.
+  void final_phase(index_t i) {
+    const index_t tn = n_ - i;
+    copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
     if (opt_.final_sweep) {
       const TimedSpan sweep = ladder_.final_sweep();
       FreshSums fresh;
-      const Discrepancy disc = compare(n_ - 1, &fresh);
+      const Discrepancy disc = compare(i, &fresh);
       if (!disc.clean()) {
         FtEvent ev;
         try {
-          apply_corrections(locate(disc, fresh, threshold_), n_ - 1, ev);
+          apply_corrections(locate(disc, fresh, threshold_), i, ev);
         } catch (const recovery_error& e) {
           ladder_.abandon_final_sweep(e.what());
         }
         ladder_.swept(ev);
-        copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
+        copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
       }
     }
 
+    finish_on_host(st_, i, [&] {
+      lapack::gebd2(a_.block(i, i, tn, tn), d_.sub(i, tn), e_.sub(i, tn - 1), tauq_.sub(i, tn),
+                    taup_.sub(i, tn - 1));
+    });
+
+    // The P family is checksummed and verified on the transposed mirror.
+    // Refresh it from the live row storage first: the tail's checksums are
+    // taken from it, and the verify checks the *current* bytes against the
+    // generation-time checksums.
+    for (index_t r = 0; r + 1 < n_; ++r)
+      for (index_t c = r + 2; c < n_; ++c) at_mirror_(c, r) = a_(r, c);
+    {
+      const TimedSpan q_span = ladder_.q_phase("q_checksum");
+      pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, tn - 1);
+      pending_u_ = qp_u_.compute_panel(at_mirror_.cview(), i, tn - 1);
+      commit_q();
+    }
     {
       const TimedSpan q_span = ladder_.q_phase("q_verify");
       const double q_tol = RecoveryLadder::q_tolerance(n_, scale_max_);
       const auto vres = qp_v_.verify_and_correct(a_, n_ - 1, q_tol);
-      // The P family is verified on the transposed mirror. Refresh it from
-      // the live row storage first — the point is to check the *current*
-      // bytes against the generation-time checksums — then copy any
-      // corrections back.
-      for (index_t r = 0; r + 1 < n_; ++r)
-        for (index_t c = r + 2; c < n_; ++c) at_mirror_(c, r) = a_(r, c);
+      // Copy any P corrections back to the row storage.
       const auto ures = qp_u_.verify_and_correct(at_mirror_.view(), n_ - 1, q_tol);
       if (ures.corrections > 0) {
         for (index_t r = 0; r + 1 < n_; ++r)
@@ -578,7 +594,6 @@ class FtGebrdDriver {
     // Single source of truth: extract d and e from the host matrix.
     for (index_t r = 0; r < n_; ++r) d_[r] = a_(r, r);
     for (index_t r = 0; r + 1 < n_; ++r) e_[r] = a_(r, r + 1);
-    tauq_[n_ - 1] = 0.0;  // the last left reflector has an empty tail
   }
 
   hybrid::Stream& s_;
@@ -650,13 +665,16 @@ void ft_gebrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
   FTH_CHECK(opt.nb >= 1 && opt.detect_every >= 1, "ft_gebrd: bad options");
 
   DriverFrame frame(dev, "gebrd", n, report, stats);
-  if (n > 2) {
+  const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
+  if (ft_blocked_panel(n, 0, opt.nb)) {
     FtGebrdDriver driver(dev, a, d, e, tauq, taup, opt, injector, frame.rep(), frame.st(),
-                         norm_fro_max(MatrixView<const double>(a)));
+                         norms);
     driver.run();
-  } else if (n > 0) {
-    // Trivial sizes: the unblocked code is exact and cheap.
-    lapack::gebd2(a, d, e, tauq, taup);
+  } else {
+    // No blocked iteration: the host reduction alone, as in hybrid_gebrd.
+    // The report still names the threshold a blocked run would apply.
+    frame.rep().threshold = gebrd_threshold(norms.fro, n, opt);
+    finish_on_host(frame.st(), 0, [&] { lapack::gebd2(a, d, e, tauq, taup); });
   }
   frame.finish();
 }

@@ -17,6 +17,7 @@
 #include "la/blas3.hpp"
 #include "la/norms.hpp"
 #include "obs/trace.hpp"
+#include "lapack/gehrd.hpp"
 #include "lapack/lahr2_impl.hpp"
 #include "lapack/orghr.hpp"
 #include "lapack/reflectors.hpp"
@@ -80,7 +81,7 @@ class FtDriver {
     encode();
     index_t i = 0;
     index_t boundary = 0;
-    while (i < n_ - 1) {
+    while (ft_blocked_panel(n_, i, opt_.nb)) {
       const index_t ib = std::min(opt_.nb, n_ - 1 - i);
       const bool completed = run_iteration(i, ib);
       // Check before inject: a boundary fault lands after this check and is
@@ -93,7 +94,7 @@ class FtDriver {
       i += ib;
       if (inj_ != nullptr) inject_at_boundary(boundary, i);
     }
-    final_phase();
+    final_phase(i);
     ladder_.finish();
   }
 
@@ -613,25 +614,34 @@ class FtDriver {
     return chk_repairs;
   }
 
-  void final_phase() {
+  // The blocked loop stopped at the crossover `i`: columns i..n−1 are
+  // still trailing data on the device.
+  void final_phase(index_t i) {
     // Final sweep: catches errors that never propagated (finished H, the
-    // last trailing column, or checksum elements hit after the last check).
+    // trailing block, or checksum elements hit after the last check).
     if (opt_.final_sweep) {
       const TimedSpan sweep = ladder_.final_sweep();
       FtEvent ev;
       try {
-        apply_corrections(locate_errors(n_ - 1), n_ - 1, ev);
+        apply_corrections(locate_errors(i), i, ev);
       } catch (const recovery_error& e) {
         ladder_.abandon_final_sweep(e.what());
       }
       ladder_.swept(ev);
     }
 
-    // Bring down the last column (never part of any panel).
-    copy_d2h(s_, d_e_.block(0, n_ - 1, n_, 1), a_.block(0, n_ - 1, n_, 1));
+    // Bring down the trailing block and reduce it on the host, as
+    // hybrid_gehrd does: no device update is left to protect.
+    copy_d2h(s_, d_e_.block(0, i, n_, n_ - i), a_.block(0, i, n_, n_ - i));
+    finish_on_host(st_, i, [&] { lapack::gehd2(a_, tau_, i); });
 
-    // Section IV-E: verify + correct the Householder storage once.
+    // Section IV-E: commit the tail reflectors' checksums, then verify +
+    // correct the Householder storage once.
     if (opt_.protect_q) {
+      {
+        const TimedSpan q_span = ladder_.q_phase("q_checksum");
+        qp_.commit(qp_.compute_panel(MatrixView<const double>(a_), i, n_ - 1 - i));
+      }
       const TimedSpan q_span = ladder_.q_phase("q_verify");
       const auto qres = qp_.verify_and_correct(a_, n_ - 1,
                                                RecoveryLadder::q_tolerance(n_, scale_max_));
@@ -687,12 +697,15 @@ void ft_gehrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
   FTH_CHECK(opt.nb >= 1, "ft_gehrd: block size must be positive");
 
   DriverFrame frame(dev, "gehrd", n, report, stats);
-  if (n > 2) {
-    FtDriver driver(dev, a, tau, opt, injector, frame.rep(), frame.st(),
-                    norm_fro_max(MatrixView<const double>(a)));
+  const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
+  if (ft_blocked_panel(n, 0, opt.nb)) {
+    FtDriver driver(dev, a, tau, opt, injector, frame.rep(), frame.st(), norms);
     driver.run();
   } else {
-    for (index_t i = 0; i + 1 < n; ++i) tau[i] = 0.0;
+    // No blocked iteration: the host reduction alone, as in hybrid_gehrd.
+    // The report still names the threshold a blocked run would apply.
+    frame.rep().threshold = gehrd_threshold(norms.fro, n, opt);
+    finish_on_host(frame.st(), 0, [&] { lapack::gehd2(a, tau); });
   }
   frame.finish();
 }

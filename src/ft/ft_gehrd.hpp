@@ -29,7 +29,7 @@ class FaultPlane;
 namespace fth::ft {
 
 struct FtOptions {
-  index_t nb = 32;  ///< panel width (the FT loop is blocked all the way down)
+  index_t nb = 32;  ///< panel width; also the host-tail crossover nx = nb (ft_blocked_panel)
   /// Detection threshold for |Sre − Sce|; 0 selects
   /// threshold_factor·eps·n·‖A‖_F (see default_threshold()).
   double threshold = 0.0;
@@ -95,8 +95,16 @@ void ft_gehrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
               const FtOptions& opt = {}, fault::Injector* injector = nullptr,
               FtReport* report = nullptr, hybrid::HybridGehrdStats* stats = nullptr);
 
-/// Number of panel iterations ft_gehrd, ft_sytrd and ft_gebrd execute for
-/// size n, block nb (needed to aim Moment-based fault specs).
+/// True when ft_gehrd, ft_sytrd and ft_gebrd run the panel starting at
+/// column `i` as a blocked, ABFT-protected device iteration. The loops stop
+/// where the hybrid drivers do at nx = nb, and the unblocked routine
+/// reduces the remaining n − i ≤ nb + 1 columns on the host; at
+/// n ≤ nb + 1 no device iteration runs at all. Every loop over the FT
+/// boundaries and ft_total_boundaries() test this one predicate.
+constexpr bool ft_blocked_panel(index_t n, index_t i, index_t nb) { return n - i > nb + 1; }
+
+/// Number of blocked panel iterations ft_gehrd, ft_sytrd and ft_gebrd
+/// execute for size n, block nb (needed to aim Moment-based fault specs).
 index_t ft_total_boundaries(index_t n, index_t nb);
 
 }  // namespace fth::ft

@@ -17,6 +17,7 @@
 #include "la/norms.hpp"
 #include "obs/trace.hpp"
 #include "lapack/orghr.hpp"
+#include "lapack/sytrd.hpp"
 #include "lapack/sytrd_impl.hpp"
 
 namespace fth::ft {
@@ -556,17 +557,19 @@ class FtSytrdDriver {
     return q >= i_next;
   }
 
-  void final_phase() {
-    // Fetch the last diagonal element (never part of a panel).
-    copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
-
+  // The blocked loop stopped at the crossover `i`: the trailing block
+  // A(i:n, i:n) is still on the device. It comes down first (a sweep that
+  // repairs the device copy fetches it again) and is reduced on the host,
+  // as hybrid_sytrd does: no device update is left to protect.
+  void final_phase(index_t i) {
+    const index_t tn = n_ - i;
+    copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
     if (opt_.final_sweep) {
       const TimedSpan sweep = ladder_.final_sweep();
-      // i = n−1: everything finished except the 1×1 trailing block. Sweep
-      // both codes so a strike on the weighted vector (invisible to the
-      // plain-code online check) is still found and repaired here.
-      const std::vector<double> fresh_e = fresh_sums(n_ - 1, false);
-      const std::vector<double> fresh_w = fresh_sums(n_ - 1, true);
+      // Sweep both codes so a strike on the weighted vector (invisible to
+      // the plain-code online check) is still found and repaired here.
+      const std::vector<double> fresh_e = fresh_sums(i, false);
+      const std::vector<double> fresh_w = fresh_sums(i, true);
       const std::vector<double> chke = fetch_chk(false);
       const std::vector<double> chkw = fetch_chk(true);
       bool bad = false;
@@ -581,16 +584,26 @@ class FtSytrdDriver {
       if (bad) {
         FtEvent ev;
         try {
-          locate_and_correct(n_ - 1, ev);
+          locate_and_correct(i, ev);
         } catch (const recovery_error& e) {
           ladder_.abandon_final_sweep(e.what());
         }
         ladder_.swept(ev);
-        // Refresh the host copy of the last element if it was the target.
-        copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
+        copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
       }
     }
 
+    finish_on_host(st_, i, [&] {
+      lapack::sytd2(a_.block(i, i, tn, tn), d_.sub(i, tn), e_.sub(i, tn - 1),
+                    tau_.sub(i, tn - 1));
+    });
+
+    // Commit the tail reflectors' checksums, then verify + correct the
+    // Householder storage once.
+    {
+      const TimedSpan q_span = ladder_.q_phase("q_checksum");
+      qp_.commit(qp_.compute_panel(MatrixView<const double>(a_), i, tn - 1));
+    }
     {
       const TimedSpan q_span = ladder_.q_phase("q_verify");
       const auto qres = qp_.verify_and_correct(a_, n_ - 1,
@@ -662,16 +675,15 @@ void ft_sytrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
   FTH_CHECK(opt.nb >= 1 && opt.detect_every >= 1, "ft_sytrd: bad options");
 
   DriverFrame frame(dev, "sytrd", n, report, stats);
-  if (n > 2) {
-    FtSytrdDriver driver(dev, a, d, e, tau, opt, injector, frame.rep(), frame.st(),
-                         norm_fro_max(MatrixView<const double>(a)));
+  const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
+  if (ft_blocked_panel(n, 0, opt.nb)) {
+    FtSytrdDriver driver(dev, a, d, e, tau, opt, injector, frame.rep(), frame.st(), norms);
     driver.run();
   } else {
-    for (index_t r = 0; r < n; ++r) d[r] = a(r, r);
-    for (index_t r = 0; r + 1 < n; ++r) {
-      e[r] = a(r + 1, r);
-      tau[r] = 0.0;
-    }
+    // No blocked iteration: the host reduction alone, as in hybrid_sytrd.
+    // The report still names the threshold a blocked run would apply.
+    frame.rep().threshold = sytrd_threshold(norms.fro, n, opt);
+    finish_on_host(frame.st(), 0, [&] { lapack::sytd2(a, d, e, tau); });
   }
   frame.finish();
 }

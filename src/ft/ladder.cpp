@@ -15,11 +15,7 @@ namespace fth::ft {
 
 index_t ft_total_boundaries(index_t n, index_t nb) {
   index_t count = 0;
-  index_t i = 0;
-  while (i < n - 1) {
-    i += std::min(nb, n - 1 - i);
-    ++count;
-  }
+  for (index_t i = 0; ft_blocked_panel(n, i, nb); i += std::min(nb, n - 1 - i)) ++count;
   return count;
 }
 

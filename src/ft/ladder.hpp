@@ -205,6 +205,19 @@ class RecoveryLadder {
   index_t total_boundaries_;
 };
 
+/// Runs `reduce`, the unblocked host routine from column `col` on, timed
+/// and traced as the hybrid drivers' finish phase: the FT drivers' tail
+/// past the crossover, or their whole reduction at n ≤ nb + 1.
+template <class Reduce>
+void finish_on_host(hybrid::HybridGehrdStats& st, index_t col, Reduce&& reduce) {
+  const WallTimer timer;
+  {
+    const obs::TraceSpan span("hybrid", "finish", "col", static_cast<double>(col));
+    reduce();
+  }
+  st.finish_seconds = timer.seconds();
+}
+
 /// The frame every ft_* entry point runs its driver in: the caller's
 /// report and stats (or local ones) reset, the run's trace span, device
 /// footprint scoping, and total time stamped by finish().

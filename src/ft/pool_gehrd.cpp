@@ -492,20 +492,7 @@ class PoolDriver {
 
   void host_finish(index_t i) {
     obs::TraceSpan span("ft", "pool.finish", "col", static_cast<double>(i));
-    if (i + 1 >= n_) return;
-    std::vector<double> wbuf(static_cast<std::size_t>(n_));
-    VectorView<double> w(wbuf.data(), n_);
-    for (index_t c = i; c + 1 < n_; ++c) {
-      double alpha = a_(c + 1, c);
-      auto x = (c + 2 < n_) ? a_.col(c).sub(c + 2, n_ - c - 2) : VectorView<double>();
-      lapack::larfg(alpha, x, tau_[c]);
-      const double ei = alpha;
-      a_(c + 1, c) = 1.0;
-      VectorView<const double> vc(a_.block(c + 1, c, n_ - c - 1, 1).col(0).data(), n_ - c - 1, 1);
-      lapack::larf(Side::Right, vc, tau_[c], a_.block(0, c + 1, n_, n_ - c - 1), w);
-      lapack::larf(Side::Left, vc, tau_[c], a_.block(c + 1, c + 1, n_ - c - 1, n_ - c - 1), w);
-      a_(c + 1, c) = ei;
-    }
+    lapack::gehd2(a_, tau_, i);
   }
 
   // --- loss handling ---------------------------------------------------

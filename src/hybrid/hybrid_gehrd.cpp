@@ -1,7 +1,5 @@
 #include "hybrid/hybrid_gehrd.hpp"
 
-#include <vector>
-
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "la/blas1.hpp"
@@ -34,6 +32,7 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
   const index_t nx = std::max(opt.nx, nb);
   Stream& s = dev.stream();
 
+  index_t i = 0;
   if (n > nx + 1) {
     // Device mirror of the matrix (Algorithm 2, line 1).
     DeviceMatrix<double> d_a(dev, n, n, "gehrd.d_a");
@@ -49,7 +48,6 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
     DeviceMatrix<double> d_y(dev, n, nb, "gehrd.d_y");
     DeviceMatrix<double> d_work(dev, n, nb, "gehrd.d_work");
 
-    index_t i = 0;
     while (n - i > nx + 1) {
       const index_t ib = std::min(nb, n - i - 1);
       const index_t vrows = n - i - 1;
@@ -159,32 +157,14 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
 
     // Fetch the remaining trailing columns and finish on the host.
     copy_d2h(s, d_a.block(0, i, n, n - i), a.block(0, i, n, n - i));
-
-    WallTimer finish_timer;
-    obs::TraceSpan finish_span("hybrid", "finish", "col", static_cast<double>(i));
-    if (i + 1 < n) {
-      std::vector<double> wbuf(static_cast<std::size_t>(n));
-      VectorView<double> w(wbuf.data(), n);
-      for (index_t c = i; c + 1 < n; ++c) {
-        double alpha = a(c + 1, c);
-        auto x = (c + 2 < n) ? a.col(c).sub(c + 2, n - c - 2) : VectorView<double>();
-        lapack::larfg(alpha, x, tau[c]);
-        const double ei = alpha;
-        a(c + 1, c) = 1.0;
-        VectorView<const double> v(a.block(c + 1, c, n - c - 1, 1).col(0).data(), n - c - 1, 1);
-        lapack::larf(Side::Right, v, tau[c], a.block(0, c + 1, n, n - c - 1), w);
-        lapack::larf(Side::Left, v, tau[c], a.block(c + 1, c + 1, n - c - 1, n - c - 1), w);
-        a(c + 1, c) = ei;
-      }
-    }
-    st.finish_seconds = finish_timer.seconds();
-  } else {
-    // Problem too small for the hybrid path: plain host reduction.
-    WallTimer finish_timer;
-    obs::TraceSpan finish_span("hybrid", "finish", "col", 0.0);
-    lapack::gehd2(a, tau);
-    st.finish_seconds = finish_timer.seconds();
   }
+
+  WallTimer finish_timer;
+  {
+    obs::TraceSpan finish_span("hybrid", "finish", "col", static_cast<double>(i));
+    lapack::gehd2(a, tau, i);
+  }
+  st.finish_seconds = finish_timer.seconds();
 
   st.total_seconds = total_timer.seconds();
   scope.finish(st);

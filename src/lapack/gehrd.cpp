@@ -12,23 +12,18 @@
 
 namespace fth::lapack {
 
-void gehd2(MatrixView<double> a, VectorView<double> tau) {
+void gehd2(MatrixView<double> a, VectorView<double> tau, index_t ilo) {
   const index_t n = a.rows();
   FTH_CHECK(a.cols() == n, "gehd2: matrix must be square");
   FTH_CHECK(tau.size() >= std::max<index_t>(n - 1, 0), "gehd2: tau too short");
-  if (n <= 2 && n >= 1) {
-    for (index_t i = 0; i + 1 < n; ++i) tau[i] = 0.0;
-    // A 1×1 or 2×2 matrix is already Hessenberg; 2×2 still gets tau=0
-    // because its single reflector has an empty tail.
-    if (n == 2) tau[0] = 0.0;
-    return;
-  }
+  FTH_CHECK(ilo >= 0, "gehd2: first column must be non-negative");
 
   std::vector<double> work_buf(static_cast<std::size_t>(n));
   VectorView<double> work(work_buf.data(), n);
 
-  for (index_t i = 0; i + 1 < n; ++i) {
-    // Generate H(i) to annihilate A(i+2:n, i).
+  for (index_t i = ilo; i + 1 < n; ++i) {
+    // Generate H(i) to annihilate A(i+2:n, i). The last reflector has an
+    // empty tail: larfg returns tau = 0 and both larf calls are no-ops.
     double alpha = a(i + 1, i);
     auto x = (i + 2 < n) ? a.col(i).sub(i + 2, n - i - 2) : VectorView<double>();
     larfg(alpha, x, tau[i]);
@@ -128,25 +123,10 @@ void gehrd(MatrixView<double> a, VectorView<double> tau, const GehrdOptions& opt
     i += ib;
   }
 
-  // Unblocked phase on the remaining trailing matrix.
-  if (i + 1 < n) {
-    // gehd2 on the trailing (n−i)×(n−i) block would lose the couplings to
-    // the finished part, so run the unblocked algorithm on the full matrix
-    // but starting at column i: inline variant of gehd2 with offset.
-    std::vector<double> wbuf(static_cast<std::size_t>(n));
-    VectorView<double> w(wbuf.data(), n);
-    for (index_t c = i; c + 1 < n; ++c) {
-      double alpha = a(c + 1, c);
-      auto x = (c + 2 < n) ? a.col(c).sub(c + 2, n - c - 2) : VectorView<double>();
-      larfg(alpha, x, tau[c]);
-      const double ei = alpha;
-      a(c + 1, c) = 1.0;
-      VectorView<const double> v(a.block(c + 1, c, n - c - 1, 1).col(0).data(), n - c - 1, 1);
-      larf(Side::Right, v, tau[c], a.block(0, c + 1, n, n - c - 1), w);
-      larf(Side::Left, v, tau[c], a.block(c + 1, c + 1, n - c - 1, n - c - 1), w);
-      a(c + 1, c) = ei;
-    }
-  }
+  // Unblocked phase on the remaining columns. gehd2 on the trailing
+  // (n−i)×(n−i) block alone would lose the couplings to the finished part,
+  // so it runs on the full matrix from column i.
+  gehd2(a, tau, i);
 }
 
 Matrix<double> extract_hessenberg(MatrixView<const double> a_factored) {

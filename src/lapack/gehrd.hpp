@@ -10,9 +10,12 @@
 
 namespace fth::lapack {
 
-/// Unblocked Hessenberg reduction (LAPACK dgehd2). `tau` must have length
-/// max(n−1, 0).
-void gehd2(MatrixView<double> a, VectorView<double> tau);
+/// Unblocked Hessenberg reduction (LAPACK dgehd2) of columns ilo..n−2.
+/// Columns before `ilo` must already be reduced: the blocked drivers
+/// finish their trailing columns this way, with the couplings to the
+/// finished part intact. `tau` must have length max(n−1, 0); its entries
+/// before `ilo` are left alone.
+void gehd2(MatrixView<double> a, VectorView<double> tau, index_t ilo = 0);
 
 /// Panel reduction for the blocked algorithm (LAPACK dlahr2).
 ///

@@ -840,7 +840,7 @@ struct SeededEdge {
 // driver is edited these update with it (the clean-tree golden below
 // catches drift the other way).
 const SeededEdge kSeeds[] = {
-    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 135, "'y_host'",
+    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 133, "'y_host'",
      1},
     {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 136, "'a'", 1},
     // Besides the panel waiter's join, the only synchronize() left in the
@@ -848,7 +848,7 @@ const SeededEdge kSeeds[] = {
     // breaks the host_view unwrap.
     {"src/hybrid/hybrid_sytrd.cpp", "s.synchronize();  // host_view below", "stream-not-idle", 119,
      "host_view", 1},
-    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 322, "'y_host_'", 1},
+    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 323, "'y_host_'", 1},
     // ft_gebrd: the wait also covers the fault-injection helper's host
     // write of a_, so its deletion surfaces that second race (at the
     // inject_at_boundary splice in the shared run(), two_code.inc)
@@ -1389,7 +1389,7 @@ TEST(AnalyzePerfSeeded, ReAddingTheGehrdLoopBottomBarrierIsCoarse) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), "++st.panels;",
                                    "++st.panels;\n        s.synchronize();"));
-  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 143))
+  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 141))
       << "the pre-PR loop-bottom drain is re-flagged where it was removed";
 }
 
@@ -1408,7 +1408,7 @@ TEST(AnalyzePerfSeeded, DuplicatingTheGehrdTUploadIsADeadTransfer) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), t_h2d,
                                    t_h2d + "\n        " + t_h2d));
-  EXPECT_TRUE(has_perf(f, "dead-transfer", 97))
+  EXPECT_TRUE(has_perf(f, "dead-transfer", 95))
       << "the first T upload is overwritten before any device op reads it";
 }
 

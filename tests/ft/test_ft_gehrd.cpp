@@ -21,11 +21,12 @@ VectorView<const double> tau_cview(const std::vector<double>& tau) {
 }
 
 TEST(FtGehrd, TotalBoundariesCountsPanels) {
-  EXPECT_EQ(ft_total_boundaries(158, 32), 5);  // 32+32+32+32+29 = 157 = n−1
-  EXPECT_EQ(ft_total_boundaries(65, 32), 2);
-  EXPECT_EQ(ft_total_boundaries(33, 32), 1);
-  EXPECT_EQ(ft_total_boundaries(10, 32), 1);
-  EXPECT_EQ(ft_total_boundaries(2, 32), 1);
+  // Blocked panels stop at the nx = nb crossover, n − i ≤ nb + 1.
+  EXPECT_EQ(ft_total_boundaries(158, 32), 4);  // 4·32 = 128; 30 columns on the host
+  EXPECT_EQ(ft_total_boundaries(65, 32), 1);
+  EXPECT_EQ(ft_total_boundaries(33, 32), 0);
+  EXPECT_EQ(ft_total_boundaries(10, 32), 0);
+  EXPECT_EQ(ft_total_boundaries(2, 32), 0);
   EXPECT_EQ(ft_total_boundaries(1, 32), 0);
 }
 
@@ -207,7 +208,7 @@ TEST(FtGehrd, ChecksumElementFaultRepaired) {
 
   fault::FaultSpec spec;
   spec.row = 40;
-  spec.col = n - 1;  // the one column that is never part of a panel
+  spec.col = n - 1;  // a trailing column no blocked panel reaches
   spec.boundary = ft_total_boundaries(n, nb);
   fault::Injector inj(spec);
 

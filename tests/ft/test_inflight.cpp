@@ -265,9 +265,11 @@ TEST(InFlight, GehrdFaultDuringRecovery) {
   f.min_impact = 1.0;
   plane.arm(f);
 
+  // Boundary 1, not the last one: gehrd's final sweep would correct a
+  // fault struck there without a rollback, and the bracket never opens.
   fault::FaultSpec spec;
   spec.area = fault::Area::LowerTrailing;
-  spec.boundary = 2;
+  spec.boundary = 1;
   fault::Injector inj(spec, 43);
 
   const RunResult faulty = run_gehrd(a0, &plane, &inj);
