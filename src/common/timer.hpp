@@ -26,29 +26,4 @@ class WallTimer {
   clock::time_point start_;
 };
 
-/// Accumulates time over multiple start/stop intervals (e.g. per-phase cost).
-class Accumulator {
- public:
-  /// Begin an interval. A start() while an interval is already running
-  /// banks that interval first (as if stop() had been called), so no time
-  /// is silently discarded.
-  void start() noexcept {
-    if (running_) { total_ += timer_.seconds(); ++laps_; }
-    timer_.reset();
-    running_ = true;
-  }
-  void stop() noexcept {
-    if (running_) { total_ += timer_.seconds(); ++laps_; running_ = false; }
-  }
-  [[nodiscard]] double total_seconds() const noexcept { return total_; }
-  [[nodiscard]] long laps() const noexcept { return laps_; }
-  void clear() noexcept { total_ = 0.0; laps_ = 0; running_ = false; }
-
- private:
-  WallTimer timer_;
-  double total_ = 0.0;
-  long laps_ = 0;
-  bool running_ = false;
-};
-
 }  // namespace fth

@@ -10,7 +10,6 @@
 #include "la/generate.hpp"
 #include "la/norms.hpp"
 #include "lapack/gehrd.hpp"
-#include "obs/dag.hpp"
 #include "obs/incident.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
@@ -295,22 +294,15 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     } catch (const recovery_error& e) {
       out.failure = e.what();
       if (obs::incident_enabled()) {
-        obs::IncidentReport inc;
+        obs::IncidentReport inc = obs::incident_for_run(out.run_id, counters_before);
         inc.trigger = "recovery_error";
         inc.who = to_string(cfg.algorithm);
-        inc.run_id = out.run_id;
         inc.boundary = e.boundary();
         inc.outcome.status = "failed";
         inc.outcome.reason = ft::to_string(rep.outcome.reason);
         inc.outcome.detail = e.what();
         inc.outcome.attempts = e.attempts();
-        const auto now = obs::Registry::global().counter_values();
-        for (const auto& [name, delta] : obs::Registry::counter_delta(now, counters_before))
-          inc.metrics_delta.emplace_back(name, delta);
-        inc.journal = obs::journal_snapshot(out.run_id);
         if (use_plane) inc.strikes_json = strikes_json(plane);
-        inc.flight_json = obs::flight_tail_json(512);
-        inc.dag_json = obs::dag::tail_json(128);
         const std::string path = obs::write_incident(inc);
         if (!path.empty()) out.incidents.push_back(path);
       }

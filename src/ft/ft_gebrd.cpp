@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "fault/fault_plane.hpp"
 #include "ft/checksum.hpp"
 #include "ft/ladder.hpp"
@@ -66,7 +65,7 @@ class FtGebrdDriver {
         d_res_(dev, n_, 1, "gebrd.ft.d_res"),
         d_sums_(dev, std::max<index_t>(opt.nb, 1), 4, "gebrd.ft.d_sums"),
         d_pc_(dev, n_, 2, "gebrd.ft.d_pc"),
-        d_fresh_(dev, n_, 2, "gebrd.ft.d_fresh"),
+        d_fresh_(dev, n_, 1, "gebrd.ft.d_fresh"),
         x_host_(n_, std::max<index_t>(opt.nb, 1)),
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
         u_host_(n_, 1),
@@ -102,8 +101,8 @@ class FtGebrdDriver {
   DMatrixView<double> device_matrix() { return d_a_.view(); }
 
   void encode() {
-    WallTimer t;
-    obs::TraceSpan span("ft", "encode", "n", static_cast<double>(n_));
+    const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
+                              static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
     auto ones = d_ones_.view().col(0);
@@ -113,7 +112,6 @@ class FtGebrdDriver {
     // the fault gate, and both codes must exist on the device before any
     // strike is allowed. fth-perf: expect coarse-synchronize
     s_.synchronize();
-    rep_.encode_seconds += t.seconds();
     // Faults are gated until the codes exist: an earlier strike would be
     // encoded consistently and become a different (but protected) input.
     if (plane_ != nullptr) plane_->mark_encoded();
@@ -127,9 +125,9 @@ class FtGebrdDriver {
 
     // Column panel, row panel, and both checksum vectors to the host;
     // checkpoint all four (diskless checkpointing).
-    WallTimer panel_timer;
     {
-      obs::TraceSpan ckpt_span("ft", "checkpoint_save", "col", static_cast<double>(i));
+      const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
+                                static_cast<double>(i));
       // Column panel rows ≥ i only: the rows above hold finished host data
       // (P's Householder storage and the superdiagonal) whose device copy is
       // stale by design.
@@ -156,7 +154,8 @@ class FtGebrdDriver {
 
     bool poisoned = false;
     {
-      obs::TraceSpan panel_span("hybrid", "panel", "col", static_cast<double>(i));
+      const obs::TimedSpan panel("hybrid", "panel", st_.panel_seconds, "col",
+                                 static_cast<double>(i));
       try {
         lapack::detail::labrd_panel(
             a_, i, ib, d_.sub(i, ib), e_.sub(i, ib), tauq_.sub(i, ib), taup_.sub(i, ib),
@@ -203,16 +202,15 @@ class FtGebrdDriver {
         poisoned = true;
       }
     }
-    st_.panel_seconds += panel_timer.seconds();
     if (poisoned) {
       s_.synchronize();
       ladder_.panel_aborted(i);
       return false;
     }
 
-    WallTimer update_timer;
     {
-      obs::TraceSpan update_span("hybrid", "update", "col", static_cast<double>(i));
+      const obs::TimedSpan update("hybrid", "update", st_.update_seconds, "col",
+                                  static_cast<double>(i));
       // Ship the four trailing-update operands.
       copy_h2d_async(s_, MatrixView<const double>(a_.block(i + ib, i, tn, ib)),
                      d_v2_.block(0, 0, tn, ib));
@@ -278,7 +276,7 @@ class FtGebrdDriver {
         a_(i + j, i + j + 1) = e_[i + j];
       }
       {
-        const TimedSpan q_span = ladder_.q_phase("q_checksum");
+        const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
         pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, ib);
         for (index_t j = 0; j < ib; ++j) {
           const index_t r = i + j;
@@ -306,7 +304,6 @@ class FtGebrdDriver {
       // before the host refills seg_ (fth_analyze --perf flagged the old
       // barrier as coarse-synchronize).
     }
-    st_.update_seconds += update_timer.seconds();
     return true;
   }
 
@@ -371,7 +368,7 @@ class FtGebrdDriver {
 
   /// Detection is the full two-vector comparison itself.
   Detection detect(index_t i2) {
-    const TimedSpan timed("detect", rep_.detect_seconds);
+    const obs::TimedSpan timed("ft", "detect", rep_.detect_seconds);
     Detection det;
     det.clean = compare(i2, nullptr, &det).clean();
     return det;
@@ -546,7 +543,7 @@ class FtGebrdDriver {
     const index_t tn = n_ - i;
     copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
     if (opt_.final_sweep) {
-      const TimedSpan sweep = ladder_.final_sweep();
+      const obs::TimedSpan sweep = ladder_.final_sweep();
       FreshSums fresh;
       const Discrepancy disc = compare(i, &fresh);
       if (!disc.clean()) {
@@ -561,10 +558,12 @@ class FtGebrdDriver {
       }
     }
 
-    finish_on_host(st_, i, [&] {
+    {
+      const obs::TimedSpan finish("hybrid", "finish", st_.finish_seconds, "col",
+                                  static_cast<double>(i));
       lapack::gebd2(a_.block(i, i, tn, tn), d_.sub(i, tn), e_.sub(i, tn - 1), tauq_.sub(i, tn),
                     taup_.sub(i, tn - 1));
-    });
+    }
 
     // The P family is checksummed and verified on the transposed mirror.
     // Refresh it from the live row storage first: the tail's checksums are
@@ -573,13 +572,13 @@ class FtGebrdDriver {
     for (index_t r = 0; r + 1 < n_; ++r)
       for (index_t c = r + 2; c < n_; ++c) at_mirror_(c, r) = a_(r, c);
     {
-      const TimedSpan q_span = ladder_.q_phase("q_checksum");
+      const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
       pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, tn - 1);
       pending_u_ = qp_u_.compute_panel(at_mirror_.cview(), i, tn - 1);
       commit_q();
     }
     {
-      const TimedSpan q_span = ladder_.q_phase("q_verify");
+      const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
       const double q_tol = RecoveryLadder::q_tolerance(n_, scale_max_);
       const auto vres = qp_v_.verify_and_correct(a_, n_ - 1, q_tol);
       // Copy any P corrections back to the row storage.
@@ -664,19 +663,22 @@ void ft_gebrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
             "ft_gebrd: e/taup too short");
   FTH_CHECK(opt.nb >= 1 && opt.detect_every >= 1, "ft_gebrd: bad options");
 
-  DriverFrame frame(dev, "gebrd", n, report, stats);
+  hybrid::RunFrame frame(dev, "ft", "gebrd", n, stats);
+  FtReport local_rep;
+  FtReport& rep = report != nullptr ? *report : local_rep;
+  rep = {};
   const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
   if (ft_blocked_panel(n, 0, opt.nb)) {
-    FtGebrdDriver driver(dev, a, d, e, tauq, taup, opt, injector, frame.rep(), frame.st(),
+    FtGebrdDriver driver(dev, a, d, e, tauq, taup, opt, injector, rep, frame.st(),
                          norms);
     driver.run();
   } else {
     // No blocked iteration: the host reduction alone, as in hybrid_gebrd.
     // The report still names the threshold a blocked run would apply.
-    frame.rep().threshold = gebrd_threshold(norms.fro, n, opt);
-    finish_on_host(frame.st(), 0, [&] { lapack::gebd2(a, d, e, tauq, taup); });
+    rep.threshold = gebrd_threshold(norms.fro, n, opt);
+    const obs::TimedSpan finish("hybrid", "finish", frame.st().finish_seconds, "col", 0.0);
+    lapack::gebd2(a, d, e, tauq, taup);
   }
-  frame.finish();
 }
 
 }  // namespace fth::ft

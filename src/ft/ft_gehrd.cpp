@@ -107,8 +107,8 @@ class FtDriver {
 
   // -- Algorithm 3 line 2: encode the matrix on the device. ----------------
   void encode() {
-    WallTimer t;
-    obs::TraceSpan span("ft", "encode", "n", static_cast<double>(n_));
+    const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
+                              static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_e_.block(0, 0, n_, n_));
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
     auto ones_n = d_ones_.view().col(0).sub(0, n_);
@@ -128,7 +128,6 @@ class FtDriver {
     // strike is allowed — a narrower transfer-only edge would let faults
     // fire under the encode kernels. fth-perf: expect coarse-synchronize
     s_.synchronize();
-    rep_.encode_seconds += t.seconds();
     // Faults are gated until the codes exist: an earlier strike would be
     // encoded consistently and become a different (but protected) input.
     if (plane_ != nullptr) plane_->mark_encoded();
@@ -168,9 +167,9 @@ class FtDriver {
     // checkpoint includes the checksum-row segment over the panel columns:
     // those entries are re-encoded at the end of the iteration (see below)
     // and must be restorable on rollback.
-    WallTimer panel_timer;
     {
-      obs::TraceSpan ckpt_span("ft", "checkpoint_save", "col", static_cast<double>(i));
+      const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
+                                static_cast<double>(i));
       copy_d2h_async(s_, d_e_.block(0, i, n_, ib),
                      a_.block(0, i, n_, ib));
       copy_d2h(s_, d_e_.block(n_, i, 1, ib),
@@ -195,7 +194,8 @@ class FtDriver {
     // Line 5: host panel factorization; big Y products on the device.
     bool poisoned = false;
     {
-      obs::TraceSpan panel_span("hybrid", "panel", "col", static_cast<double>(i));
+      const obs::TimedSpan panel("hybrid", "panel", st_.panel_seconds, "col",
+                                 static_cast<double>(i));
       try {
         lapack::detail::lahr2_panel(
             a_, i, ib, t_host_.view(), y_host_.view(), tau_.sub(i, ib),
@@ -225,16 +225,15 @@ class FtDriver {
         poisoned = true;
       }
     }
-    st_.panel_seconds += panel_timer.seconds();
     if (poisoned) {
       s_.synchronize();
       ladder_.panel_aborted(i);
       return false;
     }
 
-    WallTimer update_timer;
     {
-      obs::TraceSpan update_span("hybrid", "update", "col", static_cast<double>(i));
+      const obs::TimedSpan update("hybrid", "update", st_.update_seconds, "col",
+                                  static_cast<double>(i));
       // Ship clean V / T / corrected lower Y. V is staged in the
       // driver-owned v_host_, which outlives every upload that reads it.
       lapack::materialize_v_into(MatrixView<const double>(a_), i, ib,
@@ -311,7 +310,7 @@ class FtDriver {
       // Host work overlapped with the device GEMMs (Q checksum generation
       // of Section IV-E, then the panel-column fix).
       if (opt_.protect_q) {
-        const TimedSpan q_span = ladder_.q_phase("q_checksum");
+        const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
         pending_q_ = qp_.compute_panel(MatrixView<const double>(a_), i, ib);
       }
       // The wait also retires the V/T/Y uploads, so the next iteration (or
@@ -347,7 +346,6 @@ class FtDriver {
       // barrier as coarse-synchronize, and the loop-carried pass proves the
       // detect edge covers it).
     }
-    st_.update_seconds += update_timer.seconds();
     return true;
   }
 
@@ -359,7 +357,7 @@ class FtDriver {
   // but a NaN pair can also cancel into a *finite* bogus gap, and an Inf
   // strike that has not reached a checksum yet changes neither total.
   Detection detect(index_t first_col) {
-    const TimedSpan timed("detect", rep_.detect_seconds);
+    const obs::TimedSpan timed("ft", "detect", rep_.detect_seconds);
     Detection det;
     auto e = d_e_.view();
     s_.enqueue("ft.detect", FTH_TASK_EFFECTS(FTH_READS(e)), [e, n = n_, first_col, &det] {
@@ -614,13 +612,20 @@ class FtDriver {
     return chk_repairs;
   }
 
+  // The finish phase: the host's unblocked reduction from column `i` on.
+  void host_tail(index_t i) {
+    const obs::TimedSpan finish("hybrid", "finish", st_.finish_seconds, "col",
+                                static_cast<double>(i));
+    lapack::gehd2(a_, tau_, i);
+  }
+
   // The blocked loop stopped at the crossover `i`: columns i..n−1 are
   // still trailing data on the device.
   void final_phase(index_t i) {
     // Final sweep: catches errors that never propagated (finished H, the
     // trailing block, or checksum elements hit after the last check).
     if (opt_.final_sweep) {
-      const TimedSpan sweep = ladder_.final_sweep();
+      const obs::TimedSpan sweep = ladder_.final_sweep();
       FtEvent ev;
       try {
         apply_corrections(locate_errors(i), i, ev);
@@ -633,16 +638,16 @@ class FtDriver {
     // Bring down the trailing block and reduce it on the host, as
     // hybrid_gehrd does: no device update is left to protect.
     copy_d2h(s_, d_e_.block(0, i, n_, n_ - i), a_.block(0, i, n_, n_ - i));
-    finish_on_host(st_, i, [&] { lapack::gehd2(a_, tau_, i); });
+    host_tail(i);
 
     // Section IV-E: commit the tail reflectors' checksums, then verify +
     // correct the Householder storage once.
     if (opt_.protect_q) {
       {
-        const TimedSpan q_span = ladder_.q_phase("q_checksum");
+        const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
         qp_.commit(qp_.compute_panel(MatrixView<const double>(a_), i, n_ - 1 - i));
       }
-      const TimedSpan q_span = ladder_.q_phase("q_verify");
+      const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
       const auto qres = qp_.verify_and_correct(a_, n_ - 1,
                                                RecoveryLadder::q_tolerance(n_, scale_max_));
       ladder_.q_corrected(qres.corrections);
@@ -696,18 +701,21 @@ void ft_gehrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
   FTH_CHECK(tau.size() >= std::max<index_t>(n - 1, 0), "ft_gehrd: tau too short");
   FTH_CHECK(opt.nb >= 1, "ft_gehrd: block size must be positive");
 
-  DriverFrame frame(dev, "gehrd", n, report, stats);
+  hybrid::RunFrame frame(dev, "ft", "gehrd", n, stats);
+  FtReport local_rep;
+  FtReport& rep = report != nullptr ? *report : local_rep;
+  rep = {};
   const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
   if (ft_blocked_panel(n, 0, opt.nb)) {
-    FtDriver driver(dev, a, tau, opt, injector, frame.rep(), frame.st(), norms);
+    FtDriver driver(dev, a, tau, opt, injector, rep, frame.st(), norms);
     driver.run();
   } else {
     // No blocked iteration: the host reduction alone, as in hybrid_gehrd.
     // The report still names the threshold a blocked run would apply.
-    frame.rep().threshold = gehrd_threshold(norms.fro, n, opt);
-    finish_on_host(frame.st(), 0, [&] { lapack::gehd2(a, tau); });
+    rep.threshold = gehrd_threshold(norms.fro, n, opt);
+    const obs::TimedSpan finish("hybrid", "finish", frame.st().finish_seconds, "col", 0.0);
+    lapack::gehd2(a, tau);
   }
-  frame.finish();
 }
 
 }  // namespace fth::ft

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "fault/fault_plane.hpp"
 #include "ft/checksum.hpp"
 #include "ft/ladder.hpp"
@@ -93,8 +92,8 @@ class FtSytrdDriver {
   DMatrixView<double> device_matrix() { return d_a_.view(); }
 
   void encode() {
-    WallTimer t;
-    obs::TraceSpan span("ft", "encode", "n", static_cast<double>(n_));
+    const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
+                              static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
     s_.enqueue("ft.iota", FTH_TASK_EFFECTS(FTH_WRITES(d_wvec_.view())),
@@ -111,7 +110,6 @@ class FtSytrdDriver {
     // the fault gate, and both codes must exist on the device before any
     // strike is allowed. fth-perf: expect coarse-synchronize
     s_.synchronize();
-    rep_.encode_seconds += t.seconds();
     // Faults are gated until the codes exist: an earlier strike would be
     // encoded consistently and become a different (but protected) input.
     if (plane_ != nullptr) plane_->mark_encoded();
@@ -127,9 +125,9 @@ class FtSytrdDriver {
     // Panel to host + diskless checkpoints (panel pre-image and both
     // checksum vectors — the vectors are O(n), so checkpointing beats
     // reverse-computing them).
-    WallTimer panel_timer;
     {
-      obs::TraceSpan ckpt_span("ft", "checkpoint_save", "col", static_cast<double>(i));
+      const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
+                                static_cast<double>(i));
       copy_d2h_async(s_, d_a_.block(0, i, n_, ib), a_.block(0, i, n_, ib));
       copy_d2h_async(s_, d_chk1_.view(), ckpt_chk1_.view());
       copy_d2h(s_, d_chk2_.view(), ckpt_chk2_.view());
@@ -149,7 +147,8 @@ class FtSytrdDriver {
     // Host panel with device-assisted SYMV.
     bool poisoned = false;
     {
-      obs::TraceSpan panel_span("hybrid", "panel", "col", static_cast<double>(i));
+      const obs::TimedSpan panel("hybrid", "panel", st_.panel_seconds, "col",
+                                 static_cast<double>(i));
       try {
         lapack::detail::latrd_panel(
             a_, i, ib, e_.sub(i, ib), tau_.sub(i, ib), w_host_.view(),
@@ -176,16 +175,15 @@ class FtSytrdDriver {
         poisoned = true;
       }
     }
-    st_.panel_seconds += panel_timer.seconds();
     if (poisoned) {
       s_.synchronize();
       ladder_.panel_aborted(i);
       return false;
     }
 
-    WallTimer update_timer;
     {
-      obs::TraceSpan update_span("hybrid", "update", "col", static_cast<double>(i));
+      const obs::TimedSpan update("hybrid", "update", st_.update_seconds, "col",
+                                  static_cast<double>(i));
       // Clean V (explicit unit) and the finished W block to the device,
       // staged in the loop-hoisted v_host_ (the upload is only retired by
       // detect()'s synchronous fetch, after this scope ends).
@@ -246,7 +244,7 @@ class FtSytrdDriver {
 
       // Host work overlapped with the device update.
       {
-        const TimedSpan q_span = ladder_.q_phase("q_checksum");
+        const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
         pending_q_ = qp_.compute_panel(MatrixView<const double>(a_), i, ib);
       }
       for (index_t j = 0; j < ib; ++j) {
@@ -279,7 +277,6 @@ class FtSytrdDriver {
       // before the host refills seg_ (fth_analyze --perf flagged the old
       // barrier as coarse-synchronize).
     }
-    st_.update_seconds += update_timer.seconds();
     return true;
   }
 
@@ -317,7 +314,7 @@ class FtSytrdDriver {
   /// row's comparison is non-finite (the plain `gap > threshold` test is
   /// false for NaN and would wave the corruption straight through).
   Detection detect(index_t i2) {
-    const TimedSpan timed("detect", rep_.detect_seconds);
+    const obs::TimedSpan timed("ft", "detect", rep_.detect_seconds);
     const std::vector<double> fresh = fresh_sums(i2, /*weighted=*/false);
     const std::vector<double> chke = fetch_chk(false);
     double worst = 0.0;
@@ -565,7 +562,7 @@ class FtSytrdDriver {
     const index_t tn = n_ - i;
     copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
     if (opt_.final_sweep) {
-      const TimedSpan sweep = ladder_.final_sweep();
+      const obs::TimedSpan sweep = ladder_.final_sweep();
       // Sweep both codes so a strike on the weighted vector (invisible to
       // the plain-code online check) is still found and repaired here.
       const std::vector<double> fresh_e = fresh_sums(i, false);
@@ -593,19 +590,21 @@ class FtSytrdDriver {
       }
     }
 
-    finish_on_host(st_, i, [&] {
+    {
+      const obs::TimedSpan finish("hybrid", "finish", st_.finish_seconds, "col",
+                                  static_cast<double>(i));
       lapack::sytd2(a_.block(i, i, tn, tn), d_.sub(i, tn), e_.sub(i, tn - 1),
                     tau_.sub(i, tn - 1));
-    });
+    }
 
     // Commit the tail reflectors' checksums, then verify + correct the
     // Householder storage once.
     {
-      const TimedSpan q_span = ladder_.q_phase("q_checksum");
+      const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
       qp_.commit(qp_.compute_panel(MatrixView<const double>(a_), i, tn - 1));
     }
     {
-      const TimedSpan q_span = ladder_.q_phase("q_verify");
+      const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
       const auto qres = qp_.verify_and_correct(a_, n_ - 1,
                                                RecoveryLadder::q_tolerance(n_, scale_max_));
       ladder_.q_corrected(qres.corrections);
@@ -674,18 +673,21 @@ void ft_sytrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
             "ft_sytrd: e/tau too short");
   FTH_CHECK(opt.nb >= 1 && opt.detect_every >= 1, "ft_sytrd: bad options");
 
-  DriverFrame frame(dev, "sytrd", n, report, stats);
+  hybrid::RunFrame frame(dev, "ft", "sytrd", n, stats);
+  FtReport local_rep;
+  FtReport& rep = report != nullptr ? *report : local_rep;
+  rep = {};
   const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
   if (ft_blocked_panel(n, 0, opt.nb)) {
-    FtSytrdDriver driver(dev, a, d, e, tau, opt, injector, frame.rep(), frame.st(), norms);
+    FtSytrdDriver driver(dev, a, d, e, tau, opt, injector, rep, frame.st(), norms);
     driver.run();
   } else {
     // No blocked iteration: the host reduction alone, as in hybrid_sytrd.
     // The report still names the threshold a blocked run would apply.
-    frame.rep().threshold = sytrd_threshold(norms.fro, n, opt);
-    finish_on_host(frame.st(), 0, [&] { lapack::sytd2(a, d, e, tau); });
+    rep.threshold = sytrd_threshold(norms.fro, n, opt);
+    const obs::TimedSpan finish("hybrid", "finish", frame.st().finish_seconds, "col", 0.0);
+    lapack::sytd2(a, d, e, tau);
   }
-  frame.finish();
 }
 
 }  // namespace fth::ft

@@ -156,9 +156,9 @@ void RecoveryLadder::repair_from(MatrixView<double> ckpt, MatrixView<const doubl
   }
 }
 
-TimedSpan RecoveryLadder::final_sweep() {
+obs::TimedSpan RecoveryLadder::final_sweep() {
   rep_.final_sweep_ran = true;
-  return {"final_sweep", rep_.detect_seconds};
+  return {"ft", "final_sweep", rep_.detect_seconds};
 }
 
 void RecoveryLadder::abandon_final_sweep(const char* what) {
@@ -195,23 +195,6 @@ void RecoveryLadder::finish() {
                      rep_.q_corrections > 0 || rep_.ckpt_rederivations > 0 ||
                      rep_.reconstructions > 0 || rep_.panel_aborts > 0;
   rep_.outcome.status = fired ? RecoveryStatus::Recovered : RecoveryStatus::Clean;
-}
-
-// ---- the ft_* entry frame ---------------------------------------------------
-
-DriverFrame::DriverFrame(hybrid::Device& dev, const char* name, index_t n, FtReport* report,
-                         hybrid::HybridGehrdStats* stats)
-    : rep_(report != nullptr ? *report : local_rep_),
-      st_(stats != nullptr ? *stats : local_st_),
-      span_("ft", name, "n", static_cast<double>(n)),
-      scope_(dev) {
-  rep_ = {};
-  st_ = {};
-}
-
-void DriverFrame::finish() {
-  st_.total_seconds = total_.seconds();
-  scope_.finish(st_);
 }
 
 }  // namespace fth::ft

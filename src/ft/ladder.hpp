@@ -7,8 +7,7 @@
 // drivers fill FtReport alike: the per-check bookkeeping, the retry bound,
 // FtEvent accounting, the structured abandon path, the rollback and
 // re-execution brackets, the dual-sum checkpoint seal, the final-sweep and
-// Q-verify bookkeeping, the Clean/Recovered classification and the ft_*
-// entry frame.
+// Q-verify bookkeeping and the Clean/Recovered classification.
 //
 // The stream side of the protocol — the ensure_clean() loop, run() and the
 // two-code helpers — is shared through the .inc fragments included inside
@@ -24,7 +23,6 @@
 #include "common/timer.hpp"
 #include "fault/fault_plane.hpp"
 #include "ft/ft_gehrd.hpp"  // FtReport / FtEvent
-#include "hybrid/hybrid_gehrd.hpp"
 #include "la/matrix.hpp"
 #include "obs/trace.hpp"
 
@@ -81,20 +79,6 @@ struct DualSum {
   /// Adds a column-major block whose element (r, j) weighs base + r + (j+1)·stride.
   void add_block(MatrixView<const double> m, double base, double stride);
   [[nodiscard]] bool same_bits(const DualSum& o) const;
-};
-
-/// Trace span that also books its wall time into one FtReport field.
-class TimedSpan {
- public:
-  TimedSpan(const char* name, double& seconds) : seconds_(seconds), span_("ft", name) {}
-  ~TimedSpan() { seconds_ += timer_.seconds(); }
-  TimedSpan(const TimedSpan&) = delete;
-  TimedSpan& operator=(const TimedSpan&) = delete;
-
- private:
-  double& seconds_;
-  WallTimer timer_;
-  obs::TraceSpan span_;
 };
 
 /// Trace bracket of one recovery phase. Its DAG mark makes recovery
@@ -179,11 +163,11 @@ class RecoveryLadder {
   void repair_from(MatrixView<double> ckpt, MatrixView<const double> ref);
 
   /// The final-sweep bracket, booked as detection time.
-  [[nodiscard]] TimedSpan final_sweep();
+  [[nodiscard]] obs::TimedSpan final_sweep();
   [[noreturn]] void abandon_final_sweep(const char* what);
   void swept(const FtEvent& ev);
 
-  [[nodiscard]] TimedSpan q_phase(const char* name) { return {name, rep_.q_seconds}; }
+  [[nodiscard]] obs::TimedSpan q_phase(const char* name) { return {"ft", name, rep_.q_seconds}; }
   void q_corrected(int corrections);
   /// Tolerance of the Section IV-E Householder-storage verification.
   [[nodiscard]] static double q_tolerance(index_t n, double scale_max);
@@ -203,40 +187,6 @@ class RecoveryLadder {
   int max_retries_;
   double threshold_;
   index_t total_boundaries_;
-};
-
-/// Runs `reduce`, the unblocked host routine from column `col` on, timed
-/// and traced as the hybrid drivers' finish phase: the FT drivers' tail
-/// past the crossover, or their whole reduction at n ≤ nb + 1.
-template <class Reduce>
-void finish_on_host(hybrid::HybridGehrdStats& st, index_t col, Reduce&& reduce) {
-  const WallTimer timer;
-  {
-    const obs::TraceSpan span("hybrid", "finish", "col", static_cast<double>(col));
-    reduce();
-  }
-  st.finish_seconds = timer.seconds();
-}
-
-/// The frame every ft_* entry point runs its driver in: the caller's
-/// report and stats (or local ones) reset, the run's trace span, device
-/// footprint scoping, and total time stamped by finish().
-class DriverFrame {
- public:
-  DriverFrame(hybrid::Device& dev, const char* name, index_t n, FtReport* report,
-              hybrid::HybridGehrdStats* stats);
-  FtReport& rep() { return rep_; }
-  hybrid::HybridGehrdStats& st() { return st_; }
-  void finish();
-
- private:
-  FtReport local_rep_;
-  hybrid::HybridGehrdStats local_st_;
-  FtReport& rep_;
-  hybrid::HybridGehrdStats& st_;
-  obs::TraceSpan span_;
-  WallTimer total_;
-  hybrid::detail::StatsScope scope_;
 };
 
 }  // namespace fth::ft

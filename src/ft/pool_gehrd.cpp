@@ -50,7 +50,6 @@
 #include "lapack/lahr2_impl.hpp"
 #include "lapack/orghr.hpp"
 #include "lapack/reflectors.hpp"
-#include "obs/dag.hpp"
 #include "obs/incident.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -581,24 +580,17 @@ class PoolDriver {
   void emit_incident(const char* trigger, int dev, index_t boundary, const char* status,
                      const char* reason, std::string detail) {
     if (!obs::incident_enabled()) return;
-    obs::IncidentReport inc;
+    obs::IncidentReport inc = obs::incident_for_run(rep_.run_id, counters_base_);
     inc.trigger = trigger;
     inc.who = "pool_gehrd";
-    inc.run_id = rep_.run_id;
     inc.device = dev;
     inc.boundary = boundary;
     inc.outcome.status = status;
     inc.outcome.reason = reason;
     inc.outcome.detail = std::move(detail);
     inc.outcome.attempts = rep_.losses;
-    const auto now = obs::Registry::global().counter_values();
-    for (const auto& [name, delta] : obs::Registry::counter_delta(now, counters_base_))
-      inc.metrics_delta.emplace_back(name, delta);
-    inc.journal = obs::journal_snapshot(rep_.run_id);
     inc.health = health_->snapshot();
     if (plane_ != nullptr) inc.strikes_json = fault::strikes_json(*plane_);
-    inc.flight_json = obs::flight_tail_json(512);
-    inc.dag_json = obs::dag::tail_json(128);
     const std::string path = obs::write_incident(inc);
     if (!path.empty()) rep_.incidents.push_back(path);
   }

@@ -12,6 +12,7 @@
 
 #include "la/matrix.hpp"
 #include "hybrid/device.hpp"
+#include "obs/trace.hpp"
 
 namespace fth::hybrid {
 
@@ -37,12 +38,20 @@ using IterationHook = std::function<void(const IterationHookContext&)>;
 
 /// Wall-clock decomposition of one run (for the overhead studies), plus
 /// the run's transfer/memory/overlap footprint pulled up from the Device
-/// and Stream so callers need not reach into device internals.
+/// and Stream so callers need not reach into device internals. Each
+/// seconds field is booked by its phase's obs::TimedSpan (DESIGN.md §8).
+/// In the hybrid drivers panel + update + finish tile the run, apart from
+/// the matrix upload and the workspace set-up and tear-down.
 struct HybridGehrdStats {
-  double total_seconds = 0.0;
-  double panel_seconds = 0.0;    ///< host panel factorization (incl. device Y gemv waits)
-  double update_seconds = 0.0;   ///< device trailing updates (host-observed)
-  double finish_seconds = 0.0;   ///< host unblocked tail
+  double total_seconds = 0.0;   ///< the whole run (its RunFrame)
+  double panel_seconds = 0.0;   ///< loop top to panel done: the panel fetch, which
+                                ///< waits for the previous update (FT: inside the
+                                ///< checkpoint save), then the host panel with its
+                                ///< device-product waits
+  double update_seconds = 0.0;  ///< enqueuing the trailing updates and the host
+                                ///< work that overlaps them (host-observed)
+  double finish_seconds = 0.0;  ///< host unblocked tail (hybrid drivers: from the
+                                ///< tail fetch on)
   index_t panels = 0;
   std::uint64_t h2d_bytes = 0;
   std::uint64_t d2h_bytes = 0;
@@ -52,37 +61,26 @@ struct HybridGehrdStats {
   std::uint64_t peak_queue_depth = 0;  ///< deepest stream backlog during the run
 };
 
-namespace detail {
-
-/// Snapshot of the device counters at the start of a driver run; finish()
-/// writes the per-run deltas (and the peaks) into the stats. Every hybrid
-/// and FT driver uses one so the footprint fields stay consistent.
-class StatsScope {
+/// The frame every hybrid and FT driver runs in. It resets the caller's
+/// stats (or local ones), opens the run's span, which books total_seconds
+/// when it closes, and snapshots the device counters; on close it writes
+/// the run's transfer deltas and peaks into the stats.
+class RunFrame {
  public:
-  explicit StatsScope(Device& dev)
-      : dev_(dev),
-        h2d_bytes0_(dev.h2d_bytes()),
-        d2h_bytes0_(dev.d2h_bytes()),
-        h2d_count0_(dev.h2d_count()),
-        d2h_count0_(dev.d2h_count()) {
-    dev.stream().reset_peak_queue_depth();
-  }
+  RunFrame(Device& dev, const char* cat, const char* name, index_t n, HybridGehrdStats* stats);
+  ~RunFrame();
+  RunFrame(const RunFrame&) = delete;
+  RunFrame& operator=(const RunFrame&) = delete;
 
-  void finish(HybridGehrdStats& st) const {
-    st.h2d_bytes = dev_.h2d_bytes() - h2d_bytes0_;
-    st.d2h_bytes = dev_.d2h_bytes() - d2h_bytes0_;
-    st.h2d_count = dev_.h2d_count() - h2d_count0_;
-    st.d2h_count = dev_.d2h_count() - d2h_count0_;
-    st.dev_peak_bytes = dev_.peak_bytes();
-    st.peak_queue_depth = dev_.stream().peak_queue_depth();
-  }
+  [[nodiscard]] HybridGehrdStats& st() { return st_; }
 
  private:
+  HybridGehrdStats local_;
+  HybridGehrdStats& st_;
   Device& dev_;
   std::uint64_t h2d_bytes0_, d2h_bytes0_, h2d_count0_, d2h_count0_;
+  obs::TimedSpan span_;
 };
-
-}  // namespace detail
 
 /// Reduce `a` (host memory) to Hessenberg form using `dev`. Drop-in
 /// equivalent of lapack::gehrd up to floating-point reassociation.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "obs/trace.hpp"
 #include "lapack/orghr.hpp"
@@ -14,8 +13,7 @@ namespace fth::hybrid {
 
 void hybrid_sytrd(Device& dev, MatrixView<double> a, VectorView<double> d,
                   VectorView<double> e, VectorView<double> tau,
-                  const HybridSytrdOptions& opt, HybridGehrdStats* stats,
-                  const IterationHook& hook) {
+                  const HybridSytrdOptions& opt, HybridGehrdStats* stats) {
   const index_t n = a.rows();
   FTH_CHECK(a.cols() == n, "hybrid_sytrd: matrix must be square");
   FTH_CHECK(d.size() >= n, "hybrid_sytrd: d too short");
@@ -24,43 +22,42 @@ void hybrid_sytrd(Device& dev, MatrixView<double> a, VectorView<double> d,
             "hybrid_sytrd: e/tau too short");
   FTH_CHECK(opt.nb >= 1, "hybrid_sytrd: block size must be positive");
 
-  obs::TraceSpan run_span("hybrid", "sytrd", "n", static_cast<double>(n));
-  WallTimer total_timer;
-  HybridGehrdStats local_stats;
-  HybridGehrdStats& st = stats != nullptr ? *stats : local_stats;
-  st = {};
-  const detail::StatsScope scope(dev);
-
+  RunFrame frame(dev, "hybrid", "sytrd", n, stats);
+  HybridGehrdStats& st = frame.st();
   const index_t nb = opt.nb;
   const index_t nx = std::max(opt.nx, nb);
+  if (n <= nx + 1) {  // no blocked iteration: the host reduction alone
+    const obs::TimedSpan finish("hybrid", "finish", st.finish_seconds, "col", 0.0);
+    lapack::sytd2(a, d, e, tau);
+    return;
+  }
   Stream& s = dev.stream();
 
+  DeviceMatrix<double> d_a(dev, n, n, "sytrd.d_a");
+  copy_h2d(s, MatrixView<const double>(a), d_a.view());
+
+  Matrix<double> w_host(n, nb);
+  // V staging buffer, loop-hoisted: the async upload that reads it is
+  // only retired by the NEXT iteration's synchronous panel fetch, so a
+  // per-iteration local would be freed with the transfer still live.
+  Matrix<double> v_host(n, nb);
+  DeviceMatrix<double> d_v(dev, n, nb, "sytrd.d_v");
+  DeviceMatrix<double> d_w(dev, n, nb, "sytrd.d_w");
+
   index_t i = 0;
-  if (n > nx + 1) {
-    DeviceMatrix<double> d_a(dev, n, n, "sytrd.d_a");
-    copy_h2d(s, MatrixView<const double>(a), d_a.view());
+  while (n - i > nx + 1) {
+    const index_t ib = std::min(nb, n - i - 1);
 
-    Matrix<double> w_host(n, nb);
-    // V staging buffer, loop-hoisted: the async upload that reads it is
-    // only retired by the NEXT iteration's synchronous panel fetch, so a
-    // per-iteration local would be freed with the transfer still live.
-    Matrix<double> v_host(n, nb);
-    DeviceMatrix<double> d_v(dev, n, nb, "sytrd.d_v");
-    DeviceMatrix<double> d_w(dev, n, nb, "sytrd.d_w");
-
-    while (n - i > nx + 1) {
-      const index_t ib = std::min(nb, n - i - 1);
-
+    {
+      const obs::TimedSpan panel("hybrid", "panel", st.panel_seconds, "col",
+                                 static_cast<double>(i));
       // Panel columns to the host (full height; only rows ≥ i are live in
       // lower storage but the copy is simpler and the extra rows harmless).
-      WallTimer panel_timer;
-      {
-        obs::TraceSpan panel_span("hybrid", "panel", "col", static_cast<double>(i));
-        copy_d2h(s, d_a.block(0, i, n, ib), a.block(0, i, n, ib));
+      copy_d2h(s, d_a.block(0, i, n, ib), a.block(0, i, n, ib));
 
-        // Host panel; each column's big SYMV runs on the device against the
-        // start-of-iteration trailing matrix.
-        lapack::detail::latrd_panel(
+      // Host panel; each column's big SYMV runs on the device against the
+      // start-of-iteration trailing matrix.
+      lapack::detail::latrd_panel(
           a, i, ib, e.sub(i, ib), tau.sub(i, ib), w_host.view(),
           [&](index_t j, VectorView<const double> vj, VectorView<double> w_col) {
             const index_t cj = i + j;
@@ -75,12 +72,11 @@ void hybrid_sytrd(Device& dev, MatrixView<double> a, VectorView<double> d,
                            MatrixView<double>(w_col.data(), vlen, 1, vlen));
             return [&s] { s.synchronize(); };  // joins the fetch
           });
-      }
-      st.panel_seconds += panel_timer.seconds();
+    }
 
-      WallTimer update_timer;
-      {
-        obs::TraceSpan update_span("hybrid", "update", "col", static_cast<double>(i));
+    {
+      const obs::TimedSpan update("hybrid", "update", st.update_seconds, "col",
+                                  static_cast<double>(i));
       // Ship clean V (explicit unit diagonal) and the finished W columns.
       const index_t vrows = n - i - 1;
       lapack::materialize_v_into(MatrixView<const double>(a), i, ib,
@@ -105,38 +101,19 @@ void hybrid_sytrd(Device& dev, MatrixView<double> a, VectorView<double> d,
       // No loop-bottom synchronize: the next iteration's synchronous panel
       // fetch retires the V/W uploads and joins the rank-2k update
       // (fth_analyze --perf flagged the old barrier as coarse-synchronize).
-      }
-      st.update_seconds += update_timer.seconds();
-
-      i += ib;
-      ++st.panels;
-      if (hook) {
-        s.synchronize();  // host_view below needs an idle stream
-        hook(IterationHookContext{.boundary = st.panels,
-                                  .next_panel = i,
-                                  .nb = nb,
-                                  .host_a = a,
-                                  .dev_a = host_view(d_a.view(), s)});
-      }
     }
 
-    // Fetch the remaining trailing block and finish on the host.
-    copy_d2h(s, d_a.block(i, i, n - i, n - i),
-             a.block(i, i, n - i, n - i));
+    i += ib;
+    ++st.panels;
   }
 
-  WallTimer finish_timer;
-  {
-    obs::TraceSpan finish_span("hybrid", "finish", "col", static_cast<double>(i));
-    auto trail = a.block(i, i, n - i, n - i);
-    lapack::sytd2(trail, d.sub(i, n - i),
-                  (i < n - 1) ? e.sub(i, n - i - 1) : VectorView<double>(),
-                  (i < n - 1) ? tau.sub(i, n - i - 1) : VectorView<double>());
-  }
-  st.finish_seconds = finish_timer.seconds();
-
-  st.total_seconds = total_timer.seconds();
-  scope.finish(st);
+  // Fetch the remaining trailing block and finish on the host.
+  const obs::TimedSpan finish("hybrid", "finish", st.finish_seconds, "col",
+                              static_cast<double>(i));
+  copy_d2h(s, d_a.block(i, i, n - i, n - i),
+           a.block(i, i, n - i, n - i));
+  lapack::sytd2(a.block(i, i, n - i, n - i), d.sub(i, n - i), e.sub(i, n - i - 1),
+                tau.sub(i, n - i - 1));
 }
 
 }  // namespace fth::hybrid

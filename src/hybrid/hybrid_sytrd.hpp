@@ -7,7 +7,7 @@
 
 #include "la/matrix.hpp"
 #include "hybrid/device.hpp"
-#include "hybrid/hybrid_gehrd.hpp"  // HybridGehrdStats, IterationHook
+#include "hybrid/hybrid_gehrd.hpp"  // HybridGehrdStats
 
 namespace fth::hybrid {
 
@@ -18,10 +18,8 @@ struct HybridSytrdOptions {
 
 /// Reduce the symmetric matrix `a` (lower triangle authoritative) to
 /// tridiagonal form using `dev`. Same output contract as lapack::sytrd.
-/// The hook fires at each iteration boundary (stream synchronized).
 void hybrid_sytrd(Device& dev, MatrixView<double> a, VectorView<double> d,
                   VectorView<double> e, VectorView<double> tau,
-                  const HybridSytrdOptions& opt = {}, HybridGehrdStats* stats = nullptr,
-                  const IterationHook& hook = {});
+                  const HybridSytrdOptions& opt = {}, HybridGehrdStats* stats = nullptr);
 
 }  // namespace fth::hybrid

@@ -96,28 +96,8 @@ CompareResult compare_reports(const json::Value& base, const json::Value& cand,
     cmp.path = path;
     cmp.base = bv;
     cmp.rule = rule->pattern;
-    auto it = c.find(path);
+    const auto it = c.find(path);
     if (it == c.end()) {
-      // stream_occupancy grew from a scalar into a per-device array when the
-      // device pool landed; a legacy scalar is the D=1 form of the same
-      // metric, so match the two spellings against each other (entry 0 <->
-      // scalar) instead of flagging a schema regression. Entries beyond .0
-      // have no legacy counterpart and still gate as missing.
-      static const std::string kOcc = ".stream_occupancy";
-      if (path.size() >= kOcc.size() &&
-          path.compare(path.size() - kOcc.size(), kOcc.size(), kOcc) == 0)
-        it = c.find(path + ".0");  // scalar baseline vs array candidate
-      else if (path.size() >= kOcc.size() + 2 &&
-               path.compare(path.size() - kOcc.size() - 2, kOcc.size() + 2, kOcc + ".0") == 0)
-        it = c.find(path.substr(0, path.size() - 2));  // array baseline vs scalar
-    }
-    if (it == c.end()) {
-      // Legacy baselines recorded a meaningless roofline_frac=0 when no
-      // roofline was measured; newer reports omit the key. Absent-vs-0 is
-      // "still unmeasured", not a regression.
-      if (bv == 0.0 && path.size() >= 14 &&
-          path.compare(path.size() - 14, 14, ".roofline_frac") == 0)
-        continue;
       cmp.missing = true;
       cmp.violated = true;  // a gated metric disappearing IS a regression
     } else {

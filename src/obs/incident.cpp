@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "common/json.hpp"
+#include "obs/dag.hpp"
 #include "obs/trace.hpp"
 
 namespace fth::obs {
@@ -106,6 +107,19 @@ void incident_stop() {
 std::string incident_dir() {
   std::lock_guard lock(g_dir_m);
   return g_dir;
+}
+
+IncidentReport incident_for_run(std::uint64_t run_id,
+                                const Registry::CounterValues& counters_before) {
+  IncidentReport inc;
+  inc.run_id = run_id;
+  const auto now = Registry::global().counter_values();
+  for (const auto& [name, delta] : Registry::counter_delta(now, counters_before))
+    inc.metrics_delta.emplace_back(name, delta);
+  inc.journal = journal_snapshot(run_id);
+  inc.flight_json = flight_tail_json(512);
+  inc.dag_json = dag::tail_json(128);
+  return inc;
 }
 
 std::string render_incident_json(const IncidentReport& rep) {

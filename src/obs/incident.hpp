@@ -30,6 +30,7 @@
 
 #include "obs/health.hpp"
 #include "obs/journal.hpp"
+#include "obs/metrics.hpp"
 
 namespace fth::json {
 class Value;
@@ -84,6 +85,13 @@ void incident_stop();
 
 /// The armed incident directory ("" when disarmed).
 [[nodiscard]] std::string incident_dir();
+
+/// A capsule for journal run `run_id` holding the evidence every capsule
+/// carries: the counter deltas since `counters_before`, the run's journal
+/// slice and the newest flight-ring and DAG records. Emitters add the
+/// trigger, the outcome and their own fragments.
+[[nodiscard]] IncidentReport incident_for_run(std::uint64_t run_id,
+                                              const Registry::CounterValues& counters_before);
 
 /// Render the capsule document (schema "fth-incident-v1").
 [[nodiscard]] std::string render_incident_json(const IncidentReport& rep);

@@ -440,8 +440,6 @@ std::string ProfileReport::to_json() const {
   json::append_number(out, overlap_fraction, 9);
   // Per-device array (one entry per device track); a window with no device
   // work emits the aggregate as a single entry so the path always exists.
-  // Legacy baselines hold the pre-pool scalar spelling; bench_compare maps
-  // scalar <-> entry 0 so a D=1 report gates cleanly against either.
   out += ",\"stream_occupancy\":[";
   if (per_device_occupancy.empty()) {
     json::append_number(out, stream_occupancy, 9);

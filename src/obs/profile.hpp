@@ -57,17 +57,13 @@ struct ProfileReport {
   double stream_occupancy = 0.0;   ///< device_busy / wall (all device tracks unioned)
   /// Per-device-track occupancy (busy-union / wall, one entry per device
   /// worker thread, sorted descending — a pool run gets one entry per
-  /// member). JSON emits these as the `stream_occupancy` array; a legacy
-  /// scalar in an old baseline is the D=1 form of the same metric and
-  /// bench_compare matches the two spellings against each other.
+  /// member). JSON emits these as the `stream_occupancy` array.
   std::vector<double> per_device_occupancy;
   /// Ordinal-keyed attribution of the same quantity: (pool ordinal,
   /// busy-union / wall), sorted by ordinal. Live mode only — worker threads
   /// self-report their ordinal (profile_detail::set_device_ordinal); a
   /// replayed trace has no ordinal channel, so the replay report leaves
-  /// this empty. JSON emits it as the `stream_occupancy_by_device` object
-  /// (a new key — the legacy `stream_occupancy` array and its scalar/
-  /// entry-0 baseline carve-out are untouched).
+  /// this empty. JSON emits it as the `stream_occupancy_by_device` object.
   std::vector<std::pair<int, double>> per_device_by_ordinal;
 
   // Per-iteration critical path: panel begin → matching update end on the

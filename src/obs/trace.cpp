@@ -128,11 +128,12 @@ class Recorder {
     return r;
   }
 
-  void append(Record r) noexcept {
+  /// `stamped`: r.ts_us already holds the caller's now_us() reading.
+  void append(Record r, bool stamped = false) noexcept {
     const unsigned to = log_sinks() & readers(r.kind);
     if (to == 0) return;
     ThreadBuffer& b = local_buffer();
-    r.ts_us = now_us();
+    if (!stamped) r.ts_us = now_us();
     r.tid = b.tid;
     std::lock_guard lock(b.m);
     if ((to & log::kProfile) != 0) log::profile_feed(b.profile, r);
@@ -586,6 +587,21 @@ void begin_span(const char* cat, const char* name, const char* arg_key,
 }
 
 void end_span() noexcept { log::append(Record{.kind = Kind::SpanEnd}); }
+
+void begin_span_at(double ts_us, const char* cat, const char* name, const char* arg_key,
+                   double arg_value) noexcept {
+  Recorder::instance().append(Record{.ts_us = ts_us,
+                                     .value = arg_value,
+                                     .cat = cat,
+                                     .name = name,
+                                     .arg_key = arg_key,
+                                     .kind = Kind::SpanBegin},
+                              /*stamped=*/true);
+}
+
+void end_span_at(double ts_us) noexcept {
+  Recorder::instance().append(Record{.ts_us = ts_us, .kind = Kind::SpanEnd}, /*stamped=*/true);
+}
 
 void record_instant(const char* cat, const char* name) noexcept {
   log::append(Record{.cat = cat, .name = name, .kind = Kind::Instant});

@@ -127,6 +127,11 @@ void begin_span(const char* cat, const char* name) noexcept;
 void begin_span(const char* cat, const char* name, const char* arg_key,
                 double arg_value) noexcept;
 void end_span() noexcept;
+/// begin_span / end_span stamped with a now_us() reading the caller took,
+/// so it can book the very interval it logs (TimedSpan).
+void begin_span_at(double ts_us, const char* cat, const char* name, const char* arg_key,
+                   double arg_value) noexcept;
+void end_span_at(double ts_us) noexcept;
 void record_instant(const char* cat, const char* name) noexcept;
 void record_counter(const char* name, double value) noexcept;
 
@@ -168,6 +173,35 @@ class TraceSpan {
 
  private:
   bool armed_;
+};
+
+/// RAII phase bracket: a span that, when it closes, adds its wall time to
+/// `seconds` (a HybridGehrdStats or FtReport field). The field and the log
+/// share the bracket's two now_us() readings, so a profile's wall_s for the
+/// phase is the field's value. Drivers book a phase's time only through
+/// one of these (DESIGN.md §8), never through a WallTimer beside a span.
+class TimedSpan {
+ public:
+  TimedSpan(const char* cat, const char* name, double& seconds) noexcept
+      : TimedSpan(cat, name, seconds, "", 0.0) {}
+  /// Bracket with one numeric argument shown in the UI (e.g. the column).
+  TimedSpan(const char* cat, const char* name, double& seconds, const char* arg_key,
+            double arg_value) noexcept
+      : seconds_(seconds), armed_(trace_enabled()), begin_us_(detail::now_us()) {
+    if (armed_) detail::begin_span_at(begin_us_, cat, name, arg_key, arg_value);
+  }
+  ~TimedSpan() {
+    const double end_us = detail::now_us();
+    if (armed_) detail::end_span_at(end_us);
+    seconds_ += (end_us - begin_us_) / 1e6;
+  }
+  TimedSpan(const TimedSpan&) = delete;
+  TimedSpan& operator=(const TimedSpan&) = delete;
+
+ private:
+  double& seconds_;
+  bool armed_;
+  double begin_us_;
 };
 
 /// RAII record of one stream task on its worker thread (task begin/end with

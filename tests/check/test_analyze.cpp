@@ -840,24 +840,24 @@ struct SeededEdge {
 // driver is edited these update with it (the clean-tree golden below
 // catches drift the other way).
 const SeededEdge kSeeds[] = {
-    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 133, "'y_host'",
+    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 153, "'y_host'",
      1},
-    {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 136, "'a'", 1},
-    // Besides the panel waiter's join, the only synchronize() left in the
-    // de-over-synchronized driver is the hook-branch drain; deleting it
+    {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 133, "'a'", 1},
+    // The hook-branch drain: with no loop-bottom synchronize the trailing
+    // GEMMs are still in flight at the iteration boundary, so deleting it
     // breaks the host_view unwrap.
-    {"src/hybrid/hybrid_sytrd.cpp", "s.synchronize();  // host_view below", "stream-not-idle", 119,
+    {"src/hybrid/hybrid_gebrd.cpp", "s.synchronize();  // host_view below", "stream-not-idle", 150,
      "host_view", 1},
-    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 323, "'y_host_'", 1},
+    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 322, "'y_host_'", 1},
     // ft_gebrd: the wait also covers the fault-injection helper's host
     // write of a_, so its deletion surfaces that second race (at the
     // inject_at_boundary splice in the shared run(), two_code.inc)
     // alongside the pivot-restore one.
-    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 277, "'a_'", 2},
+    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 275, "'a_'", 2},
     // The one inter-device edge of the pool driver's Y-top reduction:
     // without it the collector task reads stage_g_ while the producers'
     // d2h copies are still in flight (ISSUE 7 / DESIGN.md §13).
-    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 347,
+    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 346,
      "'stage_g_'", 1},
 };
 
@@ -1389,7 +1389,7 @@ TEST(AnalyzePerfSeeded, ReAddingTheGehrdLoopBottomBarrierIsCoarse) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), "++st.panels;",
                                    "++st.panels;\n        s.synchronize();"));
-  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 141))
+  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 161))
       << "the pre-PR loop-bottom drain is re-flagged where it was removed";
 }
 
@@ -1398,7 +1398,7 @@ TEST(AnalyzePerfSeeded, DoublingTheGebrdOperandsWaitIsRedundant) {
       run_perf("src/hybrid/hybrid_gebrd.cpp",
                replaced(repo_file("src/hybrid/hybrid_gebrd.cpp"), "operands_shipped.wait();",
                         "operands_shipped.wait();\n        operands_shipped.wait();"));
-  EXPECT_TRUE(has_perf(f, "redundant-wait", 135))
+  EXPECT_TRUE(has_perf(f, "redundant-wait", 132))
       << "the second wait's marker is already host-ordered by the first";
 }
 
@@ -1408,7 +1408,7 @@ TEST(AnalyzePerfSeeded, DuplicatingTheGehrdTUploadIsADeadTransfer) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), t_h2d,
                                    t_h2d + "\n        " + t_h2d));
-  EXPECT_TRUE(has_perf(f, "dead-transfer", 95))
+  EXPECT_TRUE(has_perf(f, "dead-transfer", 115))
       << "the first T upload is overwritten before any device op reads it";
 }
 

@@ -135,34 +135,6 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_LT(t.seconds(), 0.02);
 }
 
-TEST(Accumulator, SumsIntervals) {
-  Accumulator acc;
-  for (int i = 0; i < 3; ++i) {
-    acc.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    acc.stop();
-  }
-  EXPECT_GE(acc.total_seconds(), 0.025);
-  EXPECT_EQ(acc.laps(), 3);
-  acc.clear();
-  EXPECT_EQ(acc.total_seconds(), 0.0);
-  acc.stop();  // stop without start is a no-op
-  EXPECT_EQ(acc.laps(), 0);
-}
-
-TEST(Accumulator, DoubleStartBanksRunningInterval) {
-  // Regression: start() while running used to silently discard the
-  // in-flight interval; it must bank it (as if stop() had been called).
-  Accumulator acc;
-  acc.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  acc.start();  // must bank the ~15 ms interval, not drop it
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  acc.stop();
-  EXPECT_EQ(acc.laps(), 2);
-  EXPECT_GE(acc.total_seconds(), 0.015);
-}
-
 // ---- Flops -------------------------------------------------------------------
 
 TEST(Flops, ScopeEnablesAndRestores) {

@@ -122,51 +122,6 @@ TEST(CompareReports, MissingGatedMetricIsAViolation) {
   EXPECT_TRUE(res.gated[1].violated);
 }
 
-TEST(CompareReports, AbsentRooflineFracAgainstZeroBaseIsNotARegression) {
-  // Legacy baselines recorded roofline_frac=0 when no roofline was set;
-  // newer reports omit the key entirely. Absent-vs-0 must not gate, but a
-  // measured baseline fraction disappearing still must.
-  const json::Value base = json::parse(
-      R"({"profile":{"phases":[{"gflops":1.0,"roofline_frac":0.0},)"
-      R"({"gflops":2.0,"roofline_frac":0.5}]}})");
-  const json::Value cand =
-      json::parse(R"({"profile":{"phases":[{"gflops":1.0},{"gflops":2.0}]}})");
-  std::istringstream in("profile.phases.*.roofline_frac max_decrease 0.10\n");
-  const CompareResult res = compare_reports(base, cand, parse_thresholds(in));
-  ASSERT_EQ(res.gated.size(), 1u) << "the zero-base absent key is skipped entirely";
-  EXPECT_EQ(res.gated[0].path, "profile.phases.1.roofline_frac");
-  EXPECT_TRUE(res.gated[0].missing);
-  EXPECT_TRUE(res.gated[0].violated);
-}
-
-TEST(CompareReports, LegacyScalarStreamOccupancyIsTheDOneArrayForm) {
-  // stream_occupancy grew from a scalar into a per-device array with the
-  // device pool. A legacy scalar baseline vs a new single-entry array (and
-  // the reverse) is the same D=1 metric, not a schema regression — but the
-  // value itself still gates, and array entries beyond .0 have no legacy
-  // counterpart so their disappearance still violates.
-  std::istringstream in("profile.overlap.stream_occupancy* max_decrease 0.10\n");
-  const auto rules = parse_thresholds(in);
-
-  const json::Value scalar =
-      json::parse(R"({"profile":{"overlap":{"stream_occupancy":0.5}}})");
-  const json::Value arr1 =
-      json::parse(R"({"profile":{"overlap":{"stream_occupancy":[0.5]}}})");
-  const json::Value arr1_slow =
-      json::parse(R"({"profile":{"overlap":{"stream_occupancy":[0.2]}}})");
-  const json::Value arr3 = json::parse(
-      R"({"profile":{"overlap":{"stream_occupancy":[0.5,0.4,0.3]}}})");
-
-  EXPECT_EQ(compare_reports(scalar, arr1, rules).violations, 0);
-  EXPECT_EQ(compare_reports(arr1, scalar, rules).violations, 0);
-  EXPECT_EQ(compare_reports(scalar, arr3, rules).violations, 0)
-      << "widening the pool keeps entry 0 comparable";
-  EXPECT_EQ(compare_reports(scalar, arr1_slow, rules).violations, 1)
-      << "the carve-out maps the path, it does not waive the threshold";
-  const CompareResult narrowed = compare_reports(arr3, arr1, rules);
-  EXPECT_EQ(narrowed.violations, 2) << "entries .1/.2 vanishing still gate";
-}
-
 TEST(CompareReports, FirstMatchWinsAndUnmatchedIgnored) {
   const json::Value base = json::parse(R"({"a":1.0,"b":1.0,"c":1.0})");
   const json::Value cand = json::parse(R"({"a":5.0,"b":5.0})");  // c missing too
