@@ -75,9 +75,9 @@ std::uint64_t calls(const obs::ProfileReport& rep) {
 
 TEST(HybridPhases, PanelUpdateAndFinishTileTheRun) {
   // Outside the three phases are only the matrix upload and the workspace
-  // set-up and tear-down. Before the gehrd panel fetch joined the panel
-  // phase, gehrd read about 0.53 here: the fetch is where the host waits
-  // for the previous iteration's update.
+  // set-up and tear-down. The panel phase must hold the panel fetch, where
+  // the host waits for the previous iteration's update: without it gehrd
+  // covers about half of its run.
   Device dev;
   for (const Driver d : kDrivers) {
     std::vector<double> frac;
