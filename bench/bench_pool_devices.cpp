@@ -35,7 +35,6 @@ double run_pool(int devices, const Matrix<double>& a0, index_t nb,
   std::vector<double> tau(static_cast<std::size_t>(a0.rows() - 1));
   ft::PoolGehrdOptions opt;
   opt.nb = nb;
-  opt.nx = nb;  // force the pool path even at bench-scale sizes
   opt.plane = plane;
   WallTimer t;
   ft::pool_gehrd(pool, a.view(), VectorView<double>(tau.data(), a0.rows() - 1), opt, rep);

@@ -188,9 +188,8 @@ void record_violation(Violation v) noexcept {
   const bool first = s.seq == 0;
   const std::uint64_t my_seq = s.seq++;
   obs::counter_metric("check.violations").add();
-  if (obs::journal_enabled())
-    obs::journal_log(obs::JournalSeverity::Error, "check", to_string(v.kind), -1,
-                     static_cast<double>(my_seq), -1, v.message);
+  obs::journal_log(obs::JournalSeverity::Error, "check", to_string(v.kind), -1,
+                   static_cast<double>(my_seq), -1, v.alloc_site);
   if (!expected) {
     std::fprintf(stderr, "[fth::check] %s: %s\n", to_string(v.kind),
                  v.message.c_str());

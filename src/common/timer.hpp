@@ -18,9 +18,6 @@ class WallTimer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  /// Milliseconds elapsed since construction or the last reset().
-  [[nodiscard]] double millis() const noexcept { return seconds() * 1e3; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

@@ -367,7 +367,7 @@ DeviceLossSoakResult run_device_loss_soak(const DeviceLossSoakConfig& cfg) {
 
     // Clean pool run with an idle plane counting each member's post-encode
     // tasks — the schedule the countdown draw lands inside.
-    ft::PoolGehrdOptions opt{.nb = cfg.nb, .nx = cfg.nb, .timeout_ms = cfg.timeout_ms};
+    ft::PoolGehrdOptions opt{.nb = cfg.nb, .timeout_ms = cfg.timeout_ms};
     FaultPlane counter(fseed);
     {
       hybrid::DevicePool pool({.devices = cfg.devices});

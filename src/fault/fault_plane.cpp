@@ -184,12 +184,10 @@ void FaultPlane::on_pool_task_hook(int device, hybrid::Stream* s) {
         }
         return std::string("?");
       }()).add();
-      obs::instant("fault", "device_loss");
-      // Journal the strike itself: this is the t0 fth_incident measures
+      // Log the strike itself: this is the t0 fth_incident measures
       // detection latency from.
-      if (obs::journal_enabled())
-        obs::journal_log(obs::JournalSeverity::Error, "fault", "device_loss", device,
-                         static_cast<double>(idx), -1, to_string(a.spec.kind));
+      obs::journal_log(obs::JournalSeverity::Error, "fault", "device_loss", device,
+                       static_cast<double>(idx), -1, obs::intern_name(to_string(a.spec.kind)));
       todo = a.spec.kind;
       fire = true;
       if (todo == LossKind::PoisonOutput) {
@@ -401,12 +399,10 @@ void FaultPlane::fire_on_view(ArmedFault& a, MatrixView<double> view, SurfaceSha
     obs::counter_metric("fault.inflight_fired.dev" + std::to_string(dev_->ordinal())).add();
   if (!std::isfinite(rec.after)) obs::counter_metric("fault.nonfinite_injected").add();
   if (rec.bit >= 0) obs::counter_metric("fault.bitflips").add();
-  obs::instant("fault", "inflight_fire");
-  if (obs::journal_enabled())
-    obs::journal_log(obs::JournalSeverity::Error, "fault", "strike",
-                     dev_ != nullptr ? dev_->ordinal() : -1,
-                     static_cast<double>(rec.trigger_index), -1,
-                     to_string(rec.kind) + " @ " + to_string(rec.surface));
+  obs::journal_log(obs::JournalSeverity::Error, "fault", "strike",
+                   dev_ != nullptr ? dev_->ordinal() : -1,
+                   static_cast<double>(rec.trigger_index), -1,
+                   obs::intern_name(to_string(rec.kind) + " @ " + to_string(rec.surface)));
 }
 
 std::vector<FiredFault> FaultPlane::fired() const {

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "ft/recovery.hpp"
-#include "obs/dag.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -39,11 +38,6 @@ bool DualSum::same_bits(const DualSum& o) const {
   return bits_equal(plain, o.plain) && bits_equal(weighted, o.weighted);
 }
 
-Phase::Phase(const char* mark, const char* name, index_t col)
-    : span_("ft", name, "col", static_cast<double>(col)) {
-  obs::dag::mark(mark);
-}
-
 // ---- one recovery episode ----------------------------------------------------
 
 Episode::Episode(RecoveryLadder& ladder, index_t boundary, int attempt, double gap,
@@ -54,12 +48,12 @@ Episode::Episode(RecoveryLadder& ladder, index_t boundary, int attempt, double g
   ev_.panel_poisoned = poisoned;
 }
 
-Phase Episode::rollback_phase(index_t col) {
+obs::TraceSpan Episode::rollback_phase(index_t col) {
   ++ladder_.rep_.rollbacks;
   obs::counter_metric("ft.rollbacks").add();
   obs::journal_log(obs::JournalSeverity::Info, "ft", "rollback", -1,
                    static_cast<double>(attempt_), boundary_);
-  return {"ft.rollback", "rollback", col};
+  return {"ft", "rollback", "col", static_cast<double>(col)};
 }
 
 void Episode::abandon(bool nonfinite, const char* what) {
@@ -112,7 +106,6 @@ bool RecoveryLadder::clean(const Detection& det) {
 Episode RecoveryLadder::detected(const Detection& det, index_t boundary, int attempt,
                                  bool poisoned) {
   ++rep_.detections;
-  obs::instant("ft", "detection");
   obs::counter_metric("ft.detections").add();
   obs::journal_log(obs::JournalSeverity::Warn, "ft", "detect", -1, det.gap, boundary);
   if (det.nonfinite > 0) obs::counter_metric("ft.nonfinite_detections").add();
@@ -130,20 +123,19 @@ Episode RecoveryLadder::detected(const Detection& det, index_t boundary, int att
 void RecoveryLadder::panel_aborted(index_t col) {
   ++rep_.panel_aborts;
   obs::counter_metric("ft.panel_aborts").add();
-  obs::instant("ft", "panel_abort");
   obs::journal_log(obs::JournalSeverity::Warn, "ft", "panel_abort", -1, 0.0, col);
 }
 
 void RecoveryLadder::reconstructed() {
   ++rep_.reconstructions;
   obs::counter_metric("ft.reconstructions").add();
-  obs::instant("ft", "reconstruction");
+  obs::journal_log(obs::JournalSeverity::Info, "ft", "reconstructed");
 }
 
 void RecoveryLadder::rederived() {
   ++rep_.ckpt_rederivations;
   obs::counter_metric("ft.ckpt_rederivations").add();
-  obs::instant("ft", "ckpt_rederive");
+  obs::journal_log(obs::JournalSeverity::Info, "ft", "ckpt_rederived");
 }
 
 void RecoveryLadder::repair_from(MatrixView<double> ckpt, MatrixView<const double> ref) {

@@ -81,31 +81,21 @@ struct DualSum {
   [[nodiscard]] bool same_bits(const DualSum& o) const;
 };
 
-/// Trace bracket of one recovery phase. Its DAG mark makes recovery
-/// episodes visible on the host chain, so fth_why can separate
-/// rollback-induced stalls from steady-state pipeline waits.
-class Phase {
- public:
-  Phase(const char* mark, const char* name, index_t col);
-  Phase(const Phase&) = delete;
-  Phase& operator=(const Phase&) = delete;
-
- private:
-  obs::TraceSpan span_;
-};
-
-/// The re-execution bracket: the "reexec" phase inside the fault plane's
+/// The re-execution bracket: the "reexec" span inside the fault plane's
 /// recovery scope. Books the whole episode's time on close.
 class Redo {
  public:
   Redo(fault::FaultPlane* plane, index_t col, double& seconds, WallTimer since)
-      : phase_("ft.reexec", "reexec", col), scope_(plane), seconds_(seconds), since_(since) {}
+      : span_("ft", "reexec", "col", static_cast<double>(col)),
+        scope_(plane),
+        seconds_(seconds),
+        since_(since) {}
   ~Redo() { seconds_ += since_.seconds(); }
   Redo(const Redo&) = delete;
   Redo& operator=(const Redo&) = delete;
 
  private:
-  Phase phase_;
+  obs::TraceSpan span_;
   RecoveryScope scope_;
   double& seconds_;
   WallTimer since_;
@@ -118,8 +108,9 @@ class RecoveryLadder;
 class Episode {
  public:
   FtEvent& event() { return ev_; }
-  /// Counts the rollback and brackets the algorithm's reverse/restore.
-  [[nodiscard]] Phase rollback_phase(index_t col);
+  /// Counts and logs the rollback and brackets the algorithm's
+  /// reverse/restore.
+  [[nodiscard]] obs::TraceSpan rollback_phase(index_t col);
   /// Location or correction gave up: the pattern exceeds the codes'
   /// correction capability. Records the event, then aborts.
   [[noreturn]] void abandon(bool nonfinite, const char* what);

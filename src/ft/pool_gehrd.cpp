@@ -41,6 +41,7 @@
 #include "common/error.hpp"
 #include "fault/fault_plane.hpp"
 #include "ft/checksum.hpp"
+#include "ft/ft_gehrd.hpp"
 #include "ft/shard_code.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "la/blas1.hpp"
@@ -77,7 +78,6 @@ class PoolDriver {
         plane_(opt.plane),
         n_(a.rows()),
         nb_(opt.nb),
-        nx_(std::max(opt.nx, opt.nb)),
         D_(pool.size()),
         Ddata_(std::max(1, pool.size() - 1)),
         lay_(make_shard_layout(a.rows(), std::max(1, pool.size() - 1))),
@@ -109,7 +109,7 @@ class PoolDriver {
       health_ = health_owned_.get();
     }
 
-    if (n_ > nx_ + 1) allocate_workspaces();
+    if (ft_blocked_panel(n_, 0, nb_)) allocate_workspaces();
   }
 
   ~PoolDriver() {
@@ -124,7 +124,7 @@ class PoolDriver {
     obs::journal_log(obs::JournalSeverity::Info, "pool", "started", -1,
                      static_cast<double>(n_));
     if (obs::incident_enabled()) counters_base_ = obs::Registry::global().counter_values();
-    if (n_ <= nx_ + 1) {
+    if (!ft_blocked_panel(n_, 0, nb_)) {
       lapack::gehd2(a_, tau_);
       finish_outcome();
       return;
@@ -133,7 +133,7 @@ class PoolDriver {
     upload_and_encode();
 
     index_t i = 0;
-    while (n_ - i > nx_ + 1) {
+    while (ft_blocked_panel(n_, i, nb_)) {
       const index_t ib = std::min(nb_, n_ - i - 1);
       checkpoint_panel(i, ib);
       for (;;) {
@@ -505,12 +505,9 @@ class PoolDriver {
     if (rep_.lost_device < 0) rep_.lost_device = dev;
     obs::counter_metric("fault.device_loss.detected").add();
     obs::counter_metric("fault.device_loss.detected.dev" + std::to_string(dev)).add();
-    obs::instant("fault", "device_loss_detected");
-    if (obs::journal_enabled()) {
-      const double g = gaps_[static_cast<std::size_t>(dev)];
-      obs::journal_log(obs::JournalSeverity::Error, "pool", "loss_detected", dev,
-                       std::isfinite(g) ? g : 0.0, boundary, dl.cause);
-    }
+    const double g = gaps_[static_cast<std::size_t>(dev)];
+    obs::journal_log(obs::JournalSeverity::Error, "pool", "loss_detected", dev,
+                     std::isfinite(g) ? g : 0.0, boundary, dl.cause);
 
     health_->mark_lost(dev);
     pool_.mark_lost(dev);
@@ -808,7 +805,6 @@ class PoolDriver {
   fault::FaultPlane* plane_;
   index_t n_;
   index_t nb_;
-  index_t nx_;
   int D_;
   int Ddata_;
   ShardLayout lay_;

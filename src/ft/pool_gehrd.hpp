@@ -38,8 +38,9 @@
 namespace fth::ft {
 
 struct PoolGehrdOptions {
-  index_t nb = 32;   ///< panel width
-  index_t nx = 128;  ///< crossover: below this the reduction runs on the host
+  /// Panel width; also the host crossover nx = nb of the FT drivers
+  /// (ft_blocked_panel): at n ≤ nb + 1 the reduction runs on the host.
+  index_t nb = 32;
   /// Detection threshold for the per-shard code-row gap; 0 derives
   /// default_threshold(‖A‖_F, n) like ft_gehrd.
   double threshold = 0.0;
@@ -73,7 +74,7 @@ struct PoolGehrdReport {
   std::vector<std::string> incidents;
   /// Final per-member health snapshots, one per pool ordinal. Always
   /// filled (the driver owns or borrows a monitor for every run); on the
-  /// n ≤ nx host-only path the members simply saw no waits.
+  /// n ≤ nb + 1 host-only path the members simply saw no waits.
   std::vector<obs::DeviceHealthSnapshot> health;
 };
 

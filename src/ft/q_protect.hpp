@@ -49,7 +49,6 @@ class QProtector {
   };
   Result verify_and_correct(MatrixView<double> a, index_t upto, double tol) const;
 
-  [[nodiscard]] const std::vector<double>& row_chk() const { return row_chk_; }
   [[nodiscard]] const std::vector<double>& col_chk() const { return col_chk_; }
   [[nodiscard]] index_t committed_columns() const { return committed_; }
 

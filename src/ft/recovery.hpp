@@ -63,10 +63,8 @@ struct RecoveryOutcome {
   out.threshold = threshold;
   out.detail = detail;
   obs::counter_metric("ft.unrecoverable").add();
-  if (obs::journal_enabled())
-    obs::journal_log(obs::JournalSeverity::Error, "ft", "abort", -1, gap, boundary,
-                     std::string(who) + ": " + to_string(reason) +
-                         (detail.empty() ? "" : ": " + detail));
+  obs::journal_log(obs::JournalSeverity::Error, "ft", "abort", -1, gap, boundary,
+                   obs::intern_name(std::string(who) + ": " + to_string(reason)));
   std::string msg = std::string(who) + ": recovery abandoned at boundary " +
                     std::to_string(boundary) + " after " + std::to_string(attempts) +
                     " attempt(s) [" + to_string(reason) + "]";

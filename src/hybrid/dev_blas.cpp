@@ -32,13 +32,6 @@ void trmm_async(Stream& s, Side side, Uplo uplo, Trans trans, Diag diag, double 
   });
 }
 
-void scal_async(Stream& s, double alpha, DVectorView<double> x) {
-  s.enqueue("dev.scal", FTH_TASK_EFFECTS(FTH_WRITES(x)), [=] {
-    obs::TraceSpan span("dev_blas", "scal");
-    blas::scal(alpha, x.in_task());
-  });
-}
-
 void axpy_async(Stream& s, double alpha, DVectorView<const double> x, DVectorView<double> y) {
   s.enqueue("dev.axpy", FTH_TASK_EFFECTS(FTH_READS(x) FTH_WRITES(y)), [=] {
     obs::TraceSpan span("dev_blas", "axpy");

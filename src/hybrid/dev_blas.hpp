@@ -22,8 +22,6 @@ void gemv_async(Stream& s, Trans trans, double alpha, DMatrixView<const double> 
 void trmm_async(Stream& s, Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
                 DMatrixView<const double> a, DMatrixView<double> b);
 
-void scal_async(Stream& s, double alpha, DVectorView<double> x);
-
 void axpy_async(Stream& s, double alpha, DVectorView<const double> x, DVectorView<double> y);
 
 /// Apply the block reflector H = I − V·T·Vᵀ (or Hᵀ) from the left to C on

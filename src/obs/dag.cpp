@@ -39,8 +39,8 @@ using profile_detail::merge_union;
 }
 
 /// The DAG's window on the event log, keeping per thread only what assembly
-/// reads: no counters, instants or flows, and no spans inside a task (a
-/// worker's kernels are not host activity).
+/// reads: no counters or flows, and no spans or events inside a task (a
+/// worker's kernels and in-task fault strikes are not host activity).
 std::vector<log::Track> recorded(bool close) {
   std::vector<log::Track> tracks = log::dag_window(close);
   for (log::Track& t : tracks) {
@@ -52,9 +52,9 @@ std::vector<log::Track> recorded(bool close) {
         case Kind::TaskBegin: in_task = true; break;
         case Kind::TaskEnd: in_task = false; break;
         case Kind::SpanBegin:
-        case Kind::SpanEnd: keep = !in_task; break;
+        case Kind::SpanEnd:
+        case Kind::Event: keep = !in_task; break;
         case Kind::Counter:
-        case Kind::Instant:
         case Kind::FlowBegin:
         case Kind::FlowEnd: keep = false; break;
         default: break;
@@ -196,7 +196,7 @@ struct Assembler {
       for (const Record& ev : evs) {
         if (ev.kind == Kind::TaskBegin || ev.kind == Kind::Discard) worker = true;
         if (ev.kind == Kind::Enqueue) ++enq_count;
-        if (ev.kind == Kind::Enqueue || ev.kind == Kind::WaitBegin || ev.kind == Kind::Mark ||
+        if (ev.kind == Kind::Enqueue || ev.kind == Kind::WaitBegin || ev.kind == Kind::Event ||
             ev.kind == Kind::SpanBegin)
           ++boundary;
       }
@@ -237,7 +237,7 @@ struct Assembler {
   void build_host_chain(std::uint32_t tid, const std::vector<Record>& evs, bool primary) {
     bool has_chain = false;
     for (const Record& ev : evs)
-      if (ev.kind == Kind::Enqueue || ev.kind == Kind::WaitBegin || ev.kind == Kind::Mark)
+      if (ev.kind == Kind::Enqueue || ev.kind == Kind::WaitBegin || ev.kind == Kind::Event)
         has_chain = true;
 
     std::int64_t prev = -1;
@@ -341,11 +341,11 @@ struct Assembler {
           wait_t0 = -1.0;
           break;
         }
-        case Kind::Mark: {
+        case Kind::Event: {
           close_work(ev.ts_us);
           Node nd;
           nd.kind = NodeKind::Mark;
-          nd.label = ev.name;
+          nd.label = std::string(ev.cat) + "/" + ev.name;
           nd.t0_us = nd.t1_us = ev.ts_us;
           nd.iter = iter;
           nd.phase = phase;
@@ -451,10 +451,6 @@ std::string tail_json(std::size_t max_nodes) {
   }
   out += "]";
   return out;
-}
-
-void mark(const char* label) noexcept {
-  if (enabled()) log::append(Record{.name = label, .kind = Kind::Mark});
 }
 
 void init_from_env() {

@@ -4,8 +4,8 @@
 // A reader of the event log (obs/trace.hpp). While armed (FTH_DAG=1 or a
 // bench's --dag flag) its unbounded window of the log holds every stream
 // enqueue, task, h2d/d2h payload, wait (synchronize / event_wait, tagged
-// with its interned call site), host span and mark; disarmed, the records
-// only it reads are not logged at all.
+// with its interned call site), host span and event (obs::journal_log);
+// disarmed, the records only it reads are not logged at all.
 //
 // stop() assembles the records into a Graph whose happens-before edges come
 // from the very machinery fth::check already trusts:
@@ -56,10 +56,6 @@ struct Graph;
 /// a static initializer like the trace recorder's env hook.
 void init_from_env();
 
-/// Zero-duration annotation node on the calling host thread's chain (the FT
-/// driver marks rollback / re-execution episode boundaries with these).
-void mark(const char* label) noexcept;
-
 /// Trailing fragment of the in-flight recording: non-destructively copy the
 /// window (the recorder stays armed), assemble it, and render
 /// the newest `max_nodes` nodes by end time as a JSON array of objects —
@@ -74,7 +70,7 @@ enum class NodeKind : std::uint8_t {
   Wait = 1,  ///< blocking host interval (synchronize / event_wait); CP point at t1
   Work = 2,  ///< host segment between two chain boundaries
   Span = 3,  ///< host TraceSpan (context only — no CP edges)
-  Mark = 4,  ///< zero-duration annotation (dag::mark)
+  Mark = 4,  ///< zero-duration host-thread event (obs::journal_log), "component/event"
 };
 
 enum class EdgeKind : std::uint8_t { Seq = 0, Fifo = 1, Enq = 2, Cause = 3 };

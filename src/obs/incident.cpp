@@ -59,26 +59,6 @@ std::string health_entry_json(const DeviceHealthSnapshot& s) {
   return out;
 }
 
-// Journal (component, event) classification the timing derivation uses.
-// These are the canonical names the emitters record — keep in sync with
-// DESIGN.md §14's event taxonomy.
-[[nodiscard]] bool is_strike(std::string_view component, std::string_view event) {
-  return component == "fault" && (event == "strike" || event == "device_loss");
-}
-[[nodiscard]] bool is_detection(std::string_view component, std::string_view event) {
-  return (component == "pool" && event == "loss_detected") ||
-         (component == "ft" && event == "detect") ||
-         (component == "health" && event == "wait_timeout");
-}
-[[nodiscard]] bool is_repair(std::string_view component, std::string_view event) {
-  if (component == "pool")
-    return event == "reconstructed" || event == "remapped" || event == "parity_degraded" ||
-           event == "repair_done" || event == "panel_retry";
-  if (component == "ft")
-    return event == "rollback" || event == "reexec" || event == "ckpt_rederived";
-  return false;
-}
-
 // Honour FTH_INCIDENT for any binary linking the library.
 [[maybe_unused]] const bool g_env_init = [] {
   incident_init_from_env();
@@ -268,6 +248,23 @@ std::string incident_validate(const json::Value& capsule) {
   return "";
 }
 
+const char* incident_role(std::string_view component, std::string_view event) {
+  if (component == "fault" && (event == "strike" || event == "device_loss")) return "strike";
+  if ((component == "pool" && event == "loss_detected") ||
+      (component == "ft" && event == "detect") ||
+      (component == "health" && event == "wait_timeout"))
+    return "detect";
+  if (component == "pool" &&
+      (event == "reconstructed" || event == "remapped" || event == "parity_degraded" ||
+       event == "repair_done" || event == "panel_retry"))
+    return "repair";
+  if (component == "ft" && (event == "rollback" || event == "reexec" ||
+                            event == "reconstructed" || event == "ckpt_rederived"))
+    return "repair";
+  if (component == "pool" && event == "finished") return "verify";
+  return "";
+}
+
 IncidentTiming incident_timing(const json::Value& capsule) {
   IncidentTiming t;
   const json::Value* journal = capsule.find("journal");
@@ -280,12 +277,11 @@ IncidentTiming incident_timing(const json::Value& capsule) {
     if (component == nullptr || !component->is_string() || event == nullptr ||
         !event->is_string() || ts == nullptr || !ts->is_number())
       continue;
-    const std::string& c = component->as_string();
-    const std::string& ev = event->as_string();
+    const std::string_view role = incident_role(component->as_string(), event->as_string());
     const double us = ts->as_number();
-    if (is_strike(c, ev) && (t.strike_us < 0.0 || us < t.strike_us)) t.strike_us = us;
-    if (is_detection(c, ev) && (t.detect_us < 0.0 || us < t.detect_us)) t.detect_us = us;
-    if (is_repair(c, ev) && us > t.repair_done_us) t.repair_done_us = us;
+    if (role == "strike" && (t.strike_us < 0.0 || us < t.strike_us)) t.strike_us = us;
+    if (role == "detect" && (t.detect_us < 0.0 || us < t.detect_us)) t.detect_us = us;
+    if (role == "repair" && us > t.repair_done_us) t.repair_done_us = us;
   }
   if (t.strike_us >= 0.0 && t.detect_us >= 0.0)
     t.detection_latency_us = t.detect_us - t.strike_us;

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/health.hpp"
@@ -109,6 +110,12 @@ void incident_init_from_env();
 /// human-readable description of the first violation. Shared by
 /// `fth_incident --check` and the tests.
 [[nodiscard]] std::string incident_validate(const json::Value& capsule);
+
+/// The place of a journaled (component, event) in an incident's causal
+/// chain: "strike", "detect", "repair", "verify", or "" for none. The one
+/// classifier behind incident_timing() and fth_incident's timeline
+/// (DESIGN.md §14.2 lists the events).
+[[nodiscard]] const char* incident_role(std::string_view component, std::string_view event);
 
 /// Per-incident timings derived from the capsule's journal slice (all in
 /// the obs µs timebase; -1 when the corresponding record is absent).

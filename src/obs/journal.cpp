@@ -1,78 +1,19 @@
 #include "obs/journal.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 #include "common/json.hpp"
-#include "obs/trace.hpp"
+#include "obs/log.hpp"
 
 namespace fth::obs {
-
-namespace journal_detail {
-std::atomic<bool> g_on{false};
-}  // namespace journal_detail
 
 namespace {
 
 std::atomic<std::uint64_t> g_run{0};
 std::atomic<std::uint64_t> g_next_run{0};
-
-/// Ring of records behind one mutex. Journal events are rare by
-/// construction (detections, losses, state changes — not per-element work),
-/// so a single short critical section is cheaper than per-thread buffers
-/// plus a merge, and keeps snapshot() trivially ordered.
-class JournalRing {
- public:
-  static JournalRing& instance() {
-    static JournalRing r;
-    return r;
-  }
-
-  void start(std::size_t capacity) {
-    std::lock_guard lock(m_);
-    ring_.assign(std::max<std::size_t>(capacity, 64), JournalEvent{});
-    next_ = 0;
-    wrapped_ = false;
-    journal_detail::g_on.store(true, std::memory_order_relaxed);
-  }
-
-  void stop() {
-    journal_detail::g_on.store(false, std::memory_order_relaxed);
-    std::lock_guard lock(m_);
-    ring_.clear();
-    ring_.shrink_to_fit();
-    next_ = 0;
-    wrapped_ = false;
-  }
-
-  void log(JournalEvent&& e) noexcept {
-    std::lock_guard lock(m_);
-    if (ring_.empty()) return;  // raced journal_stop(); drop
-    ring_[next_] = std::move(e);
-    if (++next_ == ring_.size()) {
-      next_ = 0;
-      wrapped_ = true;
-    }
-  }
-
-  [[nodiscard]] std::vector<JournalEvent> snapshot() const {
-    std::lock_guard lock(m_);
-    std::vector<JournalEvent> out;
-    out.reserve(wrapped_ ? ring_.size() : next_);
-    if (wrapped_)
-      out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_), ring_.end());
-    out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-    return out;
-  }
-
- private:
-  mutable std::mutex m_;
-  std::vector<JournalEvent> ring_;
-  std::size_t next_ = 0;
-  bool wrapped_ = false;
-};
 
 // Honour FTH_JOURNAL for any binary linking the library (same pattern as
 // the trace recorder's env hook).
@@ -92,30 +33,24 @@ const char* to_string(JournalSeverity s) noexcept {
   return "?";
 }
 
-void journal_start(std::size_t capacity) { JournalRing::instance().start(capacity); }
-
-void journal_stop() { JournalRing::instance().stop(); }
-
-void journal_log(JournalSeverity sev, const char* component, const char* event, int device,
-                 double value, std::int64_t boundary) noexcept {
-  if (!journal_enabled()) return;
-  journal_log(sev, component, event, device, value, boundary, std::string());
+void journal_start(std::size_t capacity) {
+  log::journal_open(std::max<std::size_t>(capacity, 64));
 }
 
-void journal_log(JournalSeverity sev, const char* component, const char* event, int device,
-                 double value, std::int64_t boundary, std::string detail) noexcept {
-  if (!journal_enabled()) return;
-  JournalEvent e;
-  e.t_us = detail::now_us();
-  e.run_id = g_run.load(std::memory_order_relaxed);
-  e.value = value;
-  e.boundary = boundary;
-  e.component = component;
-  e.event = event;
-  e.device = device;
-  e.severity = sev;
-  e.detail = std::move(detail);
-  JournalRing::instance().log(std::move(e));
+void journal_stop() { log::journal_close(); }
+
+void detail::log_event(JournalSeverity sev, const char* component, const char* event,
+                       int device, double value, std::int64_t boundary,
+                       const char* detail) noexcept {
+  log::append(log::Record{.value = value,
+                          .stream = g_run.load(std::memory_order_relaxed),
+                          .ticket = static_cast<std::uint64_t>(boundary),
+                          .cat = component,
+                          .name = event,
+                          .arg_key = detail,
+                          .kind = log::Kind::Event,
+                          .severity = static_cast<std::uint8_t>(sev),
+                          .device = static_cast<std::int16_t>(device)});
 }
 
 std::uint64_t journal_new_run() noexcept {
@@ -130,20 +65,30 @@ void journal_set_run(std::uint64_t id) noexcept {
 
 std::uint64_t journal_run() noexcept { return g_run.load(std::memory_order_relaxed); }
 
-std::vector<JournalEvent> journal_snapshot() { return JournalRing::instance().snapshot(); }
+std::vector<JournalEvent> journal_snapshot() {
+  std::vector<JournalEvent> out;
+  for (const log::Record& r : log::journal_window())
+    out.push_back({.t_us = r.ts_us,
+                   .run_id = r.stream,
+                   .value = r.value,
+                   .boundary = static_cast<std::int64_t>(r.ticket),
+                   .component = r.cat,
+                   .event = r.name,
+                   .device = r.device,
+                   .severity = static_cast<JournalSeverity>(r.severity),
+                   .detail = r.arg_key});
+  return out;
+}
 
 std::vector<JournalEvent> journal_snapshot(std::uint64_t run_id) {
-  std::vector<JournalEvent> all = JournalRing::instance().snapshot();
-  std::vector<JournalEvent> out;
-  out.reserve(all.size());
-  for (auto& e : all)
-    if (e.run_id == run_id) out.push_back(std::move(e));
+  std::vector<JournalEvent> out = journal_snapshot();
+  std::erase_if(out, [run_id](const JournalEvent& e) { return e.run_id != run_id; });
   return out;
 }
 
 std::string journal_event_json(const JournalEvent& e) {
   std::string out;
-  out.reserve(160 + e.detail.size());
+  out.reserve(160);
   out += "{\"t_us\":";
   json::append_number(out, e.t_us, 9);
   out += ",\"severity\":\"";
@@ -157,7 +102,7 @@ std::string journal_event_json(const JournalEvent& e) {
   out += ",\"boundary\":" + std::to_string(e.boundary);
   out += ",\"value\":";
   json::append_number(out, e.value, 9);
-  if (!e.detail.empty()) {
+  if (e.detail[0] != '\0') {
     out += ",\"detail\":\"";
     json::append_escaped(out, e.detail);
     out += "\"";

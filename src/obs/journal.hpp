@@ -1,30 +1,27 @@
-// fth::obs journal — bounded, Release-safe structured event log.
+// fth::obs journal — the event record and its bounded window.
 //
-// Counters say *how often* the FT machinery fired; the journal says *what
+// Counters say *how often* the FT machinery fired; events say *what
 // happened, in order*: every detection, rollback, re-execution, FaultPlane
-// strike, pool loss/reconstruction/remap, checker violation, and health
-// state change is one structured record (timestamp, severity, run id,
-// device ordinal, component, event, numeric payload, optional detail).
-// The ring is bounded (oldest records overwritten), so it is safe to leave
-// armed across whole soak campaigns, and it is the raw material incident
-// capsules (obs/incident.hpp) are assembled from.
+// strike, pool loss/reconstruction/remap, checker violation and health
+// state change is one record of the event log (obs/trace.hpp), written by
+// one call, journal_log(). Every armed reader sees that record with one
+// timestamp: the trace file and the flight ring as an instant, the DAG as
+// a host-chain mark, and the journal in one bounded ring shared by all
+// threads (oldest overwritten) — safe to leave armed across soak
+// campaigns, and the raw material of incident capsules (obs/incident.hpp).
 //
-// Cost discipline mirrors the trace recorder: journal_log() starts with one
-// relaxed atomic load and returns immediately when the journal is off — no
-// locks, no allocation, no formatting. Call sites that would *build* a
-// detail string must guard with journal_enabled() so the off path stays
-// allocation-free; fth_checkinfo reports the armed state so run_benches.sh
-// can assert Release bench numbers were taken with the journal off.
-//
-// `FTH_JOURNAL=<path>` arms the journal at static-init time and dumps the
-// ring as JSONL at process exit; campaigns and tests arm it with
-// journal_start() and read it back with journal_snapshot().
+// journal_log() costs one relaxed load of the sink mask when no reader is
+// armed and never allocates: component, event and detail are literals or
+// intern_name() pointers. `FTH_JOURNAL=<path>` arms the journal at
+// static-init time and dumps it as JSONL at exit; campaigns and tests use
+// journal_start() and journal_snapshot().
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace fth::obs {
 
@@ -32,9 +29,9 @@ enum class JournalSeverity : std::uint8_t { Info = 0, Warn = 1, Error = 2 };
 
 [[nodiscard]] const char* to_string(JournalSeverity s) noexcept;
 
-/// One structured record. `component` and `event` must be string literals
-/// or intern_name() pointers (stored, never copied — same contract as the
-/// trace recorder's names).
+/// One structured record, as the journal hands it back. `component`,
+/// `event` and `detail` are string literals or intern_name() pointers
+/// (stored, never copied — the log's contract for names).
 struct JournalEvent {
   double t_us = 0.0;         ///< obs::detail::now_us() timebase (steady clock)
   std::uint64_t run_id = 0;  ///< journal run id in force when recorded
@@ -44,16 +41,12 @@ struct JournalEvent {
   const char* event = "";      ///< what happened: "detect", "loss_detected", …
   int device = -1;             ///< pool/device ordinal (-1 none)
   JournalSeverity severity = JournalSeverity::Info;
-  std::string detail;  ///< optional human context (empty on hot paths)
+  const char* detail = "";  ///< optional short context ("" for none)
 };
-
-namespace journal_detail {
-extern std::atomic<bool> g_on;  ///< hot-path gate (one relaxed load when off)
-}  // namespace journal_detail
 
 /// True between journal_start() and journal_stop(). Relaxed load, any thread.
 [[nodiscard]] inline bool journal_enabled() noexcept {
-  return journal_detail::g_on.load(std::memory_order_relaxed);
+  return (log_sinks() & detail::kJournal) != 0;
 }
 
 /// Arm the journal with a ring of `capacity` records (clamped to ≥ 64).
@@ -64,16 +57,19 @@ void journal_start(std::size_t capacity = 4096);
 /// Disarm and release the ring.
 void journal_stop();
 
-/// Record one event. Self-gating: returns immediately when the journal is
-/// off. The no-detail overloads are allocation-free even when on (beyond
-/// the ring slot's detail.clear()).
-void journal_log(JournalSeverity sev, const char* component, const char* event,
-                 int device = -1, double value = 0.0,
-                 std::int64_t boundary = -1) noexcept;
-/// Detail-carrying overload. Building the detail string allocates, so call
-/// sites must guard with `if (journal_enabled())`.
-void journal_log(JournalSeverity sev, const char* component, const char* event, int device,
-                 double value, std::int64_t boundary, std::string detail) noexcept;
+namespace detail {
+void log_event(JournalSeverity sev, const char* component, const char* event, int device,
+               double value, std::int64_t boundary, const char* detail) noexcept;
+}  // namespace detail
+
+/// Log one event for every armed reader (trace file, flight ring, DAG,
+/// journal). One relaxed load when none is armed; never allocates.
+inline void journal_log(JournalSeverity sev, const char* component, const char* event,
+                        int device = -1, double value = 0.0, std::int64_t boundary = -1,
+                        const char* detail = "") noexcept {
+  if ((log_sinks() & obs::detail::kEventReaders) != 0)
+    obs::detail::log_event(sev, component, event, device, value, boundary, detail);
+}
 
 /// Run-id management: campaigns stamp each trial (and the pool driver each
 /// run) with a fresh id so a capsule can slice the shared ring down to its

@@ -1,7 +1,8 @@
 // fth::obs event log — the record type and reader interface behind the
-// trace file, the flight ring, the profiler and the DAG recorder. Internal
-// to src/obs: instrumentation goes through obs/trace.hpp, and the buffers
-// themselves live in obs/trace.cpp (DESIGN.md §8).
+// trace file, the flight ring, the profiler, the DAG recorder and the
+// journal. Internal to src/obs: instrumentation goes through obs/trace.hpp
+// and obs/journal.hpp, and the buffers themselves live in obs/trace.cpp
+// (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -14,13 +15,15 @@ namespace fth::obs::log {
 
 using detail::kDag;
 using detail::kFlight;
+using detail::kJournal;
 using detail::kProfile;
 using detail::kTraceFile;
 
 enum class Kind : std::uint8_t {
   SpanBegin,  ///< TraceSpan: cat, name, optional arg_key/value
   SpanEnd,
-  Instant,    ///< cat, name
+  Event,      ///< journal_log: cat = component, name = event, arg_key = detail,
+              ///< value, stream = journal run, ticket = boundary, device, severity
   Counter,    ///< name, value
   TaskBegin,  ///< a stream task on its worker: stream, ticket, name = label
   TaskEnd,
@@ -30,7 +33,6 @@ enum class Kind : std::uint8_t {
   Enqueue,    ///< stream, ticket, name = label, value = queue depth
   Transfer,   ///< DAG only: stream, ticket, value = payload bytes
   Discard,    ///< DAG only: a dead stream's dropped task (stream, ticket, label)
-  Mark,       ///< DAG only: name = dag::mark label
   FlowBegin,  ///< trace file only: a DAG cause arrow, value = flow id
   FlowEnd,
 };
@@ -44,8 +46,11 @@ struct Record {
   const char* name = "";
   const char* arg_key = "";
   std::uint32_t tid = 0;
-  Kind kind = Kind::Instant;
+  Kind kind = Kind::Event;
+  std::uint8_t severity = 0;  ///< Event: JournalSeverity
+  std::int16_t device = -1;   ///< Event: pool/device ordinal (-1 none)
 };
+static_assert(sizeof(Record) == 64, "severity and device fill the record's padding");
 
 /// Stamp `r` (time, calling thread) and hand it to every armed sink that
 /// reads its kind; a no-op when none does.
@@ -59,6 +64,14 @@ void append_flow(const Record& r) noexcept;
 /// on the unbounded log: it starts empty.
 void arm(unsigned sink);
 void disarm(unsigned sink);
+
+/// Arm the journal with an empty ring of `capacity` events from every
+/// thread; arming it again clears the ring.
+void journal_open(std::size_t capacity);
+/// Disarm the journal and release its ring.
+void journal_close();
+/// The journal ring, oldest first.
+[[nodiscard]] std::vector<Record> journal_window();
 
 /// One thread's records from a window, in log order.
 struct Track {

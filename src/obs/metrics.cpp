@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <ostream>
 
 #include "common/json.hpp"
 
@@ -92,8 +91,6 @@ Registry::CounterValues Registry::counter_delta(const CounterValues& now,
   }
   return out;
 }
-
-void Registry::write_json(std::ostream& os) const { os << to_json(); }
 
 std::string Registry::to_json() const {
   std::lock_guard lock(m_);

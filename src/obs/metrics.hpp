@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 
 namespace fth::obs {
@@ -97,7 +96,6 @@ class Registry {
 
   /// Snapshot as a JSON object: {"counters":{name:value,...},
   /// "histograms":{name:{count,sum,min,max,buckets:[...]},...}}.
-  void write_json(std::ostream& os) const;
   [[nodiscard]] std::string to_json() const;
 
  private:

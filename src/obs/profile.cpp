@@ -389,8 +389,6 @@ void set_profile_roofline(double gflops) noexcept {
   live().roofline.store(gflops, std::memory_order_relaxed);
 }
 
-double profile_roofline() noexcept { return live().roofline.load(std::memory_order_relaxed); }
-
 // --- ProfileBuilder (offline replay) ----------------------------------------
 
 struct ProfileBuilder::Impl {

@@ -100,7 +100,6 @@ ProfileReport profile_stop();
 /// run_benches.sh measures it once (tools/fth_roofline) so every bench uses
 /// the same denominator.
 void set_profile_roofline(double gflops) noexcept;
-[[nodiscard]] double profile_roofline() noexcept;
 
 /// Offline aggregation core, for replaying a parsed trace file
 /// (tools/fth_prof). Feed events in file order; per-tid nesting must be

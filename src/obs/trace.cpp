@@ -34,17 +34,43 @@ using log::Record;
 /// The sinks that read each record kind; a record is logged for these only.
 [[nodiscard]] unsigned readers(Kind k) noexcept {
   switch (k) {
-    case Kind::Instant:
+    case Kind::Event: return detail::kEventReaders;
     case Kind::Counter: return log::kTraceFile | log::kFlight;
     case Kind::Enqueue: return log::kTraceFile | log::kFlight | log::kDag;
     case Kind::Transfer:
-    case Kind::Discard:
-    case Kind::Mark: return log::kDag;
+    case Kind::Discard: return log::kDag;
     case Kind::FlowBegin:
     case Kind::FlowEnd: return log::kTraceFile;
     default: return log::kTraceFile | log::kFlight | log::kProfile | log::kDag;
   }
 }
+
+/// A bounded ring of the newest records.
+struct Ring {
+  std::vector<Record> slots;
+  std::size_t next = 0;
+  bool wrapped = false;
+
+  /// Empty the ring and give it `capacity` slots (0 releases them).
+  void reset(std::size_t capacity) {
+    slots = std::vector<Record>(capacity);
+    next = 0;
+    wrapped = false;
+  }
+  void push(const Record& r) {
+    slots[next] = r;
+    if (++next == slots.size()) {
+      next = 0;
+      wrapped = true;
+    }
+  }
+  /// Contents, oldest first: [next, end) then [0, next) once wrapped.
+  void copy(std::vector<Record>& out) const {
+    if (wrapped)
+      out.insert(out.end(), slots.begin() + static_cast<std::ptrdiff_t>(next), slots.end());
+    out.insert(out.end(), slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(next));
+  }
+};
 
 /// How the trace views (file, flight dump, capsule tail) show a record:
 /// a trace_event phase, category and name; ph '\0' for the DAG-only kinds.
@@ -62,7 +88,7 @@ struct Shown {
     case Kind::SpanEnd:
     case Kind::TaskEnd:
     case Kind::WaitEnd: return {'E', "", ""};
-    case Kind::Instant: return {'i', r.cat, r.name};
+    case Kind::Event: return {'i', r.cat, r.name};
     case Kind::Counter: return {'C', "counter", r.name};
     case Kind::Enqueue: return {'C', "counter", "stream.queue_depth"};
     case Kind::FlowBegin: return {'s', "dag", "dep"};
@@ -102,21 +128,12 @@ struct ThreadBuffer {
   std::vector<Record> log;
   std::size_t trace_from = 0;
   std::size_t dag_from = 0;
-  std::vector<Record> ring;
-  std::size_t ring_next = 0;
-  bool ring_wrapped = false;
+  Ring ring;
   log::ProfileSlot profile;
   std::string thread_name;
   std::uint32_t tid = 0;
 
   std::size_t& cursor(unsigned sink) { return sink == log::kDag ? dag_from : trace_from; }
-
-  /// Ring contents, oldest first: [next, end) then [0, next) once wrapped.
-  void copy_ring(std::vector<Record>& out) const {
-    if (ring_wrapped)
-      out.insert(out.end(), ring.begin() + static_cast<std::ptrdiff_t>(ring_next), ring.end());
-    out.insert(out.end(), ring.begin(), ring.begin() + static_cast<std::ptrdiff_t>(ring_next));
-  }
 };
 
 using ThreadNames = std::vector<std::pair<std::uint32_t, std::string>>;
@@ -135,17 +152,18 @@ class Recorder {
     ThreadBuffer& b = local_buffer();
     if (!stamped) r.ts_us = now_us();
     r.tid = b.tid;
+    if ((to & log::kJournal) != 0) {
+      std::lock_guard lock(journal_m_);
+      if (!journal_.slots.empty()) journal_.push(r);  // else raced journal_close(); drop
+    }
+    if ((to & ~log::kJournal) == 0) return;
     std::lock_guard lock(b.m);
     if ((to & log::kProfile) != 0) log::profile_feed(b.profile, r);
     if ((to & (log::kTraceFile | log::kDag)) != 0) b.log.push_back(r);
     if ((to & log::kFlight) != 0) {
       const std::size_t cap = flight_capacity_.load(std::memory_order_relaxed);
-      if (b.ring.size() != cap) reset_ring(b, cap);  // thread registered before flight_start
-      b.ring[b.ring_next] = r;
-      if (++b.ring_next == b.ring.size()) {
-        b.ring_next = 0;
-        b.ring_wrapped = true;
-      }
+      if (b.ring.slots.size() != cap) b.ring.reset(cap);  // registered before flight_start
+      b.ring.push(r);
     }
   }
 
@@ -242,7 +260,7 @@ class Recorder {
     flight_capacity_.store(capacity, std::memory_order_relaxed);
     for (auto& b : buffers_) {
       std::lock_guard bl(b->m);
-      reset_ring(*b, capacity);
+      b->ring.reset(capacity);
     }
     install_signal_handlers();
     detail::g_sinks.fetch_or(log::kFlight, std::memory_order_relaxed);
@@ -253,11 +271,29 @@ class Recorder {
     std::lock_guard lock(registry_m_);
     for (auto& b : buffers_) {
       std::lock_guard bl(b->m);
-      b->ring.clear();
-      b->ring.shrink_to_fit();
-      b->ring_next = 0;
-      b->ring_wrapped = false;
+      b->ring.reset(0);
     }
+  }
+
+  void journal_open(std::size_t capacity) {
+    {
+      std::lock_guard lock(journal_m_);
+      journal_.reset(capacity);
+    }
+    detail::g_sinks.fetch_or(log::kJournal, std::memory_order_relaxed);
+  }
+
+  void journal_close() {
+    detail::g_sinks.fetch_and(~log::kJournal, std::memory_order_relaxed);
+    std::lock_guard lock(journal_m_);
+    journal_.reset(0);
+  }
+
+  [[nodiscard]] std::vector<Record> journal_window() {
+    std::vector<Record> out;
+    std::lock_guard lock(journal_m_);
+    journal_.copy(out);
+    return out;
   }
 
   /// Best-effort when called from a signal handler: try-lock everything and
@@ -280,7 +316,7 @@ class Recorder {
       } else {
         bl.lock();
       }
-      b->copy_ring(all);
+      b->ring.copy(all);
       names.emplace_back(b->tid, b->thread_name);
     }
     sort_by_time(all);
@@ -306,7 +342,7 @@ class Recorder {
       std::lock_guard lock(registry_m_);
       for (auto& b : buffers_) {
         std::lock_guard bl(b->m);
-        b->copy_ring(all);
+        b->ring.copy(all);
       }
     }
     sort_by_time(all);
@@ -358,12 +394,6 @@ class Recorder {
   /// The trace file and the DAG share the unbounded log.
   static unsigned other_window(unsigned sink) noexcept {
     return sink == log::kDag ? log::kTraceFile : log::kDag;
-  }
-
-  static void reset_ring(ThreadBuffer& b, std::size_t capacity) {
-    b.ring.assign(capacity, Record{});
-    b.ring_next = 0;
-    b.ring_wrapped = false;
   }
 
   void register_atexit() {
@@ -464,6 +494,11 @@ class Recorder {
   }
 
   std::atomic<std::size_t> flight_capacity_{0};
+  // The journal: the newest events of every thread in one ring, in log
+  // order. Events are rare (detections, losses, state changes), so one
+  // short critical section keeps its order and capacity process-wide.
+  std::mutex journal_m_;
+  Ring journal_;
   std::mutex registry_m_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
   std::string path_;
@@ -603,10 +638,6 @@ void end_span_at(double ts_us) noexcept {
   Recorder::instance().append(Record{.ts_us = ts_us, .kind = Kind::SpanEnd}, /*stamped=*/true);
 }
 
-void record_instant(const char* cat, const char* name) noexcept {
-  log::append(Record{.cat = cat, .name = name, .kind = Kind::Instant});
-}
-
 void record_counter(const char* name, double value) noexcept {
   log::append(Record{.value = value, .name = name, .kind = Kind::Counter});
 }
@@ -656,6 +687,12 @@ void arm(unsigned sink) {
 void disarm(unsigned sink) { detail::g_sinks.fetch_and(~sink, std::memory_order_relaxed); }
 
 std::vector<Track> dag_window(bool close) { return Recorder::instance().window(kDag, close); }
+
+void journal_open(std::size_t capacity) { Recorder::instance().journal_open(capacity); }
+
+void journal_close() { Recorder::instance().journal_close(); }
+
+std::vector<Record> journal_window() { return Recorder::instance().journal_window(); }
 
 std::vector<ProfileSlot> take_profiles() { return Recorder::instance().take_profiles(); }
 

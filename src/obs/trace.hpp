@@ -2,10 +2,12 @@
 // Chrome/Perfetto `trace_event` JSON writer.
 //
 // Each thread appends typed records to its own buffer (obs/trace.cpp):
-// spans (B/E pairs), instants and counters from the instrumentation below,
-// and the software device's stream records — enqueue, task begin/end,
-// wait begin/end, transfer payloads — from src/hybrid. Four sinks read the
-// log and differ only in capacity; any combination can be armed:
+// spans (B/E pairs) and counters from the instrumentation below, the
+// software device's stream records — enqueue, task begin/end, wait
+// begin/end, transfer payloads — from src/hybrid, and the FT, fault, pool,
+// health and checker events of obs::journal_log (obs/journal.hpp). Five
+// sinks read the log and differ only in capacity; any combination can be
+// armed:
 //  * trace file — an unbounded window, written as one JSON file at
 //    trace_stop() / process exit (`FTH_TRACE=<path>` or trace_start()).
 //    Open it at https://ui.perfetto.dev or chrome://tracing;
@@ -16,10 +18,13 @@
 //    fatal signal, so post-mortems carry the last milliseconds of timeline;
 //  * profiler — aggregates live and buffers nothing, see obs/profile.hpp;
 //  * DAG recorder — an unbounded window, assembled into a graph at
-//    dag::stop(), see obs/dag.hpp.
+//    dag::stop(), see obs/dag.hpp;
+//  * journal — one bounded ring of the newest events from every thread,
+//    see obs/journal.hpp.
 // A record is logged only for the sinks that read its kind, so the trace
-// file and the flight ring carry no DAG-only records. Disarmed, every call
-// site costs one relaxed load of the sink mask (trace_enabled()).
+// file and the flight ring carry no DAG-only records and the journal holds
+// events only. Disarmed, every call site costs one relaxed load of the
+// sink mask (trace_enabled(), or journal_log()'s own test).
 //
 // Event names and categories must be string literals or pointers obtained
 // from intern_name() — the log stores the pointers, never copies, which is
@@ -37,7 +42,9 @@ namespace fth::obs {
 
 namespace detail {
 /// The sinks reading the event log; `g_sinks` holds the armed ones.
-enum Sink : unsigned { kTraceFile = 1u, kFlight = 2u, kProfile = 4u, kDag = 8u };
+enum Sink : unsigned { kTraceFile = 1, kFlight = 2, kProfile = 4, kDag = 8, kJournal = 16 };
+/// The sinks that read an event (journal_log); the journal reads nothing else.
+inline constexpr unsigned kEventReaders = kTraceFile | kFlight | kDag | kJournal;
 extern std::atomic<unsigned> g_sinks;
 }  // namespace detail
 
@@ -46,9 +53,12 @@ extern std::atomic<unsigned> g_sinks;
   return detail::g_sinks.load(std::memory_order_relaxed);
 }
 
-/// True while any sink (trace file, flight recorder, profiler, DAG) is
-/// armed. One relaxed load — safe to call from any thread at any frequency.
-[[nodiscard]] inline bool trace_enabled() noexcept { return log_sinks() != 0; }
+/// True while any sink that reads spans and stream records (trace file,
+/// flight recorder, profiler, DAG) is armed. One relaxed load — safe to
+/// call from any thread at any frequency.
+[[nodiscard]] inline bool trace_enabled() noexcept {
+  return (log_sinks() & ~detail::kJournal) != 0;
+}
 
 /// Start recording; events accumulate in memory until trace_stop(), which
 /// writes `path`. Calling trace_start() while active replaces the output
@@ -132,7 +142,6 @@ void end_span() noexcept;
 void begin_span_at(double ts_us, const char* cat, const char* name, const char* arg_key,
                    double arg_value) noexcept;
 void end_span_at(double ts_us) noexcept;
-void record_instant(const char* cat, const char* name) noexcept;
 void record_counter(const char* name, double value) noexcept;
 
 // Stream records. src/hybrid calls each behind one trace_enabled() check.
@@ -242,12 +251,6 @@ class WaitRecord {
  private:
   bool armed_;
 };
-
-/// Thread-scoped instant event (`ph:"i"`, scope "t").
-inline void instant(const char* cat, const char* name) noexcept {
-  if ((log_sinks() & (detail::kTraceFile | detail::kFlight)) != 0)
-    detail::record_instant(cat, name);
-}
 
 /// Sample on a counter track (`ph:"C"`): one named series per `name`.
 inline void counter(const char* name, double value) noexcept {

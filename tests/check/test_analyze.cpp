@@ -13,6 +13,7 @@
 //     ctest (tools/fth_analyze.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -826,49 +827,66 @@ std::string replaced(std::string content, const std::string& from, const std::st
   return content;
 }
 
+/// The 1-based line of `anchor` in `content`, which must hold it exactly
+/// once (0 when it does not).
+int line_of(const std::string& content, const std::string& anchor) {
+  const std::size_t pos = content.find(anchor);
+  EXPECT_NE(pos, std::string::npos) << "anchor not found: " << anchor;
+  if (pos == std::string::npos) return 0;
+  EXPECT_EQ(content.find(anchor, pos + 1), std::string::npos)
+      << "anchor not unique: " << anchor;
+  const auto at = content.begin() + static_cast<std::ptrdiff_t>(pos);
+  return 1 + static_cast<int>(std::count(content.begin(), at, '\n'));
+}
+
 struct SeededEdge {
   const char* file;        ///< repo-relative driver source
   const char* deleted;     ///< the one ordering edge removed
   const char* rule;        ///< expected finding
-  int line;                ///< expected access site
+  const char* anchor;      ///< text of the expected access site's line
   const char* mentions;    ///< substring the message must carry
   std::size_t findings;    ///< total findings the deletion produces
 };
 
-// One entry per U2-critical edge in the hybrid and FT drivers. The line
-// numbers are the actual access sites in the current sources; if a
-// driver is edited these update with it (the clean-tree golden below
-// catches drift the other way).
+// One entry per U2-critical edge in the hybrid and FT drivers. Each
+// finding must land on the line of its anchor, the actual access site in
+// the current sources (the clean-tree golden below catches drift the
+// other way).
 const SeededEdge kSeeds[] = {
-    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 153, "'y_host'",
-     1},
-    {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 133, "'a'", 1},
+    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race",
+     "y_host.block(0, 0, i + 1, ib - 1));", "'y_host'", 1},
+    {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race",
+     "a(i + j, i + j) = d[i + j];", "'a'", 1},
     // The hook-branch drain: with no loop-bottom synchronize the trailing
     // GEMMs are still in flight at the iteration boundary, so deleting it
     // breaks the host_view unwrap.
-    {"src/hybrid/hybrid_gebrd.cpp", "s.synchronize();  // host_view below", "stream-not-idle", 150,
-     "host_view", 1},
-    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 322, "'y_host_'", 1},
+    {"src/hybrid/hybrid_gebrd.cpp", "s.synchronize();  // host_view below", "stream-not-idle",
+     ".dev_a = host_view(d_a.view(), s)});", "host_view", 1},
+    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race",
+     "y_host_.block(0, 0, i + 1, ib - 1));", "'y_host_'", 1},
     // ft_gebrd: the wait also covers the fault-injection helper's host
     // write of a_, so its deletion surfaces that second race (at the
     // inject_at_boundary splice in the shared run(), two_code.inc)
     // alongside the pivot-restore one.
-    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 275, "'a_'", 2},
+    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race",
+     "a_(i + j, i + j) = d_[i + j];", "'a_'", 2},
     // The one inter-device edge of the pool driver's Y-top reduction:
     // without it the collector task reads stage_g_ while the producers'
     // d2h copies are still in flight (ISSUE 7 / DESIGN.md §13).
-    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 346,
-     "'stage_g_'", 1},
+    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race",
+     "sc.enqueue(\"pool.ytop_reduce\",", "'stage_g_'", 1},
 };
 
 TEST(AnalyzeSeeded, DeletingEachOrderingEdgeIsCaughtAtTheAccessSite) {
   for (const auto& seed : kSeeds) {
+    const int line = line_of(repo_file(seed.file), seed.anchor);
     const auto f = run(seed.file, without(repo_file(seed.file), seed.deleted));
     ASSERT_EQ(f.size(), seed.findings) << seed.file << " minus `" << seed.deleted << "`";
     const Finding* hit = nullptr;
     for (const auto& x : f)
-      if (x.file == seed.file && x.line == seed.line) hit = &x;
-    ASSERT_NE(hit, nullptr) << seed.file << ": nothing anchored at line " << seed.line;
+      if (x.file == seed.file && x.line == line) hit = &x;
+    ASSERT_NE(hit, nullptr) << seed.file << ": nothing anchored at line " << line << " ("
+                            << seed.anchor << ")";
     EXPECT_EQ(hit->rule, seed.rule) << seed.file;
     EXPECT_EQ(hit->file, seed.file);
     EXPECT_NE(hit->message.find(seed.mentions), std::string::npos)
@@ -1386,38 +1404,41 @@ TEST(AnalyzeCapture, AnInitCaptureInitializerIsHostCode) {
 // mutation's line is the line the seed names.
 
 TEST(AnalyzePerfSeeded, ReAddingTheGehrdLoopBottomBarrierIsCoarse) {
-  const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
-                          replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), "++st.panels;",
-                                   "++st.panels;\n        s.synchronize();"));
-  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 161))
+  const std::string src = repo_file("src/hybrid/hybrid_gehrd.cpp");
+  const auto f =
+      run_perf("src/hybrid/hybrid_gehrd.cpp",
+               replaced(src, "++st.panels;", "++st.panels;\n        s.synchronize();"));
+  EXPECT_TRUE(has_perf(f, "coarse-synchronize", line_of(src, "++st.panels;") + 1))
       << "the pre-PR loop-bottom drain is re-flagged where it was removed";
 }
 
 TEST(AnalyzePerfSeeded, DoublingTheGebrdOperandsWaitIsRedundant) {
+  const std::string src = repo_file("src/hybrid/hybrid_gebrd.cpp");
   const auto f =
       run_perf("src/hybrid/hybrid_gebrd.cpp",
-               replaced(repo_file("src/hybrid/hybrid_gebrd.cpp"), "operands_shipped.wait();",
+               replaced(src, "operands_shipped.wait();",
                         "operands_shipped.wait();\n        operands_shipped.wait();"));
-  EXPECT_TRUE(has_perf(f, "redundant-wait", 132))
+  EXPECT_TRUE(has_perf(f, "redundant-wait", line_of(src, "operands_shipped.wait();") + 1))
       << "the second wait's marker is already host-ordered by the first";
 }
 
 TEST(AnalyzePerfSeeded, DuplicatingTheGehrdTUploadIsADeadTransfer) {
+  const std::string src = repo_file("src/hybrid/hybrid_gehrd.cpp");
   const std::string t_h2d =
       "copy_h2d_async(s, t_host.block(0, 0, ib, ib), d_t.block(0, 0, ib, ib));";
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
-                          replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), t_h2d,
-                                   t_h2d + "\n        " + t_h2d));
-  EXPECT_TRUE(has_perf(f, "dead-transfer", 115))
+                          replaced(src, t_h2d, t_h2d + "\n        " + t_h2d));
+  EXPECT_TRUE(has_perf(f, "dead-transfer", line_of(src, t_h2d)))
       << "the first T upload is overwritten before any device op reads it";
 }
 
 TEST(AnalyzePerfSeeded, WideningALookaheadTaskFootprintIsCaught) {
-  const auto f = run_perf(
-      kFixture, replaced(repo_file(kFixture), "FTH_TASK_EFFECTS(FTH_WRITES(d_w_.view()))",
-                         "FTH_TASK_EFFECTS(FTH_READS(stage_host_.view()) "
-                         "FTH_WRITES(d_w_.view()))"));
-  ASSERT_TRUE(has_perf(f, "over-wide-effects", 110));
+  const std::string src = repo_file(kFixture);
+  const std::string effects = "FTH_TASK_EFFECTS(FTH_WRITES(d_w_.view()))";
+  const auto f = run_perf(kFixture, replaced(src, effects,
+                                             "FTH_TASK_EFFECTS(FTH_READS(stage_host_.view()) "
+                                             "FTH_WRITES(d_w_.view()))"));
+  ASSERT_TRUE(has_perf(f, "over-wide-effects", line_of(src, effects)));
   for (const auto& x : f) {
     if (x.rule == "over-wide-effects") {
       EXPECT_FALSE(x.expected) << "the exemplar markers cover their own rules only";
@@ -1426,10 +1447,11 @@ TEST(AnalyzePerfSeeded, WideningALookaheadTaskFootprintIsCaught) {
 }
 
 TEST(AnalyzePerfSeeded, ThePristineFixtureCarriesExactlyTheTwoExemplars) {
-  const auto f = run_perf(kFixture, repo_file(kFixture));
+  const std::string src = repo_file(kFixture);
+  const auto f = run_perf(kFixture, src);
   ASSERT_EQ(perf_count(f), 2u);
-  EXPECT_TRUE(has_perf(f, "redundant-wait", 109));
-  EXPECT_TRUE(has_perf(f, "false-serialization", 115));
+  EXPECT_TRUE(has_perf(f, "redundant-wait", line_of(src, "sc.wait_event(fifo_already);")));
+  EXPECT_TRUE(has_perf(f, "false-serialization", line_of(src, "sc.enqueue(\"look.scale_y\",")));
   for (const auto& x : f) {
     EXPECT_TRUE(x.expected) << format(x);
     EXPECT_FALSE(x.missing_edge.empty());

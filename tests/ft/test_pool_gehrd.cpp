@@ -45,7 +45,7 @@ TEST_P(PoolParam, MatchesHostReduction) {
 
   std::vector<double> tau(static_cast<std::size_t>(n - 1));
   PoolGehrdReport rep;
-  pool_gehrd(pool, a.view(), tau_view(tau), {.nb = nb, .nx = nb}, &rep);
+  pool_gehrd(pool, a.view(), tau_view(tau), {.nb = nb}, &rep);
 
   EXPECT_EQ(rep.outcome.status, RecoveryStatus::Clean);
   EXPECT_EQ(rep.devices, devices);
@@ -75,7 +75,7 @@ TEST(PoolGehrd, SmallMatrixFallsBackToHost) {
   Matrix<double> orig(a.cview());
   std::vector<double> tau(static_cast<std::size_t>(n - 1));
   PoolGehrdReport rep;
-  pool_gehrd(pool, a.view(), tau_view(tau), {.nb = 32, .nx = 128}, &rep);
+  pool_gehrd(pool, a.view(), tau_view(tau), {.nb = 32}, &rep);
   EXPECT_EQ(rep.outcome.status, RecoveryStatus::Clean);
   auto v = lapack::verify_reduction(orig.cview(), a.cview(), tau_cview(tau));
   EXPECT_LT(v.residual, 1e-14);
@@ -106,7 +106,7 @@ TEST_P(PoolLoss, OneLossIsAbsorbedWithoutRollback) {
 
   std::vector<double> tau(static_cast<std::size_t>(n - 1));
   PoolGehrdReport rep;
-  PoolGehrdOptions opt{.nb = 16, .nx = 16, .plane = &plane};
+  PoolGehrdOptions opt{.nb = 16, .plane = &plane};
   if (lc.kind == fault::LossKind::SilentStall) opt.timeout_ms = 250.0;
   pool_gehrd(pool, a.view(), tau_view(tau), opt, &rep);
 
@@ -168,7 +168,7 @@ TEST(PoolHealth, SlowButAliveMemberIsDegradedNotLost) {
   Matrix<double> orig(a.cview());
   std::vector<double> tau(static_cast<std::size_t>(n - 1));
   PoolGehrdReport rep;
-  PoolGehrdOptions opt{.nb = 16, .nx = 16};
+  PoolGehrdOptions opt{.nb = 16};
   opt.health = &health;
   pool_gehrd(pool, a.view(), tau_view(tau), opt, &rep);
 
@@ -201,7 +201,7 @@ TEST(PoolLossEscalation, TwoLossesInOneGroupEscalateDeterministically) {
   std::vector<double> tau(static_cast<std::size_t>(n - 1));
   PoolGehrdReport rep;
   EXPECT_THROW(
-      pool_gehrd(pool, a.view(), tau_view(tau), {.nb = 16, .nx = 16, .plane = &plane}, &rep),
+      pool_gehrd(pool, a.view(), tau_view(tau), {.nb = 16, .plane = &plane}, &rep),
       recovery_error);
   EXPECT_EQ(rep.outcome.status, RecoveryStatus::Unrecoverable);
   EXPECT_EQ(rep.outcome.reason, AbortReason::DeviceLost);
@@ -218,7 +218,7 @@ TEST(PoolLossEscalation, SingleDevicePoolHasNoRedundancyToSpend) {
   std::vector<double> tau(static_cast<std::size_t>(n - 1));
   PoolGehrdReport rep;
   EXPECT_THROW(
-      pool_gehrd(pool, a.view(), tau_view(tau), {.nb = 16, .nx = 16, .plane = &plane}, &rep),
+      pool_gehrd(pool, a.view(), tau_view(tau), {.nb = 16, .plane = &plane}, &rep),
       recovery_error);
   EXPECT_EQ(rep.outcome.reason, AbortReason::DeviceLost);
 }

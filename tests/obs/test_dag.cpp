@@ -3,7 +3,8 @@
 // structural determinism of two identical recorded runs (the golden-graph
 // property the bench gate's `dag.tasks`/`dag.waits` thresholds rely on),
 // the to_json/parse_graph round trip through the in-repo json reader, and
-// the zero-cost-when-off guarantee (no allocations on a disarmed log).
+// the zero-cost-when-off guarantee (no allocations on a disarmed log, and
+// none for an event once the journal is armed).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "hybrid/hybrid_gehrd.hpp"
 #include "la/generate.hpp"
 #include "obs/dag.hpp"
+#include "obs/journal.hpp"
 #include "obs/trace.hpp"
 
 // ---- global allocation counter (for the zero-overhead-off test) -------------
@@ -271,7 +273,7 @@ Graph record_small_run() {
   Matrix<double> a = random_matrix(n, n, 7);
   std::vector<double> tau(static_cast<std::size_t>(n - 1));
   obs::dag::start();
-  obs::dag::mark("test.begin");
+  obs::journal_log(obs::JournalSeverity::Info, "test", "begin");
   hybrid::hybrid_gehrd(dev, a.view(), VectorView<double>(tau.data(), n - 1),
                        {.nb = nb, .nx = nb}, nullptr);
   return obs::dag::stop();
@@ -451,7 +453,7 @@ TEST(DagOff, DisabledHooksRecordNothingAndNeverAllocate) {
     if (obs::trace_enabled()) obs::detail::log_discard(1, i, "dev.gemm");
     { obs::WaitRecord wait("synchronize", std::source_location::current(), 1, i); }
     obs::counter("stream.queue_depth", 0.0);
-    obs::dag::mark("test.mark");
+    obs::journal_log(obs::JournalSeverity::Info, "test", "mark", -1, 1.0, 2, "detail");
   }
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
@@ -459,6 +461,26 @@ TEST(DagOff, DisabledHooksRecordNothingAndNeverAllocate) {
   const Graph g = obs::dag::stop();
   EXPECT_TRUE(g.nodes.empty()) << "a disarmed log must not buffer records";
   EXPECT_EQ(g.wall_s(), 0.0);
+  if (flight) obs::trace_init_from_env();  // re-arms FTH_FLIGHT
+}
+
+TEST(DagOff, AnArmedJournalLogsEventsWithoutAllocating) {
+  const bool flight = obs::flight_active();
+  obs::flight_stop();
+  ASSERT_FALSE(obs::trace_enabled()) << "only the journal may be armed for this test";
+  obs::journal_start(64);
+  obs::journal_log(obs::JournalSeverity::Info, "test", "register");  // the thread's buffer
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i)
+    obs::journal_log(obs::JournalSeverity::Warn, "test", "event", 1, static_cast<double>(i), i,
+                     "detail");
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "an event is one 64-byte record copied into the ring";
+  const std::vector<obs::JournalEvent> events = obs::journal_snapshot();
+  ASSERT_EQ(events.size(), 64u);
+  EXPECT_DOUBLE_EQ(events.back().value, 999.0);
+  EXPECT_STREQ(events.back().detail, "detail");
+  obs::journal_stop();
   if (flight) obs::trace_init_from_env();  // re-arms FTH_FLIGHT
 }
 

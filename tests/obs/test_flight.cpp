@@ -17,6 +17,7 @@
 #include "fault/injector.hpp"
 #include "ft/ft_gehrd.hpp"
 #include "la/generate.hpp"
+#include "obs/journal.hpp"
 #include "obs/trace.hpp"
 
 namespace fth {
@@ -67,7 +68,8 @@ TEST(Flight, RingKeepsOnlyNewestEvents) {
 
   constexpr int kEvents = 200;  // > capacity: the ring must wrap repeatedly
   for (int i = 0; i < kEvents; ++i) {
-    obs::instant("test", obs::intern_name("e" + std::to_string(i)));
+    obs::journal_log(obs::JournalSeverity::Info, "test",
+                     obs::intern_name("e" + std::to_string(i)));
   }
   const std::string dumped = obs::flight_dump("wrap-test");
   obs::flight_stop();
@@ -121,7 +123,8 @@ TEST(Flight, CapacityIsClampedToMinimum) {
   set_dump_path(path);
   obs::flight_start(1);  // clamped up to 16: a 1-slot ring is useless
   for (int i = 0; i < 40; ++i) {
-    obs::instant("test", obs::intern_name("c" + std::to_string(i)));
+    obs::journal_log(obs::JournalSeverity::Info, "test",
+                     obs::intern_name("c" + std::to_string(i)));
   }
   ASSERT_EQ(obs::flight_dump("clamp-test"), path);
   obs::flight_stop();
@@ -187,7 +190,7 @@ TEST(Flight, RecoveryAbortAutoDumpsTheRing) {
   bool saw_ft = false;
   for (const auto& [tid, count] : sum.events_per_tid) total += count;
   for (const auto& name : sum.names) {
-    if (name == "detection" || name == "rollback" || name == "locate") saw_ft = true;
+    if (name == "detect" || name == "rollback" || name == "locate") saw_ft = true;
   }
   EXPECT_GT(total, 0u);
   EXPECT_TRUE(saw_ft) << "the ring should hold the detection/recovery events leading up "

@@ -145,5 +145,30 @@ TEST(Incident, WriteIsArmedByDirAndLandsAValidFile) {
   std::filesystem::remove_all(dir);
 }
 
+// Every (component, event) pair the emitters journal, against its role in
+// the causal chain — the one table incident_timing() and fth_incident read.
+TEST(IncidentRoles, EveryJournaledEventHasItsRole) {
+  const struct {
+    const char* component;
+    const char* event;
+    const char* role;
+  } kTable[] = {
+      {"fault", "strike", "strike"},          {"fault", "device_loss", "strike"},
+      {"ft", "detect", "detect"},             {"ft", "rollback", "repair"},
+      {"ft", "reexec", "repair"},             {"ft", "reconstructed", "repair"},
+      {"ft", "ckpt_rederived", "repair"},     {"ft", "panel_abort", ""},
+      {"ft", "abort", ""},                    {"pool", "started", ""},
+      {"pool", "panel_retry", "repair"},      {"pool", "loss_detected", "detect"},
+      {"pool", "parity_degraded", "repair"},  {"pool", "reconstructed", "repair"},
+      {"pool", "remapped", "repair"},         {"pool", "repair_done", "repair"},
+      {"pool", "escalated", ""},              {"pool", "finished", "verify"},
+      {"health", "near_miss", ""},            {"health", "wait_timeout", "detect"},
+      {"health", "marked_lost", ""},          {"check", "TransferRace", ""},
+  };
+  for (const auto& row : kTable)
+    EXPECT_STREQ(incident_role(row.component, row.event), row.role)
+        << row.component << "/" << row.event;
+}
+
 }  // namespace
 }  // namespace fth::obs

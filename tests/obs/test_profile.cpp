@@ -265,7 +265,7 @@ TEST(ProfileLive, OrdinalKeyedOccupancyAttributesPoolMembers) {
   Matrix<double> a = random_matrix(n, n, 11);
   std::vector<double> tau(static_cast<std::size_t>(n - 1));
   obs::profile_start();
-  ft::pool_gehrd(pool, a.view(), VectorView<double>(tau.data(), n - 1), {.nb = 16, .nx = 16});
+  ft::pool_gehrd(pool, a.view(), VectorView<double>(tau.data(), n - 1), {.nb = 16});
   const obs::ProfileReport rep = obs::profile_stop();
 
   ASSERT_EQ(rep.per_device_by_ordinal.size(), 2u);

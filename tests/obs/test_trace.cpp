@@ -20,6 +20,7 @@
 #include "ft/ft_gehrd.hpp"
 #include "la/generate.hpp"
 #include "obs/dag.hpp"
+#include "obs/journal.hpp"
 #include "obs/trace.hpp"
 
 namespace fth {
@@ -304,7 +305,7 @@ TEST(Trace, DisabledPathIsInert) {
   // All recording entry points must be no-ops when disabled.
   {
     obs::TraceSpan span("test", "noop");
-    obs::instant("test", "noop");
+    obs::journal_log(obs::JournalSeverity::Info, "test", "noop");
     obs::counter("test.noop", 1.0);
   }
   EXPECT_EQ(obs::trace_stop(), 0u);
@@ -320,7 +321,7 @@ TEST(Trace, EventFormatAndNesting) {
     {
       obs::TraceSpan inner("test", "inner");
     }
-    obs::instant("test", "ping");
+    obs::journal_log(obs::JournalSeverity::Info, "test", "ping");
     obs::counter("test.queue", 3.0);
   }
   std::thread worker([] {
@@ -357,32 +358,37 @@ TEST(Trace, EventFormatAndNesting) {
 TEST(Trace, FileAndDagWindowsShareOneLog) {
   // The trace file and the DAG read windows of one per-thread log, each
   // from its own start, so arming or closing one mid-way must neither drop
-  // nor duplicate what the other sees. DAG-only records (marks) never
-  // reach the trace file.
+  // nor duplicate what the other sees. DAG-only records (transfer
+  // payloads) never reach the trace file.
   const std::string path = temp_path("fth_trace_windows.json");
   obs::dag::start();
   { obs::TraceSpan span("test", "dag-only"); }
   obs::trace_start(path);
   {
     obs::TraceSpan span("test", "both");
-    obs::dag::mark("mark");
+    obs::detail::log_enqueue(1, 1, "h2d", 0.0);
+    obs::detail::log_transfer(1, 1, 4096.0);
   }
   const obs::dag::Graph g = obs::dag::stop();
   { obs::TraceSpan span("test", "trace-only"); }
-  EXPECT_EQ(obs::trace_stop(), 4u) << "two spans, no mark";
+  EXPECT_EQ(obs::trace_stop(), 5u) << "two spans and the queue-depth counter, no transfer";
 
   std::multiset<std::string> dag_labels;
-  for (const obs::dag::Node& nd : g.nodes) dag_labels.insert(nd.label);
+  double bytes = 0.0;
+  for (const obs::dag::Node& nd : g.nodes) {
+    dag_labels.insert(nd.label);
+    bytes += nd.bytes;
+  }
   EXPECT_EQ(dag_labels.count("test/dag-only"), 1u);
   EXPECT_EQ(dag_labels.count("test/both"), 1u);
   EXPECT_EQ(dag_labels.count("test/trace-only"), 0u);
-  EXPECT_EQ(dag_labels.count("mark"), 1u);
+  EXPECT_EQ(bytes, 4096.0) << "the transfer record reaches the DAG";
 
   TraceSummary sum;
   Json root;
   ASSERT_NO_THROW(root = parse_file(path));
   validate_trace(root, sum);
-  EXPECT_EQ(sum.names, (std::set<std::string>{"both", "trace-only"}));
+  EXPECT_EQ(sum.names, (std::set<std::string>{"both", "trace-only", "stream.queue_depth"}));
 }
 
 TEST(Trace, FtRunCoversAllThreeLayers) {
@@ -415,7 +421,7 @@ TEST(Trace, FtRunCoversAllThreeLayers) {
     EXPECT_EQ(sum.names.count(name), 0u) << "unexpected driver span " << name;
   }
   for (const char* name : {"gehrd", "encode", "checkpoint_save", "panel", "update", "detect",
-                           "detection", "rollback", "locate", "reexec", "final_sweep",
+                           "rollback", "locate", "reexec", "final_sweep",
                            "q_verify", "h2d", "d2h", "stream.queue_depth"}) {
     EXPECT_EQ(sum.names.count(name), 1u) << "missing event " << name;
   }

@@ -70,24 +70,6 @@ double number_or(const Value& v, const char* key, double fallback) {
   return f != nullptr && f->is_number() ? f->as_number() : fallback;
 }
 
-/// One journal record's role in the causal chain, for the timeline gutter.
-const char* role_of(const std::string& component, const std::string& event) {
-  if (component == "fault") return "strike";
-  if ((component == "pool" && event == "loss_detected") ||
-      (component == "ft" && event == "detect") ||
-      (component == "health" && event == "wait_timeout"))
-    return "detect";
-  if (component == "pool" &&
-      (event == "reconstructed" || event == "remapped" || event == "parity_degraded" ||
-       event == "repair_done" || event == "panel_retry"))
-    return "repair";
-  if (component == "ft" &&
-      (event == "rollback" || event == "reexec" || event == "ckpt_rederived"))
-    return "repair";
-  if (component == "pool" && event == "finished") return "verify";
-  return "";
-}
-
 void print_timeline(const Value& capsule, const CapsuleSummary& s) {
   std::printf("== %s ==\n", s.path.c_str());
   std::printf("trigger %s by %s, run %llu, device %d, outcome %s",
@@ -119,11 +101,11 @@ void print_timeline(const Value& capsule, const CapsuleSummary& s) {
       const std::string event = string_or(e, "event", "?");
       const double t = number_or(e, "t_us", -1.0);
       const int device = static_cast<int>(number_or(e, "device", -1.0));
-      const char* role = role_of(component, event);
+      const char* role = fth::obs::incident_role(component, event);
       char dev[16] = "";
       if (device >= 0) std::snprintf(dev, sizeof dev, " dev%d", device);
-      std::printf("  %+10.3f ms  %-7s %-5s %s/%s%s", have_t0 ? (t - t0) / 1e3 : 0.0,
-                  role[0] != '\0' ? role : "", string_or(e, "severity", "?").c_str(),
+      std::printf("  %+10.3f ms  %-7s %-5s %s/%s%s", have_t0 ? (t - t0) / 1e3 : 0.0, role,
+                  string_or(e, "severity", "?").c_str(),
                   component.c_str(), event.c_str(), dev);
       const std::string detail = string_or(e, "detail", "");
       if (!detail.empty()) std::printf("  %s", detail.c_str());
