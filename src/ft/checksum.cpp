@@ -34,19 +34,14 @@ Matrix<double> encode_extended(MatrixView<const double> a) {
   return ext;
 }
 
-FreshSums fresh_logical_sums(MatrixView<const double> host_a, MatrixView<const double> ext,
-                             index_t i) {
+FreshSums finished_sums(MatrixView<const double> host_a, index_t i) {
   const index_t n = host_a.rows();
-  FTH_CHECK(host_a.cols() == n, "fresh_logical_sums: host matrix must be square");
-  FTH_CHECK(ext.rows() == n + 1 && ext.cols() == n + 1,
-            "fresh_logical_sums: extended matrix must be (n+1)x(n+1)");
-  FTH_CHECK(i >= 0 && i <= n, "fresh_logical_sums: panel start out of range");
-
+  FTH_CHECK(host_a.cols() == n, "finished_sums: host matrix must be square");
+  FTH_CHECK(i >= 0 && i <= n, "finished_sums: panel start out of range");
   FreshSums out;
   out.row.assign(static_cast<std::size_t>(n), 0.0);
   out.col.assign(static_cast<std::size_t>(n), 0.0);
-
-  // Finished columns: upper-Hessenberg entries only, from the host matrix.
+  // Finished columns: upper-Hessenberg entries only.
   for (index_t c = 0; c < i; ++c) {
     const index_t last = std::min(c + 1, n - 1);
     double cs = 0.0;
@@ -57,43 +52,46 @@ FreshSums fresh_logical_sums(MatrixView<const double> host_a, MatrixView<const d
     }
     out.col[static_cast<std::size_t>(c)] = cs;
   }
-  // Trailing columns: full height, from the extended (device) matrix.
+  return out;
+}
+
+void add_trailing_sums(MatrixView<const double> ext, index_t i, FreshSums& sums) {
+  const auto n = static_cast<index_t>(sums.row.size());
+  FTH_CHECK(ext.rows() >= n && ext.cols() >= n && i >= 0 && i <= n,
+            "add_trailing_sums: extended matrix too small or panel start out of range");
+  // Trailing columns: full height.
   for (index_t c = i; c < n; ++c) {
     double cs = 0.0;
     for (index_t r = 0; r < n; ++r) {
       const double v = ext(r, c);
-      out.row[static_cast<std::size_t>(r)] += v;
+      sums.row[static_cast<std::size_t>(r)] += v;
       cs += v;
     }
-    out.col[static_cast<std::size_t>(c)] = cs;
+    sums.col[static_cast<std::size_t>(c)] = cs;
   }
-  return out;
 }
 
-Discrepancy compare_checksums(const FreshSums& fresh, MatrixView<const double> ext,
-                              double tol) {
-  const index_t n = ext.rows() - 1;
-  FTH_CHECK(static_cast<index_t>(fresh.row.size()) == n &&
-                static_cast<index_t>(fresh.col.size()) == n,
+Discrepancy compare_checksums(const FreshSums& fresh, const std::vector<double>& row_code,
+                              const std::vector<double>& col_code, double tol) {
+  FTH_CHECK(fresh.row.size() == row_code.size() && fresh.col.size() == col_code.size(),
             "compare_checksums: sum length mismatch");
   Discrepancy d;
   // Negated comparisons so a NaN delta (fresh or maintained sum poisoned by
   // a non-finite element) is *flagged* rather than silently passing: for
   // NaN, `abs(delta) > tol` is false but `!(abs(delta) <= tol)` is true.
-  for (index_t r = 0; r < n; ++r) {
-    const double delta = fresh.row[static_cast<std::size_t>(r)] - ext(r, n);
-    if (!(std::abs(delta) <= tol)) {
-      d.rows.push_back(r);
-      d.row_delta.push_back(delta);
+  const auto scan = [&](const std::vector<double>& sums, const std::vector<double>& code,
+                        std::vector<index_t>& lines, std::vector<double>& deltas) {
+    for (std::size_t k = 0; k < sums.size(); ++k) {
+      const double delta = sums[k] - code[k];
+      if (!(std::abs(delta) <= tol)) {
+        lines.push_back(static_cast<index_t>(k));
+        deltas.push_back(delta);
+        d.nonfinite += std::isfinite(delta) ? 0 : 1;
+      }
     }
-  }
-  for (index_t c = 0; c < n; ++c) {
-    const double delta = fresh.col[static_cast<std::size_t>(c)] - ext(n, c);
-    if (!(std::abs(delta) <= tol)) {
-      d.cols.push_back(c);
-      d.col_delta.push_back(delta);
-    }
-  }
+  };
+  scan(fresh.row, row_code, d.rows, d.row_delta);
+  scan(fresh.col, col_code, d.cols, d.col_delta);
   return d;
 }
 

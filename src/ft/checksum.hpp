@@ -19,17 +19,18 @@ namespace fth::ft {
 Matrix<double> encode_extended(MatrixView<const double> a);
 
 /// Fresh logical row/column sums of the protected matrix, split across the
-/// two memory spaces exactly as the driver stores it:
-///  * `host_a` — n×n host matrix whose finished columns (< i) are valid;
-///    only rows 0..c+1 of a finished column c are summed,
-///  * `ext` — the (n+1)×(n+1) extended matrix whose trailing columns
-///    (≥ i) hold live data.
+/// two memory spaces exactly as the driver stores it, and summed in two
+/// halves in this order:
+///  * finished_sums — the n×n host matrix's finished columns (< i), of
+///    which only rows 0..c+1 of a column c are summed (trailing entries 0),
+///  * add_trailing_sums — the live trailing columns (≥ i), full height, of
+///    the (n+1)×(n+1) extended matrix on the device.
 struct FreshSums {
   std::vector<double> row;  ///< length n
   std::vector<double> col;  ///< length n
 };
-FreshSums fresh_logical_sums(MatrixView<const double> host_a, MatrixView<const double> ext,
-                             index_t i);
+FreshSums finished_sums(MatrixView<const double> host_a, index_t i);
+void add_trailing_sums(MatrixView<const double> ext, index_t i, FreshSums& sums);
 
 /// Indices (and fresh−maintained deltas) where the recomputed sums diverge
 /// from the maintained checksums by more than `tol`.
@@ -38,10 +39,15 @@ struct Discrepancy {
   std::vector<double> row_delta;  ///< fresh − maintained, per entry of `rows`
   std::vector<index_t> cols;
   std::vector<double> col_delta;
+  index_t nonfinite = 0;  ///< flagged deltas that are NaN or ±Inf
   [[nodiscard]] bool clean() const { return rows.empty() && cols.empty(); }
 };
-Discrepancy compare_checksums(const FreshSums& fresh, MatrixView<const double> ext,
-                              double tol);
+/// The one discrepancy builder of every row/column code: `row_code` holds
+/// the maintained row sums (the checksum column), `col_code` the column
+/// sums (the checksum row), each as long as its fresh sums. A NaN delta is
+/// flagged, never waved through.
+Discrepancy compare_checksums(const FreshSums& fresh, const std::vector<double>& row_code,
+                              const std::vector<double>& col_code, double tol);
 
 /// |Sre − Sce|: the per-iteration detection statistic (Algorithm 3 line 13).
 double detection_gap(MatrixView<const double> ext);

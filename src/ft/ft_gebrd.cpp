@@ -77,9 +77,9 @@ class FtGebrdDriver {
         at_mirror_(n_, n_),
         qp_v_(n_, /*row_offset=*/1),
         qp_u_(n_, /*row_offset=*/2),
-        threshold_(gebrd_threshold(norms.fro, n_, opt)),
+        line_tol_(gebrd_threshold(norms.fro, n_, opt)),
         scale_max_(norms.max),
-        ladder_(kWording, rep, opt.fault_plane, opt.max_retries, threshold_,
+        ladder_(kWording, rep, opt.fault_plane, opt.max_retries, line_tol_,
                 ft_total_boundaries(n_, opt.nb)),
         plane_(opt.fault_plane) {
     if (plane_ != nullptr) plane_->bind(dev);
@@ -90,6 +90,7 @@ class FtGebrdDriver {
  private:
 #include "ft/recovery_loop.inc"
 #include "ft/two_code.inc"
+#include "ft/locate_repair.inc"
 
   // A general matrix: the whole trailing block is live.
   static constexpr fault::SurfaceShape kTrailingShape = fault::SurfaceShape::Full;
@@ -326,66 +327,21 @@ class FtGebrdDriver {
     if (col) sum += a_(i2 - 1, i2);
   }
 
-  /// One full fresh-vs-maintained comparison at finished boundary `i2`.
-  /// NaN-safe: a non-finite delta always flags its line (the plain
-  /// `> threshold` comparison is false for NaN). `det`, when given,
-  /// receives the worst finite gap (NaN once any delta is non-finite) and
-  /// the number of non-finite deltas.
-  Discrepancy compare(index_t i2, FreshSums* fresh_out, Detection* det = nullptr) {
-    FreshSums fresh;
-    fresh.row = fresh_sums(i2, false);
-    fresh.col = fresh_sums(i2, true);
-    const std::vector<double> chkc = fetch_chk(false);
-    const std::vector<double> chkr = fetch_chk(true);
-    double worst = 0.0;
-    index_t nonfinite = 0;
-    Discrepancy d;
-    const auto scan = [&](const std::vector<double>& sums, const std::vector<double>& chk,
-                          std::vector<index_t>& lines, std::vector<double>& deltas) {
-      for (index_t r = 0; r < n_; ++r) {
-        const auto k = static_cast<std::size_t>(r);
-        const double delta = sums[k] - chk[k];
-        if (!(std::abs(delta) <= threshold_)) {
-          lines.push_back(r);
-          deltas.push_back(delta);
-        }
-        if (std::isfinite(delta)) {
-          worst = std::max(worst, std::abs(delta));
-        } else {
-          ++nonfinite;
-        }
-      }
-    };
-    scan(fresh.row, chkc, d.rows, d.row_delta);
-    scan(fresh.col, chkr, d.cols, d.col_delta);
-    if (det != nullptr) {
-      det->gap = nonfinite > 0 ? std::numeric_limits<double>::quiet_NaN() : worst;
-      det->nonfinite = nonfinite;
-    }
-    if (fresh_out != nullptr) *fresh_out = std::move(fresh);
-    return d;
-  }
-
-  /// Detection is the full two-vector comparison itself.
+  /// Detection is the full two-code comparison itself. The reported gap is
+  /// the worst finite line gap, NaN once any delta is non-finite.
   Detection detect(index_t i2) {
     const obs::TimedSpan timed("ft", "detect", rep_.detect_seconds);
-    Detection det;
-    det.clean = compare(i2, nullptr, &det).clean();
-    return det;
-  }
-
-  // Pass 1 may reconstruct non-finite elements from the orthogonal code; a
-  // second pass mops up finite residue and re-encodes any checksum storage
-  // the damage propagated through.
-  void locate_and_correct(index_t i, FtEvent& ev) {
-    for (int pass = 0; pass < 2; ++pass) {
-      obs::TraceSpan loc_span("ft", "locate");
-      FreshSums fresh;
-      const Discrepancy pre = compare(i, &fresh);
-      const LocateResult res = locate(pre, fresh, threshold_);
-      apply_corrections(res, i, ev);
-      if (res.reconstructions.empty()) break;
+    const LineSums s = line_sums(i2);
+    const Discrepancy d = compare_checksums(s.fresh, s.row_code, s.col_code, line_tol_);
+    double worst = 0.0;
+    for (std::size_t r = 0; r < s.row_code.size(); ++r) {
+      const double row_gap = s.fresh.row[r] - s.row_code[r];
+      const double col_gap = s.fresh.col[r] - s.col_code[r];
+      for (const double delta : {row_gap, col_gap})
+        if (std::isfinite(delta)) worst = std::max(worst, std::abs(delta));
     }
+    return {d.nonfinite > 0 ? std::numeric_limits<double>::quiet_NaN() : worst, d.clean(),
+            d.nonfinite};
   }
 
   void rollback(index_t i, index_t ib, bool completed) {
@@ -433,101 +389,22 @@ class FtGebrdDriver {
     ladder_.rederived();
   }
 
-  void set_element(index_t row, index_t col, double v, index_t i) {
-    if (row >= i && col >= i) {
-      auto da = d_a_.view();
-      s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(da)),
-                  [da, row, col, v] { da.in_task()(row, col) = v; });
-      s_.synchronize();
-    } else {
-      a_(row, col) = v;
-    }
+  // -- locate_repair.inc hooks (Section IV-F). -----------------------------
+  LineSums line_sums(index_t i) {
+    return {{fresh_sums(i, false), fresh_sums(i, true)}, fetch_chk(false), fetch_chk(true)};
   }
 
-  // -- Non-finite recovery: element reconstruction from the orthogonal code.
-  // Rollback cannot cancel NaN/Inf; locate() hands back line-confined
-  // targets. Re-derive each element as (maintained code) − (line sum with
-  // the damaged elements zeroed), then re-encode any checksum storage the
-  // damage propagated through.
-  void reconstruct(const std::vector<ReconstructTarget>& targets, index_t i, FtEvent& ev) {
-    for (const auto& t : targets) set_element(t.row, t.col, 0.0, i);
-    const std::vector<double> base_row = fresh_sums(i, false);
-    const std::vector<double> base_col = fresh_sums(i, true);
-    const std::vector<double> chkc = fetch_chk(false);
-    const std::vector<double> chkr = fetch_chk(true);
-    for (const auto& t : targets) {
-      const double code = t.use_row_code ? chkc[static_cast<std::size_t>(t.row)]
-                                         : chkr[static_cast<std::size_t>(t.col)];
-      const double rest = t.use_row_code ? base_row[static_cast<std::size_t>(t.row)]
-                                         : base_col[static_cast<std::size_t>(t.col)];
-      if (!std::isfinite(code) || !std::isfinite(rest)) {
-        throw recovery_error(
-            "ft_gebrd: non-finite damage: the code needed for element "
-            "reconstruction is itself lost");
-      }
-      set_element(t.row, t.col, code - rest, i);
-      ev.errors.push_back({t.row, t.col, 0.0});
-      ++ev.reconstructions;
-      ladder_.reconstructed();
-    }
-    // Checksum storage the non-finite values propagated through is
-    // re-encoded from the now-finite data.
-    const std::vector<double> fixed_row = fresh_sums(i, false);
-    const std::vector<double> fixed_col = fresh_sums(i, true);
-    auto cc = d_chk1_.view();
-    auto cr = d_chk2_.view();
-    bool synced = false;
-    for (index_t r = 0; r < n_; ++r) {
-      if (!std::isfinite(chkc[static_cast<std::size_t>(r)])) {
-        const double f = fixed_row[static_cast<std::size_t>(r)];
-        if (!std::isfinite(f))
-          throw recovery_error("ft_gebrd: non-finite checksum with non-finite fresh sum");
-        s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cc)),
-                   [cc, r, f] { cc.in_task()(r, 0) = f; });
-        synced = true;
-        ++ev.checksum_corrections;
-      }
-      if (!std::isfinite(chkr[static_cast<std::size_t>(r)])) {
-        const double f = fixed_col[static_cast<std::size_t>(r)];
-        if (!std::isfinite(f))
-          throw recovery_error("ft_gebrd: non-finite checksum with non-finite fresh sum");
-        s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cr)),
-                   [cr, r, f] { cr.in_task()(r, 0) = f; });
-        synced = true;
-        ++ev.checksum_corrections;
-      }
-    }
-    if (synced) s_.synchronize();
+  void write_code(bool second, index_t k, double v) {
+    auto code = second ? d_chk2_.view() : d_chk1_.view();
+    s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(code)),
+               [code, k, v] { code.in_task()(k, 0) = v; });
   }
 
-  void apply_corrections(const LocateResult& res, index_t i, FtEvent& ev) {
-    auto da = d_a_.view();
-    for (const auto& err : res.data_errors) {
-      if (err.row >= i && err.col >= i) {
-        s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(da)),
-                   [da, err] { da.in_task()(err.row, err.col) -= err.delta; });
-        s_.synchronize();
-      } else {
-        a_(err.row, err.col) -= err.delta;
-      }
-      ev.errors.push_back(err);
-      ++ev.data_corrections;
-    }
-    auto cc = d_chk1_.view();
-    for (const auto& c : res.chk_col_errors) {
-      s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cc)),
-                 [cc, c] { cc.in_task()(c.index, 0) = c.fresh; });
-      ++ev.checksum_corrections;
-    }
-    auto cr = d_chk2_.view();
-    for (const auto& c : res.chk_row_errors) {
-      s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cr)),
-                 [cr, c] { cr.in_task()(c.index, 0) = c.fresh; });
-      ++ev.checksum_corrections;
-    }
-    s_.synchronize();
-    if (!res.reconstructions.empty()) reconstruct(res.reconstructions, i, ev);
-  }
+  // A general matrix has no grand total to keep.
+  static int repair_corner(const std::vector<double>& /*col_code*/) { return 0; }
+
+  // FtEvent.errors names every element touched, rebuilt ones with delta 0.
+  static constexpr bool kListsRebuilt = true;
 
   // Finished rows hold P's Householder storage; finished columns hold Q's;
   // the bidiagonal band itself is host data too.
@@ -542,21 +419,8 @@ class FtGebrdDriver {
   void final_phase(index_t i) {
     const index_t tn = n_ - i;
     copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
-    if (opt_.final_sweep) {
-      const obs::TimedSpan sweep = ladder_.final_sweep();
-      FreshSums fresh;
-      const Discrepancy disc = compare(i, &fresh);
-      if (!disc.clean()) {
-        FtEvent ev;
-        try {
-          apply_corrections(locate(disc, fresh, threshold_), i, ev);
-        } catch (const recovery_error& e) {
-          ladder_.abandon_final_sweep(e.what());
-        }
-        ladder_.swept(ev);
-        copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
-      }
-    }
+    if (opt_.final_sweep && sweep(i))
+      copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
 
     {
       const obs::TimedSpan finish("hybrid", "finish", st_.finish_seconds, "col",
@@ -579,15 +443,12 @@ class FtGebrdDriver {
     }
     {
       const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
-      const double q_tol = RecoveryLadder::q_tolerance(n_, scale_max_);
-      const auto vres = qp_v_.verify_and_correct(a_, n_ - 1, q_tol);
+      ladder_.verify_q(qp_v_, a_, scale_max_);
       // Copy any P corrections back to the row storage.
-      const auto ures = qp_u_.verify_and_correct(at_mirror_.view(), n_ - 1, q_tol);
-      if (ures.corrections > 0) {
+      if (ladder_.verify_q(qp_u_, at_mirror_.view(), scale_max_) > 0) {
         for (index_t r = 0; r + 1 < n_; ++r)
           for (index_t c = r + 2; c < n_; ++c) a_(r, c) = at_mirror_(c, r);
       }
-      ladder_.q_corrected(vres.corrections + ures.corrections);
     }
 
     // Single source of truth: extract d and e from the host matrix.
@@ -641,7 +502,7 @@ class FtGebrdDriver {
   QProtector::PanelChecksums pending_v_;
   QProtector::PanelChecksums pending_u_;
 
-  double threshold_;
+  double line_tol_;  ///< per-line detection and location tolerance
   double scale_max_;
   RecoveryLadder ladder_;
   fault::FaultPlane* plane_;  ///< optional in-flight fault plane (not owned)

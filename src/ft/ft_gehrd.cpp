@@ -65,12 +65,11 @@ class FtDriver {
         ckpt_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_chkrow_(1, std::max<index_t>(opt.nb, 1)),
         new_chkrow_(1, std::max<index_t>(opt.nb, 1)),
-        ext_scratch_(n_ + 1, n_ + 1),
         qp_(n_),
         scale_max_(norms.max),
         ladder_(kWording, rep, opt.fault_plane, opt.max_retries,
                 gehrd_threshold(norms.fro, n_, opt), ft_total_boundaries(n_, opt.nb)),
-        loc_tol_(opt.locate_tol > 0 ? opt.locate_tol : ladder_.threshold()),
+        line_tol_(opt.locate_tol > 0 ? opt.locate_tol : ladder_.threshold()),
         plane_(opt.fault_plane) {
     if (plane_ != nullptr) plane_->bind(dev);
   }
@@ -100,6 +99,7 @@ class FtDriver {
 
  private:
 #include "ft/recovery_loop.inc"
+#include "ft/locate_repair.inc"
 
   // Finished columns are host data; the trailing ones live on the device.
   static bool place_fault(index_t /*row*/, index_t col, index_t i_next) { return col >= i_next; }
@@ -488,129 +488,48 @@ class FtDriver {
     }
   }
 
-  // -- Section IV-F: fresh checksums → locate. ------------------------------
-  LocateResult locate_errors(index_t i) {
-    copy_d2h(s_, d_e_.view(), ext_scratch_.view());
-    const FreshSums fresh =
-        fresh_logical_sums(MatrixView<const double>(a_), ext_scratch_.cview(), i);
-    const Discrepancy disc = compare_checksums(fresh, ext_scratch_.cview(), loc_tol_);
-    return locate(disc, fresh, loc_tol_);
-  }
-
-  // Pass 1 may reconstruct non-finite elements from the orthogonal code;
-  // when huge intermediates were involved the rollback leaves finite
-  // round-off residue behind, so a second pass mops that up.
-  void locate_and_correct(index_t i, FtEvent& ev) {
-    for (int pass = 0; pass < 2; ++pass) {
-      LocateResult res;
-      {
-        obs::TraceSpan loc_span("ft", "locate");
-        res = locate_errors(i);
-      }
-      {
-        obs::TraceSpan fix_span("ft", "correct");
-        apply_corrections(res, i, ev);
-      }
-      if (res.reconstructions.empty()) break;  // nothing re-derived → no residue
-    }
-  }
-
-  void apply_corrections(const LocateResult& res, index_t i, FtEvent& ev) {
+  // -- locate_repair.inc hooks (Section IV-F). -----------------------------
+  /// The finished columns summed on the host from a_, as the re-encode does;
+  /// the trailing columns and both code lines read by one device task.
+  LineSums line_sums(index_t i) {
+    LineSums s{finished_sums(MatrixView<const double>(a_), i),
+               std::vector<double>(static_cast<std::size_t>(n_)),
+               std::vector<double>(static_cast<std::size_t>(n_))};
     auto e = d_e_.view();
-    for (const auto& err : res.data_errors) {
-      if (err.col >= i) {
-        s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(e)),
-                   [e, err] { e.in_task()(err.row, err.col) -= err.delta; });
-      } else {
-        a_(err.row, err.col) -= err.delta;
+    s_.enqueue("ft.line_sums", FTH_TASK_EFFECTS(FTH_READS(e)), [this, e, i, &s] {
+      const MatrixView<const double> eh = e.in_task();
+      add_trailing_sums(eh, i, s.fresh);
+      for (index_t k = 0; k < n_; ++k) {
+        s.row_code[static_cast<std::size_t>(k)] = eh(k, n_);
+        s.col_code[static_cast<std::size_t>(k)] = eh(n_, k);
       }
-    }
-    for (const auto& c : res.chk_col_errors) {
-      s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(e)),
-                 [e, c, n = n_] { e.in_task()(c.index, n) = c.fresh; });
-    }
-    for (const auto& c : res.chk_row_errors) {
-      s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(e)),
-                 [e, c, n = n_] { e.in_task()(n, c.index) = c.fresh; });
-    }
-    int chk_repairs = 0;
-    if (!res.reconstructions.empty()) chk_repairs = reconstruct(res.reconstructions, i);
+      corner_ = eh(n_, n_);
+    });
     s_.synchronize();
-    ev.errors.insert(ev.errors.end(), res.data_errors.begin(), res.data_errors.end());
-    ev.data_corrections += static_cast<int>(res.data_errors.size());
-    ev.checksum_corrections +=
-        chk_repairs + static_cast<int>(res.chk_col_errors.size() + res.chk_row_errors.size());
-    ev.reconstructions += static_cast<int>(res.reconstructions.size());
+    return s;
   }
 
-  // -- Non-finite recovery: element reconstruction from the orthogonal code.
-  // Rollback cannot cancel NaN/Inf (x + NaN − NaN stays NaN), but the
-  // damage is line-confined by construction when locate() hands out
-  // targets: re-derive each element as (maintained code) − (line sum with
-  // the damaged elements zeroed), then repair any checksum storage the
-  // damage propagated through. Uses ext_scratch_, which locate_errors just
-  // filled with the post-rollback extended matrix.
-  int reconstruct(const std::vector<ReconstructTarget>& targets, index_t i) {
-    auto ext = ext_scratch_.view();
-    for (const auto& t : targets) ext(t.row, t.col) = 0.0;
-    const FreshSums base =
-        fresh_logical_sums(MatrixView<const double>(a_), ext_scratch_.cview(), i);
+  void write_code(bool second, index_t k, double v) {
     auto e = d_e_.view();
-    for (const auto& t : targets) {
-      const double code = t.use_row_code ? ext(t.row, n_) : ext(n_, t.col);
-      const double rest = t.use_row_code ? base.row[static_cast<std::size_t>(t.row)]
-                                         : base.col[static_cast<std::size_t>(t.col)];
-      if (!std::isfinite(code) || !std::isfinite(rest)) {
-        throw recovery_error(
-            "non-finite damage: the orthogonal code needed for element "
-            "reconstruction is itself lost");
-      }
-      const double v = code - rest;
-      ext(t.row, t.col) = v;
-      if (t.col >= i) {
-        s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(e)),
-                    [e, t, v] { e.in_task()(t.row, t.col) = v; });
-      } else {
-        a_(t.row, t.col) = v;
-      }
-      ladder_.reconstructed();
-    }
-    // Checksum storage the non-finite values propagated through (e.g. the
-    // checksum-row entry of a poisoned column) is re-derived from the
-    // now-finite data; the corner is the checksum-row total.
-    const FreshSums fixed =
-        fresh_logical_sums(MatrixView<const double>(a_), ext_scratch_.cview(), i);
-    int chk_repairs = 0;
-    for (index_t r = 0; r < n_; ++r) {
-      if (std::isfinite(ext(r, n_))) continue;
-      const double f = fixed.row[static_cast<std::size_t>(r)];
-      if (!std::isfinite(f))
-        throw recovery_error("non-finite checksum column with non-finite fresh row sum");
-      ext(r, n_) = f;
-      s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(e)),
-                  [e, r, n = n_, f] { e.in_task()(r, n) = f; });
-      ++chk_repairs;
-    }
-    for (index_t c = 0; c < n_; ++c) {
-      if (std::isfinite(ext(n_, c))) continue;
-      const double f = fixed.col[static_cast<std::size_t>(c)];
-      if (!std::isfinite(f))
-        throw recovery_error("non-finite checksum row with non-finite fresh column sum");
-      ext(n_, c) = f;
-      s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(e)),
-                  [e, c, n = n_, f] { e.in_task()(n, c) = f; });
-      ++chk_repairs;
-    }
-    if (!std::isfinite(ext(n_, n_))) {
-      double corner = 0.0;
-      for (index_t c = 0; c < n_; ++c) corner += ext(n_, c);
-      ext(n_, n_) = corner;
-      s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(e)),
-                  [e, n = n_, corner] { e.in_task()(n, n) = corner; });
-      ++chk_repairs;
-    }
-    return chk_repairs;
+    s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(e)), [e, second, k, v, n = n_] {
+      auto eh = e.in_task();
+      (second ? eh(n, k) : eh(k, n)) = v;
+    });
   }
+
+  /// The grand total is the checksum row's sum.
+  int repair_corner(const std::vector<double>& col_code) {
+    if (std::isfinite(corner_)) return 0;
+    double corner = 0.0;
+    for (const double v : col_code) corner += v;
+    auto e = d_e_.view();
+    s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(e)),
+               [e, n = n_, corner] { e.in_task()(n, n) = corner; });
+    return 1;
+  }
+
+  // FtEvent.errors names located deltas only.
+  static constexpr bool kListsRebuilt = false;
 
   // The finish phase: the host's unblocked reduction from column `i` on.
   void host_tail(index_t i) {
@@ -622,18 +541,7 @@ class FtDriver {
   // The blocked loop stopped at the crossover `i`: columns i..n−1 are
   // still trailing data on the device.
   void final_phase(index_t i) {
-    // Final sweep: catches errors that never propagated (finished H, the
-    // trailing block, or checksum elements hit after the last check).
-    if (opt_.final_sweep) {
-      const obs::TimedSpan sweep = ladder_.final_sweep();
-      FtEvent ev;
-      try {
-        apply_corrections(locate_errors(i), i, ev);
-      } catch (const recovery_error& e) {
-        ladder_.abandon_final_sweep(e.what());
-      }
-      ladder_.swept(ev);
-    }
+    if (opt_.final_sweep) sweep(i);
 
     // Bring down the trailing block and reduce it on the host, as
     // hybrid_gehrd does: no device update is left to protect.
@@ -648,9 +556,7 @@ class FtDriver {
         qp_.commit(qp_.compute_panel(MatrixView<const double>(a_), i, n_ - 1 - i));
       }
       const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
-      const auto qres = qp_.verify_and_correct(a_, n_ - 1,
-                                               RecoveryLadder::q_tolerance(n_, scale_max_));
-      ladder_.q_corrected(qres.corrections);
+      ladder_.verify_q(qp_, a_, scale_max_);
     }
     rep_.checksum_update_seconds = chk_update_seconds_;
   }
@@ -679,13 +585,13 @@ class FtDriver {
   Matrix<double> ckpt_;
   Matrix<double> ckpt_chkrow_;  ///< pre-iteration checksum-row segment over the panel
   Matrix<double> new_chkrow_;   ///< re-encoded segment for the finished panel
-  Matrix<double> ext_scratch_;  ///< host snapshot of the extended matrix (locate/reconstruct)
   QProtector qp_;
   QProtector::PanelChecksums pending_q_;
 
   double scale_max_;
   RecoveryLadder ladder_;
-  double loc_tol_;
+  double line_tol_;  ///< per-line location tolerance
+  double corner_ = 0.0;  ///< the grand total as line_sums() last read it
   fault::FaultPlane* plane_;  ///< optional in-flight fault plane (not owned)
   DualSum panel_seal_;   ///< integrity sums of the panel checkpoint, at save
   DualSum chkrow_seal_;  ///< integrity sums of the checksum-row pre-image, at save

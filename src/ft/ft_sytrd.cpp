@@ -605,9 +605,7 @@ class FtSytrdDriver {
     }
     {
       const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
-      const auto qres = qp_.verify_and_correct(a_, n_ - 1,
-                                               RecoveryLadder::q_tolerance(n_, scale_max_));
-      ladder_.q_corrected(qres.corrections);
+      ladder_.verify_q(qp_, a_, scale_max_);
     }
 
     // Single source of truth: extract d and e from the (possibly repaired)

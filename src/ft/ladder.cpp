@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "ft/q_protect.hpp"
 #include "ft/recovery.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -173,13 +174,23 @@ void RecoveryLadder::book_corrections(const FtEvent& ev) {
       .add(static_cast<std::uint64_t>(ev.checksum_corrections));
 }
 
-void RecoveryLadder::q_corrected(int corrections) {
+int RecoveryLadder::verify_q(const QProtector& qp, MatrixView<double> a, double scale_max) {
+  // Section IV-E's tolerance: 1e3·eps·n times the input's largest entry.
+  const double tol =
+      1e3 * eps<double>() * static_cast<double>(a.rows()) * std::max(1.0, scale_max);
+  Discrepancy disc;
+  int corrections = 0;
+  try {
+    corrections = qp.verify_and_correct(a, qp.committed_columns(), tol, &disc);
+  } catch (const recovery_error& e) {
+    const AbortReason why =
+        disc.nonfinite > 0 ? AbortReason::NonfiniteDamage : AbortReason::AmbiguousPattern;
+    abort_recovery(rep_.outcome, wording_.who, why, total_boundaries_, 0, 0.0, threshold_,
+                   std::string("Q verification: ") + e.what());
+  }
   rep_.q_corrections += corrections;
   obs::counter_metric("ft.q_corrections").add(static_cast<std::uint64_t>(corrections));
-}
-
-double RecoveryLadder::q_tolerance(index_t n, double scale_max) {
-  return 1e3 * eps<double>() * static_cast<double>(n) * std::max(1.0, scale_max);
+  return corrections;
 }
 
 void RecoveryLadder::finish() {

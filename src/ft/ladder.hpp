@@ -6,16 +6,16 @@
 // This layer owns every part of it that does not touch the stream, so the
 // drivers fill FtReport alike: the per-check bookkeeping, the retry bound,
 // FtEvent accounting, the structured abandon path, the rollback and
-// re-execution brackets, the dual-sum checkpoint seal, the final-sweep and
-// Q-verify bookkeeping and the Clean/Recovered classification.
+// re-execution brackets, the dual-sum checkpoint seal, the final-sweep
+// bookkeeping, the Q verification and the Clean/Recovered classification.
 //
-// The stream side of the protocol — the ensure_clean() loop, run() and the
-// two-code helpers — is shared through the .inc fragments included inside
-// the driver classes (recovery_loop.inc, two_code.inc), which fth_analyze
-// expands like the preprocessor. Never move a loop or any
-// enqueue/copy/synchronize behind this header: the analyzer splices only
-// TU-local calls, so it would drop out of the static race proof
-// (DESIGN.md §15).
+// The stream side of the protocol — the ensure_clean() loop, run(), the
+// two-code helpers and location/repair — is shared through the .inc
+// fragments included inside the driver classes (recovery_loop.inc,
+// two_code.inc, locate_repair.inc), which fth_analyze expands like the
+// preprocessor. Never move a loop or any enqueue/copy/synchronize behind
+// this header: the analyzer splices only TU-local calls, so it would drop
+// out of the static race proof (DESIGN.md §15).
 #pragma once
 
 #include <limits>
@@ -101,6 +101,7 @@ class Redo {
   WallTimer since_;
 };
 
+class QProtector;
 class RecoveryLadder;
 
 /// One recovery episode at one boundary: opened by a dirty check, its
@@ -159,9 +160,12 @@ class RecoveryLadder {
   void swept(const FtEvent& ev);
 
   [[nodiscard]] obs::TimedSpan q_phase(const char* name) { return {"ft", name, rep_.q_seconds}; }
-  void q_corrected(int corrections);
-  /// Tolerance of the Section IV-E Householder-storage verification.
-  [[nodiscard]] static double q_tolerance(index_t n, double scale_max);
+  /// Section IV-E's one verification of the Householder storage `a` that
+  /// `qp` protects: corrects it in place, books the corrections and returns
+  /// their number. A pattern the Q codes cannot repair aborts the run like
+  /// the data codes' — NonfiniteDamage when a Q delta was non-finite,
+  /// AmbiguousPattern otherwise.
+  int verify_q(const QProtector& qp, MatrixView<double> a, double scale_max);
 
   /// Clean means NOTHING fired: a run that survived only because a
   /// checkpoint was re-derived, a non-finite element reconstructed, or a

@@ -1,9 +1,10 @@
 #include "ft/q_protect.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
+#include "ft/locate.hpp"
 
 namespace fth::ft {
 
@@ -18,21 +19,12 @@ QProtector::PanelChecksums QProtector::compute_panel(MatrixView<const double> a,
                                                      index_t ib) const {
   FTH_CHECK(a.rows() == n_ && a.cols() == n_, "QProtector: matrix dimension mismatch");
   FTH_CHECK(k >= 0 && ib >= 0 && k + ib <= n_, "QProtector: panel out of range");
+  FreshSums s = sums(a, k, k + ib);
   PanelChecksums pc;
   pc.k = k;
   pc.ib = ib;
-  pc.row_partial.assign(static_cast<std::size_t>(n_), 0.0);
-  pc.col_segment.assign(static_cast<std::size_t>(ib), 0.0);
-  for (index_t j = 0; j < ib; ++j) {
-    const index_t c = k + j;
-    double cs = 0.0;
-    for (index_t r = c + off_; r < n_; ++r) {
-      const double v = a(r, c);
-      pc.row_partial[static_cast<std::size_t>(r)] += v;
-      cs += v;
-    }
-    pc.col_segment[static_cast<std::size_t>(j)] = cs;
-  }
+  pc.row_partial = std::move(s.row);
+  pc.col_segment.assign(s.col.begin() + k, s.col.begin() + k + ib);
   return pc;
 }
 
@@ -45,64 +37,55 @@ void QProtector::commit(const PanelChecksums& pc) {
   committed_ = pc.k + pc.ib;
 }
 
-QProtector::Result QProtector::verify_and_correct(MatrixView<double> a, index_t upto,
-                                                  double tol) const {
-  FTH_CHECK(a.rows() == n_ && a.cols() == n_, "QProtector: matrix dimension mismatch");
-  FTH_CHECK(upto <= committed_, "QProtector: verifying uncommitted columns");
-  Result res;
-
-  // Fresh sums over the protected trapezoid.
-  std::vector<double> fresh_row(static_cast<std::size_t>(n_), 0.0);
-  std::vector<double> fresh_col(static_cast<std::size_t>(n_), 0.0);
-  for (index_t c = 0; c < upto; ++c) {
+FreshSums QProtector::sums(MatrixView<const double> a, index_t first, index_t last) const {
+  FreshSums fresh;
+  fresh.row.assign(static_cast<std::size_t>(n_), 0.0);
+  fresh.col.assign(static_cast<std::size_t>(n_), 0.0);
+  for (index_t c = first; c < last; ++c) {
     double cs = 0.0;
     for (index_t r = c + off_; r < n_; ++r) {
       const double v = a(r, c);
-      fresh_row[static_cast<std::size_t>(r)] += v;
+      fresh.row[static_cast<std::size_t>(r)] += v;
       cs += v;
     }
-    fresh_col[static_cast<std::size_t>(c)] = cs;
+    fresh.col[static_cast<std::size_t>(c)] = cs;
   }
+  return fresh;
+}
 
-  // Locate: a single corrupted element (p, q) perturbs fresh_row[p] and
-  // fresh_col[q] by the same delta. Pair them greedily by magnitude.
-  std::vector<std::pair<index_t, double>> bad_rows;
-  std::vector<std::pair<index_t, double>> bad_cols;
-  for (index_t r = 0; r < n_; ++r) {
-    const double gap = fresh_row[static_cast<std::size_t>(r)] - row_chk_[static_cast<std::size_t>(r)];
-    res.max_row_gap = std::max(res.max_row_gap, std::abs(gap));
-    if (std::abs(gap) > tol) bad_rows.emplace_back(r, gap);
-  }
-  for (index_t c = 0; c < upto; ++c) {
-    const double gap = fresh_col[static_cast<std::size_t>(c)] - col_chk_[static_cast<std::size_t>(c)];
-    res.max_col_gap = std::max(res.max_col_gap, std::abs(gap));
-    if (std::abs(gap) > tol) bad_cols.emplace_back(c, gap);
-  }
-  if (bad_rows.empty() && bad_cols.empty()) return res;
-  if (bad_rows.size() != bad_cols.size()) {
-    throw recovery_error("Q protection: row/column mismatch counts differ — errors share a "
-                         "row or column of the Householder storage");
-  }
+int QProtector::verify_and_correct(MatrixView<double> a, index_t upto, double tol,
+                                   Discrepancy* disc) const {
+  FTH_CHECK(a.rows() == n_ && a.cols() == n_, "QProtector: matrix dimension mismatch");
+  FTH_CHECK(upto <= committed_, "QProtector: verifying uncommitted columns");
+  const FreshSums fresh = sums(a, 0, upto);
+  const Discrepancy d = compare_checksums(fresh, row_chk_, col_chk_, tol);
+  if (disc != nullptr) *disc = d;
+  if (d.clean()) return 0;
 
-  for (auto& [r, rgap] : bad_rows) {
-    // Find the unique column whose gap matches this row's gap.
-    index_t match = -1;
-    int candidates = 0;
-    for (auto& [c, cgap] : bad_cols) {
-      if (std::abs(rgap - cgap) <= 2.0 * tol + 1e-9 * std::abs(rgap)) {
-        ++candidates;
-        match = c;
-      }
-    }
-    if (candidates == 0) throw recovery_error("Q protection: unmatched row discrepancy");
-    if (candidates > 1) {
-      throw recovery_error("Q protection: ambiguous (rectangle) error pattern");
-    }
-    FTH_ASSERT(r >= match + off_, "Q protection: located element outside the trapezoid");
-    a(r, match) -= rgap;
-    ++res.corrections;
+  const LocateResult res = locate(d, fresh, tol);
+  // Both vectors are host data taken from the same entries: a "corrupt
+  // checksum" verdict means they disagree with each other.
+  if (!res.chk_col_errors.empty() || !res.chk_row_errors.empty())
+    throw recovery_error("Q protection: the row and column checksums disagree");
+  for (const auto& err : res.data_errors) {
+    FTH_ASSERT(err.row >= err.col + off_,
+               "Q protection: located element outside the trapezoid");
+    a(err.row, err.col) -= err.delta;
   }
-  return res;
+  // A non-finite entry is rebuilt from the orthogonal code: zero it,
+  // re-sum its line, and take the code minus the rest.
+  for (const auto& t : res.reconstructions) a(t.row, t.col) = 0.0;
+  const FreshSums rest = res.reconstructions.empty() ? FreshSums{} : sums(a, 0, upto);
+  for (const auto& t : res.reconstructions) {
+    const auto r = static_cast<std::size_t>(t.row);
+    const auto c = static_cast<std::size_t>(t.col);
+    const double code = t.use_row_code ? row_chk_[r] : col_chk_[c];
+    const double others = t.use_row_code ? rest.row[r] : rest.col[c];
+    if (!std::isfinite(code) || !std::isfinite(others))
+      throw recovery_error("Q protection: the code that rebuilds a non-finite entry is lost");
+    a(t.row, t.col) = code - others;
+  }
+  return static_cast<int>(res.data_errors.size() + res.reconstructions.size());
 }
 
 }  // namespace fth::ft

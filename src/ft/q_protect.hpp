@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "ft/checksum.hpp"
 #include "la/matrix.hpp"
 
 namespace fth::ft {
@@ -40,19 +41,22 @@ class QProtector {
   void commit(const PanelChecksums& pc);
 
   /// Verify every protected element of columns 0..upto−1 against both
-  /// checksum vectors; locate and correct any mismatching element in
-  /// place. Returns the number of corrections applied.
-  struct Result {
-    int corrections = 0;
-    double max_row_gap = 0.0;  ///< largest |fresh − maintained| row discrepancy seen
-    double max_col_gap = 0.0;
-  };
-  Result verify_and_correct(MatrixView<double> a, index_t upto, double tol) const;
+  /// checksum vectors (compare_checksums), locate the mismatches
+  /// (ft::locate) and correct them in place: subtract each located delta,
+  /// and rebuild each non-finite entry from the orthogonal code. Returns
+  /// the number of entries corrected; throws recovery_error when the
+  /// pattern is beyond the codes. `disc`, when given, receives the
+  /// comparison before anything is located.
+  int verify_and_correct(MatrixView<double> a, index_t upto, double tol,
+                         Discrepancy* disc = nullptr) const;
 
   [[nodiscard]] const std::vector<double>& col_chk() const { return col_chk_; }
   [[nodiscard]] index_t committed_columns() const { return committed_; }
 
  private:
+  /// Line sums of the protected entries of columns first..last−1.
+  [[nodiscard]] FreshSums sums(MatrixView<const double> a, index_t first, index_t last) const;
+
   index_t n_;
   index_t off_ = 2;
   index_t committed_ = 0;

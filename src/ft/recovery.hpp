@@ -29,7 +29,6 @@ enum class AbortReason {
   RetriesExhausted,  ///< detection kept firing after max_retries attempts
   AmbiguousPattern,  ///< locate() could not resolve the error pattern (e.g. rectangle)
   NonfiniteDamage,   ///< NaN/Inf contamination the codes cannot reconstruct
-  CheckpointLost,    ///< checkpoint corrupt and re-derivation impossible
   DeviceLost,        ///< device losses exceeded the redundancy group's correction radius
 };
 
@@ -87,7 +86,6 @@ inline std::string to_string(AbortReason r) {
     case AbortReason::RetriesExhausted: return "retries-exhausted";
     case AbortReason::AmbiguousPattern: return "ambiguous-pattern";
     case AbortReason::NonfiniteDamage: return "nonfinite-damage";
-    case AbortReason::CheckpointLost: return "checkpoint-lost";
     case AbortReason::DeviceLost: return "device-lost";
   }
   return "?";

@@ -88,13 +88,19 @@ T norm_fro(MatrixView<const T> a) {
   return norm_fro_max(a).fro;
 }
 
-/// Max-abs of the element-wise difference A − B.
+/// Max-abs of the element-wise difference A − B; NaN when any difference
+/// is NaN (a NaN on either side), so a `<= tol` check fails on it.
 template <class T>
 T max_abs_diff(MatrixView<const T> a, MatrixView<const T> b) {
   FTH_CHECK(a.rows() == b.rows() && a.cols() == b.cols(), "diff dimension mismatch");
   T best{};
-  for (index_t j = 0; j < a.cols(); ++j)
-    for (index_t i = 0; i < a.rows(); ++i) best = std::max(best, std::abs(a(i, j) - b(i, j)));
+  for (index_t j = 0; j < a.cols(); ++j) {
+    for (index_t i = 0; i < a.rows(); ++i) {
+      const T d = std::abs(a(i, j) - b(i, j));
+      if (std::isnan(d)) return d;
+      best = std::max(best, d);
+    }
+  }
   return best;
 }
 

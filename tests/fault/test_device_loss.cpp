@@ -52,6 +52,27 @@ TEST(DeviceLossSoak, OneLossPerTrialIsAlwaysAbsorbedAtN256D3) {
   }
 }
 
+/// Puts the incident and journal sinks back as a test found them, however
+/// it leaves: an FTH_INCIDENT armed from the environment keeps writing
+/// capsules for the tests after it.
+class SinkRestore {
+ public:
+  SinkRestore() : dir_(obs::incident_dir()), journal_(obs::journal_enabled()) {}
+  ~SinkRestore() {
+    if (!dir_.empty()) {
+      obs::incident_set_dir(dir_);
+    } else if (journal_ && !obs::journal_enabled()) {
+      obs::journal_start();
+    }
+  }
+  SinkRestore(const SinkRestore&) = delete;
+  SinkRestore& operator=(const SinkRestore&) = delete;
+
+ private:
+  std::string dir_;
+  bool journal_;
+};
+
 // Incident forensics acceptance (ISSUE 8): with capsule emission armed,
 // the n=256 D=3 soak must write exactly one valid capsule per injected
 // loss, and fth_incident's timing derivation must see a nonzero detection
@@ -59,6 +80,7 @@ TEST(DeviceLossSoak, OneLossPerTrialIsAlwaysAbsorbedAtN256D3) {
 // repair_done) in each. One cycle through the three loss kinds keeps the
 // runtime bounded; the 9-trial soak above covers the absorption maths.
 TEST(DeviceLossSoak, EveryInjectedLossYieldsAValidCapsuleWithTimings) {
+  const SinkRestore restore;
   const std::string dir = ::testing::TempDir() + "fth_soak_capsules";
   std::filesystem::remove_all(dir);
   obs::incident_set_dir(dir);

@@ -16,6 +16,25 @@
 namespace fth::ft {
 namespace {
 
+/// Fresh sums with finished columns 0..i−1 from `host`, the rest from `ext`.
+FreshSums fresh_sums(const Matrix<double>& host, const Matrix<double>& ext, index_t i) {
+  FreshSums fs = finished_sums(host.cview(), i);
+  add_trailing_sums(ext.cview(), i, fs);
+  return fs;
+}
+
+/// compare_checksums against the extended matrix's checksum column and row.
+Discrepancy compare_ext(const FreshSums& fs, const Matrix<double>& ext, double tol) {
+  const index_t n = ext.rows() - 1;
+  std::vector<double> row_code(static_cast<std::size_t>(n));
+  std::vector<double> col_code(static_cast<std::size_t>(n));
+  for (index_t k = 0; k < n; ++k) {
+    row_code[static_cast<std::size_t>(k)] = ext(k, n);
+    col_code[static_cast<std::size_t>(k)] = ext(n, k);
+  }
+  return compare_checksums(fs, row_code, col_code, tol);
+}
+
 TEST(Encode, ChecksumsAreRowAndColumnSums) {
   Matrix<double> a = random_matrix(9, 9, 1);
   Matrix<double> ext = encode_extended(a.cview());
@@ -75,7 +94,7 @@ TEST(FreshSums, SplitAcrossMemoriesMatchesDefinition) {
   for (index_t c = 0; c < i; ++c)
     for (index_t r = 0; r < n; ++r) ext(r, c) = -77.0;
 
-  const FreshSums fs = fresh_logical_sums(host_a.cview(), ext.cview(), i);
+  const FreshSums fs = fresh_sums(host_a, ext, i);
   for (index_t r = 0; r < n; ++r) {
     double expect = 0.0;
     for (index_t c = 0; c < n; ++c) expect += logical(r, c);
@@ -92,10 +111,10 @@ TEST(Compare, FlagsExactlyTheCorruptedLines) {
   Matrix<double> a = random_matrix(16, 16, 5);
   Matrix<double> ext = encode_extended(a.cview());
   ext(3, 7) += 2.5;  // data corruption
-  const FreshSums fs = fresh_logical_sums(a.cview(), ext.cview(), 0);
+  const FreshSums fs = fresh_sums(a, ext, 0);
   // Wait: fresh sums read ext's trailing columns, which include the error,
   // while the maintained checksums do not ⇒ row 3 and column 7 mismatch.
-  const Discrepancy d = compare_checksums(fs, ext.cview(), 1e-9);
+  const Discrepancy d = compare_ext(fs, ext, 1e-9);
   ASSERT_EQ(d.rows.size(), 1u);
   ASSERT_EQ(d.cols.size(), 1u);
   EXPECT_EQ(d.rows[0], 3);
@@ -104,11 +123,28 @@ TEST(Compare, FlagsExactlyTheCorruptedLines) {
   EXPECT_NEAR(d.col_delta[0], 2.5, 1e-10);
 }
 
+TEST(Compare, FlagsAndCountsNonFiniteDeltas) {
+  // abs(NaN) > tol is false: the builder must flag a NaN delta anyway, on
+  // either side of the subtraction, and count it.
+  Matrix<double> a = random_matrix(16, 16, 8);
+  Matrix<double> ext = encode_extended(a.cview());
+  ext(2, 16) = std::numeric_limits<double>::quiet_NaN();  // maintained row code
+  ext(9, 4) = std::numeric_limits<double>::infinity();    // data: row 9 and column 4
+  const Discrepancy d = compare_ext(fresh_sums(a, ext, 0), ext, 1e-9);
+  ASSERT_EQ(d.rows.size(), 2u);
+  EXPECT_EQ(d.rows[0], 2);
+  EXPECT_EQ(d.rows[1], 9);
+  ASSERT_EQ(d.cols.size(), 1u);
+  EXPECT_EQ(d.cols[0], 4);
+  EXPECT_EQ(d.nonfinite, 3);
+  EXPECT_TRUE(std::isnan(d.row_delta[0]));
+}
+
 TEST(Compare, CleanWhenUncorrupted) {
   Matrix<double> a = random_matrix(20, 20, 6);
   Matrix<double> ext = encode_extended(a.cview());
-  const FreshSums fs = fresh_logical_sums(a.cview(), ext.cview(), 0);
-  EXPECT_TRUE(compare_checksums(fs, ext.cview(), 1e-10).clean());
+  const FreshSums fs = fresh_sums(a, ext, 0);
+  EXPECT_TRUE(compare_ext(fs, ext, 1e-10).clean());
 }
 
 // ---- Theorem 1 as an executable property -----------------------------------

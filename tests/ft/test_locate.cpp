@@ -20,9 +20,16 @@ struct Scenario {
       : ext(encode_extended(random_matrix(n, n, seed).cview())), host(n, n) {}
 
   LocateResult run(double tol = 1e-9) {
-    const FreshSums fs = fresh_logical_sums(host.cview(), ext.cview(), 0);
-    const Discrepancy d = compare_checksums(fs, ext.cview(), tol);
-    return locate(d, fs, tol);
+    const index_t n = host.rows();
+    FreshSums fs = finished_sums(host.cview(), 0);
+    add_trailing_sums(ext.cview(), 0, fs);
+    std::vector<double> row_code(static_cast<std::size_t>(n));
+    std::vector<double> col_code(static_cast<std::size_t>(n));
+    for (index_t k = 0; k < n; ++k) {
+      row_code[static_cast<std::size_t>(k)] = ext(k, n);
+      col_code[static_cast<std::size_t>(k)] = ext(n, k);
+    }
+    return locate(compare_checksums(fs, row_code, col_code, tol), fs, tol);
   }
 };
 

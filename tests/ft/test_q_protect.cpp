@@ -2,6 +2,8 @@
 // and correction, and the commit discipline that rollback relies on.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "ft/q_protect.hpp"
 #include "la/generate.hpp"
@@ -32,14 +34,22 @@ QProtector protect_all(MatrixView<const double> a, index_t nb) {
   return qp;
 }
 
+/// Householder-shaped storage of small integers: every checksum is exact,
+/// so a rebuilt entry must come back bit for bit.
+Matrix<double> integer_storage(index_t n) {
+  Matrix<double> a(n, n);
+  for (index_t c = 0; c < n; ++c)
+    for (index_t r = 0; r < n; ++r) a(r, c) = static_cast<double>((7 * r + 3 * c) % 13 - 6);
+  return a;
+}
+
 TEST(QProtect, CleanStorageVerifies) {
   Matrix<double> a = factored(40, 1);
   QProtector qp = protect_all(a.cview(), 8);
   EXPECT_EQ(qp.committed_columns(), 39);
-  const auto res = qp.verify_and_correct(a.view(), 39, 1e-10);
-  EXPECT_EQ(res.corrections, 0);
-  EXPECT_LT(res.max_row_gap, 1e-12);
-  EXPECT_LT(res.max_col_gap, 1e-12);
+  Discrepancy d;
+  EXPECT_EQ(qp.verify_and_correct(a.view(), 39, 1e-12, &d), 0);
+  EXPECT_TRUE(d.clean()) << "every line gap stays within 1e-12";
 }
 
 TEST(QProtect, SingleCorruptionLocatedAndFixed) {
@@ -47,8 +57,7 @@ TEST(QProtect, SingleCorruptionLocatedAndFixed) {
   Matrix<double> clean(a.cview());
   QProtector qp = protect_all(a.cview(), 8);
   a(20, 5) += 3.0;  // a v-entry: row 20 > 5+1
-  const auto res = qp.verify_and_correct(a.view(), 39, 1e-8);
-  EXPECT_EQ(res.corrections, 1);
+  EXPECT_EQ(qp.verify_and_correct(a.view(), 39, 1e-8), 1);
   EXPECT_LT(max_abs_diff(a.cview(), clean.cview()), 1e-10);
 }
 
@@ -58,8 +67,7 @@ TEST(QProtect, TwoCorruptionsDistinctMagnitudes) {
   QProtector qp = protect_all(a.cview(), 8);
   a(30, 4) += 2.0;
   a(41, 17) += -5.0;
-  const auto res = qp.verify_and_correct(a.view(), 47, 1e-8);
-  EXPECT_EQ(res.corrections, 2);
+  EXPECT_EQ(qp.verify_and_correct(a.view(), 47, 1e-8), 2);
   EXPECT_LT(max_abs_diff(a.cview(), clean.cview()), 1e-10);
 }
 
@@ -71,12 +79,56 @@ TEST(QProtect, EqualMagnitudeRectangleAmbiguous) {
   EXPECT_THROW(qp.verify_and_correct(a.view(), 47, 1e-8), recovery_error);
 }
 
-TEST(QProtect, SameRowErrorsUnrecoverable) {
+TEST(QProtect, SameRowErrorsRecoveredFromColumnDeltas) {
+  // One flagged row (the summed delta) and two flagged columns: each
+  // column's own delta is its element's correction (ft::locate's
+  // line-confined rule).
   Matrix<double> a = factored(48, 5);
+  Matrix<double> clean(a.cview());
   QProtector qp = protect_all(a.cview(), 8);
   a(40, 4) += 2.0;
   a(40, 17) += 3.0;
-  EXPECT_THROW(qp.verify_and_correct(a.view(), 47, 1e-8), recovery_error);
+  EXPECT_EQ(qp.verify_and_correct(a.view(), 47, 1e-8), 2);
+  EXPECT_LT(max_abs_diff(a.cview(), clean.cview()), 1e-10);
+}
+
+TEST(QProtect, NaNAndInfEntriesRebuiltExactly) {
+  // abs(NaN) > tol is false: a NaN entry must still be located, and both
+  // kinds rebuilt from the orthogonal code, here exactly.
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                              -std::numeric_limits<double>::infinity()}) {
+    Matrix<double> a = integer_storage(32);
+    Matrix<double> clean(a.cview());
+    QProtector qp = protect_all(a.cview(), 8);
+    a(20, 5) = poison;
+    Discrepancy d;
+    EXPECT_EQ(qp.verify_and_correct(a.view(), 31, 1e-8, &d), 1) << poison;
+    EXPECT_EQ(d.nonfinite, 2) << "row 20 and column 5";
+    EXPECT_EQ(a(20, 5), clean(20, 5)) << poison;
+    EXPECT_EQ(max_abs_diff(a.cview(), clean.cview()), 0.0) << poison;
+  }
+}
+
+TEST(QProtect, NonFiniteEntriesInOneColumnRebuiltFromTheirRows) {
+  Matrix<double> a = integer_storage(32);
+  Matrix<double> clean(a.cview());
+  QProtector qp = protect_all(a.cview(), 8);
+  a(12, 3) = std::numeric_limits<double>::quiet_NaN();
+  a(29, 3) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(qp.verify_and_correct(a.view(), 31, 1e-8), 2);
+  EXPECT_EQ(max_abs_diff(a.cview(), clean.cview()), 0.0);
+}
+
+TEST(QProtect, NonFiniteRectangleIsUnrecoverable) {
+  // Two NaN entries in different rows and columns poison both codes of
+  // both lines: nothing is left to rebuild from.
+  Matrix<double> a = integer_storage(32);
+  QProtector qp = protect_all(a.cview(), 8);
+  a(12, 3) = std::numeric_limits<double>::quiet_NaN();
+  a(29, 17) = std::numeric_limits<double>::quiet_NaN();
+  Discrepancy d;
+  EXPECT_THROW(qp.verify_and_correct(a.view(), 31, 1e-8, &d), recovery_error);
+  EXPECT_EQ(d.nonfinite, 4);
 }
 
 TEST(QProtect, UncommittedPanelNotDoubleCounted) {
@@ -116,8 +168,7 @@ TEST(QProtect, SubdiagonalBetaNotProtected) {
   Matrix<double> a = factored(32, 8);
   QProtector qp = protect_all(a.cview(), 8);
   a(5, 4) += 10.0;  // subdiagonal: H data
-  const auto res = qp.verify_and_correct(a.view(), 31, 1e-8);
-  EXPECT_EQ(res.corrections, 0);
+  EXPECT_EQ(qp.verify_and_correct(a.view(), 31, 1e-8), 0);
 }
 
 }  // namespace

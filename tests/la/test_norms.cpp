@@ -110,6 +110,26 @@ TEST(Diff, MaxAbsDiffAndCount) {
   EXPECT_EQ(count_diff(a.cview(), b.cview(), 1.0), 1);
 }
 
+TEST(Norms, MaxAbsDiffSeesNaNOnEitherSide) {
+  // std::max(best, NaN) keeps best: a NaN difference must win instead, or
+  // a `<= tol` correctness check passes a NaN output.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool left : {true, false}) {
+    for (const index_t at : {0, 57, 99}) {
+      Matrix<double> a = random_matrix(10, 10, 7);
+      Matrix<double> b(a.cview());
+      b(9, 9) += 3.0;
+      (left ? a : b)(at % 10, at / 10) = nan;
+      EXPECT_TRUE(std::isnan(max_abs_diff(a.cview(), b.cview()))) << left << " " << at;
+    }
+  }
+  Matrix<double> a = random_matrix(4, 4, 8);
+  Matrix<double> b(a.cview());
+  b(1, 2) = inf;
+  EXPECT_EQ(max_abs_diff(a.cview(), b.cview()), inf) << "an Inf difference already wins";
+}
+
 TEST(Norms, TriangleInequalityProperty) {
   Matrix<double> a = random_matrix(20, 20, 5);
   Matrix<double> b = random_matrix(20, 20, 6);
