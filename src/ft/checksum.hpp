@@ -32,6 +32,18 @@ struct FreshSums {
 FreshSums finished_sums(MatrixView<const double> host_a, index_t i);
 void add_trailing_sums(MatrixView<const double> ext, index_t i, FreshSums& sums);
 
+/// Fresh logical line sums and the two maintained codes they are checked
+/// against, all of length n: what every FT driver's location reads. The
+/// row slot holds the row sums and their code (the checksum column), the
+/// column slot the column sums and theirs (the checksum row). ft_sytrd has
+/// no column code: its plain code A·e rides in the row slot and its
+/// weighted code A·ω in the column slot.
+struct LineSums {
+  FreshSums fresh;
+  std::vector<double> row_code;
+  std::vector<double> col_code;
+};
+
 /// Indices (and fresh−maintained deltas) where the recomputed sums diverge
 /// from the maintained checksums by more than `tol`.
 struct Discrepancy {

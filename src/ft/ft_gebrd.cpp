@@ -65,7 +65,7 @@ class FtGebrdDriver {
         d_res_(dev, n_, 1, "gebrd.ft.d_res"),
         d_sums_(dev, std::max<index_t>(opt.nb, 1), 4, "gebrd.ft.d_sums"),
         d_pc_(dev, n_, 2, "gebrd.ft.d_pc"),
-        d_fresh_(dev, n_, 1, "gebrd.ft.d_fresh"),
+        d_fresh_(dev, n_, 2, "gebrd.ft.d_fresh"),
         x_host_(n_, std::max<index_t>(opt.nb, 1)),
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
         u_host_(n_, 1),
@@ -308,7 +308,7 @@ class FtGebrdDriver {
     return true;
   }
 
-  // -- fresh_sums() hooks: row sums (col == false) or column sums. ---------
+  // -- line_sums() hooks: row sums (col == false) or column sums. ----------
   /// Finished row/column r: bidiagonal entries from the host matrix.
   double finished_sum(index_t r, bool col) const {
     return col ? a_(r, r) + (r > 0 ? a_(r - 1, r) : 0.0)
@@ -318,7 +318,7 @@ class FtGebrdDriver {
   void fresh_product(index_t i2, index_t tn, bool col) {
     hybrid::gemv_async(s_, col ? Trans::Yes : Trans::No, 1.0, d_a_.block(i2, i2, tn, tn),
                        d_ones_.view().col(0).sub(0, tn), 0.0,
-                       d_fresh_.view().col(0).sub(0, tn));
+                       d_fresh_.view().col(col ? 1 : 0).sub(0, tn));
   }
 
   /// The superdiagonal entry B(i2−1, i2) belongs to trailing column i2 but
@@ -390,25 +390,11 @@ class FtGebrdDriver {
   }
 
   // -- locate_repair.inc hooks (Section IV-F). -----------------------------
-  LineSums line_sums(index_t i) {
-    return {{fresh_sums(i, false), fresh_sums(i, true)}, fetch_chk(false), fetch_chk(true)};
-  }
-
-  void write_code(bool second, index_t k, double v) {
-    auto code = second ? d_chk2_.view() : d_chk1_.view();
-    s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(code)),
-               [code, k, v] { code.in_task()(k, 0) = v; });
-  }
-
-  // A general matrix has no grand total to keep.
-  static int repair_corner(const std::vector<double>& /*col_code*/) { return 0; }
-
-  // FtEvent.errors names every element touched, rebuilt ones with delta 0.
-  static constexpr bool kListsRebuilt = true;
+  LocateResult match(const LineSums& s) const { return locate(s, line_tol_); }
 
   // Finished rows hold P's Householder storage; finished columns hold Q's;
-  // the bidiagonal band itself is host data too.
-  static bool place_fault(index_t row, index_t col, index_t i_next) {
+  // the bidiagonal band itself is host data too. Nothing to fold.
+  static bool place_fault(index_t& row, index_t& col, index_t i_next) {
     return row >= i_next && col >= i_next;
   }
 
@@ -443,9 +429,9 @@ class FtGebrdDriver {
     }
     {
       const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
-      ladder_.verify_q(qp_v_, a_, scale_max_);
+      ladder_.verify_q(qp_v_, a_);
       // Copy any P corrections back to the row storage.
-      if (ladder_.verify_q(qp_u_, at_mirror_.view(), scale_max_) > 0) {
+      if (ladder_.verify_q(qp_u_, at_mirror_.view()) > 0) {
         for (index_t r = 0; r + 1 < n_; ++r)
           for (index_t c = r + 2; c < n_; ++c) a_(r, c) = at_mirror_(c, r);
       }

@@ -102,7 +102,10 @@ class FtDriver {
 #include "ft/locate_repair.inc"
 
   // Finished columns are host data; the trailing ones live on the device.
-  static bool place_fault(index_t /*row*/, index_t col, index_t i_next) { return col >= i_next; }
+  // Nothing to fold.
+  static bool place_fault(index_t& /*row*/, index_t& col, index_t i_next) {
+    return col >= i_next;
+  }
   DMatrixView<double> device_matrix() { return d_e_.view(); }
 
   // -- Algorithm 3 line 2: encode the matrix on the device. ----------------
@@ -432,16 +435,22 @@ class FtDriver {
     return s;
   }
 
-  void verify_chkrow_checkpoint(index_t i, index_t ib) {
-    Matrix<double> ref(1, ib);
+  /// The device's maintained checksum-row segment over the panel columns
+  /// i..i+ib−1, read into the 1×ib host row `out` by a raw task (not a
+  /// copy_* transfer, so not fault-eligible).
+  void read_chkrow(index_t i, index_t ib, MatrixView<double> out) {
     auto e = d_e_.view();
-    auto rv = ref.view();
-    s_.enqueue("ft.chkrow_readback", FTH_TASK_EFFECTS(FTH_READS(e) FTH_WRITES(rv)),
-                [e, rv, i, ib, n = n_]() mutable {
+    s_.enqueue("ft.chkrow_readback", FTH_TASK_EFFECTS(FTH_READS(e) FTH_WRITES(out)),
+                [e, out, i, ib, n = n_]() mutable {
       auto eh = e.in_task();
-      for (index_t j = 0; j < ib; ++j) rv(0, j) = eh(n, i + j);
+      for (index_t j = 0; j < ib; ++j) out(0, j) = eh(n, i + j);
     });
     s_.synchronize();
+  }
+
+  void verify_chkrow_checkpoint(index_t i, index_t ib) {
+    Matrix<double> ref(1, ib);
+    read_chkrow(i, ib, ref.view());
     ladder_.repair_from(ckpt_chkrow_.block(0, 0, 1, ib), ref.cview());
   }
 
@@ -468,14 +477,7 @@ class FtDriver {
       // it into the column code and only the orthogonal row code can still
       // see it — a documented double-fault limitation (DESIGN.md §9).
       if (!completed) {
-        auto e = d_e_.view();
-        auto cv = ckpt_chkrow_.view();
-        s_.enqueue("ft.chkrow_readback", FTH_TASK_EFFECTS(FTH_READS(e) FTH_WRITES(cv)),
-                    [e, cv, i, ib, n = n_]() mutable {
-          auto eh = e.in_task();
-          for (index_t j = 0; j < ib; ++j) cv(0, j) = eh(n, i + j);
-        });
-        s_.synchronize();
+        read_chkrow(i, ib, ckpt_chkrow_.block(0, 0, 1, ib));
       } else {
         for (index_t j = 0; j < ib; ++j) {
           double cs = 0.0;
@@ -489,6 +491,8 @@ class FtDriver {
   }
 
   // -- locate_repair.inc hooks (Section IV-F). -----------------------------
+  LocateResult match(const LineSums& s) const { return locate(s, line_tol_); }
+
   /// The finished columns summed on the host from a_, as the re-encode does;
   /// the trailing columns and both code lines read by one device task.
   LineSums line_sums(index_t i) {
@@ -556,7 +560,7 @@ class FtDriver {
         qp_.commit(qp_.compute_panel(MatrixView<const double>(a_), i, n_ - 1 - i));
       }
       const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
-      ladder_.verify_q(qp_, a_, scale_max_);
+      ladder_.verify_q(qp_, a_);
     }
     rep_.checksum_update_seconds = chk_update_seconds_;
   }

@@ -9,6 +9,7 @@
 #include "fault/fault_plane.hpp"
 #include "ft/checksum.hpp"
 #include "ft/ladder.hpp"
+#include "ft/locate.hpp"
 #include "ft/q_protect.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "la/blas1.hpp"
@@ -62,7 +63,7 @@ class FtSytrdDriver {
         d_wvec_(dev, n_, 1, "sytrd.ft.d_wvec"),
         d_sums_(dev, std::max<index_t>(opt.nb, 1), 4, "sytrd.ft.d_sums"),
         d_pc_(dev, n_, 2, "sytrd.ft.d_pc"),
-        d_fresh_(dev, n_, 1, "sytrd.ft.d_fresh"),
+        d_fresh_(dev, n_, 2, "sytrd.ft.d_fresh"),
         w_host_(n_, std::max<index_t>(opt.nb, 1)),
         v_host_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_(n_, std::max<index_t>(opt.nb, 1)),
@@ -83,6 +84,7 @@ class FtSytrdDriver {
  private:
 #include "ft/recovery_loop.inc"
 #include "ft/two_code.inc"
+#include "ft/locate_repair.inc"
 
   // The strictly upper triangle of d_a_ is never read: a strike there is
   // dead storage.
@@ -280,7 +282,7 @@ class FtSytrdDriver {
     return true;
   }
 
-  // -- fresh_sums() hooks: row sums, plain (e) or weighted (ω). -------------
+  // -- line_sums() hooks: row sums, plain (e) or weighted (ω). --------------
   static double weight(index_t c, bool weighted) {
     return weighted ? static_cast<double>(c + 1) : 1.0;
   }
@@ -298,7 +300,7 @@ class FtSytrdDriver {
     auto vec = weighted ? d_wvec_.view().col(0).sub(i2, tn)
                         : d_ones_.view().col(0).sub(0, tn);
     hybrid::symv_async(s_, Uplo::Lower, 1.0, d_a_.block(i2, i2, tn, tn), vec, 0.0,
-                       d_fresh_.view().col(0).sub(0, tn));
+                       d_fresh_.view().col(weighted ? 1 : 0).sub(0, tn));
   }
 
   /// The coupling entry e[i2−1] contributes to trailing row i2 (column i2−1).
@@ -315,14 +317,12 @@ class FtSytrdDriver {
   /// false for NaN and would wave the corruption straight through).
   Detection detect(index_t i2) {
     const obs::TimedSpan timed("ft", "detect", rep_.detect_seconds);
-    const std::vector<double> fresh = fresh_sums(i2, /*weighted=*/false);
-    const std::vector<double> chke = fetch_chk(false);
+    const LineSums s = line_sums(i2, /*both=*/false);
     double worst = 0.0;
     bool bad = false;
     bool nonfinite = false;
-    for (index_t r = 0; r < n_; ++r) {
-      const double gap = std::abs(fresh[static_cast<std::size_t>(r)] -
-                                  chke[static_cast<std::size_t>(r)]);
+    for (std::size_t r = 0; r < s.row_code.size(); ++r) {
+      const double gap = std::abs(s.fresh.row[r] - s.row_code[r]);
       if (!std::isfinite(gap)) {
         nonfinite = true;
         bad = true;
@@ -371,182 +371,11 @@ class FtSytrdDriver {
     ladder_.rederived();
   }
 
-  // -- Non-finite recovery: element reconstruction from the plain code. -----
-  // Rollback cannot cancel NaN/Inf (x + NaN − NaN stays NaN). A non-finite
-  // strike at stored element (p,q) poisons exactly the fresh sums of rows p
-  // and q (SYMV reads it for both); re-derive the element as
-  // chk_e(p) − (row-p sum with the element zeroed).
-  void reconstruct_nonfinite(const std::vector<index_t>& nf_rows, index_t i, FtEvent& ev) {
-    if (nf_rows.size() > 2) {
-      throw recovery_error(
-          "ft_sytrd: non-finite contamination spans more than one stored element");
-    }
-    const index_t p = nf_rows.back();
-    const index_t q = nf_rows.front();  // p == q → diagonal element
-    if (q >= i) {
-      auto da = d_a_.view();
-      s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(da)),
-                  [da, p, q] { da.in_task()(p, q) = 0.0; });
-      s_.synchronize();
-    } else {
-      a_(p, q) = 0.0;
-    }
-    const std::vector<double> base = fresh_sums(i, /*weighted=*/false);
-    const std::vector<double> chke = fetch_chk(false);
-    const double code = chke[static_cast<std::size_t>(p)];
-    const double rest = base[static_cast<std::size_t>(p)];
-    if (!std::isfinite(code) || !std::isfinite(rest)) {
-      throw recovery_error(
-          "ft_sytrd: non-finite damage: the code needed for element "
-          "reconstruction is itself lost");
-    }
-    const double v = code - rest;
-    if (q >= i) {
-      auto da = d_a_.view();
-      s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(da)),
-                  [da, p, q, v] { da.in_task()(p, q) = v; });
-      s_.synchronize();
-    } else {
-      a_(p, q) = v;
-    }
-    ev.errors.push_back({p, q, 0.0});
-    ++ev.reconstructions;
-    ladder_.reconstructed();
-  }
-
-  void locate_and_correct(index_t i, FtEvent& ev) {
-    obs::TraceSpan loc_span("ft", "locate");
-    std::vector<double> fresh_e = fresh_sums(i, false);
-    std::vector<double> chke = fetch_chk(false);
-
-    // Non-finite pre-pass. Data damage shows as non-finite fresh sums and
-    // is reconstructed element-wise from the plain code; non-finite
-    // checksum storage with finite fresh sums is re-encoded directly. Any
-    // residue is caught by the caller's retry loop.
-    std::vector<index_t> nf_rows;
-    for (index_t r = 0; r < n_; ++r) {
-      if (!std::isfinite(fresh_e[static_cast<std::size_t>(r)])) nf_rows.push_back(r);
-    }
-    if (!nf_rows.empty()) {
-      reconstruct_nonfinite(nf_rows, i, ev);
-      fresh_e = fresh_sums(i, false);
-    }
-    {
-      auto ce = d_chk1_.view();
-      auto cw = d_chk2_.view();
-      std::vector<double> fresh_w_nf;  // computed lazily, only if chkw is damaged
-      const std::vector<double> chkw_now = fetch_chk(true);
-      bool synced = false;
-      for (index_t r = 0; r < n_; ++r) {
-        const double fe = fresh_e[static_cast<std::size_t>(r)];
-        if (!std::isfinite(chke[static_cast<std::size_t>(r)]) && std::isfinite(fe)) {
-          s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(ce)),
-                     [ce, r, fe] { ce.in_task()(r, 0) = fe; });
-          synced = true;
-          ++ev.checksum_corrections;
-        }
-        if (!std::isfinite(chkw_now[static_cast<std::size_t>(r)])) {
-          if (fresh_w_nf.empty()) fresh_w_nf = fresh_sums(i, true);
-          const double fw = fresh_w_nf[static_cast<std::size_t>(r)];
-          if (std::isfinite(fw)) {
-            s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cw)),
-                       [cw, r, fw] { cw.in_task()(r, 0) = fw; });
-            synced = true;
-            ++ev.checksum_corrections;
-          }
-        }
-      }
-      if (synced) {
-        s_.synchronize();
-        chke = fetch_chk(false);
-      }
-    }
-
-    const std::vector<double> fresh_w = fresh_sums(i, true);
-    const std::vector<double> chkw = fetch_chk(true);
-
-    struct Flag {
-      index_t row;
-      double de, dw;
-    };
-    std::vector<Flag> flags;
-    for (index_t r = 0; r < n_; ++r) {
-      const double de = fresh_e[static_cast<std::size_t>(r)] - chke[static_cast<std::size_t>(r)];
-      const double dw = fresh_w[static_cast<std::size_t>(r)] - chkw[static_cast<std::size_t>(r)];
-      if (!std::isfinite(de) || !std::isfinite(dw)) {
-        throw recovery_error("ft_sytrd: non-finite discrepancy survived reconstruction");
-      }
-      if (std::abs(de) > threshold_ || std::abs(dw) > threshold_ * static_cast<double>(n_)) {
-        flags.push_back({r, de, dw});
-      }
-    }
-    if (flags.size() > 16) {
-      throw recovery_error("ft_sytrd: too many simultaneous discrepancies to resolve");
-    }
-
-    std::vector<bool> consumed(flags.size(), false);
-    for (std::size_t t = 0; t < flags.size(); ++t) {
-      if (consumed[t]) continue;
-      const Flag& f = flags[t];
-      if (std::abs(f.de) <= threshold_) {
-        // Weighted-only discrepancy: the chk_w element itself is corrupt.
-        // Repair by re-encoding from the fresh value.
-        auto cw = d_chk2_.view();
-        const double fw = fresh_w[static_cast<std::size_t>(f.row)];
-        s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(cw)),
-                   [cw, f, fw] { cw.in_task()(f.row, 0) = fw; });
-        s_.synchronize();
-        ++ev.checksum_corrections;
-        continue;
-      }
-      // Column from the two-code ratio: ω_q = Δw/Δe ⇒ q = ratio − 1.
-      const double ratio = f.dw / f.de;
-      const double qf = ratio - 1.0;
-      const index_t q = static_cast<index_t>(std::llround(qf));
-      if (q < 0 || q >= n_ || std::abs(qf - static_cast<double>(q)) > 0.25) {
-        // No consistent column: the chk_e element itself must be corrupt
-        // (Δw ≈ 0 handled above; an incoherent ratio with Δw ≈ 0 relative
-        // to Δe·n also lands here).
-        if (std::abs(f.dw) <= threshold_ * static_cast<double>(n_)) {
-          auto ce = d_chk1_.view();
-          const double fe = fresh_e[static_cast<std::size_t>(f.row)];
-          s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(ce)),
-                     [ce, f, fe] { ce.in_task()(f.row, 0) = fe; });
-          s_.synchronize();
-          ++ev.checksum_corrections;
-          continue;
-        }
-        throw recovery_error("ft_sytrd: discrepancy ratio does not identify a column — "
-                             "errors may share a row");
-      }
-      // Stored element in the lower triangle.
-      const index_t p = std::max(f.row, q);
-      const index_t qq = std::min(f.row, q);
-      const double delta = f.de;
-      if (qq >= i) {
-        auto da = d_a_.view();
-        s_.enqueue("ft.correct", FTH_TASK_EFFECTS(FTH_WRITES(da)),
-                   [da, p, qq, delta] { da.in_task()(p, qq) -= delta; });
-        s_.synchronize();
-      } else {
-        a_(p, qq) -= delta;  // finished (tridiagonal) region on the host
-      }
-      ev.errors.push_back({p, qq, delta});
-      ++ev.data_corrections;
-      // Off-diagonal errors flag the partner row too; mark it consumed.
-      if (q != f.row) {
-        for (std::size_t u = t + 1; u < flags.size(); ++u) {
-          if (flags[u].row == q && std::abs(flags[u].de - f.de) <=
-                                       2.0 * threshold_ + 1e-9 * std::abs(f.de)) {
-            consumed[u] = true;
-            break;
-          }
-        }
-      }
-    }
-  }
+  // -- locate_repair.inc hooks (Section IV-F). -----------------------------
+  LocateResult match(const LineSums& s) const { return locate_weighted(s, threshold_); }
 
   // Symmetric lower storage: fold the coordinates into the triangle.
+  // Finished rows and columns (the tridiagonal band) are host data.
   static bool place_fault(index_t& p, index_t& q, index_t i_next) {
     const index_t row = p;
     p = std::max(row, q);
@@ -561,34 +390,8 @@ class FtSytrdDriver {
   void final_phase(index_t i) {
     const index_t tn = n_ - i;
     copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
-    if (opt_.final_sweep) {
-      const obs::TimedSpan sweep = ladder_.final_sweep();
-      // Sweep both codes so a strike on the weighted vector (invisible to
-      // the plain-code online check) is still found and repaired here.
-      const std::vector<double> fresh_e = fresh_sums(i, false);
-      const std::vector<double> fresh_w = fresh_sums(i, true);
-      const std::vector<double> chke = fetch_chk(false);
-      const std::vector<double> chkw = fetch_chk(true);
-      bool bad = false;
-      for (index_t r = 0; r < n_ && !bad; ++r) {
-        const double ge = std::abs(fresh_e[static_cast<std::size_t>(r)] -
-                                   chke[static_cast<std::size_t>(r)]);
-        const double gw = std::abs(fresh_w[static_cast<std::size_t>(r)] -
-                                   chkw[static_cast<std::size_t>(r)]);
-        // NaN-safe: a non-finite gap must trigger the sweep.
-        bad = !(ge <= threshold_) || !(gw <= threshold_ * static_cast<double>(n_));
-      }
-      if (bad) {
-        FtEvent ev;
-        try {
-          locate_and_correct(i, ev);
-        } catch (const recovery_error& e) {
-          ladder_.abandon_final_sweep(e.what());
-        }
-        ladder_.swept(ev);
-        copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
-      }
-    }
+    if (opt_.final_sweep && sweep(i))
+      copy_d2h(s_, d_a_.block(i, i, tn, tn), a_.block(i, i, tn, tn));
 
     {
       const obs::TimedSpan finish("hybrid", "finish", st_.finish_seconds, "col",
@@ -605,7 +408,7 @@ class FtSytrdDriver {
     }
     {
       const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
-      ladder_.verify_q(qp_, a_, scale_max_);
+      ladder_.verify_q(qp_, a_);
     }
 
     // Single source of truth: extract d and e from the (possibly repaired)

@@ -174,10 +174,13 @@ void RecoveryLadder::book_corrections(const FtEvent& ev) {
       .add(static_cast<std::uint64_t>(ev.checksum_corrections));
 }
 
-int RecoveryLadder::verify_q(const QProtector& qp, MatrixView<double> a, double scale_max) {
-  // Section IV-E's tolerance: 1e3·eps·n times the input's largest entry.
-  const double tol =
-      1e3 * eps<double>() * static_cast<double>(a.rows()) * std::max(1.0, scale_max);
+int RecoveryLadder::verify_q(const QProtector& qp, MatrixView<double> a) {
+  // Section IV-E's tolerance, 1e3·eps·n, with no input scale: Householder
+  // storage does not scale with A. larfg stores v = x / (α − β) with
+  // |α − β| ≥ ‖x‖, so every stored |vᵢ| ≤ 1 whatever max|A| is, and a
+  // code over n such entries rounds off by O(eps·n). Scaling the tolerance
+  // by max|A| let a +1.0 strike on the storage through at max|A| = 2^60.
+  const double tol = 1e3 * eps<double>() * static_cast<double>(a.rows());
   Discrepancy disc;
   int corrections = 0;
   try {

@@ -165,7 +165,7 @@ class RecoveryLadder {
   /// their number. A pattern the Q codes cannot repair aborts the run like
   /// the data codes' — NonfiniteDamage when a Q delta was non-finite,
   /// AmbiguousPattern otherwise.
-  int verify_q(const QProtector& qp, MatrixView<double> a, double scale_max);
+  int verify_q(const QProtector& qp, MatrixView<double> a);
 
   /// Clean means NOTHING fired: a run that survived only because a
   /// checkpoint was re-derived, a non-finite element reconstructed, or a

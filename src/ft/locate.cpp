@@ -187,4 +187,104 @@ LocateResult locate(const Discrepancy& d, const FreshSums& fresh, double tol) {
   return out;
 }
 
+LocateResult locate(const LineSums& s, double tol) {
+  return locate(compare_checksums(s.fresh, s.row_code, s.col_code, tol), s.fresh, tol);
+}
+
+LocateResult locate_weighted(const LineSums& s, double tol) {
+  const std::vector<double>& fresh_e = s.fresh.row;
+  const std::vector<double>& fresh_w = s.fresh.col;
+  const std::size_t n = fresh_e.size();
+  const double wtol = tol * static_cast<double>(n);
+  LocateResult out;
+
+  // Rollback cannot cancel NaN/Inf. A non-finite stored element (p, q)
+  // poisons exactly the fresh plain sums of rows p and q (the SYMV reads it
+  // for both): rebuild it from the plain code; the repair's next pass
+  // matches whatever else is left.
+  std::vector<index_t> nf_rows;
+  for (std::size_t r = 0; r < n; ++r)
+    if (!std::isfinite(fresh_e[r])) nf_rows.push_back(static_cast<index_t>(r));
+  if (!nf_rows.empty()) {
+    if (nf_rows.size() > 2) {
+      throw recovery_error(
+          "ft_sytrd: non-finite contamination spans more than one stored element");
+    }
+    // p == q: a diagonal element.
+    out.reconstructions.push_back({nf_rows.back(), nf_rows.front(), /*use_row_code=*/true});
+    return out;
+  }
+
+  // Non-finite code storage with a finite fresh sum: re-encode the entry,
+  // and match the rest against the rewritten codes.
+  std::vector<double> chke = s.row_code;
+  std::vector<double> chkw = s.col_code;
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = static_cast<index_t>(r);
+    if (!std::isfinite(chke[r]) && std::isfinite(fresh_e[r])) {
+      chke[r] = fresh_e[r];
+      out.chk_col_errors.push_back({row, fresh_e[r]});
+    }
+    if (!std::isfinite(chkw[r]) && std::isfinite(fresh_w[r])) {
+      chkw[r] = fresh_w[r];
+      out.chk_row_errors.push_back({row, fresh_w[r]});
+    }
+  }
+
+  struct Flag {
+    index_t row;
+    double de, dw;
+  };
+  std::vector<Flag> flags;
+  for (std::size_t r = 0; r < n; ++r) {
+    const double de = fresh_e[r] - chke[r];
+    const double dw = fresh_w[r] - chkw[r];
+    if (!std::isfinite(de) || !std::isfinite(dw)) {
+      throw recovery_error("ft_sytrd: non-finite discrepancy survived reconstruction");
+    }
+    if (std::abs(de) > tol || std::abs(dw) > wtol) flags.push_back({static_cast<index_t>(r), de, dw});
+  }
+  if (flags.size() > 16) {
+    throw recovery_error("ft_sytrd: too many simultaneous discrepancies to resolve");
+  }
+
+  std::vector<bool> consumed(flags.size(), false);
+  for (std::size_t t = 0; t < flags.size(); ++t) {
+    if (consumed[t]) continue;
+    const Flag& f = flags[t];
+    const auto r = static_cast<std::size_t>(f.row);
+    if (std::abs(f.de) <= tol) {
+      // Weighted-only discrepancy: the weighted code entry itself is corrupt.
+      out.chk_row_errors.push_back({f.row, fresh_w[r]});
+      continue;
+    }
+    // Column from the two-code ratio: ω_q = Δw/Δe ⇒ q = ratio − 1.
+    const double qf = f.dw / f.de - 1.0;
+    const index_t q = static_cast<index_t>(std::llround(qf));
+    if (q < 0 || q >= static_cast<index_t>(n) || std::abs(qf - static_cast<double>(q)) > 0.25) {
+      // No consistent column: with Δw within its tolerance the plain code
+      // entry itself is corrupt.
+      if (std::abs(f.dw) <= wtol) {
+        out.chk_col_errors.push_back({f.row, fresh_e[r]});
+        continue;
+      }
+      throw recovery_error("ft_sytrd: discrepancy ratio does not identify a column — "
+                           "errors may share a row");
+    }
+    // The stored element sits in the lower triangle.
+    out.data_errors.push_back({std::max(f.row, q), std::min(f.row, q), f.de});
+    // An off-diagonal error flags its partner row too; consume it.
+    if (q != f.row) {
+      for (std::size_t u = t + 1; u < flags.size(); ++u) {
+        if (flags[u].row == q &&
+            std::abs(flags[u].de - f.de) <= 2.0 * tol + 1e-9 * std::abs(f.de)) {
+          consumed[u] = true;
+          break;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace fth::ft

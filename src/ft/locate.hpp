@@ -58,4 +58,25 @@ struct LocateResult {
 /// per mismatched row and column.
 LocateResult locate(const Discrepancy& d, const FreshSums& fresh, double tol);
 
+/// The row/column codes' matcher (ft_gehrd, ft_gebrd): compare_checksums,
+/// then locate, at one tolerance.
+LocateResult locate(const LineSums& s, double tol);
+
+/// ft_sytrd's matcher: a symmetric matrix has one line kind, so its two
+/// codes are both row sums, plain (A·e, the row slot) and weighted by
+/// column position (A·ω with ω_c = c + 1, the column slot). An error δ at
+/// stored element (p, q) shows in rows p and q with plain delta δ and
+/// weighted delta δ·ω of the other index, so Δw/Δe names the column.
+/// Rules, in order:
+///  * non-finite fresh plain sums are data damage: one rebuild target from
+///    the plain code at the (folded) element their rows name; more than two
+///    such rows throw;
+///  * a non-finite code entry with a finite fresh sum is rewritten from it;
+///  * a row flags when |Δe| > tol or |Δw| > tol·n; a weighted-only flag is
+///    a corrupt weighted entry, a ratio that names no column with a small
+///    Δw a corrupt plain entry, otherwise the ratio's element is corrected
+///    by Δe and its partner row consumed. More than 16 flags, a non-finite
+///    delta, or a ratio that names no column with a large Δw throw.
+LocateResult locate_weighted(const LineSums& s, double tol);
+
 }  // namespace fth::ft

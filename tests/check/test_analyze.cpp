@@ -897,12 +897,12 @@ TEST(AnalyzeSeeded, DeletingEachOrderingEdgeIsCaughtAtTheAccessSite) {
 }
 
 TEST(AnalyzeSeeded, AHostWriteInTheSharedFreshSumsIsCaughtFromEveryIncludingTu) {
-  // Seeded inside the two-code fragment: the host write races the seg_
-  // re-encode h2d a re-executed iteration leaves in flight when the
-  // recovery loop comes round to detect() again. Each TU that includes
+  // Seeded inside the two-code fragment's one reader: the host write races
+  // the seg_ re-encode h2d a re-executed iteration leaves in flight when
+  // the recovery loop comes round to detect() again. Each TU that includes
   // the fragment reports it once, at the fragment line.
   const char* const frag = "src/ft/two_code.inc";
-  const std::string head = "std::vector<double> fresh_sums(index_t i2, bool second) {";
+  const std::string head = "LineSums line_sums(index_t i2, bool both = true) {";
   const FragmentLoader seeded =
       repo_fragments({{frag, replaced(repo_file(frag), head, head + " seg_(0, 0) = 0.0;")}});
   for (const char* tu : {"src/ft/ft_sytrd.cpp", "src/ft/ft_gebrd.cpp"}) {

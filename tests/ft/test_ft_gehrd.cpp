@@ -310,6 +310,7 @@ TEST(FtGehrd, GradedMatrixThresholdStillClean) {
   FtReport rep;
   ft_gehrd(dev, a.view(), tau_view(tau), {.nb = nb}, nullptr, &rep);
   EXPECT_EQ(rep.detections, 0);
+  EXPECT_EQ(rep.q_corrections, 0) << "the Q tolerance must not fire on graded data either";
   EXPECT_LT(rep.max_fault_free_gap, rep.threshold);
 }
 

@@ -2,11 +2,13 @@
 // to the hybrid drivers' nx = nb crossover (ft_blocked_panel), then the
 // unblocked host routine on the trailing block; at n ≤ nb + 1 the host
 // routine alone. Covers all three drivers at the sizes around the
-// crossover, for two block sizes.
+// crossover, for two block sizes, and the two-code drivers' host drains
+// per check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "lapack/orghr.hpp"
 #include "lapack/sytrd.hpp"
 #include "lapack/verify.hpp"
+#include "obs/dag.hpp"
 #include "test_utils.hpp"
 
 namespace fth::ft {
@@ -298,6 +301,61 @@ TEST(FtLastBoundaryCheck, AmortizedDetectionStillChecksTheLastDeviceBoundary) {
     EXPECT_EQ(o.rep.outcome.status, RecoveryStatus::Recovered);
     EXPECT_LT(max_diff(o, clean), 1e-9);
   }
+}
+
+// One drain per check: every boundary's detection and the final sweep read
+// their fresh line sums and both codes through one reader task
+// (two_code.inc's line_sums, labelled "ft.line_sums") under one
+// synchronize. The DAG names each wait's call site and the task it waited
+// on, so a second drain at any check shows as a count above the checks.
+TEST(FtDrains, EachCheckOfACleanTwoCodeRunDrainsOnce) {
+  const index_t n = 128, nb = 32;
+  const index_t checks = ft_total_boundaries(n, nb) + 1;  // the boundaries + the final sweep
+  hybrid::Device dev;
+  for (const Algo algo : {Algo::Sytrd, Algo::Gebrd}) {
+    SCOPED_TRACE(name(algo));
+    const Matrix<double> a0 = input(algo, n);
+    obs::dag::start();
+    const Out o = reduce(dev, algo, Path::Ft, a0, nb);
+    const obs::dag::Graph g = obs::dag::stop();
+    ASSERT_EQ(o.rep.outcome.status, RecoveryStatus::Clean);
+
+    index_t readers = 0;
+    std::map<std::string, index_t> waits_by_site;
+    std::map<std::string, index_t> reader_waits_by_site;  // in the fragment
+    for (const auto& nd : g.nodes) {
+      if (nd.kind == obs::dag::NodeKind::Task && nd.label == "ft.line_sums") ++readers;
+      if (nd.kind != obs::dag::NodeKind::Wait) continue;
+      ++waits_by_site[nd.site];
+      if (nd.cause >= 0 && g.nodes[static_cast<std::size_t>(nd.cause)].label == "ft.line_sums" &&
+          nd.site.find("two_code.inc:") != std::string::npos)
+        ++reader_waits_by_site[nd.site];
+    }
+    EXPECT_EQ(readers, checks) << "one readback task per check";
+    ASSERT_EQ(reader_waits_by_site.size(), 1u) << "one call site drains the reader";
+    const auto& [site, drains] = *reader_waits_by_site.begin();
+    EXPECT_EQ(drains, checks) << site;
+    EXPECT_EQ(waits_by_site[site], checks) << site << " drains only the reader";
+  }
+}
+
+// sytrd's online check reads the plain code alone: the reader skips the
+// weighted product there. A clean run makes two SYMVs to encode, one per
+// panel column, one per boundary and two in the final sweep.
+TEST(FtDrains, SytrdOnlineCheckAddsNoWeightedSymv) {
+  const index_t n = 128, nb = 32;
+  hybrid::Device dev;
+  const Matrix<double> a0 = input(Algo::Sytrd, n);
+  obs::dag::start();
+  const Out o = reduce(dev, Algo::Sytrd, Path::Ft, a0, nb);
+  const obs::dag::Graph g = obs::dag::stop();
+  ASSERT_EQ(o.rep.outcome.status, RecoveryStatus::Clean);
+  index_t symv = 0;
+  for (const auto& nd : g.nodes)
+    if (nd.kind == obs::dag::NodeKind::Task && nd.label == "dev.symv") ++symv;
+  const index_t boundaries = ft_total_boundaries(n, nb);
+  const index_t panel_columns = boundaries * nb;  // 128 = 4·nb: every blocked panel is full
+  EXPECT_EQ(symv, 2 + panel_columns + boundaries + 2);
 }
 
 }  // namespace

@@ -362,5 +362,75 @@ TEST(InFlight, GebrdChecksumStrike) {
   expect_recovers(&run_gebrd, a0, f, "gebrd checksum strike");
 }
 
+// ---- sytrd / gebrd: struck checkpoints are re-derived --------------------
+// Direct versions of the campaigns' checkpoint-strike and transfer-strike
+// classes, so the re-derivation paths stay covered wherever a campaign's
+// draws land.
+
+/// A strike on the host panel checkpoint of iteration 0, plus a bounded
+/// trailing strike in the same iteration: the rollback it triggers must
+/// find the checkpoint's seal broken and re-derive it.
+void expect_checkpoint_rederived(Runner run, const Matrix<double>& a0, const char* what) {
+  const Matrix<double> clean = run(a0, nullptr, nullptr).a;
+  fault::FaultPlane plane(0xBADCull);
+  fault::InFlightFault f;
+  f.when = fault::When::StreamTask;
+  f.surface = fault::Surface::Checkpoint;
+  f.kind = fault::FaultKind::ExponentFlip;
+  f.countdown = 1;  // retries until iteration 0's checkpoint exists, then fires
+  f.min_impact = 1.0;
+  plane.arm(f);
+  fault::InFlightFault g = trailing_fault(fault::FaultKind::ExponentFlip, 2, 0.1);
+  g.bit = 52;  // bounded: an overflow-to-Inf cross is unrecoverable by design
+  plane.arm(g);
+
+  const RunResult faulty = run(a0, &plane, nullptr);
+  EXPECT_TRUE(plane.all_fired()) << what;
+  EXPECT_GE(faulty.rep.detections, 1) << what;
+  EXPECT_GE(faulty.rep.ckpt_rederivations, 1)
+      << what << ": corrupted checkpoint restored without re-derivation";
+  EXPECT_LT(max_abs_diff(faulty.a.cview(), clean.cview()), 1e-8) << what;
+  EXPECT_EQ(faulty.rep.outcome.status, RecoveryStatus::Recovered) << what;
+}
+
+/// A strike on a fault-eligible d2h, the code checkpoints' save: the
+/// save-time cross-check against the device's codes must re-derive it.
+void expect_transfer_strike_rederived(Runner run, const Matrix<double>& a0, const char* what) {
+  fault::FaultPlane counter(1);
+  (void)run(a0, &counter, nullptr);
+  const fault::TriggerCounts counts = counter.trigger_counts();
+  ASSERT_GT(counts.d2h, 0u) << what << ": no fault-eligible d2h transfers";
+
+  const Matrix<double> clean = run(a0, nullptr, nullptr).a;
+  fault::FaultPlane plane(0xC0FEull);
+  fault::InFlightFault f;
+  f.when = fault::When::TransferD2H;
+  f.kind = fault::FaultKind::ExponentFlip;
+  f.countdown = counts.d2h / 2 + 1;
+  f.min_impact = 1.0;
+  plane.arm(f);
+  const RunResult faulty = run(a0, &plane, nullptr);
+  EXPECT_TRUE(plane.all_fired()) << what;
+  EXPECT_GE(faulty.rep.ckpt_rederivations, 1) << what;
+  EXPECT_LT(max_abs_diff(faulty.a.cview(), clean.cview()), 1e-8) << what;
+  EXPECT_EQ(faulty.rep.outcome.status, RecoveryStatus::Recovered) << what;
+}
+
+TEST(InFlight, SytrdCheckpointStrikeIsRederived) {
+  expect_checkpoint_rederived(&run_sytrd, random_symmetric_matrix(kN, 317), "sytrd");
+}
+
+TEST(InFlight, GebrdCheckpointStrikeIsRederived) {
+  expect_checkpoint_rederived(&run_gebrd, random_matrix(kN, kN, 318), "gebrd");
+}
+
+TEST(InFlight, SytrdTransferStrikeIntoCheckpointIsRederived) {
+  expect_transfer_strike_rederived(&run_sytrd, random_symmetric_matrix(kN, 319), "sytrd");
+}
+
+TEST(InFlight, GebrdTransferStrikeIntoCheckpointIsRederived) {
+  expect_transfer_strike_rederived(&run_gebrd, random_matrix(kN, kN, 320), "gebrd");
+}
+
 }  // namespace
 }  // namespace fth::ft

@@ -5,9 +5,12 @@
 // line, or the Householder storage Q protects — the run must end
 // Recovered and match its fault-free run within the campaign tolerance.
 // The comparison is NaN-safe: max_abs_diff returns NaN for a NaN output.
+// A unit strike on the Householder storage of an input scaled by 2^60 must
+// be corrected too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -158,6 +161,47 @@ TEST_P(Rectangle, EqualStrikesOnHouseholderStorageAbortAsAmbiguous) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FtStrike, Rectangle,
+                         ::testing::Values(Algo::Gehrd, Algo::Sytrd, Algo::Gebrd), algo_name);
+
+class ScaledInput : public ::testing::TestWithParam<Algo> {};
+
+// Householder storage does not scale with the input (larfg leaves every
+// stored |vᵢ| ≤ 1), so an absolute +1.0 strike on it is a large error on
+// any input. On A scaled by 2^60 the Q verification must still find and
+// correct it; each element is compared relative to its own magnitude, as
+// the Householder entries and the reduced entries differ by 2^60.
+TEST_P(ScaledInput, UnitStrikeOnHouseholderStorageIsCorrected) {
+  const Algo algo = GetParam();
+  hybrid::Device dev;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Matrix<double> a0 = input(algo, 400 + seed);
+    for (index_t c = 0; c < kN; ++c)
+      for (index_t r = 0; r < kN; ++r) a0(r, c) = std::ldexp(a0(r, c), 60);
+    Reduction clean;
+    reduce(dev, algo, a0, nullptr, clean);
+
+    fault::FaultSpec spec;
+    spec.area = Area::QPanel;
+    spec.moment = fault::Moment::Middle;
+    spec.magnitude = 1.0;
+    spec.relative = false;
+    fault::Injector inj(spec, seed);
+    Reduction faulty;
+    reduce(dev, algo, a0, &inj, faulty);
+    ASSERT_EQ(inj.history().size(), 1u) << "seed " << seed;
+    EXPECT_EQ(faulty.rep.outcome.status, RecoveryStatus::Recovered) << "seed " << seed;
+    EXPECT_GE(faulty.rep.q_corrections, 1) << "seed " << seed;
+    for (index_t c = 0; c < kN; ++c) {
+      for (index_t r = 0; r < kN; ++r) {
+        const double want = clean.a(r, c);
+        ASSERT_LE(std::abs(faulty.a(r, c) - want), 1e-8 * std::max(1.0, std::abs(want)))
+            << "seed " << seed << " at (" << r << ", " << c << ")";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FtStrike, ScaledInput,
                          ::testing::Values(Algo::Gehrd, Algo::Sytrd, Algo::Gebrd), algo_name);
 
 }  // namespace
