@@ -532,9 +532,6 @@ class FtDriver {
     return 1;
   }
 
-  // FtEvent.errors names located deltas only.
-  static constexpr bool kListsRebuilt = false;
-
   // The finish phase: the host's unblocked reduction from column `i` on.
   void host_tail(index_t i) {
     const obs::TimedSpan finish("hybrid", "finish", st_.finish_seconds, "col",
