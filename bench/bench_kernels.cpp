@@ -2,6 +2,8 @@
 // from — useful when tuning block sizes or porting the BLAS.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "ft/checksum.hpp"
 #include "la/blas2.hpp"
 #include "la/blas3.hpp"
@@ -18,6 +20,13 @@ namespace {
 benchmark::Counter gflops(const benchmark::State& state, double flops) {
   return benchmark::Counter(flops * static_cast<double>(state.iterations()) / 1e9,
                             benchmark::Counter::kIsRate);
+}
+
+/// Time per element for `elems` elements per iteration (printed in s).
+benchmark::Counter time_per(index_t elems) {
+  return benchmark::Counter(static_cast<double>(elems),
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
 }
 
 void BM_gemm(benchmark::State& state) {
@@ -98,6 +107,49 @@ void BM_gemv(benchmark::State& state) {
   state.counters["GFLOP/s"] = gflops(state, 2.0 * dn * dn);
 }
 BENCHMARK(BM_gemv)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
+// Column sums of an m×n block, the FT drivers' code sums: the transposed
+// gemv against a ones vector they used to take, one serial chain per
+// column, and the line-sum kernel that replaced it (same sums, same bits,
+// several columns' chains at once). At the gebrd/sytrd n = 384 and
+// gehrd n = 512 trailing blocks and the 352×32 shape of V2ᵀe.
+void BM_gemv_T_ones(benchmark::State& state) {
+  const index_t m = state.range(0);
+  const index_t n = state.range(1);
+  Matrix<double> a = random_matrix(m, n, 4);
+  std::vector<double> ones(static_cast<std::size_t>(m), 1.0);
+  std::vector<double> y(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    blas::gemv(Trans::Yes, 1.0, a.cview(), VectorView<const double>(ones.data(), m), 0.0,
+               VectorView<double>(y.data(), n));
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_elem"] = time_per(m * n);
+}
+BENCHMARK(BM_gemv_T_ones)
+    ->Args({384, 384})
+    ->Args({512, 512})
+    ->Args({352, 32})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_colsums_ones(benchmark::State& state) {
+  const index_t m = state.range(0);
+  const index_t n = state.range(1);
+  Matrix<double> a = random_matrix(m, n, 4);
+  std::vector<double> y(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    ft::sum_lines(a.cview(), ft::LineShape::full(), {}, VectorView<double>(y.data(), n));
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_elem"] = time_per(m * n);
+}
+BENCHMARK(BM_colsums_ones)
+    ->Args({384, 384})
+    ->Args({512, 512})
+    ->Args({352, 32})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_larfb(benchmark::State& state) {
   const index_t m = state.range(0);

@@ -6,7 +6,10 @@
 #include <cstdint>
 
 #include "common/error.hpp"
+#include "common/flops.hpp"
 #include "common/types.hpp"
+#include "hybrid/stream.hpp"
+#include "obs/trace.hpp"
 
 namespace fth::ft {
 
@@ -16,22 +19,155 @@ Matrix<double> encode_extended(MatrixView<const double> a) {
   Matrix<double> ext(n + 1, n + 1);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) ext(i, j) = a(i, j);
-  // Checksum column: row sums.
-  for (index_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (index_t j = 0; j < n; ++j) s += a(i, j);
-    ext(i, n) = s;
-  }
-  // Checksum row: column sums; corner: grand total.
+  // Checksum column: row sums; checksum row: column sums; corner: grand total.
+  sum_lines(a, LineShape::full(), ext.view().col(n).sub(0, n), ext.view().row(n).sub(0, n));
   double total = 0.0;
-  for (index_t j = 0; j < n; ++j) {
-    double s = 0.0;
-    for (index_t i = 0; i < n; ++i) s += a(i, j);
-    ext(n, j) = s;
-    total += s;
-  }
+  for (index_t j = 0; j < n; ++j) total += ext(n, j);
   ext(n, n) = total;
   return ext;
+}
+
+namespace {
+
+/// The rows a line-sum pass reads in column j: [j + lo, j + hi), clipped.
+struct Band {
+  index_t lo;
+  index_t hi;
+  [[nodiscard]] bool holds(index_t r, index_t j) const { return j + lo <= r && r < j + hi; }
+  [[nodiscard]] index_t length(index_t j, index_t m) const {
+    return std::max<index_t>(0, std::min(m, j + hi) - std::max<index_t>(0, j + lo));
+  }
+};
+
+/// Rows [r0, r1) of the W columns at `c`, every element selected: the hot
+/// loops. Row r adds its W elements in column order, independent of every
+/// other row, so the row pass vectorizes over rows.
+template <int W>
+void add_rows(const double* c, index_t ld, index_t r0, index_t r1, double* y) {
+  for (index_t r = r0; r < r1; ++r) {
+    double yr = y[r];
+#pragma GCC unroll 8
+    for (int k = 0; k < W; ++k) yr += c[r + k * ld];
+    y[r] = yr;
+  }
+}
+
+/// Column k's chain s[k] adds its rows in row order. A chain is serial,
+/// but the W chains are independent and overlap in the pipeline; four
+/// measured fastest on an AVX-512 Xeon (0.28 ns per element at 384²,
+/// against 0.33 for eight).
+template <int W>
+void add_cols(const double* c, index_t ld, index_t r0, index_t r1, double* s) {
+  double acc[W];
+  for (int k = 0; k < W; ++k) acc[k] = s[k];
+  for (index_t r = r0; r < r1; ++r) {
+#pragma GCC unroll 4
+    for (int k = 0; k < W; ++k) acc[k] += c[r + k * ld];
+  }
+  for (int k = 0; k < W; ++k) s[k] = acc[k];
+}
+
+/// Rows [r0, r1) of the w columns from column j0, where the bands select
+/// only some elements: the same two orders, element by element.
+void sum_edge(const double* c, index_t ld, index_t r0, index_t r1, index_t j0, index_t w,
+              Band rb, Band cb, double* y, double* s) {
+  for (index_t r = r0; r < r1; ++r) {
+    double yr = y != nullptr ? y[r] : 0.0;
+    for (index_t k = 0; k < w; ++k) {
+      const double v = c[r + k * ld];
+      if (y != nullptr && rb.holds(r, j0 + k)) yr += v;
+      if (s != nullptr && cb.holds(r, j0 + k)) s[k] += v;
+    }
+    if (y != nullptr) y[r] = yr;
+  }
+}
+
+/// Columns j0..j0+W−1 of an m-row block: the ragged rows at the band's
+/// edges element by element, the rows every column reads in the hot loop.
+template <int W>
+void sum_block(const double* c, index_t ld, index_t m, index_t j0, Band rb, Band cb,
+               double* y, double* s) {
+  const index_t jl = j0 + W - 1;
+  const index_t any0 = std::max<index_t>(0, j0 + std::min(rb.lo, cb.lo));
+  const index_t any1 = std::min(m, jl + std::max(rb.hi, cb.hi));
+  const index_t all0 = std::max<index_t>(0, jl + std::max(rb.lo, cb.lo));
+  const index_t all1 = std::min(m, j0 + std::min(rb.hi, cb.hi));
+  if (all0 >= all1) {
+    sum_edge(c, ld, any0, any1, j0, W, rb, cb, y, s);
+    return;
+  }
+  sum_edge(c, ld, any0, all0, j0, W, rb, cb, y, s);
+  // The two sums of the hot rows are separate passes over columns still
+  // in cache; neither pass changes the other's order.
+  if (s != nullptr) {
+    constexpr int kChains = W < 4 ? W : 4;
+    for (int k = 0; k < W; k += kChains) add_cols<kChains>(c + k * ld, ld, all0, all1, s + k);
+  }
+  if (y != nullptr) add_rows<W>(c, ld, all0, all1, y);
+  sum_edge(c, ld, all1, any1, j0, W, rb, cb, y, s);
+}
+
+}  // namespace
+
+void sum_lines(MatrixView<const double> a, LineShape shape, VectorView<double> row,
+               VectorView<double> col) {
+  const index_t m = a.rows();
+  const index_t n = a.cols();
+  FTH_CHECK(row.empty() || (row.size() == m && row.inc() == 1),
+            "sum_lines: row sums must be unit-stride and as long as a column");
+  FTH_CHECK(col.empty() || col.size() == n, "sum_lines: column sums must be as long as a row");
+  FTH_CHECK(!shape.symmetric || (m == n && col.empty() && (n == 0 || !row.empty())),
+            "sum_lines: the symmetric shape takes a square block and row sums only");
+  const bool rows = !row.empty();
+  const bool cols = !col.empty() || shape.symmetric;
+  // Outside the symmetric shape both sums read the same elements; there
+  // the column sums stop short of the diagonal.
+  const Band rb{shape.lo, shape.hi};
+  const Band cb = shape.symmetric ? Band{shape.lo + 1, shape.hi} : rb;
+
+  double* y = rows ? row.data() : nullptr;
+  double* out = col.empty() ? nullptr : col.data();
+  const double* ad = a.data();
+  const index_t ld = a.ld();
+
+  std::uint64_t adds = 0;
+  for (index_t j0 = 0; j0 < n;) {
+    const index_t left = n - j0;
+    const index_t w = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
+    double s[8] = {};
+    double* chains = cols ? s : nullptr;
+    const double* c = ad + j0 * ld;
+    switch (w) {
+      case 8: sum_block<8>(c, ld, m, j0, rb, cb, y, chains); break;
+      case 4: sum_block<4>(c, ld, m, j0, rb, cb, y, chains); break;
+      case 2: sum_block<2>(c, ld, m, j0, rb, cb, y, chains); break;
+      default: sum_block<1>(c, ld, m, j0, rb, cb, y, chains); break;
+    }
+    for (index_t k = 0; k < w; ++k) {
+      const index_t j = j0 + k;
+      if (rows) adds += static_cast<std::uint64_t>(rb.length(j, m));
+      if (cols) adds += static_cast<std::uint64_t>(cb.length(j, m));
+      if (out != nullptr) out[j * col.inc()] = s[k];
+      // symv(Lower, ones): the column below the diagonal joins its row
+      // once the row itself is complete.
+      if (shape.symmetric) {
+        y[j] += s[k];
+        ++adds;
+      }
+    }
+    j0 += w;
+  }
+  flops::add(adds);
+}
+
+void sum_lines_async(hybrid::Stream& s, DMatrixView<const double> a, LineShape shape,
+                     DVectorView<double> row, DVectorView<double> col) {
+  s.enqueue("dev.sum_lines", FTH_TASK_EFFECTS(FTH_READS(a) FTH_WRITES(row, col)), [=] {
+    obs::TraceSpan span("dev_blas", "sum_lines");
+    const VectorView<double> y = row.empty() ? VectorView<double>() : row.in_task();
+    for (index_t r = 0; r < y.size(); ++r) y[r] = 0.0;
+    sum_lines(a.in_task(), shape, y, col.empty() ? VectorView<double>() : col.in_task());
+  });
 }
 
 FreshSums finished_sums(MatrixView<const double> host_a, index_t i) {
@@ -41,17 +177,9 @@ FreshSums finished_sums(MatrixView<const double> host_a, index_t i) {
   FreshSums out;
   out.row.assign(static_cast<std::size_t>(n), 0.0);
   out.col.assign(static_cast<std::size_t>(n), 0.0);
-  // Finished columns: upper-Hessenberg entries only.
-  for (index_t c = 0; c < i; ++c) {
-    const index_t last = std::min(c + 1, n - 1);
-    double cs = 0.0;
-    for (index_t r = 0; r <= last; ++r) {
-      const double v = host_a(r, c);
-      out.row[static_cast<std::size_t>(r)] += v;
-      cs += v;
-    }
-    out.col[static_cast<std::size_t>(c)] = cs;
-  }
+  // Finished columns: upper-Hessenberg entries only, rows 0..c+1 of column c.
+  sum_lines(host_a.block(0, 0, n, i), LineShape::before_row(2),
+            VectorView<double>(out.row.data(), n), VectorView<double>(out.col.data(), i));
   return out;
 }
 
@@ -60,15 +188,9 @@ void add_trailing_sums(MatrixView<const double> ext, index_t i, FreshSums& sums)
   FTH_CHECK(ext.rows() >= n && ext.cols() >= n && i >= 0 && i <= n,
             "add_trailing_sums: extended matrix too small or panel start out of range");
   // Trailing columns: full height.
-  for (index_t c = i; c < n; ++c) {
-    double cs = 0.0;
-    for (index_t r = 0; r < n; ++r) {
-      const double v = ext(r, c);
-      sums.row[static_cast<std::size_t>(r)] += v;
-      cs += v;
-    }
-    sums.col[static_cast<std::size_t>(c)] = cs;
-  }
+  sum_lines(ext.block(0, i, n, n - i), LineShape::full(),
+            VectorView<double>(sums.row.data(), n),
+            VectorView<double>(sums.col.data() + i, n - i));
 }
 
 Discrepancy compare_checksums(const FreshSums& fresh, const std::vector<double>& row_code,

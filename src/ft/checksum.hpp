@@ -12,6 +12,10 @@
 
 #include "la/matrix.hpp"
 
+namespace fth::hybrid {
+class Stream;
+}
+
 namespace fth::ft {
 
 /// Build the (n+1)×(n+1) fully-encoded extension of `a` (host-side; the
@@ -31,6 +35,49 @@ struct FreshSums {
 };
 FreshSums finished_sums(MatrixView<const double> host_a, index_t i);
 void add_trailing_sums(MatrixView<const double> ext, index_t i, FreshSums& sums);
+
+/// The elements of a column-major block a line-sum pass reads: in column
+/// j, the rows r with j + lo ≤ r < j + hi, clipped to the block.
+struct LineShape {
+  static constexpr index_t kOpen = index_t{1} << 60;  ///< an unbounded side
+  index_t lo = -kOpen;
+  index_t hi = kOpen;
+  /// A symmetric matrix's stored lower triangle (square blocks only): each
+  /// stored element counts in its row and in its column, as
+  /// symv(Lower, ones) counts it (see sum_lines).
+  bool symmetric = false;
+
+  static constexpr LineShape full() { return {}; }
+  /// Column j holds rows j+k and below (QProtector's column storage).
+  static constexpr LineShape from_row(index_t k) { return {k, kOpen, false}; }
+  /// Column j holds rows above j+k (finished_sums: k = 2, the upper
+  /// Hessenberg part; the row-stored Householder trapezoid).
+  static constexpr LineShape before_row(index_t k) { return {-kOpen, k, false}; }
+  static constexpr LineShape symmetric_lower() { return {0, kOpen, true}; }
+};
+
+/// The one line-sum kernel of every unit-weight code sum (DESIGN.md §15).
+/// Row sums accumulate, column sums overwrite:
+///   row[r] += a(r, j) over the selected j, in increasing j;
+///   col[j]  = 0.0 + a(r0, j) + … over the selected r, in increasing r.
+/// Either output may be empty (not taken); `row` is unit-stride, `col` may
+/// be strided. With a zeroed `row` these are exactly the sums
+/// gemv(No, ones) and gemv(Yes, ones) return, and every line keeps that
+/// order, so the bits are theirs: the speed comes from summing several
+/// columns' independent chains at once, never from reassociating a line.
+/// `symmetric_lower` takes no `col`; it adds to row[r] the stored row r
+/// (a(r, 0..r), increasing) and then the sum of the column below the
+/// diagonal (a(r+1.., r), increasing), which with a zeroed `row` is
+/// symv(Lower, ones) bit for bit. Books one flop per add.
+void sum_lines(MatrixView<const double> a, LineShape shape, VectorView<double> row,
+               VectorView<double> col);
+
+/// sum_lines as one declared-effects device task on `s` ("dev.sum_lines"):
+/// zeroes `row`, then sums into it. It takes the plain code sums the FT
+/// drivers took with gemv_async(No/Yes) and symv_async(Lower) against a
+/// ones vector, with their bits, in a task of its own as they did.
+void sum_lines_async(hybrid::Stream& s, DMatrixView<const double> a, LineShape shape,
+                     DVectorView<double> row, DVectorView<double> col);
 
 /// Fresh logical line sums and the two maintained codes they are checked
 /// against, all of length n: what every FT driver's location reads. The

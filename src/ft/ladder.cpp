@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/error.hpp"
 #include "ft/q_protect.hpp"
 #include "ft/recovery.hpp"
 #include "obs/journal.hpp"
@@ -23,16 +24,71 @@ namespace {
 
 bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
 
+constexpr int kSealLanes = 8;
+using Lanes = double __attribute__((vector_size(kSealLanes * sizeof(double))));
+
+/// One column into the eight lanes: element r goes to lane r mod 8 (the
+/// tail to lane 0) and weighs w0 + r. Never inlined, so the seal at save
+/// and every re-seal run the same instructions on the same bits.
+[[gnu::noinline]] void seal_column(const double* col, index_t rows, double w0, Lanes& plain,
+                                   Lanes& weighted) {
+  Lanes p = plain;
+  Lanes s = weighted;
+  Lanes w;
+  for (int k = 0; k < kSealLanes; ++k) w[k] = w0 + static_cast<double>(k);
+  index_t r = 0;
+  for (; r + kSealLanes <= rows; r += kSealLanes) {
+    Lanes x;
+    std::memcpy(&x, col + r, sizeof x);
+    p += x;
+    s += x * w;
+    w += static_cast<double>(kSealLanes);
+  }
+  for (; r < rows; ++r) {
+    p[0] += col[r];
+    s[0] += col[r] * (w0 + static_cast<double>(r));
+  }
+  plain = p;
+  weighted = s;
+}
+
+/// Seals the rows×cols block at `src`; with `to`, stores each column there
+/// first and seals the stored copy.
+void seal_block(const double* src, index_t src_ld, index_t rows, index_t cols, double* to,
+                index_t to_ld, double base, double stride, DualSum& sum) {
+  Lanes p = {};
+  Lanes w = {};
+  for (index_t j = 0; j < cols; ++j) {
+    const double* col = src + j * src_ld;
+    if (to != nullptr) {
+      double* stored = to + j * to_ld;
+      std::copy_n(col, rows, stored);
+      col = stored;
+    }
+    seal_column(col, rows, base + static_cast<double>(j + 1) * stride, p, w);
+  }
+  double ps = 0.0;
+  double ws = 0.0;
+  for (int k = 0; k < kSealLanes; ++k) {
+    ps += p[k];
+    ws += w[k];
+  }
+  sum.plain += ps;
+  sum.weighted += ws;
+}
+
 }  // namespace
 
 void DualSum::add_block(MatrixView<const double> m, double base, double stride) {
-  for (index_t j = 0; j < m.cols(); ++j) {
-    for (index_t r = 0; r < m.rows(); ++r) {
-      const double weight = base + static_cast<double>(r) + static_cast<double>(j + 1) * stride;
-      plain += m(r, j);
-      weighted += m(r, j) * weight;
-    }
-  }
+  seal_block(m.data(), m.ld(), m.rows(), m.cols(), nullptr, 0, base, stride, *this);
+}
+
+void DualSum::copy_block(MatrixView<const double> from, MatrixView<double> to, double base,
+                         double stride) {
+  FTH_CHECK(from.rows() == to.rows() && from.cols() == to.cols(),
+            "DualSum::copy_block: shape mismatch");
+  seal_block(from.data(), from.ld(), from.rows(), from.cols(), to.data(), to.ld(), base, stride,
+             *this);
 }
 
 bool DualSum::same_bits(const DualSum& o) const {

@@ -71,13 +71,19 @@ struct Wording {
 
 /// Plain + position-weighted integrity sums of a checkpoint, compared
 /// bitwise at restore time: any corruption of the host buffers between save
-/// and restore — including NaN, which is unequal to itself — flips at least
-/// one of them.
+/// and restore — a sign or exponent flip, a NaN or an Inf — flips at least
+/// one of them. A seal only ever meets a re-seal of the same block, so its
+/// summation order is its own: eight lanes of accumulators per block, joined
+/// in a fixed order.
 struct DualSum {
   double plain = 0.0;
   double weighted = 0.0;
   /// Adds a column-major block whose element (r, j) weighs base + r + (j+1)·stride.
   void add_block(MatrixView<const double> m, double base, double stride);
+  /// Copies `from` into `to` (same shape) and adds the copy as add_block(to)
+  /// would, in one pass: a checkpoint saved and sealed together.
+  void copy_block(MatrixView<const double> from, MatrixView<double> to, double base,
+                  double stride);
   [[nodiscard]] bool same_bits(const DualSum& o) const;
 };
 

@@ -8,7 +8,8 @@
 
 namespace fth::ft {
 
-QProtector::QProtector(index_t n, index_t row_offset) : n_(n), off_(row_offset) {
+QProtector::QProtector(index_t n, index_t row_offset, Storage storage)
+    : n_(n), off_(row_offset), rows_(storage == Storage::Rows) {
   FTH_CHECK(n >= 0, "QProtector: negative dimension");
   FTH_CHECK(row_offset >= 1, "QProtector: row offset must be at least 1");
   row_chk_.assign(static_cast<std::size_t>(n), 0.0);
@@ -41,14 +42,15 @@ FreshSums QProtector::sums(MatrixView<const double> a, index_t first, index_t la
   FreshSums fresh;
   fresh.row.assign(static_cast<std::size_t>(n_), 0.0);
   fresh.col.assign(static_cast<std::size_t>(n_), 0.0);
-  for (index_t c = first; c < last; ++c) {
-    double cs = 0.0;
-    for (index_t r = c + off_; r < n_; ++r) {
-      const double v = a(r, c);
-      fresh.row[static_cast<std::size_t>(r)] += v;
-      cs += v;
-    }
-    fresh.col[static_cast<std::size_t>(c)] = cs;
+  const VectorView<double> by_position(fresh.row.data(), n_);
+  const VectorView<double> by_reflector(fresh.col.data() + first, last - first);
+  if (rows_) {
+    // Row c of the block holds reflector c: positions from c + off_ on.
+    sum_lines(a.block(first, 0, last - first, n_), LineShape::before_row(1 - first - off_),
+              by_reflector, by_position);
+  } else {
+    sum_lines(a.block(0, first, n_, last - first), LineShape::from_row(first + off_),
+              by_position, by_reflector);
   }
   return fresh;
 }
@@ -70,11 +72,11 @@ int QProtector::verify_and_correct(MatrixView<double> a, index_t upto, double to
   for (const auto& err : res.data_errors) {
     FTH_ASSERT(err.row >= err.col + off_,
                "Q protection: located element outside the trapezoid");
-    a(err.row, err.col) -= err.delta;
+    at(a, err.row, err.col) -= err.delta;
   }
   // A non-finite entry is rebuilt from the orthogonal code: zero it,
   // re-sum its line, and take the code minus the rest.
-  for (const auto& t : res.reconstructions) a(t.row, t.col) = 0.0;
+  for (const auto& t : res.reconstructions) at(a, t.row, t.col) = 0.0;
   const FreshSums rest = res.reconstructions.empty() ? FreshSums{} : sums(a, 0, upto);
   for (const auto& t : res.reconstructions) {
     const auto r = static_cast<std::size_t>(t.row);
@@ -83,7 +85,7 @@ int QProtector::verify_and_correct(MatrixView<double> a, index_t upto, double to
     const double others = t.use_row_code ? rest.row[r] : rest.col[c];
     if (!std::isfinite(code) || !std::isfinite(others))
       throw recovery_error("Q protection: the code that rebuilds a non-finite entry is lost");
-    a(t.row, t.col) = code - others;
+    at(a, t.row, t.col) = code - others;
   }
   return static_cast<int>(res.data_errors.size() + res.reconstructions.size());
 }

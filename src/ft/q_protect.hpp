@@ -19,12 +19,20 @@ namespace fth::ft {
 /// (rows c+2..n−1 of each finished column c of the factored matrix).
 class QProtector {
  public:
-  /// `row_offset` selects the protected trapezoid: column c covers rows
-  /// c+row_offset..n−1. The Hessenberg/tridiagonal reductions store their
-  /// Householder tails from row c+2 (offset 2, the default); the
-  /// bidiagonal reduction's left reflectors start one row higher
-  /// (offset 1).
-  explicit QProtector(index_t n, index_t row_offset = 2);
+  /// Where reflector c lives: down column c (Q's vectors), or along row c
+  /// (the bidiagonal reduction's P vectors, a(c, c+offset..n−1)).
+  enum class Storage { Columns, Rows };
+
+  /// `row_offset` selects the protected trapezoid: reflector c covers
+  /// positions c+row_offset..n−1. The Hessenberg/tridiagonal reductions
+  /// store their Householder tails from position c+2 (offset 2, the
+  /// default); the bidiagonal reduction's left reflectors start one row
+  /// higher (offset 1). Row storage keeps the column storage's sums and
+  /// their order: each reflector is summed over its positions in
+  /// increasing position, each position over the reflectors in increasing
+  /// reflector, and coordinates in the Discrepancy are (position,
+  /// reflector) in both.
+  explicit QProtector(index_t n, index_t row_offset = 2, Storage storage = Storage::Columns);
 
   /// Per-panel contribution, computable while the device updates the
   /// trailing matrix. Does not modify the protector — the driver commits
@@ -54,11 +62,18 @@ class QProtector {
   [[nodiscard]] index_t committed_columns() const { return committed_; }
 
  private:
-  /// Line sums of the protected entries of columns first..last−1.
+  /// Line sums of the protected entries of reflectors first..last−1: the
+  /// row slot by position, the column slot by reflector.
   [[nodiscard]] FreshSums sums(MatrixView<const double> a, index_t first, index_t last) const;
+
+  /// Element (position, reflector) of the protected storage in `a`.
+  [[nodiscard]] double& at(MatrixView<double> a, index_t pos, index_t refl) const {
+    return rows_ ? a(refl, pos) : a(pos, refl);
+  }
 
   index_t n_;
   index_t off_ = 2;
+  bool rows_ = false;  ///< Storage::Rows
   index_t committed_ = 0;
   std::vector<double> row_chk_;  ///< length n: Σ over finished columns of v(r, c)
   std::vector<double> col_chk_;  ///< length n: Σ over rows of v(·, c), one entry per column

@@ -340,8 +340,11 @@ TEST(FtDrains, EachCheckOfACleanTwoCodeRunDrainsOnce) {
 }
 
 // sytrd's online check reads the plain code alone: the reader skips the
-// weighted product there. A clean run makes two SYMVs to encode, one per
-// panel column, one per boundary and two in the final sweep.
+// weighted product there. The plain code's sums are line-sum tasks, so a
+// clean run makes one SYMV to encode the weighted code, one per panel
+// column and one in the final sweep; and one line-sum task to encode the
+// plain code, three per iteration (V2ᵀe, W2ᵀe and the old panel columns'
+// row sums), one per boundary and one in the final sweep.
 TEST(FtDrains, SytrdOnlineCheckAddsNoWeightedSymv) {
   const index_t n = 128, nb = 32;
   hybrid::Device dev;
@@ -351,11 +354,16 @@ TEST(FtDrains, SytrdOnlineCheckAddsNoWeightedSymv) {
   const obs::dag::Graph g = obs::dag::stop();
   ASSERT_EQ(o.rep.outcome.status, RecoveryStatus::Clean);
   index_t symv = 0;
-  for (const auto& nd : g.nodes)
-    if (nd.kind == obs::dag::NodeKind::Task && nd.label == "dev.symv") ++symv;
+  index_t line_sums = 0;
+  for (const auto& nd : g.nodes) {
+    if (nd.kind != obs::dag::NodeKind::Task) continue;
+    if (nd.label == "dev.symv") ++symv;
+    if (nd.label == "dev.sum_lines") ++line_sums;
+  }
   const index_t boundaries = ft_total_boundaries(n, nb);
   const index_t panel_columns = boundaries * nb;  // 128 = 4·nb: every blocked panel is full
-  EXPECT_EQ(symv, 2 + panel_columns + boundaries + 2);
+  EXPECT_EQ(symv, 1 + panel_columns + 1);
+  EXPECT_EQ(line_sums, 1 + 3 * boundaries + boundaries + 1);
 }
 
 }  // namespace
