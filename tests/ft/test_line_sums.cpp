@@ -121,18 +121,6 @@ TEST(LineSums, FullShapeIsGemvWithAOnesVectorBitForBit) {
   }
 }
 
-TEST(LineSums, RowSumsAccumulateIntoTheirVector) {
-  const Matrix<double> a = block(kNb + 1, kNb - 1, Fill::Random, 3);
-  const auto av = top(a, kNb + 1, kNb - 1);
-  std::vector<double> row(static_cast<std::size_t>(kNb + 1));
-  std::vector<double> want = row;
-  for (std::size_t r = 0; r < row.size(); ++r) row[r] = want[r] = 0.25 * static_cast<double>(r);
-  for (index_t r = 0; r < av.rows(); ++r)
-    for (index_t c = 0; c < av.cols(); ++c) want[static_cast<std::size_t>(r)] += av(r, c);
-  sum_lines(av, LineShape::full(), VectorView<double>(row.data(), kNb + 1), {});
-  EXPECT_TRUE(same_vectors(row, want));
-}
-
 TEST(LineSums, SymmetricLowerIsSymvWithAOnesVectorBitForBit) {
   for (const Fill fill : {Fill::Random, Fill::Specials, Fill::Graded}) {
     for (const index_t n : kSizes) {
