@@ -60,7 +60,6 @@ class FtGebrdDriver {
         d_u2_(dev, std::max<index_t>(opt.nb, 1), n_, "gebrd.ft.d_u2"),
         d_chk1_(dev, n_, 1, "gebrd.ft.d_chkc"),
         d_chk2_(dev, n_, 1, "gebrd.ft.d_chkr"),
-        d_ones_(dev, n_, 1, "gebrd.ft.d_ones"),
         d_vec_(dev, n_, 1, "gebrd.ft.d_vec"),
         d_res_(dev, n_, 1, "gebrd.ft.d_res"),
         d_sums_(dev, std::max<index_t>(opt.nb, 1), 4, "gebrd.ft.d_sums"),
@@ -104,10 +103,6 @@ class FtGebrdDriver {
     const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
                               static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
-    // Nothing reads the ones vector since the code sums moved to
-    // sum_lines; its fill stays so the task sequence (the CI gate pins
-    // dag.tasks) does not move. Drop both at that gate's next re-pin.
-    hybrid::fill_async(s_, d_ones_.view(), 1.0);
     sum_lines_async(s_, d_a_.view(), LineShape::full(), d_chk1_.view().col(0), {});
     sum_lines_async(s_, d_a_.view(), LineShape::full(), {}, d_chk2_.view().col(0));
     // Intentional full barrier, once per run: mark_encoded() below opens
@@ -456,7 +451,6 @@ class FtGebrdDriver {
   hybrid::DeviceMatrix<double> d_u2_;
   hybrid::DeviceMatrix<double> d_chk1_;  ///< checksum column (row sums)
   hybrid::DeviceMatrix<double> d_chk2_;  ///< checksum row (column sums)
-  hybrid::DeviceMatrix<double> d_ones_;
   hybrid::DeviceMatrix<double> d_vec_;
   hybrid::DeviceMatrix<double> d_res_;
   hybrid::DeviceMatrix<double> d_sums_;

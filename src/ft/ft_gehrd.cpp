@@ -58,7 +58,6 @@ class FtDriver {
         d_t_(dev, std::max<index_t>(opt.nb, 1), std::max<index_t>(opt.nb, 1), "ft.d_t"),
         d_yce_(dev, n_ + 1, std::max<index_t>(opt.nb, 1), "ft.d_yce"),
         d_w_(dev, std::max<index_t>(opt.nb, 1), n_ + 1, "ft.d_w"),
-        d_ones_(dev, n_ + 1, 1, "ft.d_ones"),
         t_host_(std::max<index_t>(opt.nb, 1), std::max<index_t>(opt.nb, 1)),
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
         v_host_(n_, std::max<index_t>(opt.nb, 1)),
@@ -113,10 +112,6 @@ class FtDriver {
     const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
                               static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_e_.block(0, 0, n_, n_));
-    // Nothing reads the ones vector since the code sums moved to
-    // sum_lines; its fill stays so the task sequence (the CI gate pins
-    // dag.tasks) does not move. Drop both at that gate's next re-pin.
-    hybrid::fill_async(s_, d_ones_.view(), 1.0);
     // Checksum column: row sums.
     sum_lines_async(s_, d_e_.block(0, 0, n_, n_), LineShape::full(),
                     d_e_.block(0, n_, n_, 1).col(0), {});
@@ -572,7 +567,6 @@ class FtDriver {
   hybrid::DeviceMatrix<double> d_t_;
   hybrid::DeviceMatrix<double> d_yce_;
   hybrid::DeviceMatrix<double> d_w_;
-  hybrid::DeviceMatrix<double> d_ones_;
 
   Matrix<double> t_host_;
   Matrix<double> y_host_;

@@ -59,7 +59,6 @@ class FtSytrdDriver {
         d_w_(dev, n_, std::max<index_t>(opt.nb, 1), "sytrd.ft.d_w"),
         d_chk1_(dev, n_, 1, "sytrd.ft.d_chke"),
         d_chk2_(dev, n_, 1, "sytrd.ft.d_chkw"),
-        d_ones_(dev, n_, 1, "sytrd.ft.d_ones"),
         d_wvec_(dev, n_, 1, "sytrd.ft.d_wvec"),
         d_sums_(dev, std::max<index_t>(opt.nb, 1), 4, "sytrd.ft.d_sums"),
         d_pc_(dev, n_, 2, "sytrd.ft.d_pc"),
@@ -97,10 +96,6 @@ class FtSytrdDriver {
     const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
                               static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
-    // Nothing reads the ones vector since the plain sums moved to
-    // sum_lines; its fill stays so the task sequence (the CI gate pins
-    // dag.tasks) does not move. Drop both at that gate's next re-pin.
-    hybrid::fill_async(s_, d_ones_.view(), 1.0);
     s_.enqueue("ft.iota", FTH_TASK_EFFECTS(FTH_WRITES(d_wvec_.view())),
                 [wv = d_wvec_.view()] {
       auto wvh = wv.in_task();
@@ -443,7 +438,6 @@ class FtSytrdDriver {
   hybrid::DeviceMatrix<double> d_w_;
   hybrid::DeviceMatrix<double> d_chk1_;  ///< plain code A·e
   hybrid::DeviceMatrix<double> d_chk2_;  ///< weighted code A·ω
-  hybrid::DeviceMatrix<double> d_ones_;
   hybrid::DeviceMatrix<double> d_wvec_;
   hybrid::DeviceMatrix<double> d_sums_;
   hybrid::DeviceMatrix<double> d_pc_;

@@ -701,28 +701,16 @@ class PoolDriver {
   /// row's share (same shape as ft_gehrd's Vce).
   void build_ve(const Matrix<double>& v, index_t vrows, index_t ib) {
     MatrixView<double> ve = ve_host_.view();
-    for (index_t q = 0; q < ib; ++q) {
-      double cs = 0.0;
-      for (index_t r = 0; r < vrows; ++r) {
-        ve(r, q) = v(r, q);
-        cs += v(r, q);
-      }
-      ve(vrows, q) = cs;
-    }
+    copy(v.block(0, 0, vrows, ib), ve.block(0, 0, vrows, ib));
+    sum_lines(ve.block(0, 0, vrows, ib), LineShape::full(), {}, ve.row(vrows).sub(0, ib));
   }
 
   /// Yce = [Y; colsum(Y)], the right-update operand extended by the code
   /// row's share. Reads the pristine (post-trmm, pre-fix) y_host_.
   void build_yce(index_t ib) {
     MatrixView<double> yce = yce_host_.view();
-    for (index_t q = 0; q < ib; ++q) {
-      double cs = 0.0;
-      for (index_t r = 0; r < n_; ++r) {
-        yce(r, q) = y_host_(r, q);
-        cs += y_host_(r, q);
-      }
-      yce(n_, q) = cs;
-    }
+    copy(MatrixView<const double>(y_host_.block(0, 0, n_, ib)), yce.block(0, 0, n_, ib));
+    sum_lines(yce.block(0, 0, n_, ib), LineShape::full(), {}, yce.row(n_).sub(0, ib));
   }
 
   /// Right-update generators over the lockstep domain [dstart, w_max):
