@@ -1001,8 +1001,21 @@ struct Engine {
     Summary& sum = summaries.at(name);
     if (sum.resolved || sum.resolving) return;
     sum.resolving = true;
+    // Pass 1 stepped one stand-in tick past every call it summarized; a
+    // call resolved here is replaced by the callee's own ops, so that
+    // stand-in (the first tick of the next tick run) is dropped, or each
+    // nested call would replay as a phantom device op.
+    bool drop_stand_in = false;
     for (const Op& op : sum.raw) {
       if (op.kind != Op::kCall) {
+        if (drop_stand_in && op.kind == Op::kTick) {
+          drop_stand_in = false;
+          if (op.n <= 1) continue;
+          Op rest = op;
+          --rest.n;
+          sum.ops.push_back(rest);
+          continue;
+        }
         sum.ops.push_back(op);
         continue;
       }
@@ -1015,6 +1028,7 @@ struct Engine {
       const auto map = param_map(it->second.params, op.args);
       for (const Op& callee_op : it->second.ops)
         sum.ops.push_back(subst_op(callee_op, map, op.a));
+      drop_stand_in = true;
     }
     sum.resolving = false;
     sum.resolved = true;

@@ -9,6 +9,8 @@
 #include "common/flops.hpp"
 #include "common/types.hpp"
 #include "hybrid/stream.hpp"
+#include "la/blas1.hpp"
+#include "la/blas2.hpp"
 #include "obs/trace.hpp"
 
 namespace fth::ft {
@@ -160,14 +162,99 @@ void sum_lines(MatrixView<const double> a, LineShape shape, VectorView<double> r
   flops::add(adds);
 }
 
+void fresh_line_sums(MatrixView<const double> a, LineShape shape, VectorView<double> row,
+                     VectorView<double> col) {
+  for (index_t r = 0; r < row.size(); ++r) row[r] = 0.0;
+  sum_lines(a, shape, row, col);
+}
+
 void sum_lines_async(hybrid::Stream& s, DMatrixView<const double> a, LineShape shape,
                      DVectorView<double> row, DVectorView<double> col) {
   s.enqueue("dev.sum_lines", FTH_TASK_EFFECTS(FTH_READS(a) FTH_WRITES(row, col)), [=] {
     obs::TraceSpan span("dev_blas", "sum_lines");
-    const VectorView<double> y = row.empty() ? VectorView<double>() : row.in_task();
-    for (index_t r = 0; r < y.size(); ++r) y[r] = 0.0;
-    sum_lines(a.in_task(), shape, y, col.empty() ? VectorView<double>() : col.in_task());
+    fresh_line_sums(a.in_task(), shape, row.empty() ? VectorView<double>() : row.in_task(),
+                    col.empty() ? VectorView<double>() : col.in_task());
   });
+}
+
+namespace {
+
+/// The packed sums' layout for a panel of width ib over tn trailing rows.
+struct Packed {
+  index_t ib;
+  index_t tn;
+  Packed(VectorView<const double> sums, index_t ib_, index_t tn_) : ib(ib_), tn(tn_) {
+    FTH_CHECK(sums.size() == 4 * ib + 2 * tn, "code sums: packed length mismatch");
+  }
+  [[nodiscard]] index_t operand(index_t k) const { return k * ib; }
+  [[nodiscard]] index_t panel(index_t k) const { return 4 * ib + k * tn; }
+};
+
+}  // namespace
+
+void sytrd_encode_codes(MatrixView<const double> a, VectorView<const double> omega,
+                        VectorView<double> plain, VectorView<double> weighted) {
+  fresh_line_sums(a, LineShape::symmetric_lower(), plain, {});
+  blas::symv(Uplo::Lower, 1.0, a, omega, 0.0, weighted);
+}
+
+void sytrd_operand_sums(MatrixView<const double> v2, MatrixView<const double> w2,
+                        VectorView<const double> omega_tail, VectorView<double> sums) {
+  const Packed p(sums, v2.cols(), v2.rows());
+  sum_lines(v2, LineShape::full(), {}, sums.sub(p.operand(0), p.ib));
+  sum_lines(w2, LineShape::full(), {}, sums.sub(p.operand(1), p.ib));
+  blas::gemv(Trans::Yes, 1.0, v2, omega_tail, 0.0, sums.sub(p.operand(2), p.ib));
+  blas::gemv(Trans::Yes, 1.0, w2, omega_tail, 0.0, sums.sub(p.operand(3), p.ib));
+}
+
+void sytrd_panel_sums(MatrixView<const double> panel, VectorView<const double> omega_panel,
+                      VectorView<double> sums) {
+  const Packed p(sums, panel.cols(), panel.rows());
+  fresh_line_sums(panel, LineShape::full(), sums.sub(p.panel(0), p.tn), {});
+  blas::gemv(Trans::No, 1.0, panel, omega_panel, 0.0, sums.sub(p.panel(1), p.tn));
+}
+
+void sytrd_code_update(MatrixView<const double> v2, MatrixView<const double> w2,
+                       VectorView<const double> sums, VectorView<double> plain,
+                       VectorView<double> weighted) {
+  const Packed p(sums, v2.cols(), v2.rows());
+  blas::axpy(-1.0, sums.sub(p.panel(0), p.tn), plain);
+  blas::gemv(Trans::No, -1.0, v2, sums.sub(p.operand(1), p.ib), 1.0, plain);
+  blas::gemv(Trans::No, -1.0, w2, sums.sub(p.operand(0), p.ib), 1.0, plain);
+  blas::axpy(-1.0, sums.sub(p.panel(1), p.tn), weighted);
+  blas::gemv(Trans::No, -1.0, v2, sums.sub(p.operand(3), p.ib), 1.0, weighted);
+  blas::gemv(Trans::No, -1.0, w2, sums.sub(p.operand(2), p.ib), 1.0, weighted);
+}
+
+void gebrd_operand_sums(MatrixView<const double> y2, MatrixView<const double> u2,
+                        MatrixView<const double> v2, MatrixView<const double> x2,
+                        VectorView<double> sums) {
+  const Packed p(sums, v2.cols(), v2.rows());
+  const LineShape full = LineShape::full();
+  sum_lines(y2, full, {}, sums.sub(p.operand(0), p.ib));
+  fresh_line_sums(u2, full, sums.sub(p.operand(1), p.ib), {});
+  sum_lines(v2, full, {}, sums.sub(p.operand(2), p.ib));
+  sum_lines(x2, full, {}, sums.sub(p.operand(3), p.ib));
+}
+
+void gebrd_panel_sums(MatrixView<const double> col_panel, MatrixView<const double> row_panel,
+                      VectorView<double> sums) {
+  const Packed p(sums, col_panel.cols(), col_panel.rows());
+  fresh_line_sums(col_panel, LineShape::full(), sums.sub(p.panel(0), p.tn), {});
+  sum_lines(row_panel, LineShape::full(), {}, sums.sub(p.panel(1), p.tn));
+}
+
+void gebrd_code_update(MatrixView<const double> v2, MatrixView<const double> y2,
+                       MatrixView<const double> x2, MatrixView<const double> u2,
+                       VectorView<const double> sums, VectorView<double> row_code,
+                       VectorView<double> col_code) {
+  const Packed p(sums, v2.cols(), v2.rows());
+  blas::axpy(-1.0, sums.sub(p.panel(0), p.tn), row_code);
+  blas::gemv(Trans::No, -1.0, v2, sums.sub(p.operand(0), p.ib), 1.0, row_code);
+  blas::gemv(Trans::No, -1.0, x2, sums.sub(p.operand(1), p.ib), 1.0, row_code);
+  blas::axpy(-1.0, sums.sub(p.panel(1), p.tn), col_code);
+  blas::gemv(Trans::No, -1.0, y2, sums.sub(p.operand(2), p.ib), 1.0, col_code);
+  blas::gemv(Trans::Yes, -1.0, u2, sums.sub(p.operand(3), p.ib), 1.0, col_code);
 }
 
 FreshSums finished_sums(MatrixView<const double> host_a, index_t i) {

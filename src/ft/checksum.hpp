@@ -72,12 +72,66 @@ struct LineShape {
 void sum_lines(MatrixView<const double> a, LineShape shape, VectorView<double> row,
                VectorView<double> col);
 
-/// sum_lines as one declared-effects device task on `s` ("dev.sum_lines"):
-/// zeroes `row`, then sums into it. It takes the plain code sums the FT
-/// drivers took with gemv_async(No/Yes) and symv_async(Lower) against a
-/// ones vector, with their bits, in a task of its own as they did.
+/// sum_lines with `row` zeroed first: fresh row sums, and column sums.
+/// The body of sum_lines_async's task, and what the FT drivers run on the
+/// host in a device window for the sums they take from host copies.
+void fresh_line_sums(MatrixView<const double> a, LineShape shape, VectorView<double> row,
+                     VectorView<double> col);
+
+/// fresh_line_sums as one declared-effects device task on `s`
+/// ("dev.sum_lines"). It takes the plain code sums the FT drivers took with
+/// gemv_async(No/Yes) and symv_async(Lower) against a ones vector, with
+/// their bits, in a task of its own as they did.
 void sum_lines_async(hybrid::Stream& s, DMatrixView<const double> a, LineShape shape,
                      DVectorView<double> row, DVectorView<double> col);
+
+// ---- Code maintenance of the two-code drivers (DESIGN.md §15) -------------
+// One iteration's code sums go to the device packed in one vector `sums` of
+// length 4·ib + 2·tn (ib the panel width, tn the trailing order): four
+// operand sums of ib entries, then two old-panel sums of tn entries. The
+// host takes them while the device runs the data update, from the copies
+// it shipped and from the sealed panel checkpoint; one device task then
+// applies them to the codes' trailing segments in the order the separate
+// gemv/axpy tasks once did. Every sum keeps the kernel and line order of
+// the device task it replaced (sum_lines, gemv), so the codes keep their
+// bits.
+
+/// ft_sytrd's two codes of the symmetric matrix `a` (lower triangle
+/// read): the plain code A·e by the symmetric line sum, the weighted code
+/// A·ω by symv(Lower) against the weights ω. Taken on the host while the
+/// device takes the upload of `a`.
+void sytrd_encode_codes(MatrixView<const double> a, VectorView<const double> omega,
+                        VectorView<double> plain, VectorView<double> weighted);
+/// ft_sytrd's operand sums: V2ᵀe, W2ᵀe, V2ᵀω and W2ᵀω, with ω the weights
+/// of the trailing rows (tn × ib operands).
+void sytrd_operand_sums(MatrixView<const double> v2, MatrixView<const double> w2,
+                        VectorView<const double> omega_tail, VectorView<double> sums);
+/// ft_sytrd's old-panel sums: the old panel's trailing rows P (tn × ib)
+/// against e and against the panel columns' weights ω.
+void sytrd_panel_sums(MatrixView<const double> p, VectorView<const double> omega_panel,
+                      VectorView<double> sums);
+/// ft_sytrd's code update of the trailing segments of its plain code A·e
+/// and weighted code A·ω: each −= P·(e or ω) + V2·(W2ᵀ·) + W2·(V2ᵀ·).
+void sytrd_code_update(MatrixView<const double> v2, MatrixView<const double> w2,
+                       VectorView<const double> sums, VectorView<double> plain,
+                       VectorView<double> weighted);
+
+/// ft_gebrd's operand sums: Y2ᵀe, U2·e, V2ᵀe and X2ᵀe (V2, Y2, X2 tn × ib,
+/// U2 ib × tn).
+void gebrd_operand_sums(MatrixView<const double> y2, MatrixView<const double> u2,
+                        MatrixView<const double> v2, MatrixView<const double> x2,
+                        VectorView<double> sums);
+/// ft_gebrd's old-panel sums: the old column panel's trailing rows (tn × ib)
+/// summed by row, the old row panel (ib × tn) by column.
+void gebrd_panel_sums(MatrixView<const double> col_panel, MatrixView<const double> row_panel,
+                      VectorView<double> sums);
+/// ft_gebrd's code update of the trailing segments of its row-sum code
+/// (−= pc_cols + V2·(Y2ᵀe) + X2·(U2·e)) and column-sum code
+/// (−= pc_rows + Y2·(V2ᵀe) + U2ᵀ·(X2ᵀe)).
+void gebrd_code_update(MatrixView<const double> v2, MatrixView<const double> y2,
+                       MatrixView<const double> x2, MatrixView<const double> u2,
+                       VectorView<const double> sums, VectorView<double> row_code,
+                       VectorView<double> col_code);
 
 /// Fresh logical line sums and the two maintained codes they are checked
 /// against, all of length n: what every FT driver's location reads. The

@@ -62,16 +62,17 @@ class FtGebrdDriver {
         d_chk2_(dev, n_, 1, "gebrd.ft.d_chkr"),
         d_vec_(dev, n_, 1, "gebrd.ft.d_vec"),
         d_res_(dev, n_, 1, "gebrd.ft.d_res"),
-        d_sums_(dev, std::max<index_t>(opt.nb, 1), 4, "gebrd.ft.d_sums"),
-        d_pc_(dev, n_, 2, "gebrd.ft.d_pc"),
+        d_sums_(dev, 4 * std::max<index_t>(opt.nb, 1) + 2 * n_, 1, "gebrd.ft.d_sums"),
         d_fresh_(dev, n_, 2, "gebrd.ft.d_fresh"),
         x_host_(n_, std::max<index_t>(opt.nb, 1)),
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
         u_host_(n_, 1),
+        sums_(4 * std::max<index_t>(opt.nb, 1) + 2 * n_, 1),
         ckpt_cols_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_rows_(std::max<index_t>(opt.nb, 1), n_),
         ckpt_chk1_(n_, 1),
         ckpt_chk2_(n_, 1),
+        chk_ref_(n_, 2),
         seg_(std::max<index_t>(opt.nb, 1), 2),
         qp_v_(n_, /*row_offset=*/1),
         qp_u_(n_, /*row_offset=*/2, QProtector::Storage::Rows),
@@ -99,12 +100,17 @@ class FtGebrdDriver {
   }
   DMatrixView<double> device_matrix() { return d_a_.view(); }
 
+  // The host takes both codes from its own copy of A, in one pass, while
+  // the device takes the upload; then the codes go up.
   void encode() {
     const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
                               static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
-    sum_lines_async(s_, d_a_.view(), LineShape::full(), d_chk1_.view().col(0), {});
-    sum_lines_async(s_, d_a_.view(), LineShape::full(), {}, d_chk2_.view().col(0));
+    Matrix<double> codes(n_, 2);
+    fresh_line_sums(MatrixView<const double>(a_), LineShape::full(), codes.view().col(0),
+                    codes.view().col(1));
+    copy_h2d_async(s_, codes.cview().block(0, 0, n_, 1), d_chk1_.view());
+    copy_h2d_async(s_, codes.cview().block(0, 1, n_, 1), d_chk2_.view());
     // Intentional full barrier, once per run: mark_encoded() below opens
     // the fault gate, and both codes must exist on the device before any
     // strike is allowed. fth-perf: expect coarse-synchronize
@@ -121,7 +127,11 @@ class FtGebrdDriver {
     aim_plane(i, ib);
 
     // Column panel, row panel, and both checksum vectors to the host;
-    // checkpoint all four (diskless checkpointing).
+    // checkpoint all four (diskless checkpointing). The fetches, the code
+    // checkpoints and their readback share one drain; only the first panel
+    // column, which the first larfg rewrites, is saved before the panel
+    // starts. The rest is saved and sealed in the first column product's
+    // window (seal_checkpoint), before the first row fold rewrites row i.
     {
       const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
                                 static_cast<double>(i));
@@ -130,19 +140,10 @@ class FtGebrdDriver {
       // stale by design.
       copy_d2h_async(s_, d_a_.block(i, i, n_ - i, ib), a_.block(i, i, n_ - i, ib));
       copy_d2h_async(s_, d_a_.block(i, i + ib, ib, tn), a_.block(i, i + ib, ib, tn));
-      copy_d2h_async(s_, d_chk1_.view(), ckpt_chk1_.view());
-      copy_d2h(s_, d_chk2_.view(), ckpt_chk2_.view());
-      panel_seal_ = panel_sums(i, ib, /*save=*/true);
-      // The d2h that filled the vector checkpoints is itself fault-eligible
-      // and the dual-sum verify can only vouch for what was stored, not for
-      // the transfer. Cross-check bitwise against the device's maintained
-      // vectors via a raw task readback (not a copy_* transfer, hence not
-      // fault-eligible) and repair on mismatch.
-      verify_chk_checkpoint_save();
-      chk_seal_ = chk_sums();
-      if (plane_ != nullptr)
-        plane_->register_surface(fault::Surface::Checkpoint,
-                                 ckpt_cols_.block(0, 0, n_ - i, ib));
+      fetch_code_checkpoints();
+      s_.synchronize();
+      fth::copy(MatrixView<const double>(a_.block(i, i, n_ - i, 1)),
+                ckpt_cols_.block(0, 0, n_ - i, 1));
     }
 
     bool poisoned = false;
@@ -164,12 +165,13 @@ class FtGebrdDriver {
                                  d_res_.view().col(0).sub(0, nlen));
               copy_d2h_async(s_, d_res_.block(0, 0, nlen, 1),
                              MatrixView<double>(ycol.data(), nlen, 1, nlen));
-              return [this, ycol, nlen] {
+              if (j == 0) seal_checkpoint(i, ib);
+              return [this, ycol, first = j == 0, i, ib] {
                 s_.synchronize();
+                if (first) register_checkpoint(i, ib);
                 // Tripwire: a non-finite product means a NaN/Inf strike
                 // reached the trailing matrix mid-panel.
-                for (index_t r = 0; r < nlen; ++r)
-                  if (!std::isfinite(ycol[r])) throw PanelPoisoned{};
+                throw_if_poisoned(ycol);
               };
             },
             [&](index_t j, VectorView<const double> u, VectorView<double> xcol) {
@@ -185,10 +187,9 @@ class FtGebrdDriver {
                                  d_res_.view().col(0).sub(0, nlen));
               copy_d2h_async(s_, d_res_.block(0, 0, nlen, 1),
                              MatrixView<double>(xcol.data(), nlen, 1, nlen));
-              return [this, xcol, nlen] {
+              return [this, xcol] {
                 s_.synchronize();
-                for (index_t r = 0; r < nlen; ++r)
-                  if (!std::isfinite(xcol[r])) throw PanelPoisoned{};
+                throw_if_poisoned(xcol);
               };
             });
       } catch (const PanelPoisoned&) {
@@ -221,78 +222,101 @@ class FtGebrdDriver {
       auto y2 = d_y2_.block(0, 0, tn, ib);
       auto x2 = d_x2_.block(0, 0, tn, ib);
       auto u2 = d_u2_.block(0, 0, ib, tn);
-      const LineShape full = LineShape::full();
 
-      // Aggregate sums for the checksum algebra: Y2ᵀe, U2·e, V2ᵀe, X2ᵀe.
-      sum_lines_async(s_, y2, full, {}, d_sums_.view().col(0).sub(0, ib));
-      sum_lines_async(s_, u2, full, d_sums_.view().col(1).sub(0, ib), {});
-      sum_lines_async(s_, v2, full, {}, d_sums_.view().col(2).sub(0, ib));
-      sum_lines_async(s_, x2, full, {}, d_sums_.view().col(3).sub(0, ib));
-      // Old panel-column / panel-row contributions (the device's panel data
-      // is still pristine start-of-iteration state).
-      sum_lines_async(s_, d_a_.block(i + ib, i, tn, ib), full, d_pc_.view().col(0).sub(0, tn),
-                      {});
-      sum_lines_async(s_, d_a_.block(i, i + ib, ib, tn), full, {},
-                      d_pc_.view().col(1).sub(0, tn));
+      // Trailing update: A −= V2·Y2ᵀ + X2·U2 — the right (Q-side) and left
+      // (P-side) halves.
+      hybrid::gemm_async(s_, Trans::No, Trans::Yes, -1.0, v2, y2, 1.0,
+                         d_a_.block(i + ib, i + ib, tn, tn));
+      hybrid::gemm_async(s_, Trans::No, Trans::No, -1.0, x2, u2, 1.0,
+                         d_a_.block(i + ib, i + ib, tn, tn));
+      // The window between the data update and the code update below is
+      // the between-updates window of the fault plane.
+      if (plane_ != nullptr) plane_->on_between_updates(s_);
 
       // Maintained checksums, trailing segments:
       //   Δchk_col = −pc_cols − V2·(Y2ᵀe) − X2·(U2·e)
       //   Δchk_row = −pc_rows − Y2·(V2ᵀe) − U2ᵀ·(X2ᵀe)
-      auto sy2 = d_sums_.view().col(0).sub(0, ib);
-      auto su2 = d_sums_.view().col(1).sub(0, ib);
-      auto sv2 = d_sums_.view().col(2).sub(0, ib);
-      auto sx2 = d_sums_.view().col(3).sub(0, ib);
-      auto chkc_tail = d_chk1_.view().col(0).sub(i + ib, tn);
-      auto chkr_tail = d_chk2_.view().col(0).sub(i + ib, tn);
-      hybrid::axpy_async(s_, -1.0, d_pc_.view().col(0).sub(0, tn), chkc_tail);
-      hybrid::gemv_async(s_, Trans::No, -1.0, v2, sy2, 1.0, chkc_tail);
-      hybrid::gemv_async(s_, Trans::No, -1.0, x2, su2, 1.0, chkc_tail);
-      hybrid::axpy_async(s_, -1.0, d_pc_.view().col(1).sub(0, tn), chkr_tail);
-      hybrid::gemv_async(s_, Trans::No, -1.0, y2, sv2, 1.0, chkr_tail);
-      hybrid::gemv_async(s_, Trans::Yes, -1.0, u2, sx2, 1.0, chkr_tail);
+      // While the device runs the GEMMs, the host takes the aggregate sums
+      // Y2ᵀe, U2·e, V2ᵀe and X2ᵀe from the copies it just shipped (U2 with
+      // the panel's unit entries, before the pivots go back); the old panel
+      // sums pc were taken from the sealed checkpoint (seal_checkpoint).
+      const index_t len = 4 * ib + 2 * tn;
+      gebrd_operand_sums(MatrixView<const double>(y_host_.block(i + ib, 0, tn, ib)),
+                         MatrixView<const double>(a_.block(i, i + ib, ib, tn)),
+                         MatrixView<const double>(a_.block(i + ib, i, tn, ib)),
+                         MatrixView<const double>(x_host_.block(i + ib, 0, tn, ib)),
+                         sums_.view().col(0).sub(0, len));
 
-      // Trailing update: A −= V2·Y2ᵀ + X2·U2 — the right (Q-side) and left
-      // (P-side) halves; the seam between them is the between-updates
-      // window of the fault plane.
-      hybrid::gemm_async(s_, Trans::No, Trans::Yes, -1.0, v2, y2, 1.0,
-                         d_a_.block(i + ib, i + ib, tn, tn));
-      if (plane_ != nullptr) plane_->on_between_updates(s_);
-      hybrid::gemm_async(s_, Trans::No, Trans::No, -1.0, x2, u2, 1.0,
-                         d_a_.block(i + ib, i + ib, tn, tn));
-
-      // Host work overlapped with the device GEMMs: pivots back in place,
-      // then the Householder-protection panel sums of both families.
+      // Pivots back in place once U2 is shipped, then the finished panel
+      // rows/columns of the checksums, re-encoded from the final bidiagonal
+      // data.
       operands_shipped.wait();
       for (index_t j = 0; j < ib; ++j) {
         a_(i + j, i + j) = d_[i + j];
         a_(i + j, i + j + 1) = e_[i + j];
       }
-      {
-        const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
-        pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, ib);
-        pending_u_ = qp_u_.compute_panel(MatrixView<const double>(a_), i, ib);
-      }
-
-      // Finished panel rows/columns of the checksums: re-encode from the
-      // final bidiagonal data, and account the new coupling entry
-      // e_last = B(i+ib−1, i+ib) in the trailing column i+ib.
       for (index_t j = 0; j < ib; ++j) {
         const index_t r = i + j;
         seg_(j, 0) = a_(r, r) + a_(r, r + 1);                      // row sum of B row r
         seg_(j, 1) = a_(r, r) + (r > 0 ? a_(r - 1, r) : 0.0);      // col sum of B col r
       }
+      // The sums and the re-encoded lines go up; one task then updates the
+      // trailing segments and accounts the new coupling entry
+      // e_last = B(i+ib−1, i+ib) in the trailing column i+ib.
+      copy_h2d_async(s_, sums_.cview().block(0, 0, len, 1), d_sums_.block(0, 0, len, 1));
       copy_h2d_async(s_, seg_.block(0, 0, ib, 1), d_chk1_.block(i, 0, ib, 1));
       copy_h2d_async(s_, seg_.block(0, 1, ib, 1), d_chk2_.block(i, 0, ib, 1));
+      auto sums = d_sums_.view().col(0).sub(0, len);
+      auto chkc_tail = d_chk1_.view().col(0).sub(i + ib, tn);
+      auto chkr_tail = d_chk2_.view().col(0).sub(i + ib, tn);
       const double e_last = e_[i + ib - 1];
-      auto cr = d_chk2_.view();
-      s_.enqueue("ft.couple", FTH_TASK_EFFECTS(FTH_WRITES(d_chk2_.view())),
-                 [cr, i, ib, e_last] { cr.in_task()(i + ib, 0) += e_last; });
-      // No loop-bottom synchronize: the seg_ uploads and the couple task
-      // stay in flight and are retired by detect()'s synchronous fetch
-      // before the host refills seg_ (fth_analyze --perf flagged the old
-      // barrier as coarse-synchronize).
+      s_.enqueue("ft.code_update",
+                 FTH_TASK_EFFECTS(FTH_READS(v2, y2, x2, u2, sums)
+                                      FTH_WRITES(chkc_tail, chkr_tail)),
+                 [v2, y2, x2, u2, sums, chkc_tail, chkr_tail, e_last] {
+        const VectorView<double> cr = chkr_tail.in_task();
+        gebrd_code_update(v2.in_task(), y2.in_task(), x2.in_task(), u2.in_task(),
+                          sums.in_task(), chkc_tail.in_task(), cr);
+        cr[0] += e_last;
+      });
+
+      // Host work overlapped with the device GEMMs: the
+      // Householder-protection panel sums of both families.
+      {
+        const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
+        pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, ib);
+        pending_u_ = qp_u_.compute_panel(MatrixView<const double>(a_), i, ib);
+      }
+      // No loop-bottom synchronize: the sums_ and seg_ uploads and the code
+      // update stay in flight and are retired by detect()'s synchronous
+      // fetch (or the next checkpoint fetch) before the host refills either
+      // (fth_analyze --perf flagged the old barrier as coarse-synchronize).
     }
     return true;
+  }
+
+  /// The deferred half of the checkpoint save, run in the first column
+  /// product's window: the panel data the first larfg left alone is saved
+  /// and both checkpoints sealed before the first row fold, the code
+  /// checkpoints are checked against their readback, and the old panels'
+  /// code sums (the column panel's trailing rows, the row panel's columns)
+  /// are taken from the sealed copies, which no strike can reach before
+  /// register_checkpoint.
+  void seal_checkpoint(index_t i, index_t ib) {
+    const obs::TraceSpan span("ft", "checkpoint_seal", "col", static_cast<double>(i));
+    panel_seal_ = panel_sums(i, ib, /*save=*/true);
+    seal_code_checkpoints();
+    const index_t tn = n_ - i - ib;
+    gebrd_panel_sums(MatrixView<const double>(ckpt_cols_.block(ib, 0, tn, ib)),
+                     MatrixView<const double>(ckpt_rows_.block(0, 0, ib, tn)),
+                     sums_.view().col(0).sub(0, 4 * ib + 2 * tn));
+  }
+
+  /// Opens the sealed checkpoint to strikes. Called with the stream
+  /// drained, so a strike's task count does not depend on timing.
+  void register_checkpoint(index_t i, index_t ib) {
+    if (plane_ != nullptr)
+      plane_->register_surface(fault::Surface::Checkpoint, ckpt_cols_.block(0, 0, n_ - i, ib));
   }
 
   // -- line_sums() hooks: row sums (col == false) or column sums. ----------
@@ -302,10 +326,12 @@ class FtGebrdDriver {
                : a_(r, r) + (r + 1 < n_ ? a_(r, r + 1) : 0.0);
   }
 
-  void fresh_product(index_t i2, index_t tn, bool col) {
-    const auto fresh = d_fresh_.view().col(col ? 1 : 0).sub(0, tn);
+  /// Row sums and, when `cols`, column sums of the trailing block in one
+  /// pass (each line keeps its order with either output).
+  void fresh_products(index_t i2, index_t tn, bool cols) {
     sum_lines_async(s_, d_a_.block(i2, i2, tn, tn), LineShape::full(),
-                    col ? DVectorView<double>() : fresh, col ? fresh : DVectorView<double>());
+                    d_fresh_.view().col(0).sub(0, tn),
+                    cols ? d_fresh_.view().col(1).sub(0, tn) : DVectorView<double>());
   }
 
   /// The superdiagonal entry B(i2−1, i2) belongs to trailing column i2 but
@@ -356,7 +382,9 @@ class FtGebrdDriver {
     restore_chk_checkpoints(i);
   }
 
-  // `save` first copies both panels into their checkpoints, in the same pass.
+  // `save` first copies both panels into their checkpoints, in the same
+  // pass, all but the column panel's first column (saved before the panel
+  // started).
   DualSum panel_sums(index_t i, index_t ib, bool save = false) {
     DualSum s;
     const index_t tn = n_ - i - ib;
@@ -364,7 +392,7 @@ class FtGebrdDriver {
     const double rows_weight = static_cast<double>(n_ + 7);
     if (save) {
       s.copy_block(a_.block(i, i, n_ - i, ib), ckpt_cols_.block(0, 0, n_ - i, ib), 1.0,
-                   cols_stride);
+                   cols_stride, /*stored=*/1);
       s.copy_block(a_.block(i, i + ib, ib, tn), ckpt_rows_.block(0, 0, ib, tn), rows_weight,
                    rows_weight);
     } else {
@@ -453,8 +481,7 @@ class FtGebrdDriver {
   hybrid::DeviceMatrix<double> d_chk2_;  ///< checksum row (column sums)
   hybrid::DeviceMatrix<double> d_vec_;
   hybrid::DeviceMatrix<double> d_res_;
-  hybrid::DeviceMatrix<double> d_sums_;
-  hybrid::DeviceMatrix<double> d_pc_;
+  hybrid::DeviceMatrix<double> d_sums_;  ///< sums_ on the device
   hybrid::DeviceMatrix<double> d_fresh_;
 
   Matrix<double> x_host_;
@@ -462,10 +489,16 @@ class FtGebrdDriver {
   // Dense staging of the panel's strided row u: its upload is retired only
   // by the column's waiter, after the provider returned (DESIGN.md §7).
   Matrix<double> u_host_;
+  // One iteration's code sums, packed for one upload: Y2ᵀe, U2·e, V2ᵀe,
+  // X2ᵀe (ib each), then the old column panel's trailing row sums and the
+  // old row panel's column sums (tn each). Retired like seg_ before the
+  // next refill.
+  Matrix<double> sums_;
   Matrix<double> ckpt_cols_;
   Matrix<double> ckpt_rows_;
   Matrix<double> ckpt_chk1_;
   Matrix<double> ckpt_chk2_;
+  Matrix<double> chk_ref_;  ///< raw readback of both codes, the save's cross-check
   // Re-encode staging segment, hoisted out of the update loop: the async
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.

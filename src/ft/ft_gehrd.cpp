@@ -63,7 +63,8 @@ class FtDriver {
         v_host_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_chkrow_(1, std::max<index_t>(opt.nb, 1)),
-        new_chkrow_(1, std::max<index_t>(opt.nb, 1)),
+        chkrow_ref_(1, std::max<index_t>(opt.nb, 1)),
+        new_chkrow_(1, n_ + 1),
         qp_(n_),
         scale_max_(norms.max),
         ladder_(kWording, rep, opt.fault_plane, opt.max_retries,
@@ -108,24 +109,25 @@ class FtDriver {
   DMatrixView<double> device_matrix() { return d_e_.view(); }
 
   // -- Algorithm 3 line 2: encode the matrix on the device. ----------------
+  // The host takes both codes from its own copy of A, in one pass, while
+  // the device takes the upload; then the codes go up.
   void encode() {
     const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
                               static_cast<double>(n_));
     copy_h2d_async(s_, MatrixView<const double>(a_), d_e_.block(0, 0, n_, n_));
-    // Checksum column: row sums.
-    sum_lines_async(s_, d_e_.block(0, 0, n_, n_), LineShape::full(),
-                    d_e_.block(0, n_, n_, 1).col(0), {});
-    // Checksum row: column sums; corner: grand total.
-    auto e = d_e_.view();
-    sum_lines_async(s_, d_e_.block(0, 0, n_, n_), LineShape::full(), {}, e.row(n_).sub(0, n_));
-    s_.enqueue("ft.encode_corner", FTH_TASK_EFFECTS(FTH_WRITES(e)), [e, n = n_] {
-      auto eh = e.in_task();
-      eh(n, n) = blas::sum(VectorView<const double>(eh.row(n).sub(0, n)));
-    });
+    // The checksum column (row sums), and the checksum row (column sums)
+    // with the grand total, staged in new_chkrow_.
+    Matrix<double> chk_col(n_, 1);
+    auto col_sums = new_chkrow_.view().row(0).sub(0, n_);
+    fresh_line_sums(MatrixView<const double>(a_), LineShape::full(), chk_col.view().col(0),
+                    col_sums);
+    new_chkrow_(0, n_) = blas::sum(VectorView<const double>(col_sums));
+    copy_h2d_async(s_, chk_col.cview(), d_e_.block(0, n_, n_, 1));
+    copy_h2d_async(s_, new_chkrow_.cview(), d_e_.block(n_, 0, 1, n_ + 1));
     // Intentional full barrier, once per run: mark_encoded() below opens
     // the fault gate, and the codes must exist on the device before any
     // strike is allowed — a narrower transfer-only edge would let faults
-    // fire under the encode kernels. fth-perf: expect coarse-synchronize
+    // fire under the code uploads. fth-perf: expect coarse-synchronize
     s_.synchronize();
     // Faults are gated until the codes exist: an earlier strike would be
     // encoded consistently and become a different (but protected) input.
@@ -165,28 +167,21 @@ class FtDriver {
     // Line 4: panel to host + diskless checkpoint of its pre-image. The
     // checkpoint includes the checksum-row segment over the panel columns:
     // those entries are re-encoded at the end of the iteration (see below)
-    // and must be restorable on rollback.
+    // and must be restorable on rollback. The fetch, the segment's d2h and
+    // its raw readback share one drain; only the first panel column, which
+    // the first larfg rewrites, is saved before the panel starts. The rest
+    // is saved and sealed in the first column product's window
+    // (seal_checkpoint).
     {
       const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
                                 static_cast<double>(i));
       copy_d2h_async(s_, d_e_.block(0, i, n_, ib),
                      a_.block(0, i, n_, ib));
-      copy_d2h(s_, d_e_.block(n_, i, 1, ib),
-               ckpt_chkrow_.block(0, 0, 1, ib));
-      panel_seal_ = panel_sums(i, ib, /*save=*/true);
-      // The d2h that filled ckpt_chkrow_ is itself fault-eligible, and the
-      // dual-sum verify below can only vouch for what was stored — not for
-      // the transfer. Cross-check bitwise against the device's maintained
-      // segment via a raw task readback (which is not a copy_* transfer and
-      // therefore not fault-eligible) and re-derive on mismatch. Comparing
-      // against recomputed column sums would be wrong here: an undetected
-      // boundary fault sitting in the panel makes the data legitimately
-      // disagree with the maintained code, and that disagreement is exactly
-      // what locates the fault after rollback.
-      verify_chkrow_checkpoint(i, ib);
-      chkrow_seal_ = chkrow_sums(ib);
-      if (plane_ != nullptr)
-        plane_->register_surface(fault::Surface::Checkpoint, ckpt_.block(0, 0, n_, ib));
+      read_chkrow(i, ib, chkrow_ref_.block(0, 0, 1, ib));
+      copy_d2h_async(s_, d_e_.block(n_, i, 1, ib),
+                     ckpt_chkrow_.block(0, 0, 1, ib));
+      s_.synchronize();
+      fth::copy(MatrixView<const double>(a_.block(0, i, n_, 1)), ckpt_.block(0, 0, n_, 1));
     }
 
     // Line 5: host panel factorization; big Y products on the device.
@@ -208,15 +203,16 @@ class FtDriver {
                                  d_yce_.block(i + 1, j, vrows, 1).col(0));
               copy_d2h_async(s_, d_yce_.block(i + 1, j, vrows, 1),
                              MatrixView<double>(y_col.data(), vrows, 1, vrows));
-              return [this, y_col, vrows] {
+              if (j == 0) seal_checkpoint(i, ib);
+              return [this, y_col, vrows, first = j == 0, ib] {
                 s_.synchronize();
+                if (first) register_checkpoint(ib);
                 // Tripwire: a non-finite y means a NaN/Inf strike reached
                 // the trailing matrix mid-panel. Applying the reflector
                 // chain would smear it everywhere; abandon the panel
                 // instead, while no update has touched the extended matrix
                 // yet.
-                for (index_t r = 0; r < vrows; ++r)
-                  if (!std::isfinite(y_col[r])) throw PanelPoisoned{};
+                throw_if_poisoned(VectorView<const double>(y_col.data(), vrows));
               };
             });
       } catch (const PanelPoisoned&) {
@@ -408,12 +404,14 @@ class FtDriver {
   // disagreement is what locates the fault after rollback. A fused pair
   // would force a data-only strike to re-derive the (pristine) code from
   // the faulty data, encoding the fault as correct — a silent-wrong result.
-  // `save` first copies the panel into the checkpoint, in the same pass.
+  // `save` first copies the panel's columns after the first (saved before
+  // the panel started) into the checkpoint, in the same pass.
   DualSum panel_sums(index_t i, index_t ib, bool save = false) {
     DualSum s;
     const double stride = static_cast<double>(n_ + 1);
     if (save) {
-      s.copy_block(a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib), 1.0, stride);
+      s.copy_block(a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib), 1.0, stride,
+                   /*stored=*/1);
     } else {
       s.add_block(ckpt_.block(0, 0, n_, ib), 1.0, stride);
     }
@@ -427,9 +425,9 @@ class FtDriver {
     return s;
   }
 
-  /// The device's maintained checksum-row segment over the panel columns
-  /// i..i+ib−1, read into the 1×ib host row `out` by a raw task (not a
-  /// copy_* transfer, so not fault-eligible).
+  /// Enqueues the read of the device's maintained checksum-row segment over
+  /// the panel columns i..i+ib−1 into the 1×ib host row `out` by a raw task
+  /// (not a copy_* transfer, so not fault-eligible). The caller drains.
   void read_chkrow(index_t i, index_t ib, MatrixView<double> out) {
     auto e = d_e_.view();
     s_.enqueue("ft.chkrow_readback", FTH_TASK_EFFECTS(FTH_READS(e) FTH_WRITES(out)),
@@ -437,13 +435,31 @@ class FtDriver {
       auto eh = e.in_task();
       for (index_t j = 0; j < ib; ++j) out(0, j) = eh(n, i + j);
     });
-    s_.synchronize();
   }
 
-  void verify_chkrow_checkpoint(index_t i, index_t ib) {
-    Matrix<double> ref(1, ib);
-    read_chkrow(i, ib, ref.view());
-    ladder_.repair_from(ckpt_chkrow_.block(0, 0, 1, ib), ref.cview());
+  /// The deferred half of the checkpoint save, run in the first column
+  /// product's window: the panel columns the first larfg left alone are
+  /// saved and the whole checkpoint sealed before the second column's
+  /// fold, and the checksum-row pre-image is checked against its raw
+  /// readback. The d2h that filled ckpt_chkrow_ is itself fault-eligible,
+  /// and the dual-sum verify can only vouch for what was stored — not for
+  /// the transfer. Comparing against recomputed column sums would be wrong
+  /// here: an undetected boundary fault sitting in the panel makes the data
+  /// legitimately disagree with the maintained code, and that disagreement
+  /// is exactly what locates the fault after rollback.
+  void seal_checkpoint(index_t i, index_t ib) {
+    const obs::TraceSpan span("ft", "checkpoint_seal", "col", static_cast<double>(i));
+    panel_seal_ = panel_sums(i, ib, /*save=*/true);
+    ladder_.repair_from(ckpt_chkrow_.block(0, 0, 1, ib),
+                        chkrow_ref_.cview().block(0, 0, 1, ib));
+    chkrow_seal_ = chkrow_sums(ib);
+  }
+
+  /// Opens the sealed checkpoint to strikes. Called with the stream
+  /// drained, so a strike's task count does not depend on timing.
+  void register_checkpoint(index_t ib) {
+    if (plane_ != nullptr)
+      plane_->register_surface(fault::Surface::Checkpoint, ckpt_.block(0, 0, n_, ib));
   }
 
   void verify_or_rederive_checkpoint(index_t i, index_t ib, bool completed) {
@@ -470,6 +486,7 @@ class FtDriver {
       // see it — a documented double-fault limitation (DESIGN.md §9).
       if (!completed) {
         read_chkrow(i, ib, ckpt_chkrow_.block(0, 0, 1, ib));
+        s_.synchronize();
       } else {
         sum_lines(ckpt_.block(0, 0, n_, ib), LineShape::full(), {},
                   ckpt_chkrow_.view().row(0).sub(0, ib));
@@ -573,7 +590,9 @@ class FtDriver {
   Matrix<double> v_host_;       ///< V staging for the h2d upload
   Matrix<double> ckpt_;
   Matrix<double> ckpt_chkrow_;  ///< pre-iteration checksum-row segment over the panel
-  Matrix<double> new_chkrow_;   ///< re-encoded segment for the finished panel
+  Matrix<double> chkrow_ref_;   ///< its raw readback, the save's cross-check
+  /// The encoded checksum row, then each finished panel's re-encoded segment.
+  Matrix<double> new_chkrow_;
   QProtector qp_;
   QProtector::PanelChecksums pending_q_;
 

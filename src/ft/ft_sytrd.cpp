@@ -60,14 +60,16 @@ class FtSytrdDriver {
         d_chk1_(dev, n_, 1, "sytrd.ft.d_chke"),
         d_chk2_(dev, n_, 1, "sytrd.ft.d_chkw"),
         d_wvec_(dev, n_, 1, "sytrd.ft.d_wvec"),
-        d_sums_(dev, std::max<index_t>(opt.nb, 1), 4, "sytrd.ft.d_sums"),
-        d_pc_(dev, n_, 2, "sytrd.ft.d_pc"),
+        d_sums_(dev, 4 * std::max<index_t>(opt.nb, 1) + 2 * n_, 1, "sytrd.ft.d_sums"),
         d_fresh_(dev, n_, 2, "sytrd.ft.d_fresh"),
         w_host_(n_, std::max<index_t>(opt.nb, 1)),
         v_host_(n_, std::max<index_t>(opt.nb, 1)),
+        omega_(n_, 1),
+        sums_(4 * std::max<index_t>(opt.nb, 1) + 2 * n_, 1),
         ckpt_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_chk1_(n_, 1),
         ckpt_chk2_(n_, 1),
+        chk_ref_(n_, 2),
         seg_(std::max<index_t>(opt.nb, 1), 2),
         qp_(n_),
         threshold_(sytrd_threshold(norms.fro, n_, opt)),
@@ -76,6 +78,7 @@ class FtSytrdDriver {
                 ft_total_boundaries(n_, opt.nb)),
         plane_(opt.fault_plane) {
     if (plane_ != nullptr) plane_->bind(dev);
+    for (index_t r = 0; r < n_; ++r) omega_(r, 0) = static_cast<double>(r + 1);
   }
 
   ~FtSytrdDriver() { release_plane(); }
@@ -92,6 +95,8 @@ class FtSytrdDriver {
   void commit_q() { qp_.commit(pending_q_); }
   DMatrixView<double> device_matrix() { return d_a_.view(); }
 
+  // The host takes both codes from its own copy of A while the device
+  // takes the upload; then the codes go up.
   void encode() {
     const obs::TimedSpan span("ft", "encode", rep_.encode_seconds, "n",
                               static_cast<double>(n_));
@@ -102,9 +107,11 @@ class FtSytrdDriver {
       for (index_t r = 0; r < wvh.rows(); ++r) wvh(r, 0) = static_cast<double>(r + 1);
     });
     // chk_e = A_sym·e, chk_w = A_sym·ω (both over the stored lower triangle).
-    sum_lines_async(s_, d_a_.view(), LineShape::symmetric_lower(), d_chk1_.view().col(0), {});
-    hybrid::symv_async(s_, Uplo::Lower, 1.0, d_a_.view(), d_wvec_.view().col(0), 0.0,
-                       d_chk2_.view().col(0));
+    Matrix<double> codes(n_, 2);
+    sytrd_encode_codes(MatrixView<const double>(a_), omega_.cview().col(0), codes.view().col(0),
+                       codes.view().col(1));
+    copy_h2d_async(s_, codes.cview().block(0, 0, n_, 1), d_chk1_.view());
+    copy_h2d_async(s_, codes.cview().block(0, 1, n_, 1), d_chk2_.view());
     // Intentional full barrier, once per run: mark_encoded() below opens
     // the fault gate, and both codes must exist on the device before any
     // strike is allowed. fth-perf: expect coarse-synchronize
@@ -123,23 +130,18 @@ class FtSytrdDriver {
 
     // Panel to host + diskless checkpoints (panel pre-image and both
     // checksum vectors — the vectors are O(n), so checkpointing beats
-    // reverse-computing them).
+    // reverse-computing them). The fetch, the code checkpoints and their
+    // readback share one drain; only the first panel column, which the
+    // first larfg rewrites, is saved before the panel starts. The
+    // rest is saved and sealed in the first column product's window
+    // (seal_checkpoint).
     {
       const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
                                 static_cast<double>(i));
       copy_d2h_async(s_, d_a_.block(0, i, n_, ib), a_.block(0, i, n_, ib));
-      copy_d2h_async(s_, d_chk1_.view(), ckpt_chk1_.view());
-      copy_d2h(s_, d_chk2_.view(), ckpt_chk2_.view());
-      panel_seal_ = panel_sums(i, ib, /*save=*/true);
-      // The d2h that filled the vector checkpoints is itself fault-eligible
-      // and the dual-sum verify can only vouch for what was stored, not for
-      // the transfer. Cross-check bitwise against the device's maintained
-      // vectors via a raw task readback (not a copy_* transfer, hence not
-      // fault-eligible) and repair on mismatch.
-      verify_chk_checkpoint_save();
-      chk_seal_ = chk_sums();
-      if (plane_ != nullptr)
-        plane_->register_surface(fault::Surface::Checkpoint, ckpt_.block(0, 0, n_, ib));
+      fetch_code_checkpoints();
+      s_.synchronize();
+      fth::copy(MatrixView<const double>(a_.block(0, i, n_, 1)), ckpt_.block(0, 0, n_, 1));
     }
 
     // Host panel with device-assisted SYMV.
@@ -160,13 +162,14 @@ class FtSytrdDriver {
                                  d_w_.block(j, j, vlen, 1).col(0));
               copy_d2h_async(s_, d_w_.block(j, j, vlen, 1),
                              MatrixView<double>(w_col.data(), vlen, 1, vlen));
-              return [this, w_col, vlen] {
+              if (j == 0) seal_checkpoint(i, ib);
+              return [this, w_col, first = j == 0, ib] {
                 s_.synchronize();
+                if (first) register_checkpoint(ib);
                 // Tripwire: a non-finite w means a NaN/Inf strike reached
                 // the trailing matrix mid-panel. Abandon the panel before
                 // any update smears it.
-                for (index_t r = 0; r < vlen; ++r)
-                  if (!std::isfinite(w_col[r])) throw PanelPoisoned{};
+                throw_if_poisoned(w_col);
               };
             });
       } catch (const PanelPoisoned&) {
@@ -192,6 +195,16 @@ class FtSytrdDriver {
       copy_h2d_async(s_, MatrixView<const double>(w_host_.block(i + 1, 0, vrows, ib)),
                      d_w_.block(0, 0, vrows, ib));
 
+      // Trailing rank-2k (lower triangle) on the device.
+      auto v2 = d_v_.block(ib - 1, 0, tn, ib);
+      auto w2 = d_w_.block(ib - 1, 0, tn, ib);
+      hybrid::syr2k_async(s_, Uplo::Lower, Trans::No, -1.0, v2, w2, 1.0,
+                          d_a_.block(i + ib, i + ib, tn, tn));
+
+      // The window between the data update and the code update below is
+      // sytrd's analogue of gehrd's between-updates window.
+      if (plane_ != nullptr) plane_->on_between_updates(s_);
+
       // --- Checksum maintenance --------------------------------------------
       // After this iteration the logical row sum of a trailing row r ≥ i+ib is
       //   old_sum(r) − (old panel-column entries of row r)        [zeroed]
@@ -199,55 +212,20 @@ class FtSytrdDriver {
       //              + e_last·vec(i+ib−1) for r == i+ib           [coupling]
       // and panel rows i..i+ib−1 become plain tridiagonal rows, re-encoded
       // from the finished host data (their pre-images are checkpointed).
-      auto v2 = d_v_.block(ib - 1, 0, tn, ib);
-      auto w2 = d_w_.block(ib - 1, 0, tn, ib);
-      auto wvec_tail = d_wvec_.view().col(0).sub(i + ib, tn);
-      auto wvec_panel = d_wvec_.view().col(0).sub(i, ib);
-
-      // Tail column sums of V2/W2 against e and ω (paper line 6/7 analogues).
-      sum_lines_async(s_, v2, LineShape::full(), {}, d_sums_.view().col(0).sub(0, ib));
-      sum_lines_async(s_, w2, LineShape::full(), {}, d_sums_.view().col(1).sub(0, ib));
-      hybrid::gemv_async(s_, Trans::Yes, 1.0, v2, wvec_tail, 0.0, d_sums_.view().col(2).sub(0, ib));
-      hybrid::gemv_async(s_, Trans::Yes, 1.0, w2, wvec_tail, 0.0, d_sums_.view().col(3).sub(0, ib));
-      // Old panel-column contributions of the trailing rows (the device's
-      // panel columns still hold the pristine start-of-iteration values).
-      auto panel_tail = d_a_.block(i + ib, i, tn, ib);
-      sum_lines_async(s_, panel_tail, LineShape::full(), d_pc_.view().col(0).sub(0, tn), {});
-      hybrid::gemv_async(s_, Trans::No, 1.0, panel_tail, wvec_panel, 0.0,
-                         d_pc_.view().col(1).sub(0, tn));
-
-      auto se_v2 = d_sums_.view().col(0).sub(0, ib);
-      auto se_w2 = d_sums_.view().col(1).sub(0, ib);
-      auto sw_v2 = d_sums_.view().col(2).sub(0, ib);
-      auto sw_w2 = d_sums_.view().col(3).sub(0, ib);
-      auto chke_tail = d_chk1_.view().col(0).sub(i + ib, tn);
-      auto chkw_tail = d_chk2_.view().col(0).sub(i + ib, tn);
-      hybrid::axpy_async(s_, -1.0, d_pc_.view().col(0).sub(0, tn), chke_tail);
-      hybrid::gemv_async(s_, Trans::No, -1.0, v2, se_w2, 1.0, chke_tail);
-      hybrid::gemv_async(s_, Trans::No, -1.0, w2, se_v2, 1.0, chke_tail);
-      hybrid::axpy_async(s_, -1.0, d_pc_.view().col(1).sub(0, tn), chkw_tail);
-      hybrid::gemv_async(s_, Trans::No, -1.0, v2, sw_w2, 1.0, chkw_tail);
-      hybrid::gemv_async(s_, Trans::No, -1.0, w2, sw_v2, 1.0, chkw_tail);
-
-      // The window between the checksum maintenance and the rank-2k data
-      // update is sytrd's analogue of gehrd's between-updates window.
-      if (plane_ != nullptr) plane_->on_between_updates(s_);
-
-      // Trailing rank-2k (lower triangle) on the device.
-      hybrid::syr2k_async(s_, Uplo::Lower, Trans::No, -1.0, v2, w2, 1.0,
-                          d_a_.block(i + ib, i + ib, tn, tn));
-
-      // Host work overlapped with the device update.
-      {
-        const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
-        pending_q_ = qp_.compute_panel(MatrixView<const double>(a_), i, ib);
-      }
+      // While the device runs the rank-2k, the host takes the tail column
+      // sums of V2/W2 against e and ω (paper line 6/7 analogues) from the
+      // copies it just uploaded; the old panel's sums were taken from the
+      // sealed checkpoint (seal_checkpoint).
+      const index_t len = 4 * ib + 2 * tn;
+      sytrd_operand_sums(MatrixView<const double>(v_host_.block(ib - 1, 0, tn, ib)),
+                         MatrixView<const double>(w_host_.block(i + ib, 0, tn, ib)),
+                         omega_.cview().col(0).sub(i + ib, tn),
+                         sums_.view().col(0).sub(0, len));
       for (index_t j = 0; j < ib; ++j) {
         a_(i + j + 1, i + j) = e_[i + j];  // replace the panel's unit entries
       }
-
       // Re-encode the finished panel rows of both checksums from the final
-      // tridiagonal data, and add the new coupling entry to row i+ib.
+      // tridiagonal data.
       for (index_t j = 0; j < ib; ++j) {
         const index_t r = i + j;
         const double dl = r > 0 ? a_(r, r - 1) : 0.0;
@@ -257,22 +235,61 @@ class FtSytrdDriver {
         seg_(j, 1) = dl * static_cast<double>(r) + dd * static_cast<double>(r + 1) +
                      du * static_cast<double>(r + 2);
       }
+      // The sums and the re-encoded rows go up; one task then updates the
+      // trailing segments and adds the new coupling entry to row i+ib.
+      copy_h2d_async(s_, sums_.cview().block(0, 0, len, 1), d_sums_.block(0, 0, len, 1));
       copy_h2d_async(s_, seg_.block(0, 0, ib, 1), d_chk1_.block(i, 0, ib, 1));
       copy_h2d_async(s_, seg_.block(0, 1, ib, 1), d_chk2_.block(i, 0, ib, 1));
+      auto sums = d_sums_.view().col(0).sub(0, len);
+      auto chke_tail = d_chk1_.view().col(0).sub(i + ib, tn);
+      auto chkw_tail = d_chk2_.view().col(0).sub(i + ib, tn);
       const double e_last = e_[i + ib - 1];
-      auto ce = d_chk1_.view();
-      auto cw = d_chk2_.view();
-      s_.enqueue("ft.couple", FTH_TASK_EFFECTS(FTH_WRITES(d_chk1_.view(), d_chk2_.view())),
-                 [ce, cw, i, ib, e_last] {
-        ce.in_task()(i + ib, 0) += e_last;
-        cw.in_task()(i + ib, 0) += e_last * static_cast<double>(i + ib);  // weight of col i+ib−1
+      const auto w_last = static_cast<double>(i + ib);  // weight of col i+ib−1
+      s_.enqueue("ft.code_update",
+                 FTH_TASK_EFFECTS(FTH_READS(v2, w2, sums) FTH_WRITES(chke_tail, chkw_tail)),
+                 [v2, w2, sums, chke_tail, chkw_tail, e_last, w_last] {
+        const VectorView<double> ce = chke_tail.in_task();
+        const VectorView<double> cw = chkw_tail.in_task();
+        sytrd_code_update(v2.in_task(), w2.in_task(), sums.in_task(), ce, cw);
+        ce[0] += e_last;
+        cw[0] += e_last * w_last;
       });
-      // No loop-bottom synchronize: the seg_ uploads and the couple task
-      // stay in flight and are retired by detect()'s synchronous fetch
-      // before the host refills seg_ (fth_analyze --perf flagged the old
-      // barrier as coarse-synchronize).
+
+      // Host work overlapped with the device update.
+      {
+        const obs::TimedSpan q_span = ladder_.q_phase("q_checksum");
+        pending_q_ = qp_.compute_panel(MatrixView<const double>(a_), i, ib);
+      }
+      // No loop-bottom synchronize: the sums_ and seg_ uploads and the code
+      // update stay in flight and are retired by detect()'s synchronous
+      // fetch (or the next checkpoint fetch) before the host refills either
+      // (fth_analyze --perf flagged the old barrier as coarse-synchronize).
     }
     return true;
+  }
+
+  /// The deferred half of the checkpoint save, run in the first column
+  /// product's window: the panel columns the first larfg left alone are
+  /// saved and the whole checkpoint sealed before the second column's
+  /// fold, the code checkpoints are checked against their readback, and
+  /// the old panel's code sums (its trailing rows against e and ω) are
+  /// taken from the sealed copy, which no strike can reach before
+  /// register_checkpoint.
+  void seal_checkpoint(index_t i, index_t ib) {
+    const obs::TraceSpan span("ft", "checkpoint_seal", "col", static_cast<double>(i));
+    panel_seal_ = panel_sums(i, ib, /*save=*/true);
+    seal_code_checkpoints();
+    const index_t tn = n_ - i - ib;
+    sytrd_panel_sums(MatrixView<const double>(ckpt_.block(i + ib, 0, tn, ib)),
+                     omega_.cview().col(0).sub(i, ib),
+                     sums_.view().col(0).sub(0, 4 * ib + 2 * tn));
+  }
+
+  /// Opens the sealed checkpoint to strikes. Called with the stream
+  /// drained, so a strike's task count does not depend on timing.
+  void register_checkpoint(index_t ib) {
+    if (plane_ != nullptr)
+      plane_->register_surface(fault::Surface::Checkpoint, ckpt_.block(0, 0, n_, ib));
   }
 
   // -- line_sums() hooks: row sums, plain (e) or weighted (ω). --------------
@@ -289,15 +306,14 @@ class FtSytrdDriver {
   }
 
   /// Trailing rows: the live lower triangle on the device, summed plain
-  /// or against ω by a SYMV.
-  void fresh_product(index_t i2, index_t tn, bool weighted) {
+  /// and, when `weighted`, against ω by a SYMV.
+  void fresh_products(index_t i2, index_t tn, bool weighted) {
     auto trailing = d_a_.block(i2, i2, tn, tn);
-    auto fresh = d_fresh_.view().col(weighted ? 1 : 0).sub(0, tn);
+    sum_lines_async(s_, trailing, LineShape::symmetric_lower(),
+                    d_fresh_.view().col(0).sub(0, tn), {});
     if (weighted) {
       hybrid::symv_async(s_, Uplo::Lower, 1.0, trailing, d_wvec_.view().col(0).sub(i2, tn), 0.0,
-                         fresh);
-    } else {
-      sum_lines_async(s_, trailing, LineShape::symmetric_lower(), fresh, {});
+                         d_fresh_.view().col(1).sub(0, tn));
     }
   }
 
@@ -352,12 +368,14 @@ class FtSytrdDriver {
     restore_chk_checkpoints(i);
   }
 
-  // `save` first copies the panel into the checkpoint, in the same pass.
+  // `save` first copies the panel's columns after the first (saved before
+  // the panel started) into the checkpoint, in the same pass.
   DualSum panel_sums(index_t i, index_t ib, bool save = false) {
     DualSum s;
     const double stride = static_cast<double>(n_);
     if (save) {
-      s.copy_block(a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib), 1.0, stride);
+      s.copy_block(a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib), 1.0, stride,
+                   /*stored=*/1);
     } else {
       s.add_block(ckpt_.block(0, 0, n_, ib), 1.0, stride);
     }
@@ -439,15 +457,20 @@ class FtSytrdDriver {
   hybrid::DeviceMatrix<double> d_chk1_;  ///< plain code A·e
   hybrid::DeviceMatrix<double> d_chk2_;  ///< weighted code A·ω
   hybrid::DeviceMatrix<double> d_wvec_;
-  hybrid::DeviceMatrix<double> d_sums_;
-  hybrid::DeviceMatrix<double> d_pc_;
+  hybrid::DeviceMatrix<double> d_sums_;  ///< sums_ on the device
   hybrid::DeviceMatrix<double> d_fresh_;
 
   Matrix<double> w_host_;
   Matrix<double> v_host_;
+  Matrix<double> omega_;  ///< the weighted code's weights, ω_r = r + 1
+  // One iteration's code sums, packed for one upload: V2ᵀe, W2ᵀe, V2ᵀω,
+  // W2ᵀω (ib each), then the old panel's trailing rows against e and ω
+  // (tn each). Retired like seg_ before the next refill.
+  Matrix<double> sums_;
   Matrix<double> ckpt_;
   Matrix<double> ckpt_chk1_;
   Matrix<double> ckpt_chk2_;
+  Matrix<double> chk_ref_;  ///< raw readback of both codes, the save's cross-check
   // Re-encode staging segment, hoisted out of the update loop: the async
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.

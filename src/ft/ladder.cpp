@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "ft/checksum.hpp"
 #include "ft/q_protect.hpp"
 #include "ft/recovery.hpp"
 #include "obs/journal.hpp"
@@ -52,17 +53,17 @@ using Lanes = double __attribute__((vector_size(kSealLanes * sizeof(double))));
   weighted = s;
 }
 
-/// Seals the rows×cols block at `src`; with `to`, stores each column there
-/// first and seals the stored copy.
+/// Seals the rows×cols block at `src`; with `to`, stores each column from
+/// `first` on there first and seals the stored copy of every column.
 void seal_block(const double* src, index_t src_ld, index_t rows, index_t cols, double* to,
-                index_t to_ld, double base, double stride, DualSum& sum) {
+                index_t to_ld, index_t first, double base, double stride, DualSum& sum) {
   Lanes p = {};
   Lanes w = {};
   for (index_t j = 0; j < cols; ++j) {
     const double* col = src + j * src_ld;
     if (to != nullptr) {
       double* stored = to + j * to_ld;
-      std::copy_n(col, rows, stored);
+      if (j >= first) std::copy_n(col, rows, stored);
       col = stored;
     }
     seal_column(col, rows, base + static_cast<double>(j + 1) * stride, p, w);
@@ -80,15 +81,15 @@ void seal_block(const double* src, index_t src_ld, index_t rows, index_t cols, d
 }  // namespace
 
 void DualSum::add_block(MatrixView<const double> m, double base, double stride) {
-  seal_block(m.data(), m.ld(), m.rows(), m.cols(), nullptr, 0, base, stride, *this);
+  seal_block(m.data(), m.ld(), m.rows(), m.cols(), nullptr, 0, 0, base, stride, *this);
 }
 
 void DualSum::copy_block(MatrixView<const double> from, MatrixView<double> to, double base,
-                         double stride) {
+                         double stride, index_t stored) {
   FTH_CHECK(from.rows() == to.rows() && from.cols() == to.cols(),
             "DualSum::copy_block: shape mismatch");
-  seal_block(from.data(), from.ld(), from.rows(), from.cols(), to.data(), to.ld(), base, stride,
-             *this);
+  seal_block(from.data(), from.ld(), from.rows(), from.cols(), to.data(), to.ld(), stored, base,
+             stride, *this);
 }
 
 bool DualSum::same_bits(const DualSum& o) const {
@@ -177,6 +178,11 @@ Episode RecoveryLadder::detected(const Detection& det, index_t boundary, int att
   return Episode(*this, boundary, attempt, det.gap, poisoned);
 }
 
+void throw_if_poisoned(VectorView<const double> x) {
+  if (count_nonfinite(MatrixView<const double>(x.data(), x.size(), 1, x.size())) > 0)
+    throw PanelPoisoned{};
+}
+
 void RecoveryLadder::panel_aborted(index_t col) {
   ++rep_.panel_aborts;
   obs::counter_metric("ft.panel_aborts").add();
@@ -237,15 +243,23 @@ int RecoveryLadder::verify_q(const QProtector& qp, MatrixView<double> a) {
   // code over n such entries rounds off by O(eps·n). Scaling the tolerance
   // by max|A| let a +1.0 strike on the storage through at max|A| = 2^60.
   const double tol = 1e3 * eps<double>() * static_cast<double>(a.rows());
-  Discrepancy disc;
   int corrections = 0;
-  try {
-    corrections = qp.verify_and_correct(a, qp.committed_columns(), tol, &disc);
-  } catch (const recovery_error& e) {
-    const AbortReason why =
-        disc.nonfinite > 0 ? AbortReason::NonfiniteDamage : AbortReason::AmbiguousPattern;
-    abort_recovery(rep_.outcome, wording_.who, why, total_boundaries_, 0, 0.0, threshold_,
-                   std::string("Q verification: ") + e.what());
+  // A comparison with a non-finite delta gets rebuild targets only (locate
+  // leaves its finite deltas alone), so a pass that rebuilt something is
+  // followed by one more, as in locate_and_correct, which corrects a finite
+  // strike elsewhere in the storage. A pass that saw no non-finite delta
+  // rebuilt nothing and is the last.
+  for (int pass = 0; pass < 2; ++pass) {
+    Discrepancy disc;
+    try {
+      corrections += qp.verify_and_correct(a, qp.committed_columns(), tol, &disc);
+    } catch (const recovery_error& e) {
+      const AbortReason why =
+          disc.nonfinite > 0 ? AbortReason::NonfiniteDamage : AbortReason::AmbiguousPattern;
+      abort_recovery(rep_.outcome, wording_.who, why, total_boundaries_, 0, 0.0, threshold_,
+                     std::string("Q verification: ") + e.what());
+    }
+    if (disc.nonfinite == 0) break;
   }
   rep_.q_corrections += corrections;
   obs::counter_metric("ft.q_corrections").add(static_cast<std::uint64_t>(corrections));

@@ -33,6 +33,10 @@ namespace fth::ft {
 /// trailing matrix, so the panel is abandoned before any update.
 struct PanelPoisoned {};
 
+/// The panel tripwire: throws PanelPoisoned when the device-assisted
+/// product `x` holds a NaN or an Inf (count_nonfinite, no early exit).
+void throw_if_poisoned(VectorView<const double> x);
+
 /// RAII bracket telling the fault plane a recovery re-execution is active
 /// (DuringRecovery faults only count triggers inside the bracket).
 class RecoveryScope {
@@ -81,9 +85,11 @@ struct DualSum {
   /// Adds a column-major block whose element (r, j) weighs base + r + (j+1)·stride.
   void add_block(MatrixView<const double> m, double base, double stride);
   /// Copies `from` into `to` (same shape) and adds the copy as add_block(to)
-  /// would, in one pass: a checkpoint saved and sealed together.
+  /// would, in one pass: a checkpoint saved and sealed together. The first
+  /// `stored` columns are already in `to` (saved before the panel modified
+  /// them) and are only sealed.
   void copy_block(MatrixView<const double> from, MatrixView<double> to, double base,
-                  double stride);
+                  double stride, index_t stored = 0);
   [[nodiscard]] bool same_bits(const DualSum& o) const;
 };
 
@@ -167,8 +173,9 @@ class RecoveryLadder {
 
   [[nodiscard]] obs::TimedSpan q_phase(const char* name) { return {"ft", name, rep_.q_seconds}; }
   /// Section IV-E's one verification of the Householder storage `a` that
-  /// `qp` protects: corrects it in place, books the corrections and returns
-  /// their number. A pattern the Q codes cannot repair aborts the run like
+  /// `qp` protects: corrects it in place (a second pass follows one that
+  /// rebuilt a non-finite entry), books the corrections and returns their
+  /// number. A pattern the Q codes cannot repair aborts the run like
   /// the data codes' — NonfiniteDamage when a Q delta was non-finite,
   /// AmbiguousPattern otherwise.
   int verify_q(const QProtector& qp, MatrixView<double> a);

@@ -1173,6 +1173,23 @@ TEST(AnalyzePerfCoarseSync, ABarrierWiderThanTheNewestObligationFires) {
       << "the fix-it names the narrower record()/wait pair";
 }
 
+TEST(AnalyzePerfCoarseSync, AHelperOfAHelperReplaysNoPhantomDeviceOp) {
+  // The FT drivers' deferred checkpoint seal: host-only helpers, one
+  // calling the other, between a product's d2h and its waiter. Spliced,
+  // they add no device op, so the barrier stays the d2h's fetch-join.
+  const auto f = run_perf("src/ft/x.cpp",
+                          "double inner(const Matrix<double>& m) { return m(0, 0); }\n"
+                          "void outer(Matrix<double>& m) { m(1, 1) = inner(m); }\n"
+                          "void f(Stream& s) {\n"
+                          "  copy_d2h_async(s, d_y.cview(), y.view());\n"
+                          "  outer(z);\n"
+                          "  s.synchronize();\n"
+                          "  y(0, 0) = 1.0;\n"
+                          "}\n");
+  EXPECT_EQ(perf_count(f), 0u);
+  for (const auto& x : f) ADD_FAILURE() << format(x);
+}
+
 TEST(AnalyzePerfCoarseSync, AHostViewInTheSameScopeJustifiesTheDrain) {
   EXPECT_TRUE(run_perf("src/hybrid/hybrid_x.cpp",
                        "void f(Stream& s) {\n"

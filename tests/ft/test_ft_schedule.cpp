@@ -2,12 +2,13 @@
 // to the hybrid drivers' nx = nb crossover (ft_blocked_panel), then the
 // unblocked host routine on the trailing block; at n ≤ nb + 1 the host
 // routine alone. Covers all three drivers at the sizes around the
-// crossover, for two block sizes, and the two-code drivers' host drains
-// per check.
+// crossover, for two block sizes, and the drivers' host drains per check
+// and per checkpoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <tuple>
@@ -339,12 +340,64 @@ TEST(FtDrains, EachCheckOfACleanTwoCodeRunDrainsOnce) {
   }
 }
 
+// One drain per boundary for the checkpoint: the panel fetch, the code
+// checkpoints' d2h and their raw readback drain together, and the rest of
+// the save (copy, seal, cross-check, surface registration) runs in the
+// first column product's window. So a clean run's host waits per boundary
+// are the fetch, one waiter per panel product, the update's event wait
+// (gehrd's Y fetch, gebrd's operand shipping) and the check; and the wait
+// after the fetch is the first product's waiter, with only that product's
+// h2d, kernel and d2h enqueued in between.
+TEST(FtDrains, EachBoundaryFetchDrainsOnceAndTheFirstProductFollows) {
+  const index_t n = 128, nb = 32;
+  const index_t boundaries = ft_total_boundaries(n, nb);
+  hybrid::Device dev;
+  for (const Algo algo : {Algo::Gehrd, Algo::Sytrd, Algo::Gebrd}) {
+    SCOPED_TRACE(name(algo));
+    const Matrix<double> a0 = input(algo, n);
+    obs::dag::start();
+    const Out o = reduce(dev, algo, Path::Ft, a0, nb);
+    const obs::dag::Graph g = obs::dag::stop();
+    ASSERT_EQ(o.rep.outcome.status, RecoveryStatus::Clean);
+    const std::string check = algo == Algo::Gehrd ? "ft.detect" : "ft.line_sums";
+    const index_t products = algo == Algo::Gebrd ? 2 * nb : nb;
+    const index_t event_waits = algo == Algo::Sytrd ? 0 : 1;
+
+    std::map<std::uint64_t, std::string> task_at;  // one stream: label by ticket
+    for (const auto& nd : g.nodes)
+      if (nd.kind == obs::dag::NodeKind::Task) task_at[nd.ticket] = nd.label;
+    std::vector<const obs::dag::Node*> causes;  // the task each host wait blocked on
+    for (const std::int64_t k : g.host_order) {
+      const auto& nd = g.nodes[static_cast<std::size_t>(k)];
+      if (nd.kind != obs::dag::NodeKind::Wait) continue;
+      ASSERT_GE(nd.cause, 0) << nd.site;
+      causes.push_back(&g.nodes[static_cast<std::size_t>(nd.cause)]);
+    }
+
+    std::size_t fetch = 1;  // the first wait drains the encode
+    for (index_t b = 0; b < boundaries; ++b) {
+      SCOPED_TRACE(::testing::Message() << "boundary " << b + 1);
+      std::size_t checked = fetch;
+      while (checked < causes.size() && causes[checked]->label != check) ++checked;
+      ASSERT_LT(checked + 1, causes.size());
+      EXPECT_EQ(static_cast<index_t>(checked - fetch + 1), 1 + products + event_waits + 1)
+          << "waits from the checkpoint fetch to the check";
+      const obs::dag::Node& fetched = *causes[fetch];
+      const obs::dag::Node& first = *causes[fetch + 1];
+      EXPECT_EQ(fetched.label, "d2h") << "a code checkpoint's d2h ends the fetch";
+      EXPECT_EQ(first.label, "d2h") << "the first product's waiter drains its d2h";
+      EXPECT_EQ(first.ticket, fetched.ticket + 3);
+      EXPECT_EQ(task_at[fetched.ticket + 1], "h2d");
+      fetch = checked + 1;
+    }
+  }
+}
+
 // sytrd's online check reads the plain code alone: the reader skips the
-// weighted product there. The plain code's sums are line-sum tasks, so a
-// clean run makes one SYMV to encode the weighted code, one per panel
-// column and one in the final sweep; and one line-sum task to encode the
-// plain code, three per iteration (V2ᵀe, W2ᵀe and the old panel columns'
-// row sums), one per boundary and one in the final sweep.
+// weighted product there. The codes are encoded, and their operand and
+// old-panel sums taken, on the host, so a clean run's device SYMVs are one
+// per panel column and one in the final sweep, and its line-sum tasks one
+// per boundary and one in the final sweep.
 TEST(FtDrains, SytrdOnlineCheckAddsNoWeightedSymv) {
   const index_t n = 128, nb = 32;
   hybrid::Device dev;
@@ -362,8 +415,8 @@ TEST(FtDrains, SytrdOnlineCheckAddsNoWeightedSymv) {
   }
   const index_t boundaries = ft_total_boundaries(n, nb);
   const index_t panel_columns = boundaries * nb;  // 128 = 4·nb: every blocked panel is full
-  EXPECT_EQ(symv, 1 + panel_columns + 1);
-  EXPECT_EQ(line_sums, 1 + 3 * boundaries + boundaries + 1);
+  EXPECT_EQ(symv, panel_columns + 1);
+  EXPECT_EQ(line_sums, boundaries + 1);
 }
 
 }  // namespace

@@ -362,6 +362,37 @@ TEST(InFlight, GebrdChecksumStrike) {
   expect_recovers(&run_gebrd, a0, f, "gebrd checksum strike");
 }
 
+// The two-code drivers' between-updates window sits between the data update
+// and the code update: a strike there lands on data the code update does
+// not read, or on a code it then adds to, and the check must see either.
+void expect_between_updates_recovers(Runner run, const Matrix<double>& a0, const char* what) {
+  for (const fault::Surface surface :
+       {fault::Surface::TrailingMatrix, fault::Surface::ChecksumCol}) {
+    SCOPED_TRACE(fault::to_string(surface));
+    fault::InFlightFault f;
+    f.when = fault::When::BetweenUpdates;
+    f.surface = surface;
+    f.kind = fault::FaultKind::ExponentFlip;
+    f.bit = 52;  // bounded: an overflow-to-Inf cross is unrecoverable by design
+    f.countdown = 2;  // the second iteration's window
+    f.min_impact = 0.1;
+    expect_recovers(run, a0, f, what);
+    fault::FaultPlane plane(0xD15EA5Eull);
+    plane.arm(f);
+    EXPECT_GE(run(a0, &plane, nullptr).rep.detections, 1) << what << ": the check missed it";
+  }
+}
+
+TEST(InFlight, SytrdBetweenUpdatesStrike) {
+  expect_between_updates_recovers(&run_sytrd, random_symmetric_matrix(kN, 321),
+                                  "sytrd between-updates strike");
+}
+
+TEST(InFlight, GebrdBetweenUpdatesStrike) {
+  expect_between_updates_recovers(&run_gebrd, random_matrix(kN, kN, 322),
+                                  "gebrd between-updates strike");
+}
+
 // ---- sytrd / gebrd: struck checkpoints are re-derived --------------------
 // Direct versions of the campaigns' checkpoint-strike and transfer-strike
 // classes, so the re-derivation paths stay covered wherever a campaign's

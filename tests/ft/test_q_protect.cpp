@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "ft/ladder.hpp"
 #include "ft/q_protect.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
@@ -129,6 +130,35 @@ TEST(QProtect, NonFiniteRectangleIsUnrecoverable) {
   Discrepancy d;
   EXPECT_THROW(qp.verify_and_correct(a.view(), 31, 1e-8, &d), recovery_error);
   EXPECT_EQ(d.nonfinite, 4);
+}
+
+// A finite strike beside a non-finite one in another row and column: the
+// comparison that shows the NaN hands out its rebuild only, so the ladder's
+// verify_q passes again after a rebuild and corrects the finite strike too,
+// for column- and row-stored reflectors alike.
+TEST(QProtect, VerifyQCorrectsAFiniteStrikeBesideARebuiltNaN) {
+  const index_t n = 40;
+  for (const QProtector::Storage storage :
+       {QProtector::Storage::Columns, QProtector::Storage::Rows}) {
+    const bool rows = storage == QProtector::Storage::Rows;
+    SCOPED_TRACE(rows ? "rows" : "columns");
+    Matrix<double> a = integer_storage(n);
+    const Matrix<double> clean(a.cview());
+    QProtector qp(n, 2, storage);
+    for (index_t k = 0; k < n - 1; k += 8)
+      qp.commit(qp.compute_panel(a.cview(), k, std::min<index_t>(8, n - 1 - k)));
+    // (position, reflector) = (20, 5) and (30, 9), wherever the storage puts them.
+    const auto at = [&](index_t pos, index_t refl) -> double& {
+      return rows ? a(refl, pos) : a(pos, refl);
+    };
+    at(20, 5) += 0.75;
+    at(30, 9) = std::numeric_limits<double>::quiet_NaN();
+    FtReport rep;
+    RecoveryLadder ladder({"test", "gap", false}, rep, nullptr, 3, 1.0, 1);
+    EXPECT_EQ(ladder.verify_q(qp, a.view()), 2);
+    EXPECT_EQ(rep.q_corrections, 2);
+    EXPECT_EQ(max_abs_diff(a.cview(), clean.cview()), 0.0);
+  }
 }
 
 TEST(QProtect, UncommittedPanelNotDoubleCounted) {
