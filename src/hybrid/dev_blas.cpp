@@ -65,11 +65,4 @@ void syr2k_async(Stream& s, Uplo uplo, Trans trans, double alpha, DMatrixView<co
   });
 }
 
-void fill_async(Stream& s, DMatrixView<double> a, double value) {
-  s.enqueue("dev.fill", FTH_TASK_EFFECTS(FTH_WRITES(a)), [=] {
-    obs::TraceSpan span("dev_blas", "fill");
-    fill(a.in_task(), value);
-  });
-}
-
 }  // namespace fth::hybrid

@@ -36,7 +36,4 @@ void symv_async(Stream& s, Uplo uplo, double alpha, DMatrixView<const double> a,
 void syr2k_async(Stream& s, Uplo uplo, Trans trans, double alpha, DMatrixView<const double> a,
                  DMatrixView<const double> b, double beta, DMatrixView<double> c);
 
-/// Fill a device view with a constant.
-void fill_async(Stream& s, DMatrixView<double> a, double value);
-
 }  // namespace fth::hybrid

@@ -8,8 +8,12 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/flops.hpp"
@@ -67,23 +71,68 @@ void pack_b(const MatrixView<const T>& b, Trans tb, index_t k0, index_t j0, inde
   }
 }
 
-/// kMR×kNR register-tiled micro-kernel: C(0:mr,0:nr) += alpha · Ap·Bp.
+/// acc(i, j) = Σ_k Ap(i, k)·Bp(k, j) over one packed kMR×kNR tile: one
+/// fused multiply-add chain per element, in increasing k from +0. The
+/// library is built without FMA contraction, so the FMAs are written out.
+template <class T>
+void tile_product(index_t kb, const T* ap, const T* bp, T (&acc)[kMR][kNR]) {
+  for (index_t k = 0; k < kb; ++k, ap += kMR, bp += kNR)
+    for (index_t i = 0; i < kMR; ++i)
+      for (index_t j = 0; j < kNR; ++j) acc[i][j] = std::fma(ap[i], bp[j], acc[i][j]);
+}
+
+#if defined(__AVX2__) && defined(__FMA__)
+/// The same chains for double, four lanes wide: row i of the tile lives in
+/// two accumulators, fed by a broadcast of Ap(i, k) and the two halves of
+/// Bp(k, :). The compiler does not vectorize the std::fma loop above.
+inline void tile_product(index_t kb, const double* ap, const double* bp,
+                         double (&acc)[kMR][kNR]) {
+  static_assert(kMR == 4 && kNR == 8, "the AVX2 tile is 4x8");
+  __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
+  __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
+  __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
+  __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
+  for (index_t k = 0; k < kb; ++k, ap += kMR, bp += kNR) {
+    const __m256d b0 = _mm256_loadu_pd(bp);
+    const __m256d b1 = _mm256_loadu_pd(bp + 4);
+    __m256d a = _mm256_broadcast_sd(ap);
+    c00 = _mm256_fmadd_pd(a, b0, c00);
+    c01 = _mm256_fmadd_pd(a, b1, c01);
+    a = _mm256_broadcast_sd(ap + 1);
+    c10 = _mm256_fmadd_pd(a, b0, c10);
+    c11 = _mm256_fmadd_pd(a, b1, c11);
+    a = _mm256_broadcast_sd(ap + 2);
+    c20 = _mm256_fmadd_pd(a, b0, c20);
+    c21 = _mm256_fmadd_pd(a, b1, c21);
+    a = _mm256_broadcast_sd(ap + 3);
+    c30 = _mm256_fmadd_pd(a, b0, c30);
+    c31 = _mm256_fmadd_pd(a, b1, c31);
+  }
+  _mm256_storeu_pd(&acc[0][0], c00);
+  _mm256_storeu_pd(&acc[0][4], c01);
+  _mm256_storeu_pd(&acc[1][0], c10);
+  _mm256_storeu_pd(&acc[1][4], c11);
+  _mm256_storeu_pd(&acc[2][0], c20);
+  _mm256_storeu_pd(&acc[2][4], c21);
+  _mm256_storeu_pd(&acc[3][0], c30);
+  _mm256_storeu_pd(&acc[3][4], c31);
+}
+#endif
+
+/// kMR×kNR register-tiled micro-kernel: C(0:mr,0:nr) += alpha · Ap·Bp,
+/// each element folded in as std::fma(alpha, acc, c).
 template <class T>
 void micro_kernel(index_t kb, T alpha, const T* ap, const T* bp, MatrixView<T>& c, index_t i0,
                   index_t j0, index_t mr, index_t nr) {
   T acc[kMR][kNR] = {};
-  for (index_t k = 0; k < kb; ++k) {
-    const T* arow = ap + k * kMR;
-    const T* brow = bp + k * kNR;
-    for (index_t i = 0; i < kMR; ++i) {
-      const T ai = arow[i];
-      for (index_t j = 0; j < kNR; ++j) acc[i][j] += ai * brow[j];
-    }
-  }
+  tile_product(kb, ap, bp, acc);
   T* cd = c.data();
   const index_t ldc = c.ld();
   for (index_t j = 0; j < nr; ++j)
-    for (index_t i = 0; i < mr; ++i) cd[(i0 + i) + (j0 + j) * ldc] += alpha * acc[i][j];
+    for (index_t i = 0; i < mr; ++i) {
+      T& cij = cd[(i0 + i) + (j0 + j) * ldc];
+      cij = std::fma(alpha, acc[i][j], cij);
+    }
 }
 
 /// Naive triple loop for small problems (avoids packing overhead).

@@ -4,8 +4,7 @@
 // drivers' operand and old-panel sums with the one code-update task they
 // feed, and gebrd's one-pass check. Each device side is the task sequence
 // the drivers once enqueued, on the drivers' operand shapes (gehrd's
-// strided checksum row included). Built twice: against the default library
-// and against fth_strictfp (-ffp-contract=off), ctest prefix "strictfp.".
+// strided checksum row included).
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -2,8 +2,7 @@
 // bit: gemv(No/Yes) and symv(Lower) with a ones vector, the loops of
 // add_trailing_sums, finished_sums and QProtector's sums, and the row-stored
 // Householder orientation against the transposed copy it replaced. Also the
-// DualSum checkpoint seal. Built twice: against the default library and
-// against fth_strictfp (-ffp-contract=off), ctest prefix "strictfp.".
+// DualSum checkpoint seal.
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -7,14 +7,14 @@
 // FtReport field (doubles as %.17g), the structured outcome, every FtEvent
 // with its error coordinates, and the ft.* counter deltas it moved.
 //
-// The test links a copy of the library built with -ffp-contract=off (see
-// tests/CMakeLists.txt), so the dumped bits depend on the source semantics
-// alone, not on where the compiler chose to fuse multiply-adds. The dump
-// opens with a fingerprint of the host LAPACK path; when it matches the
-// golden's the comparison is byte-exact, otherwise (a platform whose libm
-// or arithmetic differs) every floating-point literal is masked and only
-// the discrete skeleton (counts, statuses, boundaries, coordinates, counter
-// deltas) is compared.
+// The tree is built with -ffp-contract=off (root CMakeLists.txt), so the
+// dumped bits depend on the source semantics alone, not on where the
+// compiler chose to fuse multiply-adds: Debug, Release and sanitizer builds
+// write the same golden byte for byte. The dump opens with a fingerprint of
+// the host LAPACK path; when it matches the golden's the comparison is
+// byte-exact, otherwise (a platform whose libm or arithmetic differs) every
+// floating-point literal is masked and only the discrete skeleton (counts,
+// statuses, boundaries, coordinates, counter deltas) is compared.
 //
 // Regenerate (only when a change is MEANT to alter a report):
 //   FTH_REPORT_GOLDEN_OUT=tests/ft/report_golden.txt ./ft_test_report_golden

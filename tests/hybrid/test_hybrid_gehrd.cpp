@@ -136,16 +136,5 @@ TEST(DevBlas, AsyncKernelsMatchHostBlas) {
   test::expect_matrix_near(back.cview(), expected.cview(), 1e-11, "device gemm");
 }
 
-TEST(DevBlas, FillAsync) {
-  Device dev;
-  DeviceMatrix<double> d(dev, 6, 6);
-  fill_async(dev.stream(), d.view(), 3.25);
-  dev.stream().synchronize();
-  Matrix<double> back(6, 6);
-  copy_d2h(dev.stream(), d.view(), back.view());
-  EXPECT_EQ(norm_max(back.cview()), 3.25);
-  EXPECT_EQ(back(5, 5), 3.25);
-}
-
 }  // namespace
 }  // namespace fth::hybrid

@@ -2,7 +2,11 @@
 // blocking-boundary sizes, alpha/beta special cases).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "la/blas3.hpp"
@@ -80,6 +84,112 @@ INSTANTIATE_TEST_SUITE_P(
                                          Shape{513, 481, 32}, Shape{33, 32, 95},
                                          Shape{257, 32, 255}),
                        ::testing::Values(0, 1), ::testing::Values(0, 1), ::testing::Values(0, 1)));
+
+// gemm's rounding contract, bit for bit: C is first scaled by beta. Below
+// 32³ multiply-adds the naive loop adds op(A)(i, l)·(alpha·op(B)(l, j)) in
+// increasing l, skipping a zero alpha·op(B)(l, j). Above it each kKC block
+// of k is one std::fma chain per element, in increasing k from +0, folded
+// into C as std::fma(alpha, acc, c). Release builds run the AVX2
+// micro-kernel and Debug and sanitizer builds (no -march=native) its
+// std::fma loop, so the suites pin both to this one answer.
+Matrix<double> replay_gemm(Trans ta, Trans tb, double alpha, MatrixView<const double> a,
+                           MatrixView<const double> b, double beta,
+                           MatrixView<const double> c0) {
+  const index_t m = c0.rows();
+  const index_t n = c0.cols();
+  const index_t k = ta == Trans::No ? a.cols() : a.rows();
+  auto opa = [&](index_t i, index_t l) { return ta == Trans::No ? a(i, l) : a(l, i); };
+  auto opb = [&](index_t l, index_t j) { return tb == Trans::No ? b(l, j) : b(j, l); };
+  Matrix<double> c(c0);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i)
+      if (beta == 0.0)
+        c(i, j) = 0.0;
+      else if (beta != 1.0)
+        c(i, j) *= beta;
+  if (alpha == 0.0 || k == 0) return c;
+  if (static_cast<double>(m * n * k) < 32.0 * 32.0 * 32.0) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t l = 0; l < k; ++l) {
+        const double blj = alpha * opb(l, j);
+        if (blj == 0.0) continue;
+        for (index_t i = 0; i < m; ++i) c(i, j) += opa(i, l) * blj;
+      }
+    return c;
+  }
+  for (index_t k0 = 0; k0 < k; k0 += blas::detail::kKC)
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) {
+        double acc = 0.0;
+        for (index_t l = k0; l < std::min(k0 + blas::detail::kKC, k); ++l)
+          acc = std::fma(opa(i, l), opb(l, j), acc);
+        c(i, j) = std::fma(alpha, acc, c(i, j));
+      }
+  return c;
+}
+
+/// A (rows + 3) × cols matrix whose rows 1..rows serve as an operand with
+/// ld > rows: entries graded over 2^±40, with ±0.0 and subnormals sprinkled
+/// in, and one NaN and one −Inf (each spreads along one line of C).
+Matrix<double> seasoned(index_t rows, index_t cols, std::uint64_t seed) {
+  Matrix<double> s = random_matrix(rows + 3, cols, seed);
+  for (index_t j = 0; j < cols; ++j)
+    for (index_t i = 1; i <= rows; ++i) {
+      double& x = s(i, j);
+      x = std::ldexp(x, static_cast<int>((i * 31 + j * 17) % 81) - 40);
+      if ((i + 2 * j) % 11 == 0) x = (i % 2 == 0) ? 0.0 : -0.0;
+      if ((3 * i + j) % 13 == 0) x *= 1e-310;
+    }
+  s(1 + rows / 2, cols / 3) = std::numeric_limits<double>::quiet_NaN();
+  s(rows, cols - 1) = -std::numeric_limits<double>::infinity();
+  return s;
+}
+
+/// Equal bits, or both NaN: which NaN operand an operation propagates is
+/// the hardware's choice, not part of the order.
+::testing::AssertionResult same_bits(MatrixView<const double> x, MatrixView<const double> y) {
+  for (index_t j = 0; j < x.cols(); ++j)
+    for (index_t i = 0; i < x.rows(); ++i) {
+      const double u = x(i, j);
+      const double v = y(i, j);
+      if (std::isnan(u) && std::isnan(v)) continue;
+      if (std::bit_cast<std::uint64_t>(u) != std::bit_cast<std::uint64_t>(v))
+        return ::testing::AssertionFailure()
+               << "(" << i << ", " << j << "): " << u << " vs " << v;
+    }
+  return ::testing::AssertionSuccess();
+}
+
+class GemmOrder
+    : public ::testing::TestWithParam<std::tuple<Shape, int, int, std::pair<double, double>>> {};
+
+TEST_P(GemmOrder, IsTheReplayedOrderBitForBit) {
+  const auto [shape, tac, tbc, scalars] = GetParam();
+  const auto [m, n, k] = shape;
+  const auto [alpha, beta] = scalars;
+  const Trans ta = tac == 0 ? Trans::No : Trans::Yes;
+  const Trans tb = tbc == 0 ? Trans::No : Trans::Yes;
+  Matrix<double> sa = ta == Trans::No ? seasoned(m, k, 31) : seasoned(k, m, 31);
+  Matrix<double> sb = tb == Trans::No ? seasoned(k, n, 32) : seasoned(n, k, 32);
+  Matrix<double> sc = seasoned(m, n, 33);
+  const MatrixView<const double> a = sa.block(1, 0, sa.rows() - 3, sa.cols());
+  const MatrixView<const double> b = sb.block(1, 0, sb.rows() - 3, sb.cols());
+  MatrixView<double> c = sc.block(1, 0, m, n);
+  const Matrix<double> want = replay_gemm(ta, tb, alpha, a, b, beta, c);
+  blas::gemm(ta, tb, alpha, a, b, beta, c);
+  EXPECT_TRUE(same_bits(c, want.cview()));
+}
+
+// m and n off the 4 × 8 tile, k across one and two kKC = 256 blocks, one
+// shape across kMC = 128 and kNC = 1024, and one on the naive path.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmOrder,
+    ::testing::Combine(::testing::Values(Shape{5, 7, 40}, Shape{33, 19, 61},
+                                         Shape{37, 29, 300}, Shape{64, 16, 513},
+                                         Shape{130, 1030, 33}),
+                       ::testing::Values(0, 1), ::testing::Values(0, 1),
+                       ::testing::Values(std::pair{1.7, -0.3}, std::pair{-1.0, 1.0},
+                                         std::pair{0.5, 0.0})));
 
 TEST(Gemm, SubmatrixViewsWithLd) {
   Matrix<double> big_a = random_matrix(40, 40, 6);

@@ -10,9 +10,9 @@
 // must equal the host routine's (whose waiter is ready) bit for bit, and
 // every waiter must run exactly once per column, before the next launch.
 //
-// The target links fth_strictfp and is built with -ffp-contract=off (see
-// tests/CMakeLists.txt), so this TU's instantiation of each template and
-// the library's host routine round identically.
+// The tree is built with -ffp-contract=off (root CMakeLists.txt), so this
+// TU's instantiation of each template and the library's host routine round
+// identically.
 #include <gtest/gtest.h>
 
 #include <cstring>
