@@ -4,7 +4,8 @@
 // drivers' operand and old-panel sums with the one code-update task they
 // feed, and gebrd's one-pass check. Each device side is the task sequence
 // the drivers once enqueued, on the drivers' operand shapes (gehrd's
-// strided checksum row included).
+// strided checksum row included). Registered twice: plainly, and under the
+// ctest prefix "strictfp." with each test run twice in one process.
 #include <gtest/gtest.h>
 
 #include <bit>

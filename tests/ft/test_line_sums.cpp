@@ -2,7 +2,8 @@
 // bit: gemv(No/Yes) and symv(Lower) with a ones vector, the loops of
 // add_trailing_sums, finished_sums and QProtector's sums, and the row-stored
 // Householder orientation against the transposed copy it replaced. Also the
-// DualSum checkpoint seal.
+// DualSum checkpoint seal. Registered twice: plainly, and under the ctest
+// prefix "strictfp." with each test run twice in one process.
 #include <gtest/gtest.h>
 
 #include <bit>
