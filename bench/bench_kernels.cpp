@@ -159,13 +159,11 @@ void BM_larfb(benchmark::State& state) {
   lapack::gehrd(a.view(), VectorView<double>(tau.data(), m), {.nb = k, .nx = k});
   Matrix<double> v = lapack::materialize_v(a.cview(), 0, k);
   Matrix<double> t(k, k);
-  lapack::larft(Direction::Forward, StoreV::Columnwise, v.cview(),
-                VectorView<const double>(tau.data(), k), t.view());
+  lapack::larft(v.cview(), VectorView<const double>(tau.data(), k), t.view());
   Matrix<double> c = random_matrix(m, m, 5);
   Matrix<double> work(m, k);
   for (auto _ : state) {
-    lapack::larfb(Side::Left, Trans::Yes, Direction::Forward, StoreV::Columnwise, v.cview(),
-                  t.cview(), c.view(), work.view());
+    lapack::larfb(Trans::Yes, v.cview(), t.cview(), c.view(), work.view());
     benchmark::DoNotOptimize(c.data());
   }
 }

@@ -1108,6 +1108,52 @@ struct Engine {
     return close;
   }
 
+  /// Local aliases bound before token `i` in the enclosing function: each
+  /// `name = <expr>;` maps name to every identifier of <expr>, so after
+  /// `auto ce = d_chk1_.view();` a mention of `ce` stands for root d_chk1_.
+  std::map<std::string, std::set<std::string>> local_aliases(std::size_t i) const {
+    std::map<std::string, std::set<std::string>> alias;
+    for (const FuncDef& def : defs) {
+      if (!(def.body_begin <= i && i < def.body_end)) continue;
+      for (std::size_t j = def.body_begin; j < i; ++j) {
+        if (!is_ident(j) || !is_punct(j + 1, "=")) continue;
+        if (j > 0 && t[j - 1].kind == Tok::Punct &&
+            (t[j - 1].text == "." || t[j - 1].text == "->" || t[j - 1].text == "::"))
+          continue;
+        std::set<std::string>& binds = alias[t[j].text];
+        int pd = 0;
+        for (std::size_t k = j + 2; k < i; ++k) {
+          if (t[k].kind == Tok::Punct) {
+            if (t[k].text == "(") ++pd;
+            else if (t[k].text == ")") --pd;
+            else if (t[k].text == ";" && pd <= 0) break;
+          } else if (t[k].kind == Tok::Ident) {
+            binds.insert(t[k].text);
+          }
+        }
+      }
+      break;
+    }
+    return alias;
+  }
+
+  /// A declared root spelled through a local alias names the FT-protected
+  /// checksum root the alias binds, when it binds exactly one; a local
+  /// bound to two (two_code.inc's `write_code` picks d_chk1_ or d_chk2_)
+  /// stays as spelled.
+  static std::string protected_root(const std::map<std::string, std::set<std::string>>& alias,
+                                    const std::string& root) {
+    const auto it = alias.find(root);
+    if (is_protected_chk_root(root) || it == alias.end()) return root;
+    std::string hit;
+    for (const std::string& id : it->second) {
+      if (!is_protected_chk_root(id)) continue;
+      if (!hit.empty()) return root;
+      hit = id;
+    }
+    return hit.empty() ? root : hit;
+  }
+
   std::size_t handle_enqueue(std::size_t i, std::size_t open) {
     const std::size_t close = close_paren(open);
     Op op{Op::kEnqueue, t[i].line};
@@ -1130,6 +1176,7 @@ struct Engine {
                  "FTH_READS/FTH_WRITES footprint so fth::analyze and "
                  "FTH_CHECK_EFFECTS=1 can see it");
     }
+    const auto alias = local_aliases(i);
     for (std::size_t j = fx; fx != 0 && j < close; ++j) {
       if (t[j].kind != Tok::Ident ||
           (t[j].text != "FTH_READS" && t[j].text != "FTH_WRITES") || !is_punct(j + 1, "("))
@@ -1139,7 +1186,7 @@ struct Engine {
       const std::size_t fc = close_paren(fo);
       for (const auto& arg : split_args(fo, fc)) {
         const std::string root = root_of(arg.first, arg.second);
-        if (!root.empty()) op.effects.push_back({root, write});
+        if (!root.empty()) op.effects.push_back({protected_root(alias, root), write});
       }
       j = fc;
     }
@@ -1149,31 +1196,8 @@ struct Engine {
     // the overlap the false-serialization rule looks for.
     if (perf && !summarizing && fx != 0 && is_punct(fx + 1, "(")) {
       const std::size_t decl_close = close_paren(fx + 1);
-      // Local aliases bound earlier in the enclosing function: after
-      // `auto ce = d_chk1_.view();` a capture of `ce` in the lambda IS
-      // a use of root d_chk1_.
-      std::map<std::string, std::set<std::string>> alias;
-      for (const FuncDef& def : defs) {
-        if (!(def.body_begin <= i && i < def.body_end)) continue;
-        for (std::size_t j = def.body_begin; j < i; ++j) {
-          if (!is_ident(j) || !is_punct(j + 1, "=")) continue;
-          if (j > 0 && t[j - 1].kind == Tok::Punct &&
-              (t[j - 1].text == "." || t[j - 1].text == "->" || t[j - 1].text == "::"))
-            continue;
-          std::set<std::string>& binds = alias[t[j].text];
-          int pd = 0;
-          for (std::size_t k = j + 2; k < i; ++k) {
-            if (t[k].kind == Tok::Punct) {
-              if (t[k].text == "(") ++pd;
-              else if (t[k].text == ")") --pd;
-              else if (t[k].text == ";" && pd <= 0) break;
-            } else if (t[k].kind == Tok::Ident) {
-              binds.insert(t[k].text);
-            }
-          }
-        }
-        break;
-      }
+      // A capture of a local alias (`ce` after `auto ce = d_chk1_.view();`)
+      // in the lambda IS a use of its root.
       for (const EffRoot& eff : op.effects) {
         bool mentioned = false;
         for (std::size_t j = decl_close + 1; j < close && !mentioned; ++j) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string_view>
 
 namespace fth {
 
@@ -27,18 +26,8 @@ enum class Uplo : char { Upper = 'U', Lower = 'L' };
 /// Whether the referenced triangle has an implicit unit diagonal.
 enum class Diag : char { NonUnit = 'N', Unit = 'U' };
 
-/// Side from which a triangular/block-reflector operand is applied.
+/// Side from which a triangular operand (trmm) or a reflector (larf) is applied.
 enum class Side : char { Left = 'L', Right = 'R' };
-
-/// Storage direction of the elementary reflectors in a block reflector.
-enum class Direction : char { Forward = 'F', Backward = 'B' };
-
-/// How the reflector vectors are stored in a block reflector.
-enum class StoreV : char { Columnwise = 'C', Rowwise = 'R' };
-
-constexpr std::string_view to_string(Trans t) { return t == Trans::No ? "N" : "T"; }
-constexpr std::string_view to_string(Uplo u) { return u == Uplo::Upper ? "Upper" : "Lower"; }
-constexpr std::string_view to_string(Side s) { return s == Side::Left ? "Left" : "Right"; }
 
 /// Machine epsilon for the working precision.
 template <class T>

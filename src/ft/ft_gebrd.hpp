@@ -9,15 +9,16 @@
 // data each iteration (their pre-images are checkpointed).
 //
 // Detection compares both maintained vectors against freshly recomputed
-// logical sums once per iteration (two GEMVs over the trailing block);
-// because a general-matrix error is asymmetric, the mismatched row and
-// column identify it directly and the location/correction logic of
-// ft::locate is reused verbatim.
+// logical sums once per iteration: one ft::sum_lines pass over the
+// trailing block takes its row and column sums together, read back with
+// both codes under one drain. Because a general-matrix error is
+// asymmetric, the mismatched row and column identify it directly and the
+// location/correction logic of ft::locate is reused verbatim.
 //
 // Both Householder families are write-once host data and get Section IV-E
 // style protection: the left (Q) vectors through a QProtector with the
-// QR-geometry offset, the right (P) vectors through a QProtector running
-// on a transposed mirror of the finished rows.
+// QR-geometry offset, the right (P) vectors through a row-stored
+// QProtector (QProtector::Storage::Rows) over the finished rows in place.
 #pragma once
 
 #include "fault/injector.hpp"

@@ -12,8 +12,12 @@
 //    chk_e = A·e (ones) and chk_w = A·ω (linear weights ω_r = r+1) —
 //    the classic two-code ABFT pair;
 //  * detection compares chk_e against *freshly recomputed* logical row
-//    sums (one SYMV with the ones vector per check — ~1/(2·nb) of the
-//    iteration's flops; the `detect_every` knob amortizes it further);
+//    sums: one pass of ft::sum_lines over the trailing block's stored
+//    lower triangle per check (LineShape::symmetric_lower, the bits of a
+//    SYMV with the ones vector), read back with both codes under one
+//    drain. The weighted SYMV runs only where the weighted code is read
+//    (locating, the final sweep, a checkpoint re-derivation), and the
+//    `detect_every` knob amortizes the check further;
 //  * location needs no row/column pairing at all: for a flagged row p the
 //    weighted/plain delta ratio yields the column directly
 //    (q = Δw(p)/Δe(p) − 1), which also disambiguates diagonal errors from

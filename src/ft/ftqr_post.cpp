@@ -58,11 +58,9 @@ void ftqr_post(MatrixView<double> a, VectorView<double> tau,
         v(j, j) = 1.0;
         for (index_t r = j + 1; r < m - i; ++r) v(r, j) = enc(i + r, i + j);
       }
-      lapack::larft(Direction::Forward, StoreV::Columnwise, v.cview(), tau.sub(i, ib),
-                    t.view());
-      lapack::larfb(Side::Left, Trans::Yes, Direction::Forward, StoreV::Columnwise,
-                    v.cview(), t.cview(), ev.block(i, i + ib, m - i, n + 2 - i - ib),
-                    work.view());
+      lapack::larft(v.cview(), tau.sub(i, ib), t.view());
+      lapack::larfb(Trans::Yes, v.cview(), t.cview(),
+                    ev.block(i, i + ib, m - i, n + 2 - i - ib), work.view());
     }
     i += ib;
     ++boundary;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "ft/checksum.hpp"
 
 namespace fth::ft {
 
@@ -26,17 +27,14 @@ void scatter_shards(MatrixView<const double> a, const ShardLayout& lay,
   for (int d = 0; d < lay.data_shards; ++d) {
     Matrix<double>& sh = shards.emplace_back(lay.rows(), lay.w_max);
     sh.fill(0.0);
+    MatrixView<double> v = sh.view();
     const index_t owned = lay.owned_cols(d);
     for (index_t l = 0; l < owned; ++l) {
       const index_t c = lay.global_of(d, l);
-      double sum = 0.0;
-      for (index_t r = 0; r < lay.n; ++r) {
-        const double v = a(r, c);
-        sh.view()(r, l) = v;
-        sum += v;
-      }
-      sh.view()(lay.n, l) = sum;
+      for (index_t r = 0; r < lay.n; ++r) v(r, l) = a(r, c);
     }
+    sum_lines(MatrixView<const double>(v.block(0, 0, lay.n, owned)), LineShape::full(), {},
+              v.row(lay.n).sub(0, owned));
   }
 }
 
@@ -72,18 +70,16 @@ void reconstruct_shard(const ShardLayout& lay, const std::vector<Matrix<double>>
   }
 }
 
-double code_row_gap(MatrixView<const double> shard, index_t cols) {
+double code_row_gap(MatrixView<const double> shard, VectorView<double> sums, index_t cols) {
   const index_t n = shard.rows() - 1;
   const index_t w = cols < 0 ? shard.cols() : std::min(cols, shard.cols());
+  FTH_CHECK(sums.size() >= w, "code_row_gap: scratch row shorter than the columns checked");
+  VectorView<double> s = sums.sub(0, w);
+  sum_lines(shard.block(0, 0, n, w), LineShape::full(), {}, s);
+  // A non-finite element leaves its column sum, and so its gap, non-finite.
   double gap = 0.0;
   for (index_t l = 0; l < w; ++l) {
-    double sum = 0.0;
-    for (index_t r = 0; r < n; ++r) {
-      const double v = shard(r, l);
-      if (!std::isfinite(v)) return std::numeric_limits<double>::infinity();
-      sum += v;
-    }
-    const double g = std::abs(shard(n, l) - sum);
+    const double g = std::abs(shard(n, l) - s[l]);
     if (!(g <= gap)) gap = std::isfinite(g) ? g : std::numeric_limits<double>::infinity();
   }
   return gap;

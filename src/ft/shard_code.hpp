@@ -86,8 +86,11 @@ void reconstruct_shard(const ShardLayout& lay, const std::vector<Matrix<double>>
                        Matrix<double>& out);
 
 /// Max |code-row entry − column sum| over the first `cols` local columns
-/// (all w_max when cols < 0). The per-device poison detector.
-[[nodiscard]] double code_row_gap(MatrixView<const double> shard, index_t cols = -1);
+/// (all w_max when cols < 0); infinite when any of them holds a non-finite
+/// element. The column sums go through `sums` (at least that long), the
+/// caller's scratch. The per-device poison detector.
+[[nodiscard]] double code_row_gap(MatrixView<const double> shard, VectorView<double> sums,
+                                  index_t cols = -1);
 
 /// Gather the data rows of the shards back into `a` for columns
 /// [first_col, n). Padding columns and the code row are skipped.

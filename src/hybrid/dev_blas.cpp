@@ -44,8 +44,7 @@ void larfb_left_async(Stream& s, Trans trans, DMatrixView<const double> v,
                       DMatrixView<double> work) {
   s.enqueue("dev.larfb", FTH_TASK_EFFECTS(FTH_READS(v, t) FTH_WRITES(c, work)), [=] {
     obs::TraceSpan span("dev_blas", "larfb");
-    lapack::larfb(Side::Left, trans, Direction::Forward, StoreV::Columnwise, v.in_task(),
-                  t.in_task(), c.in_task(), work.in_task());
+    lapack::larfb(trans, v.in_task(), t.in_task(), c.in_task(), work.in_task());
   });
 }
 

@@ -29,7 +29,7 @@
 
 namespace fth::hybrid {
 
-/// Direction of a host↔device transfer, as seen by a transfer hook.
+/// Which way a host↔device transfer moves data, as seen by a transfer hook.
 enum class TransferDir { H2D, D2H };
 
 /// Static description + cost model of a simulated device.

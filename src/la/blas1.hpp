@@ -46,17 +46,6 @@ void copy(VectorView<const T> x, VectorView<T> y) {
   for (index_t i = 0; i < x.size(); ++i) y[i] = x[i];
 }
 
-/// swap: x ↔ y.
-template <class T>
-void swap(VectorView<T> x, VectorView<T> y) {
-  FTH_CHECK(x.size() == y.size(), "swap length mismatch");
-  for (index_t i = 0; i < x.size(); ++i) {
-    const T t = x[i];
-    x[i] = y[i];
-    y[i] = t;
-  }
-}
-
 /// nrm2: ‖x‖₂, computed with scaling to avoid overflow/underflow
 /// (the classic LAPACK dlassq recurrence).
 template <class T>
@@ -78,30 +67,6 @@ T nrm2(VectorView<const T> x) {
   }
   flops::add(2ull * x.size());
   return scale * std::sqrt(ssq);
-}
-
-/// asum: Σ|xᵢ|.
-template <class T>
-T asum(VectorView<const T> x) {
-  T acc{};
-  for (index_t i = 0; i < x.size(); ++i) acc += std::abs(x[i]);
-  flops::add(static_cast<std::uint64_t>(x.size()));
-  return acc;
-}
-
-/// iamax: index of the element with the largest magnitude (-1 if empty).
-template <class T>
-index_t iamax(VectorView<const T> x) {
-  index_t best = -1;
-  T best_val{-1};
-  for (index_t i = 0; i < x.size(); ++i) {
-    const T a = std::abs(x[i]);
-    if (a > best_val) {
-      best_val = a;
-      best = i;
-    }
-  }
-  return best;
 }
 
 /// sum: Σxᵢ (checksum building block; plain left-to-right accumulation,

@@ -1,4 +1,5 @@
-// Level-2 BLAS: matrix-vector kernels (gemv, ger, trmv, trsv).
+// Level-2 BLAS: matrix-vector kernels (gemv, ger, symv, syr2, trmv), the ones
+// the reductions call.
 #pragma once
 
 #include "common/error.hpp"
@@ -190,48 +191,6 @@ void trmv(Uplo uplo, Trans trans, Diag diag, MatrixView<const T> a, VectorView<T
         T acc = unit ? x[i] : a(i, i) * x[i];
         for (index_t k = 0; k < i; ++k) acc += a(k, i) * x[k];
         x[i] = acc;
-      }
-    }
-  }
-  flops::add(static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n));
-}
-
-/// trsv: solve op(A)·x = b in place (x ← op(A)⁻¹·x) with A triangular.
-template <class T>
-void trsv(Uplo uplo, Trans trans, Diag diag, MatrixView<const T> a, VectorView<T> x) {
-  const index_t n = a.rows();
-  FTH_CHECK(a.cols() == n, "trsv requires a square matrix");
-  FTH_CHECK(x.size() == n, "trsv dimension mismatch");
-  const bool unit = diag == Diag::Unit;
-  const bool lower = (uplo == Uplo::Lower) == (trans == Trans::No);
-
-  if (trans == Trans::No) {
-    if (lower) {
-      for (index_t i = 0; i < n; ++i) {
-        T acc = x[i];
-        for (index_t j = 0; j < i; ++j) acc -= a(i, j) * x[j];
-        x[i] = unit ? acc : acc / a(i, i);
-      }
-    } else {
-      for (index_t i = n - 1; i >= 0; --i) {
-        T acc = x[i];
-        for (index_t j = i + 1; j < n; ++j) acc -= a(i, j) * x[j];
-        x[i] = unit ? acc : acc / a(i, i);
-      }
-    }
-  } else {
-    // Solve Aᵀx = b: forward/backward substitution on columns of A.
-    if (uplo == Uplo::Upper) {
-      for (index_t i = 0; i < n; ++i) {
-        T acc = x[i];
-        for (index_t k = 0; k < i; ++k) acc -= a(k, i) * x[k];
-        x[i] = unit ? acc : acc / a(i, i);
-      }
-    } else {
-      for (index_t i = n - 1; i >= 0; --i) {
-        T acc = x[i];
-        for (index_t k = i + 1; k < n; ++k) acc -= a(k, i) * x[k];
-        x[i] = unit ? acc : acc / a(i, i);
       }
     }
   }

@@ -1,10 +1,11 @@
-// Level-3 BLAS: matrix-matrix kernels (gemm, trmm, trsm, syrk).
+// Level-3 BLAS: matrix-matrix kernels (gemm, trmm, syr2k), the ones the
+// reductions call.
 //
 // gemm is the workhorse of both the baseline and the fault-tolerant
 // Hessenberg reduction; it is implemented with the classic Goto-style
 // three-level cache blocking (pack A panel, pack B panel, register-tiled
-// micro-kernel) on the calling thread. Everything else is a
-// straightforward reference kernel — they sit off the critical path.
+// micro-kernel) on the calling thread. trmm is a straightforward reference
+// kernel; syr2k hands its off-diagonal blocks to gemm.
 #pragma once
 
 #include <algorithm>
@@ -308,71 +309,6 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, MatrixView<cons
   flops::add(static_cast<std::uint64_t>(m) * n * na);
 }
 
-/// trsm: solve op(A)·X = alpha·B (Side::Left) or X·op(A) = alpha·B
-/// (Side::Right) with A triangular; X overwrites B.
-template <class T>
-void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, MatrixView<const T> a,
-          MatrixView<T> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  const index_t na = (side == Side::Left) ? m : n;
-  FTH_CHECK(a.rows() == na && a.cols() == na, "trsm dimension mismatch");
-  const bool unit = diag == Diag::Unit;
-
-  if (alpha != T{1}) {
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < m; ++i) b(i, j) *= alpha;
-  }
-
-  if (side == Side::Left) {
-    const bool forward = (uplo == Uplo::Lower) == (trans == Trans::No);
-    for (index_t j = 0; j < n; ++j) {
-      if (forward) {
-        for (index_t i = 0; i < m; ++i) {
-          T acc = b(i, j);
-          for (index_t l = 0; l < i; ++l) acc -= detail::op_at(a, trans, i, l) * b(l, j);
-          b(i, j) = unit ? acc : acc / detail::op_at(a, trans, i, i);
-        }
-      } else {
-        for (index_t i = m - 1; i >= 0; --i) {
-          T acc = b(i, j);
-          for (index_t l = i + 1; l < m; ++l) acc -= detail::op_at(a, trans, i, l) * b(l, j);
-          b(i, j) = unit ? acc : acc / detail::op_at(a, trans, i, i);
-        }
-      }
-    }
-  } else {
-    // X·op(A) = B  ⇒ column j of X solved once columns feeding it are done.
-    const bool effective_upper = (uplo == Uplo::Upper) == (trans == Trans::No);
-    if (effective_upper) {
-      for (index_t j = 0; j < n; ++j) {
-        for (index_t l = 0; l < j; ++l) {
-          const T alj = detail::op_at(a, trans, l, j);
-          if (alj == T{0}) continue;
-          for (index_t i = 0; i < m; ++i) b(i, j) -= b(i, l) * alj;
-        }
-        if (!unit) {
-          const T d = detail::op_at(a, trans, j, j);
-          for (index_t i = 0; i < m; ++i) b(i, j) /= d;
-        }
-      }
-    } else {
-      for (index_t j = n - 1; j >= 0; --j) {
-        for (index_t l = j + 1; l < n; ++l) {
-          const T alj = detail::op_at(a, trans, l, j);
-          if (alj == T{0}) continue;
-          for (index_t i = 0; i < m; ++i) b(i, j) -= b(i, l) * alj;
-        }
-        if (!unit) {
-          const T d = detail::op_at(a, trans, j, j);
-          for (index_t i = 0; i < m; ++i) b(i, j) /= d;
-        }
-      }
-    }
-  }
-  flops::add(static_cast<std::uint64_t>(m) * n * na);
-}
-
 /// syr2k: C ← alpha·(A·Bᵀ + B·Aᵀ) + beta·C (Trans::No; Trans::Yes swaps the
 /// transposes), updating only the `uplo` triangle of C. The trailing update
 /// of the blocked tridiagonal reduction (A −= V·Wᵀ + W·Vᵀ).
@@ -431,29 +367,6 @@ void syr2k(Uplo uplo, Trans trans, T alpha, MatrixView<const T> a, MatrixView<co
     }
   }
   flops::add(2ull * static_cast<std::uint64_t>(n) * n * k);
-}
-
-/// syrk: C ← alpha·A·Aᵀ + beta·C (Trans::No) or alpha·Aᵀ·A + beta·C,
-/// updating only the `uplo` triangle of C.
-template <class T>
-void syrk(Uplo uplo, Trans trans, T alpha, MatrixView<const T> a, T beta, MatrixView<T> c) {
-  const index_t n = c.rows();
-  FTH_CHECK(c.cols() == n, "syrk requires square C");
-  const index_t k = (trans == Trans::No) ? a.cols() : a.rows();
-  const index_t an = (trans == Trans::No) ? a.rows() : a.cols();
-  FTH_CHECK(an == n, "syrk dimension mismatch");
-
-  for (index_t j = 0; j < n; ++j) {
-    const index_t ilo = (uplo == Uplo::Lower) ? j : 0;
-    const index_t ihi = (uplo == Uplo::Lower) ? n : j + 1;
-    for (index_t i = ilo; i < ihi; ++i) {
-      T acc{};
-      for (index_t l = 0; l < k; ++l)
-        acc += detail::op_at(a, trans, i, l) * detail::op_at(a, trans, j, l);
-      c(i, j) = alpha * acc + (beta == T{0} ? T{0} : beta * c(i, j));
-    }
-  }
-  flops::add(static_cast<std::uint64_t>(n) * n * k);
 }
 
 }  // namespace fth::blas

@@ -20,18 +20,6 @@ T norm_one(MatrixView<const T> a) {
   return best;
 }
 
-/// Infinity norm: max row absolute sum.
-template <class T>
-T norm_inf(MatrixView<const T> a) {
-  T best{};
-  for (index_t i = 0; i < a.rows(); ++i) {
-    T s{};
-    for (index_t j = 0; j < a.cols(); ++j) s += std::abs(a(i, j));
-    best = std::max(best, s);
-  }
-  return best;
-}
-
 /// Max-abs norm: max |a_ij|.
 template <class T>
 T norm_max(MatrixView<const T> a) {

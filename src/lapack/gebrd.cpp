@@ -190,9 +190,8 @@ Matrix<double> orgbr_q(MatrixView<const double> a_factored, VectorView<const dou
   for (;;) {
     const index_t ib = std::min(nb, n - s);
     Matrix<double> v = materialize_v_qr(a_factored, s, ib);
-    larft(Direction::Forward, StoreV::Columnwise, v.cview(), tauq.sub(s, ib), t.view());
-    larfb(Side::Left, Trans::No, Direction::Forward, StoreV::Columnwise, v.cview(),
-          t.cview(), q.block(s, s, n - s, n - s), work.view());
+    larft(v.cview(), tauq.sub(s, ib), t.view());
+    larfb(Trans::No, v.cview(), t.cview(), q.block(s, s, n - s, n - s), work.view());
     if (s == 0) break;
     s -= nb;
   }
@@ -218,9 +217,9 @@ Matrix<double> orgbr_p(MatrixView<const double> a_factored, VectorView<const dou
   for (;;) {
     const index_t ib = std::min(nb, k - s);
     Matrix<double> v = materialize_u_rows(a_factored, s, ib);
-    larft(Direction::Forward, StoreV::Columnwise, v.cview(), taup.sub(s, ib), t.view());
-    larfb(Side::Left, Trans::No, Direction::Forward, StoreV::Columnwise, v.cview(),
-          t.cview(), p.block(s + 1, s + 1, n - s - 1, n - s - 1), work.view());
+    larft(v.cview(), taup.sub(s, ib), t.view());
+    larfb(Trans::No, v.cview(), t.cview(), p.block(s + 1, s + 1, n - s - 1, n - s - 1),
+          work.view());
     if (s == 0) break;
     s -= nb;
   }

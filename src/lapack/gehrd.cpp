@@ -115,8 +115,7 @@ void gehrd(MatrixView<double> a, VectorView<double> tau, const GehrdOptions& opt
     }
 
     // Left update: A(i+1:n, i+ib:n) := Hᵀ·A(i+1:n, i+ib:n).
-    larfb(Side::Left, Trans::Yes, Direction::Forward, StoreV::Columnwise,
-          MatrixView<const double>(a.block(i + 1, i, n - i - 1, ib)),
+    larfb(Trans::Yes, MatrixView<const double>(a.block(i + 1, i, n - i - 1, ib)),
           MatrixView<const double>(t.block(0, 0, ib, ib)),
           a.block(i + 1, i + ib, n - i - 1, n - i - ib), work.view());
 

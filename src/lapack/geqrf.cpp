@@ -72,9 +72,9 @@ void geqrf(MatrixView<double> a, VectorView<double> tau, const GeqrfOptions& opt
     // Trailing update with the block reflector.
     if (i + ib < n) {
       Matrix<double> v = materialize_v_qr(MatrixView<const double>(a), i, ib);
-      larft(Direction::Forward, StoreV::Columnwise, v.cview(), tau.sub(i, ib), t.view());
-      larfb(Side::Left, Trans::Yes, Direction::Forward, StoreV::Columnwise, v.cview(),
-            t.cview(), a.block(i, i + ib, m - i, n - i - ib), work.view());
+      larft(v.cview(), tau.sub(i, ib), t.view());
+      larfb(Trans::Yes, v.cview(), t.cview(), a.block(i, i + ib, m - i, n - i - ib),
+            work.view());
     }
     i += ib;
     ++boundary;
@@ -97,9 +97,8 @@ Matrix<double> orgqr(MatrixView<const double> a_factored, VectorView<const doubl
   for (;;) {
     const index_t ib = std::min(nb, k - s);
     Matrix<double> v = materialize_v_qr(a_factored, s, ib);
-    larft(Direction::Forward, StoreV::Columnwise, v.cview(), tau.sub(s, ib), t.view());
-    larfb(Side::Left, Trans::No, Direction::Forward, StoreV::Columnwise, v.cview(),
-          t.cview(), q.block(s, s, m - s, m - s), work.view());
+    larft(v.cview(), tau.sub(s, ib), t.view());
+    larfb(Trans::No, v.cview(), t.cview(), q.block(s, s, m - s, m - s), work.view());
     if (s == 0) break;
     s -= nb;
   }

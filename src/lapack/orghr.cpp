@@ -54,10 +54,9 @@ Matrix<double> orghr(MatrixView<const double> a_factored, VectorView<const doubl
   for (;;) {
     const index_t ib = std::min(nb, k - s);
     Matrix<double> v = materialize_v(a_factored, s, ib);
-    larft(Direction::Forward, StoreV::Columnwise, v.view(), tau.sub(s, ib),
-          t.view());
-    larfb(Side::Left, Trans::No, Direction::Forward, StoreV::Columnwise, v.view(),
-          t.view(), q.block(s + 1, s + 1, n - s - 1, n - s - 1), work.view());
+    larft(v.view(), tau.sub(s, ib), t.view());
+    larfb(Trans::No, v.view(), t.view(), q.block(s + 1, s + 1, n - s - 1, n - s - 1),
+          work.view());
     if (s == 0) break;
     s -= nb;
   }

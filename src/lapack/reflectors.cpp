@@ -65,10 +65,7 @@ void larf(Side side, VectorView<const double> v, double tau, MatrixView<double> 
   }
 }
 
-void larft(Direction dir, StoreV storev, MatrixView<const double> v,
-           VectorView<const double> tau, MatrixView<double> t) {
-  FTH_CHECK(dir == Direction::Forward && storev == StoreV::Columnwise,
-            "larft: only Forward/Columnwise storage is implemented");
+void larft(MatrixView<const double> v, VectorView<const double> tau, MatrixView<double> t) {
   const index_t m = v.rows();
   const index_t k = v.cols();
   FTH_CHECK(tau.size() == k, "larft: tau length mismatch");
@@ -95,84 +92,42 @@ void larft(Direction dir, StoreV storev, MatrixView<const double> v,
   }
 }
 
-void larfb(Side side, Trans trans, Direction dir, StoreV storev, MatrixView<const double> v,
-           MatrixView<const double> t, MatrixView<double> c, MatrixView<double> work) {
-  FTH_CHECK(dir == Direction::Forward && storev == StoreV::Columnwise,
-            "larfb: only Forward/Columnwise storage is implemented");
+void larfb(Trans trans, MatrixView<const double> v, MatrixView<const double> t,
+           MatrixView<double> c, MatrixView<double> work) {
   const index_t k = v.cols();
   if (k == 0 || c.empty()) return;
   FTH_CHECK(t.rows() >= k && t.cols() >= k, "larfb: T too small");
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  FTH_CHECK(v.rows() == m, "larfb: V rows must equal C rows");
+  FTH_CHECK(work.rows() >= n && work.cols() >= k, "larfb: work too small");
+  auto w = work.block(0, 0, n, k);
 
-  // Applying H = I − V·T·Vᵀ:   (side L, trans N):  C −= V·(Cᵀ·V·Tᵀ)ᵀ
-  //                            (side L, trans T):  C −= V·(Cᵀ·V·T)ᵀ
-  //                            (side R, trans N):  C −= (C·V·T)·Vᵀ
-  //                            (side R, trans T):  C −= (C·V·Tᵀ)·Vᵀ
-  const Trans t_op = (side == Side::Left) == (trans == Trans::No) ? Trans::Yes : Trans::No;
+  // H·C = C − V·(Cᵀ·V·Tᵀ)ᵀ and Hᵀ·C = C − V·(Cᵀ·V·T)ᵀ.
+  const Trans t_op = trans == Trans::No ? Trans::Yes : Trans::No;
 
-  if (side == Side::Left) {
-    const index_t m = c.rows();
-    const index_t n = c.cols();
-    FTH_CHECK(v.rows() == m, "larfb left: V rows must equal C rows");
-    FTH_CHECK(work.rows() >= n && work.cols() >= k, "larfb left: work too small");
-    auto w = work.block(0, 0, n, k);
-
-    // W := C1ᵀ  (C1 = first k rows of C)
-    for (index_t j = 0; j < k; ++j)
-      for (index_t i = 0; i < n; ++i) w(i, j) = c(j, i);
-    // W := W·V1 (V1 = top k×k unit lower triangle of V)
-    blas::trmm(Side::Right, Uplo::Lower, Trans::No, Diag::Unit, 1.0,
-               v.block(0, 0, k, k), w);
-    // W += C2ᵀ·V2
-    if (m > k) {
-      blas::gemm(Trans::Yes, Trans::No, 1.0,
-                 MatrixView<const double>(c.block(k, 0, m - k, n)), v.block(k, 0, m - k, k),
-                 1.0, w);
-    }
-    // W := W·op(T)
-    blas::trmm(Side::Right, Uplo::Upper, t_op, Diag::NonUnit, 1.0, t.block(0, 0, k, k), w);
-    // C2 −= V2·Wᵀ
-    if (m > k) {
-      blas::gemm(Trans::No, Trans::Yes, -1.0, v.block(k, 0, m - k, k),
-                 MatrixView<const double>(w), 1.0, c.block(k, 0, m - k, n));
-    }
-    // W := W·V1ᵀ
-    blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
-               v.block(0, 0, k, k), w);
-    // C1 −= Wᵀ
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < k; ++i) c(i, j) -= w(j, i);
-  } else {
-    const index_t m = c.rows();
-    const index_t n = c.cols();
-    FTH_CHECK(v.rows() == n, "larfb right: V rows must equal C cols");
-    FTH_CHECK(work.rows() >= m && work.cols() >= k, "larfb right: work too small");
-    auto w = work.block(0, 0, m, k);
-
-    // W := C1 (first k columns of C)
-    copy(MatrixView<const double>(c.block(0, 0, m, k)), MatrixView<double>(w));
-    // W := W·V1
-    blas::trmm(Side::Right, Uplo::Lower, Trans::No, Diag::Unit, 1.0,
-               v.block(0, 0, k, k), w);
-    // W += C2·V2
-    if (n > k) {
-      blas::gemm(Trans::No, Trans::No, 1.0,
-                 MatrixView<const double>(c.block(0, k, m, n - k)), v.block(k, 0, n - k, k),
-                 1.0, w);
-    }
-    // W := W·op(T)
-    blas::trmm(Side::Right, Uplo::Upper, t_op, Diag::NonUnit, 1.0, t.block(0, 0, k, k), w);
-    // C2 −= W·V2ᵀ
-    if (n > k) {
-      blas::gemm(Trans::No, Trans::Yes, -1.0, MatrixView<const double>(w),
-                 v.block(k, 0, n - k, k), 1.0, c.block(0, k, m, n - k));
-    }
-    // W := W·V1ᵀ
-    blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
-               v.block(0, 0, k, k), w);
-    // C1 −= W
-    for (index_t j = 0; j < k; ++j)
-      for (index_t i = 0; i < m; ++i) c(i, j) -= w(i, j);
+  // W := C1ᵀ  (C1 = first k rows of C)
+  for (index_t j = 0; j < k; ++j)
+    for (index_t i = 0; i < n; ++i) w(i, j) = c(j, i);
+  // W := W·V1 (V1 = top k×k unit lower triangle of V)
+  blas::trmm(Side::Right, Uplo::Lower, Trans::No, Diag::Unit, 1.0, v.block(0, 0, k, k), w);
+  // W += C2ᵀ·V2
+  if (m > k) {
+    blas::gemm(Trans::Yes, Trans::No, 1.0, MatrixView<const double>(c.block(k, 0, m - k, n)),
+               v.block(k, 0, m - k, k), 1.0, w);
   }
+  // W := W·op(T)
+  blas::trmm(Side::Right, Uplo::Upper, t_op, Diag::NonUnit, 1.0, t.block(0, 0, k, k), w);
+  // C2 −= V2·Wᵀ
+  if (m > k) {
+    blas::gemm(Trans::No, Trans::Yes, -1.0, v.block(k, 0, m - k, k),
+               MatrixView<const double>(w), 1.0, c.block(k, 0, m - k, n));
+  }
+  // W := W·V1ᵀ
+  blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0, v.block(0, 0, k, k), w);
+  // C1 −= Wᵀ
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < k; ++i) c(i, j) -= w(j, i);
 }
 
 }  // namespace fth::lapack

@@ -3,12 +3,13 @@
 // Conventions (all 0-based):
 //  * An elementary reflector is H = I − tau·v·vᵀ with v(0) = 1.
 //  * Block reflectors use the compact WY representation H = I − V·T·Vᵀ
-//    where V is unit-lower-trapezoidal (Direction::Forward,
-//    StoreV::Columnwise — the only storage scheme the Hessenberg and QR
-//    paths need; other combinations are rejected by precondition check).
-//    Only the strictly-lower part of V is read; the unit diagonal is
-//    implicit and entries on/above the diagonal are ignored, so V may
-//    alias the factorized panel of A exactly as in LAPACK.
+//    where V is unit-lower-trapezoidal, its reflectors stored forward and
+//    columnwise (LAPACK's 'F', 'C'), and H is applied from the left: the
+//    one scheme every reduction here uses, so larft and larfb take no
+//    storage or side modes. Only the strictly-lower part of V is read;
+//    the unit diagonal is implicit and entries on/above the diagonal are
+//    ignored, so V may alias the factorized panel of A exactly as in
+//    LAPACK.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -28,13 +29,11 @@ void larf(Side side, VectorView<const double> v, double tau, MatrixView<double> 
 
 /// Form the k×k upper-triangular factor T of the block reflector
 /// H = I − V·T·Vᵀ from the reflectors in V (m×k) and their scalars tau.
-void larft(Direction dir, StoreV storev, MatrixView<const double> v,
-           VectorView<const double> tau, MatrixView<double> t);
+void larft(MatrixView<const double> v, VectorView<const double> tau, MatrixView<double> t);
 
 /// Apply the block reflector H (Trans::No) or Hᵀ (Trans::Yes) to C from
-/// `side`. `work` must be at least C.cols()×k (Side::Left) or C.rows()×k
-/// (Side::Right).
-void larfb(Side side, Trans trans, Direction dir, StoreV storev, MatrixView<const double> v,
-           MatrixView<const double> t, MatrixView<double> c, MatrixView<double> work);
+/// the left. `work` must be at least C.cols()×k.
+void larfb(Trans trans, MatrixView<const double> v, MatrixView<const double> t,
+           MatrixView<double> c, MatrixView<double> work);
 
 }  // namespace fth::lapack

@@ -217,19 +217,14 @@ ProfileReport build_report(const std::vector<Agg*>& aggs, double roofline, doubl
 
   std::map<std::tuple<std::string, std::string, std::string>, PhaseAccum> merged;
   std::vector<Interval> dev, wait;
-  std::vector<double> per_dev_us;            // busy-union per device track
-  std::map<int, std::vector<Interval>> ord;  // same, keyed by self-reported ordinal
+  std::map<int, std::vector<Interval>> ord;  // device busy, keyed by self-reported ordinal
   bool any = false;
   double first = 0.0, last = 0.0;
   for (Agg* a : aggs) {
     const char* track = a->is_device ? "device" : "host";
-    if (a->is_device && !a->device_busy.empty()) {
-      std::vector<Interval> own = a->device_busy;
-      per_dev_us.push_back(merge_union(own));
-      if (a->device_ordinal >= 0) {
-        auto& iv = ord[a->device_ordinal];
-        iv.insert(iv.end(), a->device_busy.begin(), a->device_busy.end());
-      }
+    if (a->is_device && !a->device_busy.empty() && a->device_ordinal >= 0) {
+      auto& iv = ord[a->device_ordinal];
+      iv.insert(iv.end(), a->device_busy.begin(), a->device_busy.end());
     }
     for (const auto& [k, acc] : a->phases) {
       PhaseAccum& m = merged[{track, k.cat, k.name}];
@@ -263,15 +258,10 @@ ProfileReport build_report(const std::vector<Agg*>& aggs, double roofline, doubl
   rep.overlapped_s = rep.device_busy_s - both_s;
   rep.overlap_fraction = rep.device_busy_s > 0.0 ? rep.overlapped_s / rep.device_busy_s : 0.0;
   rep.stream_occupancy = rep.wall_s > 0.0 ? rep.device_busy_s / rep.wall_s : 0.0;
-  // Pool runs have several device workers; attribute occupancy per track so
-  // a member idling behind a skewed shard map (or dead after a loss) is
-  // visible. Sorted descending: track registration order is not stable
-  // across live/replay aggregation, and the multiset is the metric.
-  std::sort(per_dev_us.begin(), per_dev_us.end(), std::greater<double>());
-  for (const double us : per_dev_us)
-    rep.per_device_occupancy.push_back(rep.wall_s > 0.0 ? us / 1e6 / rep.wall_s : 0.0);
-  // Ordinal-keyed attribution (live mode: workers self-report their pool
-  // ordinal). std::map iteration gives ascending ordinals for free.
+  // Pool runs have several device workers; attribute occupancy per pool
+  // ordinal so a member idling behind a skewed shard map (or dead after a
+  // loss) is visible. Live mode only: workers self-report their ordinal.
+  // std::map iteration gives ascending ordinals for free.
   for (auto& [o, iv] : ord) {
     const double us = merge_union(iv);
     rep.per_device_by_ordinal.emplace_back(o, rep.wall_s > 0.0 ? us / 1e6 / rep.wall_s : 0.0);
@@ -436,23 +426,10 @@ std::string ProfileReport::to_json() const {
   json::append_number(out, overlapped_s, 9);
   out += ",\"overlap_fraction\":";
   json::append_number(out, overlap_fraction, 9);
-  // Per-device array (one entry per device track); a window with no device
-  // work emits the aggregate as a single entry so the path always exists.
-  out += ",\"stream_occupancy\":[";
-  if (per_device_occupancy.empty()) {
-    json::append_number(out, stream_occupancy, 9);
-  } else {
-    bool first_occ = true;
-    for (const double occ : per_device_occupancy) {
-      if (!first_occ) out += ',';
-      first_occ = false;
-      json::append_number(out, occ, 9);
-    }
-  }
-  out += "]";
-  // Ordinal-keyed spelling (live runs only). A new key, so baselines that
-  // predate it gate untouched; omitted entirely when no worker reported an
-  // ordinal (replay, host-only windows).
+  out += ",\"stream_occupancy\":";
+  json::append_number(out, stream_occupancy, 9);
+  // Per-device occupancy keyed by pool ordinal (live runs only): omitted
+  // entirely when no worker reported an ordinal (replay, host-only windows).
   if (!per_device_by_ordinal.empty()) {
     out += ",\"stream_occupancy_by_device\":{";
     bool first_ord = true;
@@ -520,10 +497,6 @@ void ProfileReport::print_table(std::FILE* out) const {
     std::fprintf(out, "per-device occupancy:");
     for (const auto& [o, occ] : per_device_by_ordinal)
       std::fprintf(out, " dev%d %.1f%%", o, 100.0 * occ);
-    std::fprintf(out, "\n");
-  } else if (per_device_occupancy.size() > 1) {
-    std::fprintf(out, "per-device occupancy:");
-    for (const double occ : per_device_occupancy) std::fprintf(out, " %.1f%%", 100.0 * occ);
     std::fprintf(out, "\n");
   }
   if (iterations > 0) {

@@ -55,12 +55,8 @@ struct ProfileReport {
   double overlapped_s = 0.0;
   double overlap_fraction = 0.0;   ///< overlapped / device_busy (0 when no device work)
   double stream_occupancy = 0.0;   ///< device_busy / wall (all device tracks unioned)
-  /// Per-device-track occupancy (busy-union / wall, one entry per device
-  /// worker thread, sorted descending — a pool run gets one entry per
-  /// member). JSON emits these as the `stream_occupancy` array.
-  std::vector<double> per_device_occupancy;
-  /// Ordinal-keyed attribution of the same quantity: (pool ordinal,
-  /// busy-union / wall), sorted by ordinal. Live mode only — worker threads
+  /// Per-device occupancy: (pool ordinal, busy-union / wall), sorted by
+  /// ordinal, one entry per pool member. Live mode only — worker threads
   /// self-report their ordinal (profile_detail::set_device_ordinal); a
   /// replayed trace has no ordinal channel, so the replay report leaves
   /// this empty. JSON emits it as the `stream_occupancy_by_device` object.

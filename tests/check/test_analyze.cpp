@@ -574,6 +574,37 @@ TEST(AnalyzeStaleChk, AnEncodeCallSanctionsEverythingUntilTheNextVerify) {
                   .empty());
 }
 
+TEST(AnalyzeStaleChk, AWriteDeclaredThroughALocalAliasIsChecked) {
+  // The code-update tasks declare their writes through a local view of
+  // the code's tail; the alias names the protected root it binds.
+  const std::string write =
+      "  auto tail = d_chk1_.view().col(0).sub(1, 2);\n"
+      "  s_.enqueue(\"ft.code_update\", FTH_TASK_EFFECTS(FTH_WRITES(tail)),\n"
+      "             [tail] { tail.in_task()[0] += 1.0; });\n"
+      "  s_.synchronize();\n"
+      "}\n";
+  const auto f = run("src/ft/x.cpp", "void f(Stream& s_) {\n" + write);
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "stale-checksum-write");
+  EXPECT_EQ(f[0].line, 3);
+  EXPECT_NE(f[0].message.find("'d_chk1_'"), std::string::npos);
+  EXPECT_TRUE(run("src/ft/x.cpp",
+                  "void f(Stream& s_) {\n"
+                  "  copy_h2d_async(s_, seg.cview(), d_chk1_.block(i, 0, ib, 1));\n" +
+                      write)
+                  .empty())
+      << "an h2d re-encode of d_chk1_ sanctions the aliased write";
+  EXPECT_TRUE(run("src/ft/x.cpp",
+                  "void f(Stream& s_, bool second) {\n"
+                  "  auto code = second ? d_chk2_.view() : d_chk1_.view();\n"
+                  "  s_.enqueue(\"ft.correct\", FTH_TASK_EFFECTS(FTH_WRITES(code)),\n"
+                  "             [code] { code.in_task()(0, 0) = 1.0; });\n"
+                  "  s_.synchronize();\n"
+                  "}\n")
+                  .empty())
+      << "two_code.inc's write_code: the alias does not name one protected root";
+}
+
 TEST(AnalyzeStaleChk, ReadsOfProtectedStorageAreAlwaysLegal) {
   EXPECT_TRUE(run("src/ft/x.cpp",
                   "void f(Stream& s_) {\n"

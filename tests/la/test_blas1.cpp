@@ -90,23 +90,16 @@ TEST(Blas1, Nrm2AvoidsOverflowAndUnderflow) {
   EXPECT_EQ(blas::nrm2(cvec(zeros)), 0.0);
 }
 
-TEST(Blas1, SumAsumIamax) {
+TEST(Blas1, Sum) {
   std::vector<double> x = {1.0, -5.0, 3.0, -2.0};
   EXPECT_EQ(blas::sum(cvec(x)), -3.0);
-  EXPECT_EQ(blas::asum(cvec(x)), 11.0);
-  EXPECT_EQ(blas::iamax(cvec(x)), 1);
   std::vector<double> e;
-  EXPECT_EQ(blas::iamax(cvec(e)), -1);
+  EXPECT_EQ(blas::sum(cvec(e)), 0.0);
 }
 
-TEST(Blas1, CopySwap) {
+TEST(Blas1, Copy) {
   auto x = random_vec(33, 8);
   auto y = random_vec(33, 9);
-  auto x0 = x;
-  auto y0 = y;
-  blas::swap(vec(x), vec(y));
-  EXPECT_EQ(x, y0);
-  EXPECT_EQ(y, x0);
   blas::copy(cvec(x), vec(y));
   EXPECT_EQ(y, x);
 }

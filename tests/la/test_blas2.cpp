@@ -98,7 +98,6 @@ TEST_P(TriParam, TrmvMatchesDenseProduct) {
   const Diag diag = d == 0 ? Diag::NonUnit : Diag::Unit;
 
   Matrix<double> a = random_matrix(n, n, 11 + static_cast<std::uint64_t>(n));
-  for (index_t i = 0; i < n; ++i) a(i, i) += 3.0;  // keep solves well-conditioned
 
   // Dense version of the referenced triangle.
   Matrix<double> tri(n, n);
@@ -119,25 +118,12 @@ TEST_P(TriParam, TrmvMatchesDenseProduct) {
   std::vector<double> zeros(static_cast<std::size_t>(n), 0.0);
   auto expected = ref_gemv(trans, 1.0, tri.cview(), x, 0.0, zeros);
   for (std::size_t i = 0; i < y.size(); ++i) ASSERT_NEAR(y[i], expected[i], 1e-11);
-
-  // trsv must invert trmv.
-  blas::trsv(uplo, trans, diag, a.cview(), vec(y));
-  for (std::size_t i = 0; i < y.size(); ++i) ASSERT_NEAR(y[i], x[i], 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, TriParam,
                          ::testing::Combine(::testing::Values(0, 1), ::testing::Values(0, 1),
                                             ::testing::Values(0, 1),
                                             ::testing::Values<index_t>(1, 2, 9, 40)));
-
-TEST(Trsv, SingularDiagonalProducesInf) {
-  Matrix<double> a(2, 2);
-  a(0, 0) = 0.0;
-  a(1, 1) = 1.0;
-  std::vector<double> x = {1.0, 1.0};
-  blas::trsv(Uplo::Upper, Trans::No, Diag::NonUnit, a.cview(), vec(x));
-  EXPECT_TRUE(std::isinf(x[0]) || std::isnan(x[0]));
-}
 
 }  // namespace
 }  // namespace fth

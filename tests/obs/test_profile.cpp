@@ -78,9 +78,6 @@ TEST(ProfileBuilder, AttributionOverlapAndCriticalPath) {
   EXPECT_NEAR(rep.overlapped_s, 150e-6, 1e-12);
   EXPECT_NEAR(rep.overlap_fraction, 0.75, 1e-9);
   EXPECT_NEAR(rep.stream_occupancy, 200.0 / 300.0, 1e-9);
-  // One device track → one per-device entry, equal to the aggregate.
-  ASSERT_EQ(rep.per_device_occupancy.size(), 1u);
-  EXPECT_NEAR(rep.per_device_occupancy[0], rep.stream_occupancy, 1e-9);
 
   // Critical path: panel begin (0) → update end (300).
   EXPECT_EQ(rep.iterations, 1u);
@@ -92,8 +89,8 @@ TEST(ProfileBuilder, AttributionOverlapAndCriticalPath) {
 
 TEST(ProfileBuilder, PerDeviceOccupancySplitsAcrossDeviceTracks) {
   // Two device workers with very different duty cycles inside a 400 µs
-  // window: the aggregate occupancy unions them, the per-device entries keep
-  // them apart (sorted descending) so an idle pool member is visible.
+  // window: the aggregate occupancy unions them. Only a live run splits it
+  // per device (by pool ordinal, ProfileLive.OrdinalKeyed*).
   obs::ProfileBuilder b;
   b.begin(0, "hybrid", "panel", 0.0);
   b.end(0, 400.0);
@@ -105,20 +102,15 @@ TEST(ProfileBuilder, PerDeviceOccupancySplitsAcrossDeviceTracks) {
   EXPECT_NEAR(rep.wall_s, 400e-6, 1e-12);
   EXPECT_NEAR(rep.device_busy_s, 300e-6, 1e-12);  // union, not sum
   EXPECT_NEAR(rep.stream_occupancy, 0.75, 1e-9);
-  ASSERT_EQ(rep.per_device_occupancy.size(), 2u);
-  EXPECT_NEAR(rep.per_device_occupancy[0], 0.75, 1e-9);
-  EXPECT_NEAR(rep.per_device_occupancy[1], 0.25, 1e-9);
 
-  // JSON spells the metric as an array, one entry per device track.
+  // JSON spells the aggregate as one number.
   const json::Value v = json::parse(rep.to_json());
   const auto& occ = v.at("overlap").at("stream_occupancy");
-  ASSERT_TRUE(occ.is_array());
-  ASSERT_EQ(occ.as_array().size(), 2u);
-  EXPECT_NEAR(occ.as_array()[0].as_number(), 0.75, 1e-9);
-  EXPECT_NEAR(occ.as_array()[1].as_number(), 0.25, 1e-9);
+  ASSERT_TRUE(occ.is_number());
+  EXPECT_NEAR(occ.as_number(), 0.75, 1e-9);
 
   // A replayed trace has no ordinal channel: the ordinal-keyed map stays
-  // empty and its JSON key is omitted (legacy baselines gate untouched).
+  // empty and its JSON key is omitted.
   EXPECT_TRUE(rep.per_device_by_ordinal.empty());
   EXPECT_EQ(v.at("overlap").find("stream_occupancy_by_device"), nullptr);
 }
@@ -128,12 +120,12 @@ TEST(ProfileBuilder, HostOnlyWindowStillEmitsTheOccupancyArray) {
   b.begin(0, "test", "work", 0.0);
   b.end(0, 100.0);
   const obs::ProfileReport rep = b.finish(0.0);
-  EXPECT_TRUE(rep.per_device_occupancy.empty());
+  EXPECT_TRUE(rep.per_device_by_ordinal.empty());
   const json::Value v = json::parse(rep.to_json());
   const auto& occ = v.at("overlap").at("stream_occupancy");
-  ASSERT_TRUE(occ.is_array());
-  ASSERT_EQ(occ.as_array().size(), 1u) << "aggregate scalar rides as entry 0";
-  EXPECT_EQ(occ.as_array()[0].as_number(), 0.0);
+  ASSERT_TRUE(occ.is_number()) << "the aggregate is emitted with no device work";
+  EXPECT_EQ(occ.as_number(), 0.0);
+  EXPECT_EQ(v.at("overlap").find("stream_occupancy_by_device"), nullptr);
 }
 
 TEST(ProfileBuilder, UnmatchedEndsIgnoredAndLiteralInternedNamesMerge) {
@@ -258,8 +250,7 @@ TEST(ProfileLive, FtRunProducesAttributedReport) {
 
 TEST(ProfileLive, OrdinalKeyedOccupancyAttributesPoolMembers) {
   // A live pool run: each member's worker self-reports its pool ordinal, so
-  // the report carries occupancy both as the anonymous sorted array (the
-  // gating metric) and keyed by ordinal (the attribution map, ISSUE 8).
+  // the report splits the aggregate occupancy by ordinal.
   const index_t n = 96;
   hybrid::DevicePool pool({.devices = 2});
   Matrix<double> a = random_matrix(n, n, 11);
@@ -271,19 +262,14 @@ TEST(ProfileLive, OrdinalKeyedOccupancyAttributesPoolMembers) {
   ASSERT_EQ(rep.per_device_by_ordinal.size(), 2u);
   EXPECT_EQ(rep.per_device_by_ordinal[0].first, 0);
   EXPECT_EQ(rep.per_device_by_ordinal[1].first, 1);
-  double sum_by_ordinal = 0.0;
   for (const auto& [ordinal, occ] : rep.per_device_by_ordinal) {
     EXPECT_GT(occ, 0.0) << "dev" << ordinal;
-    EXPECT_LE(occ, 1.0) << "dev" << ordinal;
-    sum_by_ordinal += occ;
+    // A member's busy time lies inside the union of all device tracks.
+    EXPECT_LE(occ, rep.stream_occupancy + 1e-9) << "dev" << ordinal;
   }
-  // Same per-track quantities as the sorted array, just attributed.
-  ASSERT_EQ(rep.per_device_occupancy.size(), 2u);
-  double sum_sorted = 0.0;
-  for (const double occ : rep.per_device_occupancy) sum_sorted += occ;
-  EXPECT_NEAR(sum_by_ordinal, sum_sorted, 1e-9);
 
   const json::Value v = json::parse(rep.to_json());
+  EXPECT_NEAR(v.at("overlap").at("stream_occupancy").as_number(), rep.stream_occupancy, 1e-9);
   const json::Value* by_dev = v.at("overlap").find("stream_occupancy_by_device");
   ASSERT_NE(by_dev, nullptr);
   ASSERT_TRUE(by_dev->is_object());
