@@ -188,7 +188,6 @@ class PoolDriver {
     d_yce_.reserve(static_cast<std::size_t>(D_));
     d_g_.reserve(static_cast<std::size_t>(D_));
     d_w_.reserve(static_cast<std::size_t>(D_));
-    d_sums_.reserve(static_cast<std::size_t>(D_));
     for (int d = 0; d < D_; ++d) {
       // Every member gets the full workspace set so a shard can be
       // remapped onto the parity device without reallocation.
@@ -201,13 +200,11 @@ class PoolDriver {
       d_yce_.emplace_back(dv, n_ + 1, nb_, "pool.d_yce");
       d_g_.emplace_back(dv, w, nb_, "pool.d_g");
       d_w_.emplace_back(dv, nb_, w, "pool.d_w");
-      d_sums_.emplace_back(dv, w, 1, "pool.d_sums");
     }
     host_sh_.resize(static_cast<std::size_t>(Ddata_));
     for (int s = 0; s < Ddata_; ++s)
       host_sh_[static_cast<std::size_t>(s)] = Matrix<double>(n_ + 1, w);
     parity_host_ = Matrix<double>(n_ + 1, w);
-    sums_host_ = Matrix<double>(w, 1);
     t_host_ = Matrix<double>(nb_, nb_);
     y_host_ = Matrix<double>(n_, nb_);
     yce_host_ = Matrix<double>(n_ + 1, nb_);
@@ -456,10 +453,10 @@ class PoolDriver {
       // Occupancy sample for the health plane: was the member still
       // working when the boundary check arrived?
       health_->sample_occupancy(dev, !sd.idle());
-      const DMatrixView<const double> de = d_e_[static_cast<std::size_t>(dev)].view();
-      const DVectorView<double> ds = d_sums_[static_cast<std::size_t>(dev)].view().col(0);
-      sd.enqueue("pool.verify", FTH_TASK_EFFECTS(FTH_READS(de) FTH_WRITES(ds)),
-                 [de, ds, gp] { *gp = code_row_gap(de.in_task(), ds.in_task()); });
+      sd.enqueue("pool.verify",
+                 FTH_TASK_EFFECTS(FTH_READS(d_e_[static_cast<std::size_t>(dev)].view())),
+                 [de = DMatrixView<const double>(d_e_[static_cast<std::size_t>(dev)].view()),
+                  gp] { *gp = code_row_gap(de.in_task()); });
     }
     for (int m = 0; m < active_count(); ++m) {
       const int dev = active_device(m);
@@ -485,8 +482,7 @@ class PoolDriver {
       if (!member_done(dev)) throw device_lost{dev};
     }
     for (int sl = 0; sl < Ddata_; ++sl) {
-      const double g = code_row_gap(host_sh_[static_cast<std::size_t>(sl)].cview(),
-                                    sums_host_.view().col(0));
+      const double g = code_row_gap(host_sh_[static_cast<std::size_t>(sl)].cview());
       if (!(g <= threshold_))
         throw device_lost{slot_dev_[static_cast<std::size_t>(sl)], "poison"};
     }
@@ -811,10 +807,8 @@ class PoolDriver {
 
   std::vector<hybrid::DeviceMatrix<double>> d_e_, d_vg_, d_py_, d_ve_, d_t_, d_yce_, d_g_,
       d_w_;
-  std::vector<hybrid::DeviceMatrix<double>> d_sums_;  ///< per-ordinal verify column sums
   std::vector<Matrix<double>> host_sh_;  ///< scatter/gather/reconstruct staging
   Matrix<double> parity_host_;
-  Matrix<double> sums_host_;             ///< final gather's column sums
   Matrix<double> t_host_, y_host_, yce_host_, ve_host_;
   Matrix<double> stage_y_;             ///< (n × Ddata) panel GEMV partials
   Matrix<double> stage_g_;             ///< (n × Ddata·nb) Y-top partials

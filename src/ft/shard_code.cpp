@@ -70,16 +70,15 @@ void reconstruct_shard(const ShardLayout& lay, const std::vector<Matrix<double>>
   }
 }
 
-double code_row_gap(MatrixView<const double> shard, VectorView<double> sums, index_t cols) {
+double code_row_gap(MatrixView<const double> shard, index_t cols) {
   const index_t n = shard.rows() - 1;
   const index_t w = cols < 0 ? shard.cols() : std::min(cols, shard.cols());
-  FTH_CHECK(sums.size() >= w, "code_row_gap: scratch row shorter than the columns checked");
-  VectorView<double> s = sums.sub(0, w);
-  sum_lines(shard.block(0, 0, n, w), LineShape::full(), {}, s);
-  // A non-finite element leaves its column sum, and so its gap, non-finite.
   double gap = 0.0;
   for (index_t l = 0; l < w; ++l) {
-    const double g = std::abs(shard(n, l) - s[l]);
+    // A non-finite element leaves its column sum, and so its gap, non-finite.
+    double sum = 0.0;
+    sum_lines(shard.block(0, l, n, 1), LineShape::full(), {}, VectorView<double>(&sum, 1));
+    const double g = std::abs(shard(n, l) - sum);
     if (!(g <= gap)) gap = std::isfinite(g) ? g : std::numeric_limits<double>::infinity();
   }
   return gap;

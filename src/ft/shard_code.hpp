@@ -87,10 +87,8 @@ void reconstruct_shard(const ShardLayout& lay, const std::vector<Matrix<double>>
 
 /// Max |code-row entry − column sum| over the first `cols` local columns
 /// (all w_max when cols < 0); infinite when any of them holds a non-finite
-/// element. The column sums go through `sums` (at least that long), the
-/// caller's scratch. The per-device poison detector.
-[[nodiscard]] double code_row_gap(MatrixView<const double> shard, VectorView<double> sums,
-                                  index_t cols = -1);
+/// element. The per-device poison detector.
+[[nodiscard]] double code_row_gap(MatrixView<const double> shard, index_t cols = -1);
 
 /// Gather the data rows of the shards back into `a` for columns
 /// [first_col, n). Padding columns and the code row are skipped.

@@ -56,12 +56,6 @@ TEST(ShardLayout, DomainStartCoversEveryTrailingColumnOnEverySlot) {
 
 // ---- scatter / code row / gather -------------------------------------------
 
-/// code_row_gap with a scratch row of its own.
-double gap_of(MatrixView<const double> shard, index_t cols = -1) {
-  std::vector<double> sums(static_cast<std::size_t>(shard.cols()));
-  return code_row_gap(shard, test::vec(sums), cols);
-}
-
 TEST(ShardCode, ScatterFillsTheCodeRowAndGatherRoundTrips) {
   const index_t n = 29;
   const Matrix<double> a = random_matrix(n, n, 7);
@@ -80,7 +74,7 @@ TEST(ShardCode, ScatterFillsTheCodeRowAndGatherRoundTrips) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(sh(n, l)), std::bit_cast<std::uint64_t>(sum))
           << "slot " << d << " column " << l;
     }
-    EXPECT_EQ(gap_of(sh.cview()), 0.0);
+    EXPECT_EQ(code_row_gap(sh.cview()), 0.0);
   }
 
   Matrix<double> back(n, n);
@@ -95,19 +89,19 @@ TEST(ShardCode, CodeRowGapSeesASingleCorruptElement)  {
   std::vector<Matrix<double>> shards;
   scatter_shards(a.cview(), lay, shards);
   shards[1](4, 2) += 0.5;
-  EXPECT_LT(gap_of(shards[0].cview()), 1e-13);
-  EXPECT_GT(gap_of(shards[1].cview()), 0.4);
+  EXPECT_LT(code_row_gap(shards[0].cview()), 1e-13);
+  EXPECT_GT(code_row_gap(shards[1].cview()), 0.4);
   // Restricting the scan to columns before the corruption stays clean.
-  EXPECT_LT(gap_of(shards[1].cview(), 2), 1e-13);
+  EXPECT_LT(code_row_gap(shards[1].cview(), 2), 1e-13);
 
   // A non-finite element or code entry makes the gap infinite.
   const double inf = std::numeric_limits<double>::infinity();
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
     scatter_shards(a.cview(), lay, shards);
     shards[0](5, 3) = bad;
-    EXPECT_EQ(gap_of(shards[0].cview()), inf) << bad;
+    EXPECT_EQ(code_row_gap(shards[0].cview()), inf) << bad;
     shards[1](n, 2) = bad;
-    EXPECT_EQ(gap_of(shards[1].cview()), inf) << bad;
+    EXPECT_EQ(code_row_gap(shards[1].cview()), inf) << bad;
   }
 }
 
@@ -133,7 +127,7 @@ TEST(ShardCode, ReconstructsADroppedShardAtSeveralGeometries) {
         reconstruct_shard(lay, shards, parity.cview(), lost, rec);
         test::expect_matrix_near(rec.cview(), truth.cview(), 1e-12,
                                  "parity - sum(survivors)");
-        EXPECT_LT(gap_of(rec.cview()), 1e-11);
+        EXPECT_LT(code_row_gap(rec.cview()), 1e-11);
         copy(truth.cview(), shards[static_cast<std::size_t>(lost)].view());
       }
     }

@@ -259,11 +259,14 @@ TEST(ProfileLive, OrdinalKeyedOccupancyAttributesPoolMembers) {
   ft::pool_gehrd(pool, a.view(), VectorView<double>(tau.data(), n - 1), {.nb = 16});
   const obs::ProfileReport rep = obs::profile_stop();
 
+  EXPECT_GT(rep.stream_occupancy, 0.0);
+  EXPECT_LE(rep.stream_occupancy, 1.0);
   ASSERT_EQ(rep.per_device_by_ordinal.size(), 2u);
   EXPECT_EQ(rep.per_device_by_ordinal[0].first, 0);
   EXPECT_EQ(rep.per_device_by_ordinal[1].first, 1);
   for (const auto& [ordinal, occ] : rep.per_device_by_ordinal) {
     EXPECT_GT(occ, 0.0) << "dev" << ordinal;
+    EXPECT_LE(occ, 1.0) << "dev" << ordinal;
     // A member's busy time lies inside the union of all device tracks.
     EXPECT_LE(occ, rep.stream_occupancy + 1e-9) << "dev" << ordinal;
   }
