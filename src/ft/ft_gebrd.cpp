@@ -68,11 +68,11 @@ class FtGebrdDriver {
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
         u_host_(n_, 1),
         sums_(4 * std::max<index_t>(opt.nb, 1) + 2 * n_, 1),
-        ckpt_cols_(n_, std::max<index_t>(opt.nb, 1)),
-        ckpt_rows_(std::max<index_t>(opt.nb, 1), n_),
-        ckpt_chk1_(n_, 1),
-        ckpt_chk2_(n_, 1),
-        chk_ref_(n_, 2),
+        // The column and row panels, then both codes.
+        ckpt_({{n_, std::max<index_t>(opt.nb, 1), 1.0, static_cast<double>(n_)},
+               {std::max<index_t>(opt.nb, 1), n_, static_cast<double>(n_ + 7),
+                static_cast<double>(n_ + 7)}},
+              {{n_, 1, 1.0, 0.0}, {n_, 1, static_cast<double>(n_ + 1), 0.0}}),
         seg_(std::max<index_t>(opt.nb, 1), 2),
         qp_v_(n_, /*row_offset=*/1),
         qp_u_(n_, /*row_offset=*/2, QProtector::Storage::Rows),
@@ -89,6 +89,7 @@ class FtGebrdDriver {
  private:
 #include "ft/recovery_loop.inc"
 #include "ft/two_code.inc"
+#include "ft/checkpoint.inc"
 #include "ft/locate_repair.inc"
 
   // A general matrix: the whole trailing block is live.
@@ -127,24 +128,10 @@ class FtGebrdDriver {
     aim_plane(i, ib);
 
     // Column panel, row panel, and both checksum vectors to the host;
-    // checkpoint all four (diskless checkpointing). The fetches, the code
-    // checkpoints and their readback share one drain; only the first panel
-    // column, which the first larfg rewrites, is saved before the panel
-    // starts. The rest is saved and sealed in the first column product's
-    // window (seal_checkpoint), before the first row fold rewrites row i.
-    {
-      const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
-                                static_cast<double>(i));
-      // Column panel rows ≥ i only: the rows above hold finished host data
-      // (P's Householder storage and the superdiagonal) whose device copy is
-      // stale by design.
-      copy_d2h_async(s_, d_a_.block(i, i, n_ - i, ib), a_.block(i, i, n_ - i, ib));
-      copy_d2h_async(s_, d_a_.block(i, i + ib, ib, tn), a_.block(i, i + ib, ib, tn));
-      fetch_code_checkpoints();
-      s_.synchronize();
-      fth::copy(MatrixView<const double>(a_.block(i, i, n_ - i, 1)),
-                ckpt_cols_.block(0, 0, n_ - i, 1));
-    }
+    // checkpoint all four (diskless checkpointing). The rest of the save
+    // runs in the first column product's window, before the first row fold
+    // rewrites row i.
+    save_checkpoint(i, ib);
 
     bool poisoned = false;
     {
@@ -166,9 +153,9 @@ class FtGebrdDriver {
               copy_d2h_async(s_, d_res_.block(0, 0, nlen, 1),
                              MatrixView<double>(ycol.data(), nlen, 1, nlen));
               if (j == 0) seal_checkpoint(i, ib);
-              return [this, ycol, first = j == 0, i, ib] {
+              return [this, ycol, first = j == 0] {
                 s_.synchronize();
-                if (first) register_checkpoint(i, ib);
+                if (first) register_checkpoint();
                 // Tripwire: a non-finite product means a NaN/Inf strike
                 // reached the trailing matrix mid-panel.
                 throw_if_poisoned(ycol);
@@ -296,27 +283,27 @@ class FtGebrdDriver {
   }
 
   /// The deferred half of the checkpoint save, run in the first column
-  /// product's window: the panel data the first larfg left alone is saved
-  /// and both checkpoints sealed before the first row fold, the code
-  /// checkpoints are checked against their readback, and the old panels'
-  /// code sums (the column panel's trailing rows, the row panel's columns)
-  /// are taken from the sealed copies, which no strike can reach before
+  /// product's window before the first row fold; then the old panels' code
+  /// sums (the column panel's trailing rows, the row panel's columns) are
+  /// taken from the sealed copies, which no strike can reach before
   /// register_checkpoint.
   void seal_checkpoint(index_t i, index_t ib) {
-    const obs::TraceSpan span("ft", "checkpoint_seal", "col", static_cast<double>(i));
-    panel_seal_ = panel_sums(i, ib, /*save=*/true);
-    seal_code_checkpoints();
+    ckpt_.seal(ladder_, i);
     const index_t tn = n_ - i - ib;
-    gebrd_panel_sums(MatrixView<const double>(ckpt_cols_.block(ib, 0, tn, ib)),
-                     MatrixView<const double>(ckpt_rows_.block(0, 0, ib, tn)),
+    gebrd_panel_sums(MatrixView<const double>(ckpt_.data(0).block(ib, 0, tn, ib)),
+                     MatrixView<const double>(ckpt_.data(1)),
                      sums_.view().col(0).sub(0, 4 * ib + 2 * tn));
   }
 
-  /// Opens the sealed checkpoint to strikes. Called with the stream
-  /// drained, so a strike's task count does not depend on timing.
-  void register_checkpoint(index_t i, index_t ib) {
-    if (plane_ != nullptr)
-      plane_->register_surface(fault::Surface::Checkpoint, ckpt_cols_.block(0, 0, n_ - i, ib));
+  /// checkpoint.inc hook: the column and row panels, on the device and in
+  /// a_, and both codes. Column panel rows ≥ i only: the rows above hold
+  /// finished host data (P's Householder storage and the superdiagonal)
+  /// whose device copy is stale by design.
+  CheckpointBlocks checkpoint_blocks(index_t i, index_t ib) {
+    const index_t tn = n_ - i - ib;
+    return {{d_a_.block(i, i, n_ - i, ib), d_a_.block(i, i + ib, ib, tn)},
+            {a_.block(i, i, n_ - i, ib), a_.block(i, i + ib, ib, tn)},
+            {d_chk1_.view(), d_chk2_.view()}};
   }
 
   // -- line_sums() hooks: row sums (col == false) or column sums. ----------
@@ -369,49 +356,10 @@ class FtGebrdDriver {
                          d_u2_.block(0, 0, ib, tn), 1.0,
                          d_a_.block(i + ib, i + ib, tn, tn));
     }
-    // Drain before touching the checkpoints from the host: in-flight faults
-    // fire on the worker thread and may target the checkpoint buffers.
+    // Drain before touching the checkpoints from the host.
     // Recovery cold path, not worth an Event edge. fth-perf: expect coarse-synchronize
     s_.synchronize();
-    obs::TraceSpan restore_span("ft", "checkpoint_restore", "col", static_cast<double>(i));
-    verify_or_rederive_panel_checkpoints(i, ib);
-    fth::copy(MatrixView<const double>(ckpt_cols_.block(0, 0, n_ - i, ib)),
-              a_.block(i, i, n_ - i, ib));
-    fth::copy(MatrixView<const double>(ckpt_rows_.block(0, 0, ib, tn)),
-              a_.block(i, i + ib, ib, tn));
-    restore_chk_checkpoints(i);
-  }
-
-  // `save` first copies both panels into their checkpoints, in the same
-  // pass, all but the column panel's first column (saved before the panel
-  // started).
-  DualSum panel_sums(index_t i, index_t ib, bool save = false) {
-    DualSum s;
-    const index_t tn = n_ - i - ib;
-    const double cols_stride = static_cast<double>(n_);
-    const double rows_weight = static_cast<double>(n_ + 7);
-    if (save) {
-      s.copy_block(a_.block(i, i, n_ - i, ib), ckpt_cols_.block(0, 0, n_ - i, ib), 1.0,
-                   cols_stride, /*stored=*/1);
-      s.copy_block(a_.block(i, i + ib, ib, tn), ckpt_rows_.block(0, 0, ib, tn), rows_weight,
-                   rows_weight);
-    } else {
-      s.add_block(ckpt_cols_.block(0, 0, n_ - i, ib), 1.0, cols_stride);
-      s.add_block(ckpt_rows_.block(0, 0, ib, tn), rows_weight, rows_weight);
-    }
-    return s;
-  }
-
-  void verify_or_rederive_panel_checkpoints(index_t i, index_t ib) {
-    if (panel_sums(i, ib).same_bits(panel_seal_)) return;
-    // Struck after save. The device's panel blocks are never written during
-    // the iteration (the panels are factored on the host, the GEMMs start
-    // at i+ib), so they still hold the exact pre-iteration image.
-    const index_t tn = n_ - i - ib;
-    copy_d2h_async(s_, d_a_.block(i, i, n_ - i, ib), ckpt_cols_.block(0, 0, n_ - i, ib));
-    copy_d2h(s_, d_a_.block(i, i + ib, ib, tn), ckpt_rows_.block(0, 0, ib, tn));
-    panel_seal_ = panel_sums(i, ib);
-    ladder_.rederived();
+    restore_checkpoint(i, completed, /*codes=*/true);
   }
 
   // -- locate_repair.inc hooks (Section IV-F). -----------------------------
@@ -494,11 +442,7 @@ class FtGebrdDriver {
   // old row panel's column sums (tn each). Retired like seg_ before the
   // next refill.
   Matrix<double> sums_;
-  Matrix<double> ckpt_cols_;
-  Matrix<double> ckpt_rows_;
-  Matrix<double> ckpt_chk1_;
-  Matrix<double> ckpt_chk2_;
-  Matrix<double> chk_ref_;  ///< raw readback of both codes, the save's cross-check
+  Checkpoint ckpt_;
   // Re-encode staging segment, hoisted out of the update loop: the async
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.
@@ -512,8 +456,6 @@ class FtGebrdDriver {
   double scale_max_;
   RecoveryLadder ladder_;
   fault::FaultPlane* plane_;  ///< optional in-flight fault plane (not owned)
-  DualSum panel_seal_;  ///< integrity sums of both panel checkpoints, at save
-  DualSum chk_seal_;    ///< integrity sums of both checksum-vector checkpoints, at save
 };
 
 }  // namespace

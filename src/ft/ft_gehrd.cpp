@@ -61,9 +61,11 @@ class FtDriver {
         t_host_(std::max<index_t>(opt.nb, 1), std::max<index_t>(opt.nb, 1)),
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
         v_host_(n_, std::max<index_t>(opt.nb, 1)),
-        ckpt_(n_, std::max<index_t>(opt.nb, 1)),
-        ckpt_chkrow_(1, std::max<index_t>(opt.nb, 1)),
-        chkrow_ref_(1, std::max<index_t>(opt.nb, 1)),
+        // The panel, then the checksum-row segment over it, which the
+        // iteration re-encodes.
+        ckpt_({{n_, std::max<index_t>(opt.nb, 1), 1.0, static_cast<double>(n_ + 1)}},
+              {{1, std::max<index_t>(opt.nb, 1), static_cast<double>(n_ + 1),
+                static_cast<double>(n_ + 1)}}),
         new_chkrow_(1, n_ + 1),
         qp_(n_),
         scale_max_(norms.max),
@@ -99,6 +101,7 @@ class FtDriver {
 
  private:
 #include "ft/recovery_loop.inc"
+#include "ft/checkpoint.inc"
 #include "ft/locate_repair.inc"
 
   // Finished columns are host data; the trailing ones live on the device.
@@ -148,6 +151,8 @@ class FtDriver {
     // corrupting them would be a silent no-op that breaks campaign
     // accounting. The checkpoint surface is registered only after its
     // integrity sums are taken, so a strike cannot pre-date the reference.
+    // The checksum-row re-encode (h2d, end of iteration) is fault-eligible,
+    // like the save's d2h of its pre-image (save_checkpoint).
     if (plane_ != nullptr) {
       plane_->register_surface(fault::Surface::TrailingMatrix,
                                d_e_.block(0, i + ib, n_, n_ - i - ib));
@@ -156,33 +161,14 @@ class FtDriver {
                                d_e_.block(n_, i + ib, 1, n_ - i - ib));
       plane_->clear_surface(fault::Surface::Checkpoint);
       plane_->clear_transfer_targets();
-      // The two fault-eligible transfer destinations inside the protected
-      // domain: the checksum-row re-encode (h2d, end of iteration) and the
-      // checkpointed checksum-row pre-image (d2h, checkpoint save).
       plane_->add_transfer_target(fault::Surface::ChecksumRow, d_e_.block(n_, i, 1, ib));
-      plane_->add_transfer_target(fault::Surface::Checkpoint,
-                                  ckpt_chkrow_.block(0, 0, 1, ib));
     }
 
-    // Line 4: panel to host + diskless checkpoint of its pre-image. The
-    // checkpoint includes the checksum-row segment over the panel columns:
-    // those entries are re-encoded at the end of the iteration (see below)
-    // and must be restorable on rollback. The fetch, the segment's d2h and
-    // its raw readback share one drain; only the first panel column, which
-    // the first larfg rewrites, is saved before the panel starts. The rest
-    // is saved and sealed in the first column product's window
-    // (seal_checkpoint).
-    {
-      const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
-                                static_cast<double>(i));
-      copy_d2h_async(s_, d_e_.block(0, i, n_, ib),
-                     a_.block(0, i, n_, ib));
-      read_chkrow(i, ib, chkrow_ref_.block(0, 0, 1, ib));
-      copy_d2h_async(s_, d_e_.block(n_, i, 1, ib),
-                     ckpt_chkrow_.block(0, 0, 1, ib));
-      s_.synchronize();
-      fth::copy(MatrixView<const double>(a_.block(0, i, n_, 1)), ckpt_.block(0, 0, n_, 1));
-    }
+    // Line 4: panel to host + diskless checkpoint of its pre-image and of
+    // the checksum-row segment over the panel columns: those entries are
+    // re-encoded at the end of the iteration (see below) and must be
+    // restorable on rollback.
+    save_checkpoint(i, ib);
 
     // Line 5: host panel factorization; big Y products on the device.
     bool poisoned = false;
@@ -203,10 +189,10 @@ class FtDriver {
                                  d_yce_.block(i + 1, j, vrows, 1).col(0));
               copy_d2h_async(s_, d_yce_.block(i + 1, j, vrows, 1),
                              MatrixView<double>(y_col.data(), vrows, 1, vrows));
-              if (j == 0) seal_checkpoint(i, ib);
-              return [this, y_col, vrows, first = j == 0, ib] {
+              if (j == 0) ckpt_.seal(ladder_, i);
+              return [this, y_col, vrows, first = j == 0] {
                 s_.synchronize();
-                if (first) register_checkpoint(ib);
+                if (first) register_checkpoint();
                 // Tripwire: a non-finite y means a NaN/Inf strike reached
                 // the trailing matrix mid-panel. Applying the reflector
                 // chain would smear it everywhere; abandon the panel
@@ -380,119 +366,39 @@ class FtDriver {
                              dvh.block(ib - 1, 0, vrows - ib + 2, ib));
       });
     }
-    // Drain before touching the checkpoint from the host: in-flight faults
-    // fire on the worker thread and may target the checkpoint buffers.
+    // Drain before touching the checkpoint from the host.
     s_.synchronize();
-    obs::TraceSpan restore_span("ft", "checkpoint_restore", "col", static_cast<double>(i));
-    verify_or_rederive_checkpoint(i, ib, completed);
-    // Restore the panel (and its host-side upper rows) from the checkpoint
-    // while the stream is idle, then the checksum-row segment the completed
-    // iteration re-encoded (the h2d runs last so a transfer fault striking
-    // it can no longer reach the already-consumed host buffers; the redo
-    // re-encodes the segment anyway).
-    fth::copy(MatrixView<const double>(ckpt_.block(0, 0, n_, ib)), a_.block(0, i, n_, ib));
-    if (completed) {
-      copy_h2d(s_, ckpt_chkrow_.block(0, 0, 1, ib), d_e_.block(n_, i, 1, ib));
-    }
+    // The panel (and its host-side upper rows) comes back, then the
+    // checksum-row segment, which only a completed iteration re-encoded
+    // (the redo re-encodes it anyway).
+    restore_checkpoint(i, completed, /*codes=*/completed);
   }
 
-  // -- Checkpoint integrity (the checkpoint itself is a fault target). ------
-  // Dual sums compared bitwise at restore time (DualSum). The panel data
-  // and the checksum-row pre-image carry SEPARATE sum pairs on purpose: an
-  // undetected boundary fault may legitimately sit in the panel data while
-  // the maintained code in ckpt_chkrow_ does not include it, and that
-  // disagreement is what locates the fault after rollback. A fused pair
-  // would force a data-only strike to re-derive the (pristine) code from
-  // the faulty data, encoding the fault as correct — a silent-wrong result.
-  // `save` first copies the panel's columns after the first (saved before
-  // the panel started) into the checkpoint, in the same pass.
-  DualSum panel_sums(index_t i, index_t ib, bool save = false) {
-    DualSum s;
-    const double stride = static_cast<double>(n_ + 1);
-    if (save) {
-      s.copy_block(a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib), 1.0, stride,
-                   /*stored=*/1);
+  // -- checkpoint.inc hooks. ------------------------------------------------
+  /// The panel, on the device and in a_, and the checksum-row segment over
+  /// it.
+  CheckpointBlocks checkpoint_blocks(index_t i, index_t ib) {
+    return {{d_e_.block(0, i, n_, ib)}, {a_.block(0, i, n_, ib)}, {d_e_.block(n_, i, 1, ib)}};
+  }
+
+  /// The checksum-row pre-image was struck. Prefer the device's maintained
+  /// segment (still pristine when the iteration never reached its
+  /// re-encode); once the re-encode has run, fall back to the panel's
+  /// full-height column sums — the panel columns were trailing data when
+  /// the iteration began, so those sums ARE the code (up to the rounding
+  /// the threshold absorbs). Never the panel data's current sums: an
+  /// undetected boundary fault in the panel makes them legitimately
+  /// disagree with the maintained code, which is what locates it. Residual
+  /// window: if such a fault sits inside the checkpointed panel, the
+  /// fallback encodes it into the column code and only the orthogonal row
+  /// code can still see it — a documented double-fault limitation
+  /// (DESIGN.md §9).
+  void rederive_codes(index_t /*i*/, bool completed) {
+    if (!completed) {
+      read_codes(ckpt_.code(0));
+      s_.synchronize();
     } else {
-      s.add_block(ckpt_.block(0, 0, n_, ib), 1.0, stride);
-    }
-    return s;
-  }
-
-  DualSum chkrow_sums(index_t ib) const {
-    DualSum s;
-    s.add_block(ckpt_chkrow_.block(0, 0, 1, ib), static_cast<double>(n_ + 1),
-                static_cast<double>(n_ + 1));
-    return s;
-  }
-
-  /// Enqueues the read of the device's maintained checksum-row segment over
-  /// the panel columns i..i+ib−1 into the 1×ib host row `out` by a raw task
-  /// (not a copy_* transfer, so not fault-eligible). The caller drains.
-  void read_chkrow(index_t i, index_t ib, MatrixView<double> out) {
-    auto e = d_e_.view();
-    s_.enqueue("ft.chkrow_readback", FTH_TASK_EFFECTS(FTH_READS(e) FTH_WRITES(out)),
-                [e, out, i, ib, n = n_]() mutable {
-      auto eh = e.in_task();
-      for (index_t j = 0; j < ib; ++j) out(0, j) = eh(n, i + j);
-    });
-  }
-
-  /// The deferred half of the checkpoint save, run in the first column
-  /// product's window: the panel columns the first larfg left alone are
-  /// saved and the whole checkpoint sealed before the second column's
-  /// fold, and the checksum-row pre-image is checked against its raw
-  /// readback. The d2h that filled ckpt_chkrow_ is itself fault-eligible,
-  /// and the dual-sum verify can only vouch for what was stored — not for
-  /// the transfer. Comparing against recomputed column sums would be wrong
-  /// here: an undetected boundary fault sitting in the panel makes the data
-  /// legitimately disagree with the maintained code, and that disagreement
-  /// is exactly what locates the fault after rollback.
-  void seal_checkpoint(index_t i, index_t ib) {
-    const obs::TraceSpan span("ft", "checkpoint_seal", "col", static_cast<double>(i));
-    panel_seal_ = panel_sums(i, ib, /*save=*/true);
-    ladder_.repair_from(ckpt_chkrow_.block(0, 0, 1, ib),
-                        chkrow_ref_.cview().block(0, 0, 1, ib));
-    chkrow_seal_ = chkrow_sums(ib);
-  }
-
-  /// Opens the sealed checkpoint to strikes. Called with the stream
-  /// drained, so a strike's task count does not depend on timing.
-  void register_checkpoint(index_t ib) {
-    if (plane_ != nullptr)
-      plane_->register_surface(fault::Surface::Checkpoint, ckpt_.block(0, 0, n_, ib));
-  }
-
-  void verify_or_rederive_checkpoint(index_t i, index_t ib, bool completed) {
-    if (!panel_sums(i, ib).same_bits(panel_seal_)) {
-      // The panel image was struck after save. Escalate to re-derivation:
-      // both block updates start at column i+ib, so the device panel
-      // columns still hold the exact pre-iteration image. The checksum-row
-      // pre-image is NOT touched here — its truth is the maintained code,
-      // which may legitimately disagree with the panel data (that
-      // disagreement locates a fault that was saved into the checkpoint).
-      copy_d2h(s_, d_e_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib));
-      panel_seal_ = panel_sums(i, ib);
-      ladder_.rederived();
-    }
-    if (!chkrow_sums(ib).same_bits(chkrow_seal_)) {
-      // The checksum-row pre-image was struck. Prefer the device's
-      // maintained segment (still pristine when the iteration never reached
-      // its re-encode); once the re-encode has run, fall back to the
-      // panel's full-height column sums — the panel columns were trailing
-      // data when the iteration began, so those sums ARE the code (up to
-      // the rounding the threshold absorbs). Residual window: if a boundary
-      // fault also sits inside the checkpointed panel, the fallback encodes
-      // it into the column code and only the orthogonal row code can still
-      // see it — a documented double-fault limitation (DESIGN.md §9).
-      if (!completed) {
-        read_chkrow(i, ib, ckpt_chkrow_.block(0, 0, 1, ib));
-        s_.synchronize();
-      } else {
-        sum_lines(ckpt_.block(0, 0, n_, ib), LineShape::full(), {},
-                  ckpt_chkrow_.view().row(0).sub(0, ib));
-      }
-      chkrow_seal_ = chkrow_sums(ib);
-      ladder_.rederived();
+      sum_lines(ckpt_.data(0), LineShape::full(), {}, ckpt_.code(0).row(0));
     }
   }
 
@@ -588,9 +494,7 @@ class FtDriver {
   Matrix<double> t_host_;
   Matrix<double> y_host_;
   Matrix<double> v_host_;       ///< V staging for the h2d upload
-  Matrix<double> ckpt_;
-  Matrix<double> ckpt_chkrow_;  ///< pre-iteration checksum-row segment over the panel
-  Matrix<double> chkrow_ref_;   ///< its raw readback, the save's cross-check
+  Checkpoint ckpt_;
   /// The encoded checksum row, then each finished panel's re-encoded segment.
   Matrix<double> new_chkrow_;
   QProtector qp_;
@@ -601,8 +505,6 @@ class FtDriver {
   double line_tol_;  ///< per-line location tolerance
   double corner_ = 0.0;  ///< the grand total as line_sums() last read it
   fault::FaultPlane* plane_;  ///< optional in-flight fault plane (not owned)
-  DualSum panel_seal_;   ///< integrity sums of the panel checkpoint, at save
-  DualSum chkrow_seal_;  ///< integrity sums of the checksum-row pre-image, at save
 };
 
 }  // namespace

@@ -66,10 +66,9 @@ class FtSytrdDriver {
         v_host_(n_, std::max<index_t>(opt.nb, 1)),
         omega_(n_, 1),
         sums_(4 * std::max<index_t>(opt.nb, 1) + 2 * n_, 1),
-        ckpt_(n_, std::max<index_t>(opt.nb, 1)),
-        ckpt_chk1_(n_, 1),
-        ckpt_chk2_(n_, 1),
-        chk_ref_(n_, 2),
+        // The panel, then both codes.
+        ckpt_({{n_, std::max<index_t>(opt.nb, 1), 1.0, static_cast<double>(n_)}},
+              {{n_, 1, 1.0, 0.0}, {n_, 1, static_cast<double>(n_ + 1), 0.0}}),
         seg_(std::max<index_t>(opt.nb, 1), 2),
         qp_(n_),
         threshold_(sytrd_threshold(norms.fro, n_, opt)),
@@ -86,6 +85,7 @@ class FtSytrdDriver {
  private:
 #include "ft/recovery_loop.inc"
 #include "ft/two_code.inc"
+#include "ft/checkpoint.inc"
 #include "ft/locate_repair.inc"
 
   // The strictly upper triangle of d_a_ is never read: a strike there is
@@ -130,19 +130,8 @@ class FtSytrdDriver {
 
     // Panel to host + diskless checkpoints (panel pre-image and both
     // checksum vectors — the vectors are O(n), so checkpointing beats
-    // reverse-computing them). The fetch, the code checkpoints and their
-    // readback share one drain; only the first panel column, which the
-    // first larfg rewrites, is saved before the panel starts. The
-    // rest is saved and sealed in the first column product's window
-    // (seal_checkpoint).
-    {
-      const obs::TimedSpan ckpt("ft", "checkpoint_save", st_.panel_seconds, "col",
-                                static_cast<double>(i));
-      copy_d2h_async(s_, d_a_.block(0, i, n_, ib), a_.block(0, i, n_, ib));
-      fetch_code_checkpoints();
-      s_.synchronize();
-      fth::copy(MatrixView<const double>(a_.block(0, i, n_, 1)), ckpt_.block(0, 0, n_, 1));
-    }
+    // reverse-computing them).
+    save_checkpoint(i, ib);
 
     // Host panel with device-assisted SYMV.
     bool poisoned = false;
@@ -163,9 +152,9 @@ class FtSytrdDriver {
               copy_d2h_async(s_, d_w_.block(j, j, vlen, 1),
                              MatrixView<double>(w_col.data(), vlen, 1, vlen));
               if (j == 0) seal_checkpoint(i, ib);
-              return [this, w_col, first = j == 0, ib] {
+              return [this, w_col, first = j == 0] {
                 s_.synchronize();
-                if (first) register_checkpoint(ib);
+                if (first) register_checkpoint();
                 // Tripwire: a non-finite w means a NaN/Inf strike reached
                 // the trailing matrix mid-panel. Abandon the panel before
                 // any update smears it.
@@ -269,27 +258,22 @@ class FtSytrdDriver {
   }
 
   /// The deferred half of the checkpoint save, run in the first column
-  /// product's window: the panel columns the first larfg left alone are
-  /// saved and the whole checkpoint sealed before the second column's
-  /// fold, the code checkpoints are checked against their readback, and
-  /// the old panel's code sums (its trailing rows against e and ω) are
-  /// taken from the sealed copy, which no strike can reach before
-  /// register_checkpoint.
+  /// product's window before the second column's fold; then the old
+  /// panel's code sums (its trailing rows against e and ω) are taken from
+  /// the sealed copy, which no strike can reach before register_checkpoint.
   void seal_checkpoint(index_t i, index_t ib) {
-    const obs::TraceSpan span("ft", "checkpoint_seal", "col", static_cast<double>(i));
-    panel_seal_ = panel_sums(i, ib, /*save=*/true);
-    seal_code_checkpoints();
+    ckpt_.seal(ladder_, i);
     const index_t tn = n_ - i - ib;
-    sytrd_panel_sums(MatrixView<const double>(ckpt_.block(i + ib, 0, tn, ib)),
+    sytrd_panel_sums(MatrixView<const double>(ckpt_.data(0).block(i + ib, 0, tn, ib)),
                      omega_.cview().col(0).sub(i, ib),
                      sums_.view().col(0).sub(0, 4 * ib + 2 * tn));
   }
 
-  /// Opens the sealed checkpoint to strikes. Called with the stream
-  /// drained, so a strike's task count does not depend on timing.
-  void register_checkpoint(index_t ib) {
-    if (plane_ != nullptr)
-      plane_->register_surface(fault::Surface::Checkpoint, ckpt_.block(0, 0, n_, ib));
+  /// checkpoint.inc hook: the panel, on the device and in a_, and both
+  /// codes.
+  CheckpointBlocks checkpoint_blocks(index_t i, index_t ib) {
+    return {{d_a_.block(0, i, n_, ib)}, {a_.block(0, i, n_, ib)},
+            {d_chk1_.view(), d_chk2_.view()}};
   }
 
   // -- line_sums() hooks: row sums, plain (e) or weighted (ω). --------------
@@ -358,39 +342,10 @@ class FtSytrdDriver {
                           d_w_.block(ib - 1, 0, tn, ib), 1.0,
                           d_a_.block(i + ib, i + ib, tn, tn));
     }
-    // Drain before touching the checkpoints from the host: in-flight faults
-    // fire on the worker thread and may target the checkpoint buffers.
+    // Drain before touching the checkpoints from the host.
     // Recovery cold path, not worth an Event edge. fth-perf: expect coarse-synchronize
     s_.synchronize();
-    obs::TraceSpan restore_span("ft", "checkpoint_restore", "col", static_cast<double>(i));
-    verify_or_rederive_panel_checkpoint(i, ib);
-    fth::copy(MatrixView<const double>(ckpt_.block(0, 0, n_, ib)), a_.block(0, i, n_, ib));
-    restore_chk_checkpoints(i);
-  }
-
-  // `save` first copies the panel's columns after the first (saved before
-  // the panel started) into the checkpoint, in the same pass.
-  DualSum panel_sums(index_t i, index_t ib, bool save = false) {
-    DualSum s;
-    const double stride = static_cast<double>(n_);
-    if (save) {
-      s.copy_block(a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib), 1.0, stride,
-                   /*stored=*/1);
-    } else {
-      s.add_block(ckpt_.block(0, 0, n_, ib), 1.0, stride);
-    }
-    return s;
-  }
-
-  void verify_or_rederive_panel_checkpoint(index_t i, index_t ib) {
-    if (panel_sums(i, ib).same_bits(panel_seal_)) return;
-    // The diskless panel checkpoint was struck after save. The device's
-    // panel columns are never written during the iteration (the panel is
-    // factored on the host, the rank-2k starts at column i+ib), so they
-    // still hold the exact pre-iteration image.
-    copy_d2h(s_, d_a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib));
-    panel_seal_ = panel_sums(i, ib);
-    ladder_.rederived();
+    restore_checkpoint(i, completed, /*codes=*/true);
   }
 
   // -- locate_repair.inc hooks (Section IV-F). -----------------------------
@@ -467,10 +422,7 @@ class FtSytrdDriver {
   // W2ᵀω (ib each), then the old panel's trailing rows against e and ω
   // (tn each). Retired like seg_ before the next refill.
   Matrix<double> sums_;
-  Matrix<double> ckpt_;
-  Matrix<double> ckpt_chk1_;
-  Matrix<double> ckpt_chk2_;
-  Matrix<double> chk_ref_;  ///< raw readback of both codes, the save's cross-check
+  Checkpoint ckpt_;
   // Re-encode staging segment, hoisted out of the update loop: the async
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.
@@ -482,8 +434,6 @@ class FtSytrdDriver {
   double scale_max_;
   RecoveryLadder ladder_;
   fault::FaultPlane* plane_;  ///< optional in-flight fault plane (not owned)
-  DualSum panel_seal_;  ///< integrity sums of the panel checkpoint, at save
-  DualSum chk_seal_;    ///< integrity sums of both checksum-vector checkpoints, at save
 };
 
 }  // namespace

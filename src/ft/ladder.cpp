@@ -53,47 +53,84 @@ using Lanes = double __attribute__((vector_size(kSealLanes * sizeof(double))));
   weighted = s;
 }
 
-/// Seals the rows×cols block at `src`; with `to`, stores each column from
-/// `first` on there first and seals the stored copy of every column.
-void seal_block(const double* src, index_t src_ld, index_t rows, index_t cols, double* to,
-                index_t to_ld, index_t first, double base, double stride, DualSum& sum) {
+}  // namespace
+
+void DualSum::add_block(MatrixView<const double> m, double base, double stride,
+                        MatrixView<double> to, index_t stored) {
   Lanes p = {};
-  Lanes w = {};
-  for (index_t j = 0; j < cols; ++j) {
-    const double* col = src + j * src_ld;
-    if (to != nullptr) {
-      double* stored = to + j * to_ld;
-      if (j >= first) std::copy_n(col, rows, stored);
-      col = stored;
+  Lanes s = {};
+  for (index_t j = 0; j < m.cols(); ++j) {
+    const double* col = m.data() + j * m.ld();
+    if (to.cols() > 0) {
+      double* copy = to.data() + j * to.ld();
+      if (j >= stored) std::copy_n(col, m.rows(), copy);
+      col = copy;
     }
-    seal_column(col, rows, base + static_cast<double>(j + 1) * stride, p, w);
+    seal_column(col, m.rows(), base + static_cast<double>(j + 1) * stride, p, s);
   }
   double ps = 0.0;
   double ws = 0.0;
   for (int k = 0; k < kSealLanes; ++k) {
     ps += p[k];
-    ws += w[k];
+    ws += s[k];
   }
-  sum.plain += ps;
-  sum.weighted += ws;
-}
-
-}  // namespace
-
-void DualSum::add_block(MatrixView<const double> m, double base, double stride) {
-  seal_block(m.data(), m.ld(), m.rows(), m.cols(), nullptr, 0, 0, base, stride, *this);
-}
-
-void DualSum::copy_block(MatrixView<const double> from, MatrixView<double> to, double base,
-                         double stride, index_t stored) {
-  FTH_CHECK(from.rows() == to.rows() && from.cols() == to.cols(),
-            "DualSum::copy_block: shape mismatch");
-  seal_block(from.data(), from.ld(), from.rows(), from.cols(), to.data(), to.ld(), stored, base,
-             stride, *this);
+  plain += ps;
+  weighted += ws;
 }
 
 bool DualSum::same_bits(const DualSum& o) const {
   return bits_equal(plain, o.plain) && bits_equal(weighted, o.weighted);
+}
+
+// ---- the diskless checkpoint -------------------------------------------------
+
+Checkpoint::Checkpoint(std::initializer_list<Block> data, std::initializer_list<Block> codes) {
+  FTH_CHECK(data.size() - 1 < 2 && codes.size() - 1 < 2, "Checkpoint: one or two of each");
+  for (const Block& b : data) data_[n_data_++] = {{b.rows, b.cols}, b.base, b.stride};
+  index_t cols = 0;
+  for (const Block& b : codes) {
+    code_[n_codes_++] = {{b.rows, b.cols}, b.base, b.stride};
+    cols += b.cols;
+  }
+  readback_ = Matrix<double>(codes.begin()->rows, cols);
+}
+
+void Checkpoint::store_first() {
+  const index_t rows = at.host[0].rows();
+  fth::copy<double>(at.host[0].block(0, 0, rows, 1), data(0).block(0, 0, rows, 1));
+}
+
+void Checkpoint::seal(RecoveryLadder& ladder, index_t col) {
+  const obs::TraceSpan span("ft", "checkpoint_seal", "col", static_cast<double>(col));
+  data_seal_ = {};
+  for (index_t k = 0; k < n_data_; ++k)
+    data_seal_.add_block(at.host[k], data_[k].base, data_[k].stride, data(k), k == 0 ? 1 : 0);
+  const MatrixView<double> ref = readback();
+  index_t rc = 0;  // the readback column
+  for (index_t k = 0; k < n_codes_; ++k) {
+    const MatrixView<double> copy = code(k);
+    for (index_t j = 0; j < copy.cols(); ++j, ++rc) {
+      for (index_t r = 0; r < copy.rows(); ++r) {
+        if (bits_equal(copy(r, j), ref(r, rc))) continue;
+        copy(r, j) = ref(r, rc);
+        ladder.rederived();
+      }
+    }
+  }
+  reseal_codes();
+}
+
+void Checkpoint::restore() {
+  for (index_t k = 0; k < n_data_; ++k) fth::copy<double>(data(k), at.host[k]);
+}
+
+DualSum Checkpoint::sums(bool codes) {
+  DualSum s;
+  for (index_t k = 0; k < (codes ? n_codes_ : n_data_); ++k) {
+    const Copy& c = codes ? code_[k] : data_[k];
+    s.add_block(codes ? code(k) : data(k), c.base, c.stride);
+  }
+  return s;
 }
 
 // ---- one recovery episode ----------------------------------------------------
@@ -199,16 +236,6 @@ void RecoveryLadder::rederived() {
   ++rep_.ckpt_rederivations;
   obs::counter_metric("ft.ckpt_rederivations").add();
   obs::journal_log(obs::JournalSeverity::Info, "ft", "ckpt_rederived");
-}
-
-void RecoveryLadder::repair_from(MatrixView<double> ckpt, MatrixView<const double> ref) {
-  for (index_t j = 0; j < ckpt.cols(); ++j) {
-    for (index_t r = 0; r < ckpt.rows(); ++r) {
-      if (bits_equal(ckpt(r, j), ref(r, j))) continue;
-      ckpt(r, j) = ref(r, j);
-      rederived();
-    }
-  }
 }
 
 obs::TimedSpan RecoveryLadder::final_sweep() {

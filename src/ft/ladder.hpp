@@ -6,18 +6,22 @@
 // This layer owns every part of it that does not touch the stream, so the
 // drivers fill FtReport alike: the per-check bookkeeping, the retry bound,
 // FtEvent accounting, the structured abandon path, the rollback and
-// re-execution brackets, the dual-sum checkpoint seal, the final-sweep
-// bookkeeping, the Q verification and the Clean/Recovered classification.
+// re-execution brackets, the diskless checkpoint's host copies and seals,
+// the final-sweep bookkeeping, the Q verification and the Clean/Recovered
+// classification.
 //
 // The stream side of the protocol — the ensure_clean() loop, run(), the
-// two-code helpers and location/repair — is shared through the .inc
-// fragments included inside the driver classes (recovery_loop.inc,
-// two_code.inc, locate_repair.inc), which fth_analyze expands like the
+// two-code helpers, the checkpoint's transfers and location/repair — is
+// shared through the .inc fragments included inside the driver classes
+// (recovery_loop.inc, two_code.inc, checkpoint.inc, locate_repair.inc),
+// which fth_analyze expands like the
 // preprocessor. Never move a loop or any enqueue/copy/synchronize behind
 // this header: the analyzer splices only TU-local calls, so it would drop
 // out of the static race proof (DESIGN.md §15).
 #pragma once
 
+#include <array>
+#include <initializer_list>
 #include <limits>
 
 #include "common/timer.hpp"
@@ -73,7 +77,7 @@ struct Wording {
   bool counts_nonfinite;
 };
 
-/// Plain + position-weighted integrity sums of a checkpoint, compared
+/// Plain + position-weighted integrity sums of a checkpoint block, compared
 /// bitwise at restore time: any corruption of the host buffers between save
 /// and restore — a sign or exponent flip, a NaN or an Inf — flips at least
 /// one of them. A seal only ever meets a re-seal of the same block, so its
@@ -82,14 +86,12 @@ struct Wording {
 struct DualSum {
   double plain = 0.0;
   double weighted = 0.0;
-  /// Adds a column-major block whose element (r, j) weighs base + r + (j+1)·stride.
-  void add_block(MatrixView<const double> m, double base, double stride);
-  /// Copies `from` into `to` (same shape) and adds the copy as add_block(to)
-  /// would, in one pass: a checkpoint saved and sealed together. The first
-  /// `stored` columns are already in `to` (saved before the panel modified
-  /// them) and are only sealed.
-  void copy_block(MatrixView<const double> from, MatrixView<double> to, double base,
-                  double stride, index_t stored = 0);
+  /// Adds block `m`, whose element (r, j) weighs base + r + (j+1)·stride.
+  /// With a non-empty `to`, first copies `m` there, all but the first
+  /// `stored` columns (saved earlier), and adds the stored copy: a
+  /// checkpoint saved and sealed in one pass.
+  void add_block(MatrixView<const double> m, double base, double stride,
+                 MatrixView<double> to = {}, index_t stored = 0);
   [[nodiscard]] bool same_bits(const DualSum& o) const;
 };
 
@@ -161,10 +163,6 @@ class RecoveryLadder {
   void panel_aborted(index_t col);
   void reconstructed();
   void rederived();
-  /// Bitwise cross-check of a freshly saved checkpoint against a raw
-  /// readback of the device's maintained data: each mismatching element is
-  /// replaced and counted as a re-derivation.
-  void repair_from(MatrixView<double> ckpt, MatrixView<const double> ref);
 
   /// The final-sweep bracket, booked as detection time.
   [[nodiscard]] obs::TimedSpan final_sweep();
@@ -195,6 +193,82 @@ class RecoveryLadder {
   int max_retries_;
   double threshold_;
   index_t total_boundaries_;
+};
+
+/// Where one iteration's checkpoint blocks live (checkpoint.inc's
+/// checkpoint_blocks hook): one or two data blocks, on the device and in
+/// host memory, and one or two code pre-images on the device.
+struct CheckpointBlocks {
+  std::array<DMatrixView<double>, 2> device;
+  std::array<MatrixView<double>, 2> host;
+  std::array<DMatrixView<double>, 2> codes;
+};
+
+/// The diskless checkpoint of Algorithm 3, line 4: host copies of the data
+/// blocks an iteration factors and of the code pre-images it re-encodes.
+/// The copies are fault targets too, so the data and the codes each carry
+/// a DualSum seal, checked bitwise before a restore. They are sealed apart:
+/// an undetected fault saved into the data may legitimately disagree with
+/// the maintained codes (that disagreement locates it after the rollback),
+/// and one seal over both would re-derive pristine codes from the faulty
+/// data. checkpoint.inc moves the blocks.
+class Checkpoint {
+ public:
+  /// A block's largest shape and its DualSum weights.
+  struct Block {
+    index_t rows;
+    index_t cols;
+    double base;
+    double stride;
+  };
+  /// Allocates the data copies, the code copies, then the codes' raw
+  /// readback (side by side), in that order.
+  Checkpoint(std::initializer_list<Block> data, std::initializer_list<Block> codes);
+
+  /// This iteration's blocks; each copy below takes its block's shape.
+  CheckpointBlocks at;
+  [[nodiscard]] index_t data_blocks() const { return n_data_; }
+  [[nodiscard]] index_t code_blocks() const { return n_codes_; }
+  [[nodiscard]] MatrixView<double> data(index_t k) {
+    return data_[k].m.block(0, 0, at.host[k].rows(), at.host[k].cols());
+  }
+  [[nodiscard]] MatrixView<double> code(index_t k) {
+    return code_[k].m.block(0, 0, at.codes[k].rows(), at.codes[k].cols());
+  }
+  [[nodiscard]] MatrixView<double> readback() {
+    return readback_.block(0, 0, at.codes[0].rows(), at.codes[0].cols() + at.codes[1].cols());
+  }
+
+  /// Stores data block 0's first column, which the first larfg rewrites.
+  void store_first();
+  /// The rest of the save, in panel column `col`'s first product window:
+  /// copies and seals the data in one pass, then checks each code copy
+  /// bitwise against the readback (its d2h is fault-eligible), books each
+  /// mismatch it replaces as a re-derivation, and seals the codes.
+  void seal(RecoveryLadder& ladder, index_t col);
+  [[nodiscard]] bool data_intact() { return sums(false).same_bits(data_seal_); }
+  [[nodiscard]] bool codes_intact() { return sums(true).same_bits(code_seal_); }
+  void reseal_data() { data_seal_ = sums(false); }
+  void reseal_codes() { code_seal_ = sums(true); }
+  /// Copies the data back to its place in host memory.
+  void restore();
+
+ private:
+  DualSum sums(bool codes);
+
+  struct Copy {
+    Matrix<double> m;
+    double base = 0.0;
+    double stride = 0.0;
+  };
+
+  index_t n_data_ = 0;
+  index_t n_codes_ = 0;
+  std::array<Copy, 2> data_;
+  std::array<Copy, 2> code_;
+  Matrix<double> readback_;
+  DualSum data_seal_;
+  DualSum code_seal_;
 };
 
 }  // namespace fth::ft

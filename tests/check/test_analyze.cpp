@@ -947,6 +947,25 @@ TEST(AnalyzeSeeded, AHostWriteInTheSharedFreshSumsIsCaughtFromEveryIncludingTu) 
       << "gehrd includes the recovery loop, not the two-code fragment";
 }
 
+TEST(AnalyzeSeeded, DeletingTheCheckpointSaveDrainIsCaughtFromEveryIncludingTu) {
+  // The shared save's one drain retires the panel fetch, the code d2h and
+  // their readback. Without it the first-column store touches the
+  // checkpoint while the code d2h into it is in flight, in each TU that
+  // includes the fragment.
+  const char* const frag = "src/ft/checkpoint.inc";
+  const int line = line_of(repo_file(frag), "    ckpt_.store_first();");
+  const FragmentLoader seeded =
+      repo_fragments({{frag, without(repo_file(frag), "s_.synchronize();")}});
+  for (const char* tu : {"src/ft/ft_gehrd.cpp", "src/ft/ft_sytrd.cpp", "src/ft/ft_gebrd.cpp"}) {
+    const auto f = analyze_source(tu, repo_file(tu), nullptr, {}, seeded);
+    bool hit = false;
+    for (const auto& x : f)
+      hit = hit || (x.rule == "transfer-race" && x.file == frag && x.line == line &&
+                    x.message.find("'ckpt_'") != std::string::npos);
+    EXPECT_TRUE(hit) << tu << ": " << f.size() << " finding(s), none at the store";
+  }
+}
+
 TEST(AnalyzeSeeded, RetargetingTheChecksumRowReencodeIsCaught) {
   // The §7 gotcha, made structural: sourcing the checksum-row h2d from
   // the (stale) trailing matrix instead of the re-encoded row.

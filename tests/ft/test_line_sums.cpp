@@ -282,8 +282,8 @@ TEST(DualSumSeal, EqualBuffersSealEqualAndTheSavedCopySealsAsItsResealDoes) {
       EXPECT_TRUE(seal(top(a, m, n)).same_bits(seal(top(b, m, n))));
       Matrix<double> ckpt(m + 5, n);
       DualSum saved;
-      saved.copy_block(top(a, m, n), ckpt.view().block(0, 0, m, n), 1.0,
-                       static_cast<double>(m));
+      saved.add_block(top(a, m, n), 1.0, static_cast<double>(m),
+                      ckpt.view().block(0, 0, m, n));
       EXPECT_TRUE(saved.same_bits(seal(ckpt.cview().block(0, 0, m, n))));
       for (index_t j = 0; j < n; ++j)
         for (index_t i = 0; i < m; ++i) ASSERT_EQ(ckpt(i, j), a(i, j));
