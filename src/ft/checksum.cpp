@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/flops.hpp"
@@ -329,6 +330,13 @@ double default_threshold(double fro_norm, index_t n, double factor) {
   const double eps = std::numeric_limits<double>::epsilon();
   return factor * eps * static_cast<double>(std::max<index_t>(n, 1)) *
          std::max(fro_norm, 1.0);
+}
+
+FroMax<double> finite_input_norms(MatrixView<const double> a, const char* who) {
+  const FroMax<double> norms = norm_fro_max(a);
+  FTH_CHECK(!std::isnan(norms.fro) && !std::isinf(norms.max),
+            std::string(who) + ": the input matrix holds a NaN or an Inf");
+  return norms;
 }
 
 }  // namespace fth::ft

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "la/norms.hpp"
 
 namespace fth::hybrid {
 class Stream;
@@ -173,5 +174,12 @@ index_t count_nonfinite(MatrixView<const double> x);
 /// for a value 2–3 orders of magnitude above machine epsilon relative to
 /// the data scale; the n factor absorbs the growth of the grand sums.
 double default_threshold(double fro_norm, index_t n, double factor = 500.0);
+
+/// The norms of an FT driver's input A (norm_fro_max), which must be
+/// finite: a NaN leaves `fro` NaN and an Inf leaves `max` infinite, and
+/// either would be encoded into the codes, then read as damage that no
+/// rollback removes. Throws precondition_error naming `who`. A finite A
+/// whose Frobenius norm overflows passes.
+FroMax<double> finite_input_norms(MatrixView<const double> a, const char* who);
 
 }  // namespace fth::ft

@@ -473,10 +473,10 @@ void ft_gebrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
   FTH_CHECK(opt.nb >= 1 && opt.detect_every >= 1, "ft_gebrd: bad options");
 
   hybrid::RunFrame frame(dev, "ft", "gebrd", n, stats);
+  const FroMax<double> norms = finite_input_norms(MatrixView<const double>(a), "ft_gebrd");
   FtReport local_rep;
   FtReport& rep = report != nullptr ? *report : local_rep;
   rep = {};
-  const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
   if (ft_blocked_panel(n, 0, opt.nb)) {
     FtGebrdDriver driver(dev, a, d, e, tauq, taup, opt, injector, rep, frame.st(),
                          norms);

@@ -518,10 +518,10 @@ void ft_gehrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
   FTH_CHECK(opt.nb >= 1, "ft_gehrd: block size must be positive");
 
   hybrid::RunFrame frame(dev, "ft", "gehrd", n, stats);
+  const FroMax<double> norms = finite_input_norms(MatrixView<const double>(a), "ft_gehrd");
   FtReport local_rep;
   FtReport& rep = report != nullptr ? *report : local_rep;
   rep = {};
-  const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
   if (ft_blocked_panel(n, 0, opt.nb)) {
     FtDriver driver(dev, a, tau, opt, injector, rep, frame.st(), norms);
     driver.run();

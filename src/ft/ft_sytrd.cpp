@@ -451,10 +451,10 @@ void ft_sytrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
   FTH_CHECK(opt.nb >= 1 && opt.detect_every >= 1, "ft_sytrd: bad options");
 
   hybrid::RunFrame frame(dev, "ft", "sytrd", n, stats);
+  const FroMax<double> norms = finite_input_norms(MatrixView<const double>(a), "ft_sytrd");
   FtReport local_rep;
   FtReport& rep = report != nullptr ? *report : local_rep;
   rep = {};
-  const FroMax<double> norms = norm_fro_max(MatrixView<const double>(a));
   if (ft_blocked_panel(n, 0, opt.nb)) {
     FtSytrdDriver driver(dev, a, d, e, tau, opt, injector, rep, frame.st(), norms);
     driver.run();

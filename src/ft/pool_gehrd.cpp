@@ -87,9 +87,8 @@ class PoolDriver {
     FTH_CHECK(nb_ >= 1, "pool_gehrd: block size must be positive");
     FTH_CHECK(D_ >= 1, "pool_gehrd: empty pool");
 
-    threshold_ = opt.threshold > 0.0
-                     ? opt.threshold
-                     : default_threshold(norm_fro(MatrixView<const double>(a_)), n_);
+    const double fro = finite_input_norms(MatrixView<const double>(a_), "pool_gehrd").fro;
+    threshold_ = opt.threshold > 0.0 ? opt.threshold : default_threshold(fro, n_);
     rep_.devices = D_;
     rep_.data_shards = Ddata_;
     parity_dev_ = D_ >= 2 ? D_ - 1 : -1;

@@ -299,5 +299,29 @@ TEST(Threshold, ScalesWithSizeAndNorm) {
   EXPECT_GT(default_threshold(0.0, 50), 0.0);  // floor at norm 1
 }
 
+TEST(FiniteInputNorms, RejectsNanAndInfAndPassesAnOverflowingNorm) {
+  Matrix<double> a = random_matrix(9, 9, 17);
+  const FroMax<double> plain = norm_fro_max(a.cview());
+  const FroMax<double> checked = finite_input_norms(a.cview(), "test");
+  EXPECT_EQ(checked.fro, plain.fro);
+  EXPECT_EQ(checked.max, plain.max);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const index_t at : {index_t{0}, index_t{40}, index_t{80}}) {
+      Matrix<double> b(a.cview());
+      b.data()[at] = bad;
+      EXPECT_THROW((void)finite_input_norms(b.cview(), "test"), precondition_error) << bad;
+    }
+  }
+  // Two entries near the largest double: ‖A‖_F overflows, every entry is
+  // finite, and the input passes.
+  a(0, 0) = 1.5e308;
+  a(8, 8) = -1.5e308;
+  const FroMax<double> big = finite_input_norms(a.cview(), "test");
+  EXPECT_TRUE(std::isinf(big.fro));
+  EXPECT_EQ(big.max, 1.5e308);
+}
+
 }  // namespace
 }  // namespace fth::ft

@@ -193,6 +193,35 @@ TEST(FtGebrd, DetectEveryAmortizes) {
   EXPECT_LT(reconstruction_residual(a0, o), 1e-12);
 }
 
+TEST(FtGebrd, NanOrInfInputIsRejectedBeforeEncoding) {
+  hybrid::Device dev;
+  for (const double bad : test::kNonfinite) {
+    Matrix<double> a = random_matrix(96, 96, 63);
+    a(40, 30) = bad;
+    std::vector<double> d(96), e(95), tauq(96), taup(95);
+    FtReport rep;
+    rep.detections = 7;
+    test::expect_rejected_without_ft_counters([&] {
+      ft_gebrd(dev, a.view(), vec(d), vec(e), vec(tauq), vec(taup), {.nb = 16}, nullptr, &rep);
+    });
+    EXPECT_EQ(rep.detections, 7) << bad << ": the report stays untouched";
+  }
+}
+
+TEST(FtGebrd, FiniteInputWhoseFrobeniusNormOverflowsStillRuns) {
+  // Only a NaN or an Inf is refused: ‖A‖_F = Inf here, yet every entry
+  // and every intermediate of this reduction stays finite.
+  hybrid::Device dev;
+  Matrix<double> a0 = random_matrix(96, 96, 5);
+  for (index_t j = 0; j < 96; ++j)
+    for (index_t i = 0; i < 96; ++i) a0(i, j) *= 1e307;
+  ASSERT_TRUE(std::isinf(norm_fro(a0.cview())));
+  const Out o = run_ft(dev, a0, {.nb = 16});
+  EXPECT_EQ(o.rep.outcome.status, RecoveryStatus::Clean);
+  for (index_t j = 0; j < 96; ++j)
+    for (index_t i = 0; i < 96; ++i) ASSERT_TRUE(std::isfinite(o.a(i, j))) << i << "," << j;
+}
+
 TEST(FtGebrd, TinySizes) {
   hybrid::Device dev;
   for (index_t n : {1, 2, 3, 5}) {

@@ -9,6 +9,7 @@
 #include "la/norms.hpp"
 #include "lapack/gehrd.hpp"
 #include "lapack/verify.hpp"
+#include "test_utils.hpp"
 
 namespace fth::ft {
 namespace {
@@ -18,6 +19,23 @@ VectorView<double> tau_view(std::vector<double>& tau) {
 }
 VectorView<const double> tau_cview(const std::vector<double>& tau) {
   return VectorView<const double>(tau.data(), static_cast<index_t>(tau.size()));
+}
+
+TEST(FtGehrd, NanOrInfInputIsRejectedBeforeEncoding) {
+  // Encoded into the codes, a non-finite input would read as damage that
+  // no rollback removes: the run would book a detection and a rollback
+  // and abort at boundary 1.
+  hybrid::Device dev;
+  for (const double bad : test::kNonfinite) {
+    Matrix<double> a = random_matrix(96, 96, 61);
+    a(40, 30) = bad;
+    std::vector<double> tau(95);
+    FtReport rep;
+    rep.detections = 7;
+    test::expect_rejected_without_ft_counters(
+        [&] { ft_gehrd(dev, a.view(), tau_view(tau), {.nb = 16}, nullptr, &rep); });
+    EXPECT_EQ(rep.detections, 7) << bad << ": the report stays untouched";
+  }
 }
 
 TEST(FtGehrd, TotalBoundariesCountsPanels) {

@@ -238,6 +238,22 @@ TEST(FtSytrd, ReportPopulated) {
   EXPECT_EQ(o.st.panels, ft_total_boundaries(n, nb));
 }
 
+TEST(FtSytrd, NanOrInfInputIsRejectedBeforeEncoding) {
+  hybrid::Device dev;
+  for (const double bad : test::kNonfinite) {
+    Matrix<double> a = random_symmetric_matrix(96, 62);
+    a(40, 30) = bad;
+    a(30, 40) = bad;
+    std::vector<double> d(96), e(95), tau(95);
+    FtReport rep;
+    rep.detections = 7;
+    test::expect_rejected_without_ft_counters([&] {
+      ft_sytrd(dev, a.view(), vec(d), vec(e), vec(tau), {.nb = 16}, nullptr, &rep);
+    });
+    EXPECT_EQ(rep.detections, 7) << bad << ": the report stays untouched";
+  }
+}
+
 TEST(FtSytrd, TinySizes) {
   hybrid::Device dev;
   for (index_t n : {1, 2, 3, 4}) {

@@ -68,6 +68,18 @@ INSTANTIATE_TEST_SUITE_P(SizesBlocksDevices, PoolParam,
                                            std::tuple<index_t, index_t, int>{130, 32, 4},
                                            std::tuple<index_t, index_t, int>{250, 32, 3}));
 
+TEST(PoolGehrd, NanOrInfInputIsRejectedBeforeEncoding) {
+  // Not a device loss: the input was bad before any member saw it.
+  hybrid::DevicePool pool({.devices = 3});
+  for (const double bad : test::kNonfinite) {
+    Matrix<double> a = random_matrix(96, 96, 64);
+    a(40, 30) = bad;
+    std::vector<double> tau(95);
+    test::expect_rejected_without_ft_counters(
+        [&] { pool_gehrd(pool, a.view(), tau_view(tau), {.nb = 16}); });
+  }
+}
+
 TEST(PoolGehrd, SmallMatrixFallsBackToHost) {
   hybrid::DevicePool pool({.devices = 3});
   const index_t n = 24;

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "la/matrix.hpp"
+#include "obs/metrics.hpp"
 
 namespace fth::test {
 
@@ -15,6 +18,21 @@ inline VectorView<double> vec(std::vector<double>& v) {
 }
 inline VectorView<const double> cvec(const std::vector<double>& v) {
   return VectorView<const double>(v.data(), static_cast<index_t>(v.size()));
+}
+
+/// The values an FT driver must reject in its input.
+inline constexpr double kNonfinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                        std::numeric_limits<double>::infinity(),
+                                        -std::numeric_limits<double>::infinity()};
+
+/// Expects `run` to throw precondition_error without moving an ft.* counter.
+template <class Run>
+void expect_rejected_without_ft_counters(Run&& run) {
+  const auto before = obs::Registry::global().counter_values();
+  EXPECT_THROW(run(), precondition_error);
+  const auto after = obs::Registry::global().counter_values();
+  for (const auto& [name, delta] : obs::Registry::counter_delta(after, before))
+    EXPECT_NE(name.rfind("ft.", 0), 0u) << name << " moved by " << delta;
 }
 
 /// Reference (naive triple-loop) GEMM for validation.
