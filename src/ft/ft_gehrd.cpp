@@ -366,7 +366,8 @@ class FtDriver {
                              dvh.block(ib - 1, 0, vrows - ib + 2, ib));
       });
     }
-    // Drain before touching the checkpoint from the host.
+    // Drain before touching the checkpoint from the host: in-flight faults
+    // fire on the worker thread and may target the checkpoint buffers.
     s_.synchronize();
     // The panel (and its host-side upper rows) comes back, then the
     // checksum-row segment, which only a completed iteration re-encoded
@@ -383,16 +384,13 @@ class FtDriver {
 
   /// The checksum-row pre-image was struck. Prefer the device's maintained
   /// segment (still pristine when the iteration never reached its
-  /// re-encode); once the re-encode has run, fall back to the panel's
+  /// re-encode); once the re-encode has run, fall back to the panel copy's
   /// full-height column sums — the panel columns were trailing data when
   /// the iteration began, so those sums ARE the code (up to the rounding
-  /// the threshold absorbs). Never the panel data's current sums: an
-  /// undetected boundary fault in the panel makes them legitimately
-  /// disagree with the maintained code, which is what locates it. Residual
-  /// window: if such a fault sits inside the checkpointed panel, the
-  /// fallback encodes it into the column code and only the orthogonal row
-  /// code can still see it — a documented double-fault limitation
-  /// (DESIGN.md §9).
+  /// the threshold absorbs). Residual window: if a boundary fault also
+  /// sits inside the checkpointed panel, the fallback encodes it into the
+  /// column code and only the orthogonal row code can still see it — a
+  /// documented double-fault limitation (DESIGN.md §9).
   void rederive_codes(index_t /*i*/, bool completed) {
     if (!completed) {
       read_codes(ckpt_.code(0));

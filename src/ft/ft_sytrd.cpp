@@ -342,7 +342,8 @@ class FtSytrdDriver {
                           d_w_.block(ib - 1, 0, tn, ib), 1.0,
                           d_a_.block(i + ib, i + ib, tn, tn));
     }
-    // Drain before touching the checkpoints from the host.
+    // Drain before touching the checkpoints from the host: in-flight faults
+    // fire on the worker thread and may target the checkpoint buffers.
     // Recovery cold path, not worth an Event edge. fth-perf: expect coarse-synchronize
     s_.synchronize();
     restore_checkpoint(i, completed, /*codes=*/true);

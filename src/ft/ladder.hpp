@@ -14,10 +14,10 @@
 // two-code helpers, the checkpoint's transfers and location/repair — is
 // shared through the .inc fragments included inside the driver classes
 // (recovery_loop.inc, two_code.inc, checkpoint.inc, locate_repair.inc),
-// which fth_analyze expands like the
-// preprocessor. Never move a loop or any enqueue/copy/synchronize behind
-// this header: the analyzer splices only TU-local calls, so it would drop
-// out of the static race proof (DESIGN.md §15).
+// which fth_analyze expands like the preprocessor. Never move a loop or
+// any enqueue/copy/synchronize behind this header: the analyzer splices
+// only TU-local calls, so it would drop out of the static race proof
+// (DESIGN.md §15).
 #pragma once
 
 #include <array>

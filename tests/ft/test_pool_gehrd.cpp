@@ -70,7 +70,9 @@ INSTANTIATE_TEST_SUITE_P(SizesBlocksDevices, PoolParam,
 
 TEST(PoolGehrd, NanOrInfInputIsRejectedBeforeEncoding) {
   // Not a device loss: the input was bad before any member saw it.
-  hybrid::DevicePool pool({.devices = 3});
+  hybrid::PoolConfig cfg;
+  cfg.devices = 3;
+  hybrid::DevicePool pool(cfg);
   for (const double bad : test::kNonfinite) {
     Matrix<double> a = random_matrix(96, 96, 64);
     a(40, 30) = bad;
