@@ -85,7 +85,9 @@ bool DualSum::same_bits(const DualSum& o) const {
 // ---- the diskless checkpoint -------------------------------------------------
 
 Checkpoint::Checkpoint(std::initializer_list<Block> data, std::initializer_list<Block> codes) {
-  FTH_CHECK(data.size() - 1 < 2 && codes.size() - 1 < 2, "Checkpoint: one or two of each");
+  const auto one_or_two = [](std::size_t k) { return k == 1 || k == 2; };
+  FTH_CHECK(one_or_two(data.size()) && one_or_two(codes.size()),
+            "Checkpoint: one or two data blocks and one or two code blocks");
   for (const Block& b : data) data_[n_data_++] = {{b.rows, b.cols}, b.base, b.stride};
   index_t cols = 0;
   for (const Block& b : codes) {
