@@ -155,7 +155,7 @@ class FtGebrdDriver {
               if (j == 0) seal_checkpoint(i, ib);
               return [this, ycol, first = j == 0] {
                 s_.synchronize();
-                if (first) register_checkpoint();
+                if (first) expose_checkpoint();
                 // Tripwire: a non-finite product means a NaN/Inf strike
                 // reached the trailing matrix mid-panel.
                 throw_if_poisoned(ycol);
@@ -286,7 +286,7 @@ class FtGebrdDriver {
   /// product's window before the first row fold; then the old panels' code
   /// sums (the column panel's trailing rows, the row panel's columns) are
   /// taken from the sealed copies, which no strike can reach before
-  /// register_checkpoint.
+  /// expose_checkpoint().
   void seal_checkpoint(index_t i, index_t ib) {
     ckpt_.seal(ladder_, i);
     const index_t tn = n_ - i - ib;

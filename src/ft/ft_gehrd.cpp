@@ -192,7 +192,7 @@ class FtDriver {
               if (j == 0) ckpt_.seal(ladder_, i);
               return [this, y_col, vrows, first = j == 0] {
                 s_.synchronize();
-                if (first) register_checkpoint();
+                if (first) expose_checkpoint();
                 // Tripwire: a non-finite y means a NaN/Inf strike reached
                 // the trailing matrix mid-panel. Applying the reflector
                 // chain would smear it everywhere; abandon the panel

@@ -154,7 +154,7 @@ class FtSytrdDriver {
               if (j == 0) seal_checkpoint(i, ib);
               return [this, w_col, first = j == 0] {
                 s_.synchronize();
-                if (first) register_checkpoint();
+                if (first) expose_checkpoint();
                 // Tripwire: a non-finite w means a NaN/Inf strike reached
                 // the trailing matrix mid-panel. Abandon the panel before
                 // any update smears it.
@@ -260,7 +260,7 @@ class FtSytrdDriver {
   /// The deferred half of the checkpoint save, run in the first column
   /// product's window before the second column's fold; then the old
   /// panel's code sums (its trailing rows against e and ω) are taken from
-  /// the sealed copy, which no strike can reach before register_checkpoint.
+  /// the sealed copy, which no strike can reach before expose_checkpoint().
   void seal_checkpoint(index_t i, index_t ib) {
     ckpt_.seal(ladder_, i);
     const index_t tn = n_ - i - ib;
